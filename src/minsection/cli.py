@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import morse, sections, solver
-from .numerics import RankDeficiencyError
+from .numerics import NonFiniteValueError, RankDeficiencyError
 from .problem_io import ProblemDefinition, ProblemFileError, load_problem_file
 from .problems import ParameterSplit, get_problem
 from .subminimize import ConvexityError, SubMinimizeError
@@ -34,6 +34,7 @@ REFUSALS = (
     sections.TraceError,
     morse.DegenerateCriticalPointError,
     RankDeficiencyError,
+    NonFiniteValueError,
 )
 
 

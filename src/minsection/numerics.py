@@ -14,11 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problems import linear_elimination_applies
+
 __all__ = [
     "AUTO",
     "BoundaryStepWarning",
     "DerivativeReport",
     "EigenSummary",
+    "NonFiniteValueError",
     "RankDeficiencyError",
     "eigen_index",
     "fd_gradient",
@@ -40,6 +43,18 @@ AUTO = object()
 
 class BoundaryStepWarning(UserWarning):
     """A finite-difference stencil was clamped at the domain boundary."""
+
+
+class NonFiniteValueError(ValueError):
+    """A finite-difference stencil met a non-finite objective value.
+
+    ``point`` is the stencil center, a point inside the domain box whose
+    neighborhood the objective is not finite on.
+    """
+
+    def __init__(self, message: str, point):
+        super().__init__(message)
+        self.point = np.array(point, dtype=float)
 
 
 class RankDeficiencyError(ValueError):
@@ -151,7 +166,7 @@ def fd_gradient(f, p, box=AUTO) -> np.ndarray:
         )
     if not np.all(np.isfinite(grad)):
         bad = int(np.flatnonzero(~np.isfinite(grad))[0])
-        raise ValueError(f"non-finite gradient entry at coordinate {bad}")
+        raise NonFiniteValueError(f"non-finite gradient entry at coordinate {bad}", p)
     return grad
 
 
@@ -211,8 +226,8 @@ def _second_diff_block(f, p, indices, box):
             block[a, b] = (fpp - fpm - fmp + fmm) / (4.0 * ha * hb)
     if not np.all(np.isfinite(block)):
         a, b = np.argwhere(~np.isfinite(block))[0]
-        raise ValueError(
-            f"non-finite Hessian entry at coordinate pair ({indices[a]}, {indices[b]})"
+        raise NonFiniteValueError(
+            f"non-finite Hessian entry at coordinate pair ({indices[a]}, {indices[b]})", q
         )
     return block, steps, shifted
 
@@ -276,16 +291,10 @@ def fd_y_block(f, p, split, box=AUTO) -> np.ndarray:
     ``2 Phi^T Phi``; that closed form is used directly, which keeps the
     block bitwise independent of the linear coordinates.
     """
-    model = getattr(f, "model", None)
-    if model is not None and getattr(f, "structure", "") == "partially_linear":
-        n = model.nonlinear_dim
-        if tuple(split.x_indices) == tuple(range(n)) and tuple(
-            split.y_indices
-        ) == tuple(range(n, n + model.linear_dim)):
-            x = np.asarray(p, dtype=float)[:n]
-            phi = model.design_matrix(x)
-            block = 2.0 * phi.T @ phi
-            return 0.5 * (block + block.T)
+    if linear_elimination_applies(f, split):
+        phi = f.model.design_matrix(split.x_part(p))
+        block = 2.0 * phi.T @ phi
+        return 0.5 * (block + block.T)
     box = _resolve_box(f, box)
     raw, _, _ = _second_diff_block(f, p, tuple(split.y_indices), box)
     return 0.5 * (raw + raw.T)

@@ -23,6 +23,7 @@ interface.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ from .problems import (
     PartiallyLinearModel,
     ProblemCatalogEntry,
     build_partially_linear,
+    default_box,
     get_problem,
 )
 
@@ -136,6 +138,27 @@ def _build_term(term, n, where):
     )
 
 
+def _require_finite(term, where, t, x_box):
+    """Reject a term that overflows or is not finite somewhere on the box.
+
+    Checking the corners of the nonlinear box covers all of it: exp(x t) is
+    monotone in x for each t, sinusoids are bounded, and polynomial and
+    constant terms do not depend on x.
+    """
+    for x in itertools.product(*x_box):
+        for tk in t:
+            try:
+                value = term(tk, x)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ProblemFileError(
+                    f"field {where} is not finite at t = {float(tk)!r}, "
+                    f"x = {[float(v) for v in x]} "
+                    "(a corner of the nonlinear domain box)"
+                )
+
+
 def load_problem_file(path) -> ProblemDefinition:
     """Load and validate a problem-definition file."""
     path = Path(path)
@@ -223,9 +246,12 @@ def load_problem_file(path) -> ProblemDefinition:
             raise ProblemFileError(
                 f"{j} basis terms leave no nonlinear parameter in dimension {dimension}"
             )
+        x_box = (default_box(dimension) if box is None else box)[:n]
         basis = tuple(
             _build_term(t, n, f"model.basis[{i}]") for i, t in enumerate(basis_specs)
         )
+        for i, term in enumerate(basis):
+            _require_finite(term, f"model.basis[{i}]", t, x_box)
         offset = None
         if model.get("offset"):
             offset_specs = _require(model, "offset", list, "model")
@@ -233,6 +259,8 @@ def load_problem_file(path) -> ProblemDefinition:
                 _build_term(t, n, f"model.offset[{i}]")
                 for i, t in enumerate(offset_specs)
             )
+            for i, term in enumerate(terms):
+                _require_finite(term, f"model.offset[{i}]", t, x_box)
             offset = lambda t_, x: sum(term(t_, x) for term in terms)
         try:
             plm = PartiallyLinearModel(

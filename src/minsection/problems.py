@@ -29,6 +29,7 @@ __all__ = [
     "catalog",
     "default_box",
     "get_problem",
+    "linear_elimination_applies",
     "model_split",
     "random_quadratic_problem",
 ]
@@ -317,6 +318,14 @@ def model_split(merit: MeritFunction) -> ParameterSplit:
         raise ValueError("merit function is not partially linear")
     n = merit.model.nonlinear_dim
     return ParameterSplit(tuple(range(n)), tuple(range(n, merit.dimension)))
+
+
+def linear_elimination_applies(merit, split: ParameterSplit) -> bool:
+    """True when the split matches a partially linear merit's nonlinear/linear
+    layout. Plain callables never qualify."""
+    if getattr(merit, "structure", None) != STRUCTURE_PARTIALLY_LINEAR or merit.model is None:
+        return False
+    return model_split(merit) == split
 
 
 @dataclass(frozen=True)

@@ -16,17 +16,19 @@ from typing import Callable
 import numpy as np
 
 from .problems import MeritFunction, ParameterSplit
-from .solver import BracketTriplet, golden_refine, line_minimize
+from .solver import BracketTriplet, Tolerances, golden_refine, minimize_by_coordinates
+from .solver import line_minimize  # noqa: F401 - unused; bench/tracing.py rebinds it here
+from .subminimize import subminimize_linear  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .subminimize import (
     ConvexityCertificate,
     ConvexityError,
     SliceProblem,
+    SliceSolver,
     SubMinimizeError,
     SubMinimum,
     linear_elimination_applies,
     probe_full_convexity,
     probe_y_convexity,
-    subminimize_linear,
     subminimize_newton,
 )
 
@@ -188,31 +190,23 @@ def trace_implicit(
     """
     grid = _normalize_x_grid(x_grid, split.n)
     g_count = grid.shape[0]
-    use_linear = linear_elimination_applies(merit, split)
-
-    def solve_at(x, warm_y):
-        problem = SliceProblem(merit, split, x)
-        if use_linear:
-            return subminimize_linear(problem)
-        return subminimize_newton(problem, y0=warm_y, inner_tol=inner_tol)
+    slices = SliceSolver(merit, split, inner_tol)
 
     solutions: list[SubMinimum | None] = [None] * g_count
-    warm = None
     for j in range(g_count):
         try:
-            solutions[j] = solve_at(grid[j], warm)
+            solutions[j] = slices.solve(grid[j])
         except (ConvexityError, SubMinimizeError) as err:
             raise TraceError(
                 f"slice solve failed at x = {grid[j]} (the conditional-minimum "
                 f"graph does not extend there): {err}",
                 x_failed=grid[j],
             ) from err
-        warm = solutions[j].y_star
-    if not use_linear:
+    if not slices.linear:
         warm = solutions[-1].y_star
         for j in range(g_count - 2, -1, -1):
             try:
-                second = solve_at(grid[j], warm)
+                second = slices.solve(grid[j], y0=warm)
             except (ConvexityError, SubMinimizeError) as err:
                 raise TraceError(
                     f"slice solve failed at x = {grid[j]} on the return sweep: {err}",
@@ -289,12 +283,10 @@ def minimal_section_1d(
     certificate = probe_y_convexity(merit, split, probe_density)
     certified = certificate.positive or linear_elimination_applies(merit, split)
     if not certified and split.m > 1:
-        raise ConvexityError(
-            "no convexity certificate for the complementary split and more "
-            "than one eliminated coordinate; cannot build the section",
-            point=certificate.witness,
-            min_eig=certificate.witness_min_eig,
-            certificate=certificate,
+        raise ConvexityError.refusal(
+            "a section with more than one eliminated coordinate and no convexity "
+            "certificate",
+            certificate,
         )
 
     if certified:
@@ -313,16 +305,10 @@ def minimal_section_1d(
             for j in range(grid.size)
         ]
 
-        warm = {"y": None}
+        slices = SliceSolver(merit, split, inner_tol)
 
         def section_fn(u: float) -> SubMinimum:
-            problem = SliceProblem(merit, split, np.array([u]))
-            if linear_elimination_applies(merit, split):
-                sub = subminimize_linear(problem)
-            else:
-                sub = subminimize_newton(problem, y0=warm["y"], inner_tol=inner_tol)
-            warm["y"] = sub.y_star
-            return sub
+            return slices.solve(np.array([u]))
 
     else:
         def section_fn(u: float) -> SubMinimum:
@@ -451,37 +437,6 @@ def sublevel_interval(
     return SubLevelInterval(section.parameter_index, level_z, float(lo), float(hi))
 
 
-def _minimize_over(merit, split, fixed_inner, grids, x_tol, warm):
-    """Minimize the outer minimal-section over the remaining retained
-    coordinates by cyclic line searches (convex by assumption)."""
-    x = np.array([0.5 * (g[0] + g[-1]) for g in grids])
-
-    def outer_value(xvec):
-        full_x = fixed_inner(xvec)
-        problem = SliceProblem(merit, split, full_x)
-        sub = subminimize_newton(problem, y0=warm["y"])
-        warm["y"] = sub.y_star
-        return sub.value
-
-    if len(grids) == 1:
-        u, value, _ = line_minimize(lambda v: outer_value(np.array([v])), grids[0], x_tol)
-        return value
-    for _ in range(60):
-        x_prev = x.copy()
-        value = None
-        for i in range(len(grids)):
-            def line(v, _i=i):
-                trial = x.copy()
-                trial[_i] = v
-                return outer_value(trial)
-
-            u, value, _ = line_minimize(line, grids[i], x_tol)
-            x[i] = u
-        if float(np.max(np.abs(x - x_prev))) <= x_tol:
-            return value
-    raise SubMinimizeError("iterated minimization did not converge")
-
-
 def nesting_check(
     merit: MeritFunction,
     outer_split: ParameterSplit,
@@ -508,42 +463,33 @@ def nesting_check(
         raise ValueError("only one-dimensional inner subsets are supported")
     certificate = probe_full_convexity(merit, probe_density)
     if not certificate.positive:
-        raise ConvexityError(
-            "nesting requires a strictly convex objective on the box; probe "
-            f"found min eigenvalue {certificate.witness_min_eig:.3e} at "
-            f"{certificate.witness}",
-            point=certificate.witness,
-            min_eig=certificate.witness_min_eig,
-            certificate=certificate,
+        raise ConvexityError.refusal(
+            "nesting check (it needs a strictly convex objective on the box)", certificate
         )
     grid = np.asarray(grid, dtype=float)
-    inner_split = ParameterSplit.single(inner[0], merit.dimension)
+    inner_slices = SliceSolver(merit, ParameterSplit.single(inner[0], merit.dimension))
+    outer_slices = SliceSolver(merit, outer_split)
     rest = tuple(i for i in outer if i not in inner)
     box = merit.domain_box
     rest_grids = [np.linspace(box[i, 0], box[i, 1], max(9, grid.size)) for i in rest]
     width = max(float(g[-1] - g[0]) for g in rest_grids)
     xt = x_tol if x_tol is not None else 1e-8 * width
-    pos_in_outer = {coord: k for k, coord in enumerate(outer)}
+    inner_pos = outer.index(inner[0])
+    rest_pos = [outer.index(coord) for coord in rest]
 
     inner_values = np.empty(grid.size)
     iterated_values = np.empty(grid.size)
-    warm_direct = {"y": None}
-    warm_outer = {"y": None}
     for j, u in enumerate(grid):
-        problem = SliceProblem(merit, inner_split, np.array([u]))
-        sub = subminimize_newton(problem, y0=warm_direct["y"])
-        warm_direct["y"] = sub.y_star
-        inner_values[j] = sub.value
+        inner_values[j] = inner_slices.value(np.array([u]))
 
-        def fixed_inner(rest_vec, _u=u):
+        def section_value(rest_vec, _u=u):
             full = np.empty(len(outer))
-            full[pos_in_outer[inner[0]]] = _u
-            for val, coord in zip(rest_vec, rest):
-                full[pos_in_outer[coord]] = val
-            return full
+            full[inner_pos] = _u
+            full[rest_pos] = rest_vec
+            return outer_slices.value(full)
 
-        iterated_values[j] = _minimize_over(
-            merit, outer_split, fixed_inner, rest_grids, xt, warm_outer
+        _, iterated_values[j], _, _ = minimize_by_coordinates(
+            section_value, rest_grids, [xt] * len(rest), Tolerances().max_cycles
         )
     max_gap = float(np.max(np.abs(inner_values - iterated_values)))
     return NestingReport(

@@ -16,12 +16,11 @@ from .problems import MeritFunction, ParameterSplit
 from .subminimize import (
     ConvexityCertificate,
     ConvexityError,
-    SliceProblem,
-    linear_elimination_applies,
+    SliceSolver,
     probe_y_convexity,
-    subminimize_linear,
-    subminimize_newton,
 )
+from .subminimize import subminimize_linear  # noqa: F401 - unused; bench/tracing.py rebinds it here
+from .subminimize import subminimize_newton  # noqa: F401 - unused; bench/tracing.py rebinds it here
 
 __all__ = [
     "BracketError",
@@ -166,15 +165,32 @@ class EquivalenceReport:
     max_value_gap: float
 
 
+def _scan(section_eval, grid):
+    """Check a bracketing grid and evaluate the section on it."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size < 3:
+        raise ValueError("bracketing needs a grid of at least 3 points")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    return grid, np.array([float(section_eval(u)) for u in grid])
+
+
+def _strict_triplets(grid, values):
+    """Every grid triplet whose middle value is strictly smallest, left to right."""
+    for j in range(1, grid.size - 1):
+        if values[j] < values[j - 1] and values[j] < values[j + 1]:
+            yield BracketTriplet(
+                grid[j - 1], grid[j], grid[j + 1], values[j - 1], values[j], values[j + 1]
+            )
+
+
 def _bracket_from_values(grid, values) -> BracketTriplet:
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise SolveError(f"non-finite section value at u = {grid[bad]!r}")
-    for j in range(1, grid.size - 1):
-        if values[j] < values[j - 1] and values[j] < values[j + 1]:
-            return BracketTriplet(
-                grid[j - 1], grid[j], grid[j + 1], values[j - 1], values[j], values[j + 1]
-            )
+    triplet = next(_strict_triplets(grid, values), None)
+    if triplet is not None:
+        return triplet
     spread = float(values.max() - values.min())
     if spread <= FLAT_TOL * max(1.0, float(np.abs(values).max())):
         raise BracketError("section is flat on the grid (all values equal)", "flat")
@@ -197,13 +213,7 @@ def bracket_on_grid(section_eval, grid) -> BracketTriplet:
     :class:`BracketError` when no triplet qualifies, distinguishing a
     boundary minimum from a flat section.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 3:
-        raise ValueError("bracketing needs a grid of at least 3 points")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    values = np.array([float(section_eval(u)) for u in grid])
-    return _bracket_from_values(grid, values)
+    return _bracket_from_values(*_scan(section_eval, grid))
 
 
 def golden_refine(section_eval, triplet: BracketTriplet, x_tol: float):
@@ -272,12 +282,7 @@ def line_minimize(section_eval, grid, x_tol: float):
     minimum exactly midway between nodes) are recovered via a midpoint
     probe; other bracket failures propagate.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 3:
-        raise ValueError("bracketing needs a grid of at least 3 points")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    values = np.array([float(section_eval(u)) for u in grid])
+    grid, values = _scan(section_eval, grid)
     try:
         triplet = _bracket_from_values(grid, values)
     except BracketError as err:
@@ -294,28 +299,43 @@ def enumerate_section_minima(section_eval, grid, x_tol: float):
     Returns a list of ``(u, value)`` sorted by abscissa; used when a section
     may carry several local minima.
     """
-    grid = np.asarray(grid, dtype=float)
-    values = np.array([float(section_eval(u)) for u in grid])
-    out = []
-    for j in range(1, grid.size - 1):
-        if values[j] < values[j - 1] and values[j] < values[j + 1]:
-            triplet = BracketTriplet(
-                grid[j - 1], grid[j], grid[j + 1], values[j - 1], values[j], values[j + 1]
-            )
-            out.append(golden_refine(section_eval, triplet, x_tol))
-    return out
+    grid, values = _scan(section_eval, grid)
+    return [golden_refine(section_eval, t, x_tol) for t in _strict_triplets(grid, values)]
 
 
-class _CountingSection:
-    """Wrap a section evaluator with an auditable call counter."""
+def minimize_by_coordinates(section_value, grids, x_tols, max_cycles: int):
+    """Minimize a section over the retained coordinates by line searches.
 
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
+    ``section_value`` maps a retained-coordinate vector to the section
+    value. One coordinate takes a single bracket-plus-refine (0 cycles).
+    Several coordinates are cycled from the grid centers, one line search
+    per coordinate, until a cycle moves no coordinate by more than
+    ``max(x_tols)``; not converging within ``max_cycles`` cycles raises
+    :class:`SolveError` carrying the best point. Returns ``(x, value,
+    brackets, cycles)`` with the brackets of the last cycle.
+    """
+    if len(grids) == 1:
+        u, value, triplet = line_minimize(
+            lambda v: section_value(np.array([v])), grids[0], x_tols[0]
+        )
+        return np.array([u]), value, [triplet], 0
+    x = np.array([0.5 * (g[0] + g[-1]) for g in grids])
+    for cycle in range(1, max_cycles + 1):
+        x_prev = x.copy()
+        brackets = []
+        for i, (grid, x_tol) in enumerate(zip(grids, x_tols)):
+            def line(v, _i=i):
+                trial = x.copy()
+                trial[_i] = v
+                return section_value(trial)
 
-    def __call__(self, u):
-        self.calls += 1
-        return self.fn(u)
+            x[i], value, triplet = line_minimize(line, grid, x_tol)
+            brackets.append(triplet)
+        if float(np.max(np.abs(x - x_prev))) <= max(x_tols):
+            return x, value, brackets, cycle
+    raise SolveError(
+        f"coordinate cycling did not converge within {max_cycles} cycles", best_point=x
+    )
 
 
 def _derived_outer_tol(brackets, x_tols, value):
@@ -372,68 +392,16 @@ def solve_hierarchical(
     tol = tolerances or Tolerances()
     certificate = probe_y_convexity(merit, split, tol.probe_density)
     if not certificate.positive:
-        raise ConvexityError(
-            "refusing hierarchical solve: eliminated-block Hessian has "
-            f"min eigenvalue {certificate.witness_min_eig:.3e} at "
-            f"{certificate.witness}",
-            point=certificate.witness,
-            min_eig=certificate.witness_min_eig,
-            certificate=certificate,
-        )
+        raise ConvexityError.refusal("hierarchical solve", certificate)
     grids = _resolve_grids(grid, merit.domain_box, split)
     x_tols = [
         tol.x_tol if tol.x_tol is not None else 1e-8 * (g[-1] - g[0]) for g in grids
     ]
-    use_linear = linear_elimination_applies(merit, split)
-    counter = {"solves": 0}
-    warm = {"y": None}
-
-    def slice_solve(xvec):
-        counter["solves"] += 1
-        problem = SliceProblem(merit, split, xvec)
-        if use_linear:
-            sub = subminimize_linear(problem)
-        else:
-            sub = subminimize_newton(problem, y0=warm["y"], inner_tol=tol.inner_tol)
-        warm["y"] = sub.y_star
-        return sub
-
-    brackets: list[BracketTriplet] = []
-    cycles = 0
-    if split.n == 1:
-        section = _CountingSection(lambda u: slice_solve(np.array([u])).value)
-        u_star, _, triplet = line_minimize(section, grids[0], x_tols[0])
-        brackets.append(triplet)
-        x_star = np.array([u_star])
-        outer_evaluations = section.calls
-    else:
-        x_star = np.array([0.5 * (g[0] + g[-1]) for g in grids])
-        outer_evaluations = 0
-        for cycles in range(1, tol.max_cycles + 1):
-            x_prev = x_star.copy()
-            brackets = []
-            for i in range(split.n):
-                def section_fn(u, _i=i):
-                    trial = x_star.copy()
-                    trial[_i] = u
-                    return slice_solve(trial).value
-
-                section = _CountingSection(section_fn)
-                u_star, _, triplet = line_minimize(section, grids[i], x_tols[i])
-                x_star[i] = u_star
-                brackets.append(triplet)
-                outer_evaluations += section.calls
-            step = float(np.max(np.abs(x_star - x_prev)))
-            if step <= max(x_tols):
-                break
-        else:
-            raise SolveError(
-                f"coordinate cycling did not converge within {tol.max_cycles} cycles",
-                best_point=x_star,
-            )
-
-    final = slice_solve(x_star)
-    outer_evaluations += 1
+    slices = SliceSolver(merit, split, tol.inner_tol)
+    x_star, _, brackets, cycles = minimize_by_coordinates(
+        slices.value, grids, x_tols, tol.max_cycles
+    )
+    final = slices.solve(x_star)
     minimizer = split.embed(x_star, final.y_star)
     value = final.value
     grad = fd_gradient(merit, minimizer)
@@ -455,8 +423,8 @@ def solve_hierarchical(
         minimizer=minimizer,
         value=value,
         method="hierarchical",
-        inner_solves=counter["solves"],
-        outer_evaluations=outer_evaluations,
+        inner_solves=slices.solves,
+        outer_evaluations=slices.solves,
         certificates=SolveCertificates(
             convexity=certificate, brackets=tuple(brackets), gradient_norm=grad_norm
         ),
@@ -575,21 +543,12 @@ def equivalence_report(
     candidates = [(hier.minimizer, hier.value)]
     if split.n == 1:
         grids = _resolve_grids(grid, merit.domain_box, split)
-        use_linear = linear_elimination_applies(merit, split)
-        warm = {"y": None}
-
-        def solve_at(u):
-            problem = SliceProblem(merit, split, np.array([u]))
-            if use_linear:
-                sub = subminimize_linear(problem)
-            else:
-                sub = subminimize_newton(problem, y0=warm["y"], inner_tol=tol.inner_tol)
-            warm["y"] = sub.y_star
-            return sub
-
+        slices = SliceSolver(merit, split, tol.inner_tol)
         x_tol = tol.x_tol if tol.x_tol is not None else 1e-8 * (grids[0][-1] - grids[0][0])
-        for u, value in enumerate_section_minima(lambda v: solve_at(v).value, grids[0], x_tol):
-            sub = solve_at(u)
+        for u, value in enumerate_section_minima(
+            lambda v: slices.value(np.array([v])), grids[0], x_tol
+        ):
+            sub = slices.solve(np.array([u]))
             point = split.embed(np.array([u]), sub.y_star)
             if all(np.max(np.abs(point - c)) > 1e-6 for c, _ in candidates):
                 candidates.append((point, sub.value))
@@ -629,18 +588,8 @@ def recover_from_anchor(
     split = ParameterSplit.single(anchor_index, merit.dimension)
     certificate = probe_y_convexity(merit, split, probe_density)
     if not certificate.positive:
-        raise ConvexityError(
-            "refusing anchor recovery: eliminated-block Hessian has min "
-            f"eigenvalue {certificate.witness_min_eig:.3e} at {certificate.witness}",
-            point=certificate.witness,
-            min_eig=certificate.witness_min_eig,
-            certificate=certificate,
-        )
-    problem = SliceProblem(merit, split, np.array([float(anchor_value)]))
-    if linear_elimination_applies(merit, split):
-        sub = subminimize_linear(problem)
-    else:
-        sub = subminimize_newton(problem, inner_tol=inner_tol)
+        raise ConvexityError.refusal("anchor recovery", certificate)
+    sub = SliceSolver(merit, split, inner_tol).solve(np.array([float(anchor_value)]))
     recovered = split.embed(np.array([float(anchor_value)]), sub.y_star)
     recovered[anchor_index] = float(anchor_value)
     return RegularizationRecovery(

@@ -13,17 +13,13 @@ import numpy as np
 
 from . import numerics
 from .numerics import EPS, _second_diff_block, fd_hessian, fd_y_block, linear_lsq_solve
-from .problems import (
-    STRUCTURE_PARTIALLY_LINEAR,
-    MeritFunction,
-    ParameterSplit,
-    model_split,
-)
+from .problems import MeritFunction, ParameterSplit, linear_elimination_applies
 
 __all__ = [
     "ConvexityCertificate",
     "ConvexityError",
     "SliceProblem",
+    "SliceSolver",
     "SubMinimizeError",
     "SubMinimum",
     "default_inner_tol",
@@ -58,6 +54,18 @@ class ConvexityError(RuntimeError):
         self.point = None if point is None else np.asarray(point, dtype=float)
         self.min_eig = min_eig
         self.certificate = certificate
+
+    @classmethod
+    def refusal(cls, what: str, certificate: ConvexityCertificate) -> ConvexityError:
+        """Refuse ``what`` on a violated certificate, carrying its witness."""
+        block = "Hessian" if certificate.split is None else "eliminated-block Hessian"
+        return cls(
+            f"refusing {what}: {block} has min eigenvalue "
+            f"{certificate.witness_min_eig:.3e} at {certificate.witness}",
+            point=certificate.witness,
+            min_eig=certificate.witness_min_eig,
+            certificate=certificate,
+        )
 
 
 class SubMinimizeError(RuntimeError):
@@ -155,27 +163,21 @@ def default_inner_tol(f0: float) -> float:
     return INNER_TOL_FACTOR * max(1.0, abs(f0))
 
 
-def linear_elimination_applies(merit: MeritFunction, split: ParameterSplit) -> bool:
-    """True when the split matches the model's nonlinear/linear layout."""
-    if merit.structure != STRUCTURE_PARTIALLY_LINEAR or merit.model is None:
-        return False
-    return model_split(merit) == split
+def _probe(merit, split, axes_indices, density) -> ConvexityCertificate:
+    """Scan a coordinate grid for the worst block min-eigenvalue.
 
-
-def _grid_axes(box, density):
-    return [np.linspace(lo, hi, density) for lo, hi in box]
-
-
-def _probe_block(merit, split, axes_indices, density):
-    """Scan a coordinate grid, tracking the worst block min-eigenvalue."""
+    ``split is None`` probes the full Hessian, otherwise the eliminated
+    block; coordinates outside ``axes_indices`` stay at the box center.
+    """
+    if density < 3:
+        raise ValueError("grid density must be at least 3 points per axis")
     box = merit.domain_box
-    center = box.mean(axis=1)
     axes = [np.linspace(box[i, 0], box[i, 1], density) for i in axes_indices]
     worst = np.inf
     worst_point = None
     violated = False
     count = 0
-    p = center.copy()
+    p = box.mean(axis=1)
     all_indices = tuple(range(merit.dimension))
     for combo in itertools.product(*axes):
         for i, v in zip(axes_indices, combo):
@@ -193,7 +195,15 @@ def _probe_block(merit, split, axes_indices, density):
             worst = float(w[0])
             worst_point = p.copy()
         count += 1
-    return count, worst, worst_point, violated
+    return ConvexityCertificate(
+        split=split,
+        sampled_points=count,
+        min_eig_over_samples=worst,
+        positive=not violated,
+        witness=worst_point if violated else None,
+        witness_min_eig=worst if violated else None,
+        grid_density=density,
+    )
 
 
 def probe_y_convexity(
@@ -206,41 +216,17 @@ def probe_y_convexity(
     grid is scanned (one point per x grid node). Violations are a verdict,
     never an error.
     """
-    density = grid_density or default_probe_density(merit.dimension)
-    if density < 3:
-        raise ValueError("grid density must be at least 3 points per axis")
     if linear_elimination_applies(merit, split):
-        axes_indices = list(split.x_indices)
+        axes_indices = split.x_indices
     else:
-        axes_indices = list(range(merit.dimension))
-    count, worst, worst_point, violated = _probe_block(merit, split, axes_indices, density)
-    return ConvexityCertificate(
-        split=split,
-        sampled_points=count,
-        min_eig_over_samples=worst,
-        positive=not violated,
-        witness=worst_point if violated else None,
-        witness_min_eig=worst if violated else None,
-        grid_density=density,
-    )
+        axes_indices = range(merit.dimension)
+    density = grid_density or default_probe_density(merit.dimension)
+    return _probe(merit, split, axes_indices, density)
 
 
 def probe_full_convexity(merit: MeritFunction, grid_density: int | None = None) -> ConvexityCertificate:
     """Sample the full Hessian over the domain box (strict-convexity probe)."""
-    density = grid_density or 7
-    if density < 3:
-        raise ValueError("grid density must be at least 3 points per axis")
-    axes_indices = list(range(merit.dimension))
-    count, worst, worst_point, violated = _probe_block(merit, None, axes_indices, density)
-    return ConvexityCertificate(
-        split=None,
-        sampled_points=count,
-        min_eig_over_samples=worst,
-        positive=not violated,
-        witness=worst_point if violated else None,
-        witness_min_eig=worst if violated else None,
-        grid_density=density,
-    )
+    return _probe(merit, None, range(merit.dimension), grid_density or 7)
 
 
 def subminimize_linear(problem: SliceProblem) -> SubMinimum:
@@ -369,6 +355,39 @@ def subminimize_newton(
     )
 
 
+class SliceSolver:
+    """Solves the slices of one merit under one split.
+
+    Linear elimination is used when the split matches a partially linear
+    model, Newton otherwise. Newton starts from the last solution this
+    solver returned (the box center on the first solve) unless ``y0`` is
+    given. ``solves`` counts the slice solves made so far.
+    """
+
+    def __init__(self, merit: MeritFunction, split: ParameterSplit, inner_tol: float | None = None):
+        self.merit = merit
+        self.split = split
+        self.inner_tol = inner_tol
+        self.linear = linear_elimination_applies(merit, split)
+        self.warm = None
+        self.solves = 0
+
+    def solve(self, x_fixed, y0=None) -> SubMinimum:
+        self.solves += 1
+        problem = SliceProblem(self.merit, self.split, x_fixed)
+        if self.linear:
+            sub = subminimize_linear(problem)
+        else:
+            start = self.warm if y0 is None else y0
+            sub = subminimize_newton(problem, y0=start, inner_tol=self.inner_tol)
+        self.warm = sub.y_star
+        return sub
+
+    def value(self, x_fixed) -> float:
+        """Section value at ``x_fixed``: the slice minimum of the merit."""
+        return self.solve(x_fixed).value
+
+
 def solve_slice(
     merit: MeritFunction,
     split: ParameterSplit,
@@ -376,8 +395,5 @@ def solve_slice(
     y0=None,
     inner_tol: float | None = None,
 ) -> SubMinimum:
-    """Dispatch one slice solve: linear elimination when available, else Newton."""
-    problem = SliceProblem(merit, split, x_fixed)
-    if linear_elimination_applies(merit, split):
-        return subminimize_linear(problem)
-    return subminimize_newton(problem, y0=y0, inner_tol=inner_tol)
+    """One slice solve: linear elimination when available, else Newton."""
+    return SliceSolver(merit, split, inner_tol).solve(x_fixed, y0)

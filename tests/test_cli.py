@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+import minsection as ms
 from minsection import cli
 
 
@@ -188,3 +189,41 @@ def test_json_floats_round_trip(tmp_path):
     raw = (out / "solve.json").read_text()
     assert json.loads(json.dumps(payload)) == payload
     assert repr(payload["gradient_norm"]) in raw
+
+
+def test_overflowing_basis_is_input_error(tmp_path, capsys):
+    (tmp_path / "obs.csv").write_text(
+        "t,d\n" + "\n".join(f"{float(tk)!r},1.0" for tk in range(40)) + "\n"
+    )
+    (tmp_path / "prob.json").write_text(
+        json.dumps(
+            {
+                "dimension": 2,
+                "split": {"x_indices": [0], "y_indices": [1]},
+                "domain_box": [[-2.0, 30.0], [-10.0, 10.0]],
+                "model": {
+                    "kind": "partially_linear",
+                    "basis": [{"type": "exponential", "rate_index": 0}],
+                },
+                "data_file": "obs.csv",
+            }
+        )
+    )
+    code = run_cli(
+        ["--problem", str(tmp_path / "prob.json"), "--command", "solve", "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert "model.basis[0]" in capsys.readouterr().err
+
+
+def test_nan_island_refused_with_witness(tmp_path, capsys, monkeypatch):
+    def nan_island(p):
+        return float("nan") if p[0] > 0.5 else float(p[0] ** 2 + p[1] ** 2)
+
+    merit = ms.MeritFunction(2, nan_island, domain_box=[[-1.0, 1.0], [-1.0, 1.0]])
+    entry = ms.ProblemCatalogEntry("NAN_ISLAND", merit, "strictly_convex")
+    monkeypatch.setattr(cli, "get_problem", lambda name: entry)
+    code = run_cli(["--problem", "NAN_ISLAND", "--command", "solve", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "witness point" in err

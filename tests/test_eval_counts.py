@@ -66,3 +66,13 @@ def test_random_quadratic_cycling_counts(merit_calls):
     assert merit_calls["n"] == 1373
     assert report.inner_solves == 1361
     assert report.iterations == 8
+
+
+def test_nesting_check_count(merit_calls):
+    # The outer split matches the model, so its slices are eliminated
+    # linearly (13,803 evaluations when every nesting slice used Newton).
+    merit = ms.random_quadratic_problem(4, 2, np.random.default_rng(1)).merit
+    grid = np.linspace(-1.0, 1.0, 5)
+    report = ms.nesting_check(merit, ms.model_split(merit), (0,), grid, probe_density=3)
+    assert merit_calls["n"] == 5303
+    assert report.passed

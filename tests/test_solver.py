@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minsection as ms
+from minsection.numerics import NonFiniteValueError
 from minsection.solver import BracketError, line_minimize
 
 
@@ -273,3 +274,14 @@ def test_bracket_certificate_property(size, center, scale):
         return
     assert triplet.fb < triplet.fa and triplet.fb < triplet.fc
     assert grid[0] <= triplet.a < triplet.b < triplet.c <= grid[-1]
+
+
+def test_nan_island_refused_with_point_in_box():
+    merit = ms.MeritFunction(
+        2,
+        lambda p: float("nan") if p[0] > 0.5 else float(p[0] ** 2 + p[1] ** 2),
+        domain_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
+    )
+    with pytest.raises(NonFiniteValueError, match="non-finite") as excinfo:
+        ms.solve_hierarchical(merit, ms.ParameterSplit((0,), (1,)))
+    assert merit.contains(excinfo.value.point)
