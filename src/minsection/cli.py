@@ -47,7 +47,6 @@ class RunConfig:
     grid_density: int | None = None
     inner_tol: float | None = None
     outer_tol: float | None = None
-    x_tol: float | None = None
     anchor_index: int | None = None
     anchor_value: float | None = None
     starts: int = 5
@@ -67,6 +66,10 @@ class RunConfig:
         if self.command == "sections":
             if self.x_indices is not None and len(self.x_indices) != 1:
                 raise ProblemFileError("command 'sections' takes a single --x-indices entry")
+        if self.grid_density is not None and self.grid_density < 3:
+            raise ProblemFileError(f"--grid-density must be at least 3, got {self.grid_density}")
+        if self.starts < 1:
+            raise ProblemFileError(f"--starts must be at least 1, got {self.starts}")
 
 
 def _atomic_write(path: Path, text: str):
@@ -99,23 +102,33 @@ def _load(config: RunConfig) -> ProblemDefinition:
 
 
 def _resolve_split(config: RunConfig, definition: ProblemDefinition) -> ParameterSplit:
-    if config.x_indices is None and config.y_indices is None:
+    x, y = config.x_indices, config.y_indices
+    if x is None and y is None:
         return definition.split
     dim = definition.merit.dimension
-    if config.x_indices is not None and config.y_indices is not None:
-        return ParameterSplit(config.x_indices, config.y_indices)
-    if config.x_indices is not None:
-        rest = tuple(i for i in range(dim) if i not in config.x_indices)
-        return ParameterSplit(config.x_indices, rest)
-    rest = tuple(i for i in range(dim) if i not in config.y_indices)
-    return ParameterSplit(rest, config.y_indices)
+    if x is None:
+        x = tuple(i for i in range(dim) if i not in y)
+    if y is None:
+        y = tuple(i for i in range(dim) if i not in x)
+    message = f"--x-indices/--y-indices must split 0..{dim - 1} into two disjoint nonempty sets"
+    try:
+        split = ParameterSplit(x, y)
+    except ValueError as err:
+        raise ProblemFileError(f"{message}: {err}") from err
+    if split.dimension != dim:
+        raise ProblemFileError(message)
+    return split
+
+
+def _check_index(flag: str, index: int, dim: int):
+    if not 0 <= index < dim:
+        raise ProblemFileError(f"{flag} {index} is out of range for a {dim}-parameter problem")
 
 
 def _tolerances(config: RunConfig) -> solver.Tolerances:
     return solver.Tolerances(
         inner_tol=config.inner_tol,
         outer_tol=config.outer_tol,
-        x_tol=config.x_tol,
         probe_density=config.grid_density,
     )
 
@@ -141,7 +154,7 @@ def _cmd_solve(config, definition, out):
 def _cmd_trace(config, definition, out):
     split = _resolve_split(config, definition)
     merit = definition.merit
-    density = config.grid_density or 101
+    density = 101 if config.grid_density is None else config.grid_density
     xbox = split.x_box(merit.domain_box)
     if split.n != 1:
         raise ProblemFileError("command 'trace' currently requires a 1-D retained block")
@@ -168,7 +181,8 @@ def _cmd_trace(config, definition, out):
 def _cmd_sections(config, definition, out):
     merit = definition.merit
     index = config.x_indices[0] if config.x_indices else definition.split.x_indices[0]
-    density = config.grid_density or 101
+    _check_index("--x-indices", index, merit.dimension)
+    density = 101 if config.grid_density is None else config.grid_density
     lo, hi = merit.domain_box[index]
     grid = np.linspace(lo, hi, density)
     section = sections.minimal_section_1d(
@@ -185,7 +199,7 @@ def _cmd_sections(config, definition, out):
 
 def _cmd_audit(config, definition, out):
     merit = definition.merit
-    density = config.grid_density or 9
+    density = 9 if config.grid_density is None else config.grid_density
     points = morse.find_critical_points(merit, seed_density=density)
     outward = morse.check_outward_gradient(merit, boundary_density=density)
     census = morse.morse_equality_audit(points, outward)
@@ -216,6 +230,7 @@ def _cmd_audit(config, definition, out):
 
 
 def _cmd_recover(config, definition, out):
+    _check_index("--anchor-index", config.anchor_index, definition.merit.dimension)
     recovery = solver.recover_from_anchor(
         definition.merit,
         config.anchor_index,

@@ -79,11 +79,12 @@ class MorseCensus:
 def _newton_on_gradient(merit, seed, box, critical_tol, max_iter):
     """Refine one seed to a gradient zero; None when it fails to converge.
 
-    The linear step solves the symmetrized FD Hessian system in the
-    minimum-norm least-squares sense, which also handles consistent
-    singular systems (valley floors). When no damped Newton step reduces
-    the gradient norm, a short normalized gradient-descent step of
-    ``1e-2 * box diagonal`` is tried before giving up.
+    The linear step solves the FD Hessian system (exactly symmetric, each
+    mixed partial being computed once) in the minimum-norm least-squares
+    sense, which also handles consistent singular systems (valley floors).
+    When no damped Newton step reduces the gradient norm, a short normalized
+    gradient-descent step of ``1e-2 * box diagonal`` is tried before giving
+    up.
     """
     diag = float(np.linalg.norm(box[:, 1] - box[:, 0]))
     p = np.clip(np.asarray(seed, dtype=float), box[:, 0], box[:, 1])

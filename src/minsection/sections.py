@@ -180,41 +180,26 @@ def trace_implicit(
 ) -> ImplicitTrace:
     """Trace the conditional-minimum graph over a grid of retained values.
 
-    Each grid point is solved by linear elimination when available,
-    otherwise by Newton warm-started from the neighboring solution. The
-    sweep runs left-to-right and then right-to-left, keeping whichever
-    solution certifies the smaller derivative residual; this guards the
-    continuation against losing the graph where it is steep. Requires a
-    positive convexity certificate for the split (caller responsibility):
-    a slice failure raises :class:`TraceError` naming the failing x.
+    The trace is one left-to-right sweep: each grid point is solved by
+    linear elimination when available, otherwise by Newton warm-started
+    from the previous grid point's solution. Every sample certifies its
+    derivative residual against its inner tolerance. Requires a positive
+    convexity certificate for the split (caller responsibility): a slice
+    failure raises :class:`TraceError` naming the failing x.
     """
     grid = _normalize_x_grid(x_grid, split.n)
-    g_count = grid.shape[0]
     slices = SliceSolver(merit, split, inner_tol)
 
-    solutions: list[SubMinimum | None] = [None] * g_count
-    for j in range(g_count):
+    solutions = []
+    for x in grid:
         try:
-            solutions[j] = slices.solve(grid[j])
+            solutions.append(slices.solve(x))
         except (ConvexityError, SubMinimizeError) as err:
             raise TraceError(
-                f"slice solve failed at x = {grid[j]} (the conditional-minimum "
+                f"slice solve failed at x = {x} (the conditional-minimum "
                 f"graph does not extend there): {err}",
-                x_failed=grid[j],
+                x_failed=x,
             ) from err
-    if not slices.linear:
-        warm = solutions[-1].y_star
-        for j in range(g_count - 2, -1, -1):
-            try:
-                second = slices.solve(grid[j], y0=warm)
-            except (ConvexityError, SubMinimizeError) as err:
-                raise TraceError(
-                    f"slice solve failed at x = {grid[j]} on the return sweep: {err}",
-                    x_failed=grid[j],
-                ) from err
-            if second.grad_y_norm < solutions[j].grad_y_norm:
-                solutions[j] = second
-            warm = solutions[j].y_star
 
     g_values = np.array([s.y_star for s in solutions])
     values = np.array([s.value for s in solutions])
@@ -291,20 +276,7 @@ def minimal_section_1d(
 
     if certified:
         trace = trace_implicit(merit, split, grid, inner_tol=inner_tol)
-        solutions = [
-            SubMinimum(
-                y_star=trace.g_values[j],
-                value=float(trace.values[j]),
-                grad_y_norm=float(trace.residual_norms[j]),
-                y_hessian_min_eig=np.nan,
-                method="trace",
-                iterations=0,
-                inner_tol=float(trace.inner_tols[j]),
-                y_index=int(trace.y_index_along_trace[j]),
-            )
-            for j in range(grid.size)
-        ]
-
+        values, companions, residuals = trace.values, trace.g_values, trace.residual_norms
         slices = SliceSolver(merit, split, inner_tol)
 
         def section_fn(u: float) -> SubMinimum:
@@ -320,10 +292,9 @@ def minimal_section_1d(
             raise TraceError(
                 f"fallback slice solve failed while sampling the section: {err}"
             ) from err
-
-    values = np.array([s.value for s in solutions])
-    companions = np.array([s.y_star for s in solutions])
-    residuals = np.array([s.grad_y_norm for s in solutions])
+        values = np.array([s.value for s in solutions])
+        companions = np.array([s.y_star for s in solutions])
+        residuals = np.array([s.grad_y_norm for s in solutions])
 
     local, plateau_flags = [], []
     scale = max(1.0, float(np.max(np.abs(values))))

@@ -183,8 +183,7 @@ def _probe(merit, split, axes_indices, density) -> ConvexityCertificate:
         for i, v in zip(axes_indices, combo):
             p[i] = v
         if split is None:
-            raw, _, _ = _second_diff_block(merit, p, all_indices, box)
-            block = 0.5 * (raw + raw.T)
+            block, _, _ = _second_diff_block(merit, p, all_indices, box)
         else:
             block = fd_y_block(merit, p, split)
         w = np.linalg.eigvalsh(block)
@@ -255,7 +254,7 @@ def subminimize_linear(problem: SliceProblem) -> SubMinimum:
         ) from err
     grad = 2.0 * phi.T @ (phi @ y_star - b)
     y_hess = 2.0 * phi.T @ phi
-    w = np.linalg.eigvalsh(0.5 * (y_hess + y_hess.T))
+    w = np.linalg.eigvalsh(y_hess)
     value = problem.value(y_star)
     return SubMinimum(
         y_star=y_star,

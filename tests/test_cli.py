@@ -1,6 +1,8 @@
+import ast
 import json
 
 import numpy as np
+import pytest
 
 import minsection as ms
 from minsection import cli
@@ -88,6 +90,29 @@ def test_missing_anchor_flags_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "anchor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--problem", "QUAD", "--command", "solve", "--grid-density", "2"], "--grid-density"),
+        (["--problem", "QUAD", "--command", "solve", "--x-indices", "5"], "--x-indices"),
+        (
+            ["--problem", "DEGEN_LINE", "--command", "recover", "--anchor-index", "7",
+             "--anchor-value", "0"],
+            "--anchor-index",
+        ),
+        (["--problem", "QUAD", "--command", "sections", "--x-indices", "3"], "--x-indices"),
+        (["--problem", "QUAD", "--command", "trace", "--grid-density", "0"], "--grid-density"),
+        (["--problem", "QUAD", "--command", "sections", "--grid-density", "0"], "--grid-density"),
+        (["--problem", "QUAD", "--command", "equivalence", "--starts", "0"], "--starts"),
+    ],
+)
+def test_bad_flag_values_exit_2(tmp_path, capsys, argv, flag):
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and flag in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_recover_command(tmp_path):
@@ -214,6 +239,38 @@ def test_overflowing_basis_is_input_error(tmp_path, capsys):
     )
     assert code == 2
     assert "model.basis[0]" in capsys.readouterr().err
+
+
+def test_overflowing_y_block_refused_with_witness(tmp_path, capsys):
+    # Every basis term is finite on the rate box [-2, 17], but 2 Phi^T Phi
+    # overflows once exp(2 * 39 * rate) does.
+    (tmp_path / "obs.csv").write_text(
+        "t,d\n" + "\n".join(f"{float(tk)!r},1.0" for tk in range(40)) + "\n"
+    )
+    (tmp_path / "prob.json").write_text(
+        json.dumps(
+            {
+                "dimension": 2,
+                "split": {"x_indices": [0], "y_indices": [1]},
+                "domain_box": [[-2.0, 17.0], [-10.0, 10.0]],
+                "model": {
+                    "kind": "partially_linear",
+                    "basis": [{"type": "exponential", "rate_index": 0}],
+                },
+                "data_file": "obs.csv",
+            }
+        )
+    )
+    code = run_cli(
+        ["--problem", str(tmp_path / "prob.json"), "--command", "solve", "--out", str(tmp_path)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "min eigenvalue" not in err
+    witness = ast.literal_eval(err.split("witness point: ")[1].splitlines()[0])
+    nodes = np.linspace(-2.0, 17.0, 21)
+    first_overflow = nodes[nodes > np.log(np.finfo(float).max) / (2 * 39)][0]
+    assert witness == [first_overflow, 0.0]
 
 
 def test_nan_island_refused_with_witness(tmp_path, capsys, monkeypatch):

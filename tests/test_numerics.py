@@ -34,7 +34,34 @@ def test_fd_gradient_boundary_clamp_warns(entries):
 def test_fd_hessian_quad_constant(entries):
     report = ms.fd_hessian(entries["QUAD"].merit, [3.0, -4.0])
     assert np.allclose(report.hessian, np.diag([2.0, 2.0]), atol=1e-4)
-    assert not report.asymmetry_flagged
+
+
+class CountingCubic:
+    """A plain smooth 3-D callable that counts its evaluations."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, p):
+        self.calls += 1
+        x, y, z = p
+        return x * x * y + y * z * z + np.sin(x * z) + x * y * z
+
+
+def test_fd_hessian_stencil_count():
+    # gradient 2M = 6, diagonal 1 + 2M = 7, one 4-point stencil per pair: 3 * 4
+    f = CountingCubic()
+    report = ms.fd_hessian(f, np.array([0.3, -0.7, 1.1]), box=None)
+    assert f.calls == 25
+    assert np.array_equal(report.hessian, report.hessian.T)
+
+
+def test_fd_y_block_stencil_count():
+    f = CountingCubic()
+    block = ms.fd_y_block(f, np.array([0.3, -0.7, 1.1]), ms.ParameterSplit((0,), (1, 2)), box=None)
+    assert f.calls == 9
+    assert block.shape == (2, 2)
+    assert np.array_equal(block, block.T)
 
 
 def test_fd_hessian_degen_line_rank_one(entries):
