@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import BoundaryStepWarning, EigenSummary, eigen_index, fd_gradient, fd_hessian
+from .numerics import (
+    BoundaryStepWarning,
+    EigenSummary,
+    _second_diff_block,
+    eigen_index,
+    fd_gradient,
+)
+from .numerics import fd_hessian  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .problems import MeritFunction
 
 __all__ = [
@@ -76,8 +83,9 @@ class MorseCensus:
         return self.boundary_outward and self.alternating_sum == 1
 
 
-def _newton_on_gradient(merit, seed, box, critical_tol, max_iter):
-    """Refine one seed to a gradient zero; None when it fails to converge.
+def _newton_on_gradient(merit, seed, g, box, critical_tol, max_iter):
+    """Refine one seed, whose FD gradient is ``g``, to a gradient zero; None
+    when it fails to converge.
 
     The linear step solves the FD Hessian system (exactly symmetric, each
     mixed partial being computed once) in the minimum-norm least-squares
@@ -87,13 +95,12 @@ def _newton_on_gradient(merit, seed, box, critical_tol, max_iter):
     up.
     """
     diag = float(np.linalg.norm(box[:, 1] - box[:, 0]))
-    p = np.clip(np.asarray(seed, dtype=float), box[:, 0], box[:, 1])
-    g = fd_gradient(merit, p, box=box)
+    p = np.asarray(seed, dtype=float)
     gn = float(np.linalg.norm(g))
     for _ in range(max_iter):
         if gn <= critical_tol:
             return p, gn
-        hess = fd_hessian(merit, p, box=box).hessian
+        hess = _second_diff_block(merit, p, range(p.size), box)[0]
         step = np.linalg.lstsq(hess, -g, rcond=None)[0]
         accepted = False
         t = 1.0
@@ -150,14 +157,15 @@ def find_critical_points(
     # Seeds on the box faces trigger clamped stencils by construction.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryStepWarning)
+        grads = [fd_gradient(merit, s, box=box) for s in seeds]
         if critical_tol is None:
-            norms = [float(np.linalg.norm(fd_gradient(merit, s, box=box))) for s in seeds]
+            norms = [float(np.linalg.norm(g)) for g in grads]
             critical_tol = 1e-8 * max(1.0, float(np.median(norms)))
         merge_radius = MERGE_RADIUS_FACTOR * max(
             1.0, float(np.linalg.norm(box[:, 1] - box[:, 0]))
         )
-        for seed in seeds:
-            result = _newton_on_gradient(merit, seed, box, critical_tol, max_iter)
+        for seed, g in zip(seeds, grads):
+            result = _newton_on_gradient(merit, seed, g, box, critical_tol, max_iter)
             if result is None:
                 dropped += 1
                 continue
@@ -167,7 +175,7 @@ def find_critical_points(
                 continue
             if any(np.linalg.norm(p - q.location) <= merge_radius for q in points):
                 continue
-            summary = eigen_index(fd_hessian(merit, p, box=box).hessian)
+            summary = eigen_index(_second_diff_block(merit, p, range(p.size), box)[0])
             points.append(
                 CriticalPoint(
                     location=p,

@@ -167,16 +167,17 @@ def fd_gradient(f, p, box=AUTO) -> np.ndarray:
     return grad
 
 
-def _second_diff_block(f, p, indices, box):
+def _second_diff_block(f, p, indices, box, f0=None):
     """Central second differences of ``f`` on the given coordinates.
 
     Diagonal entries use the three-point stencil; each off-diagonal pair is
     evaluated once with the four-point stencil and written to both (a, b)
     and (b, a), so the block is exactly symmetric and costs ``1 + 2 k^2``
-    evaluations. Near-boundary points are shifted inward by one step so the
-    full stencil stays inside the box (second derivatives are continuous,
-    so the shifted estimate is reported with a ``boundary_clamped`` flag
-    rather than a lower-order formula).
+    evaluations (``2 k^2`` when the caller passes ``f0 = f(p)``).
+    Near-boundary points are shifted inward by one step so the full stencil
+    stays inside the box (second derivatives are continuous, so the shifted
+    estimate is reported with a ``boundary_clamped`` flag rather than a
+    lower-order formula); a shifted stencil evaluates its own center.
     """
     p = np.asarray(p, dtype=float)
     k = len(indices)
@@ -197,7 +198,8 @@ def _second_diff_block(f, p, indices, box):
                 shifted = True
                 q[i] = moved
     block = np.empty((k, k))
-    f0 = f(q)
+    if f0 is None or shifted:
+        f0 = f(q)
     work = q.copy()
     for a, i in enumerate(indices):
         h = steps[a]
@@ -231,11 +233,12 @@ def _second_diff_block(f, p, indices, box):
     return block, steps, shifted
 
 
-def fd_hessian(f, p, split=None, box=AUTO) -> DerivativeReport:
+def fd_hessian(f, p, split=None, box=AUTO, f0=None) -> DerivativeReport:
     """Central-difference Hessian (with gradient) at ``p``.
 
     Costs ``2 M`` evaluations for the gradient plus ``1 + 2 M^2`` for the
-    second differences (25 in total at M = 3).
+    second differences (25 in total at M = 3), one fewer when ``f0``
+    supplies the known value ``f(p)``.
 
     Parameters
     ----------
@@ -248,12 +251,15 @@ def fd_hessian(f, p, split=None, box=AUTO) -> DerivativeReport:
         of the Hessian.
     box : array_like or None
         Domain box; ``AUTO`` reads ``f.domain_box`` when present.
+    f0 : float, optional
+        The value ``f(p)``, reused as the stencil center unless the stencil
+        is shifted off a face of the box.
     """
     p = np.asarray(p, dtype=float)
     box = _resolve_box(f, box)
     grad = fd_gradient(f, p, box=box)
     indices = tuple(range(p.size))
-    hessian, steps, shifted = _second_diff_block(f, p, indices, box)
+    hessian, steps, shifted = _second_diff_block(f, p, indices, box, f0)
     y_block = None
     if split is not None:
         yi = np.asarray(split.y_indices, dtype=int)

@@ -453,14 +453,18 @@ def nesting_check(
     for j, u in enumerate(grid):
         inner_values[j] = inner_slices.value(np.array([u]))
 
-        def section_value(rest_vec, _u=u):
+        def place(rest_vec, _u=u):
             full = np.empty(len(outer))
             full[inner_pos] = _u
             full[rest_pos] = rest_vec
-            return outer_slices.value(full)
+            return full
+
+        def section(rest_vec, _place=place):
+            sub = outer_slices.solve(_place(rest_vec))
+            return sub, lambda v: merit(outer_split.embed(_place(v), sub.y_star))
 
         _, iterated_values[j], _, _ = minimize_by_coordinates(
-            section_value, rest_grids, [xt] * len(rest), Tolerances().max_cycles
+            section, rest_grids, [xt] * len(rest), Tolerances().max_cycles
         )
     max_gap = float(np.max(np.abs(inner_values - iterated_values)))
     return NestingReport(

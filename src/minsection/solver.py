@@ -1,5 +1,6 @@
 """Outer minimization: coordinate-grid triplet bracketing, golden-section
-refinement, the two-level hierarchical solve, a direct damped-Newton
+refinement, an envelope-gradient BFGS stage for several retained
+coordinates, the two-level hierarchical solve, a direct damped-Newton
 baseline, hierarchical-vs-direct comparison, and anchor-based recovery of
 quasi-degenerate minima.
 """
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .numerics import EPS, fd_gradient, fd_hessian
 from .problems import MeritFunction, ParameterSplit
 from .subminimize import (
@@ -97,9 +99,12 @@ class Tolerances:
     ``inner_tol``: zero-derivative certificate for slice solves (default
     ``INNER_TOL_FACTOR * max(1, F(x, y0))`` per slice). ``x_tol``: golden
     contraction width (default ``1e-8 * grid width`` per coordinate).
-    ``outer_tol``: gradient-norm bound at the reported minimizer (default
-    derived from the final bracket curvature, i.e. what the contraction
-    actually guarantees).
+    ``outer_tol``: gradient-norm bound at the reported minimizer, i.e. what
+    the outer stage actually guarantees. With one retained coordinate the
+    default is derived from the final bracket curvature; with several it is
+    the finite-difference noise bound ``max(1e-8, 100 eps^(2/3) max(1,
+    |F|))`` on which the quasi-Newton steps stop. ``max_cycles``: the most
+    quasi-Newton steps a solve with several retained coordinates may take.
     """
 
     inner_tol: float | None = None
@@ -122,6 +127,9 @@ class SolveReport:
 
     ``inner_solves`` counts slice sub-minimizations; for the hierarchical
     method it equals the number of section evaluations performed.
+    ``iterations`` counts Newton steps for the direct method and
+    quasi-Newton steps after the first line-search cycle for the
+    hierarchical one (0 with one retained coordinate).
     """
 
     minimizer: np.ndarray
@@ -303,46 +311,112 @@ def enumerate_section_minima(section_eval, grid, x_tol: float):
     return [golden_refine(section_eval, t, x_tol) for t in _strict_triplets(grid, values)]
 
 
-def minimize_by_coordinates(section_value, grids, x_tols, max_cycles: int):
-    """Minimize a section over the retained coordinates by line searches.
-
-    ``section_value`` maps a retained-coordinate vector to the section
-    value. One coordinate takes a single bracket-plus-refine (0 cycles).
-    Several coordinates are cycled from the grid centers, one line search
-    per coordinate, until a cycle moves no coordinate by more than
-    ``max(x_tols)``; not converging within ``max_cycles`` cycles raises
-    :class:`SolveError` carrying the best point. Returns ``(x, value,
-    brackets, cycles)`` with the brackets of the last cycle.
-    """
-    if len(grids) == 1:
-        u, value, triplet = line_minimize(
-            lambda v: section_value(np.array([v])), grids[0], x_tols[0]
-        )
-        return np.array([u]), value, [triplet], 0
-    x = np.array([0.5 * (g[0] + g[-1]) for g in grids])
-    for cycle in range(1, max_cycles + 1):
-        x_prev = x.copy()
-        brackets = []
-        for i, (grid, x_tol) in enumerate(zip(grids, x_tols)):
-            def line(v, _i=i):
-                trial = x.copy()
-                trial[_i] = v
-                return section_value(trial)
-
-            x[i], value, triplet = line_minimize(line, grid, x_tol)
-            brackets.append(triplet)
-        if float(np.max(np.abs(x - x_prev))) <= max(x_tols):
-            return x, value, brackets, cycle
-    raise SolveError(
-        f"coordinate cycling did not converge within {max_cycles} cycles", best_point=x
+def _bracket_curvature(tri: BracketTriplet) -> float:
+    """Second divided difference of a bracket: positive for a strict triplet."""
+    return 2.0 * ((tri.fa - tri.fb) / (tri.b - tri.a) + (tri.fc - tri.fb) / (tri.c - tri.b)) / (
+        tri.c - tri.a
     )
 
 
-def _derived_outer_tol(brackets, x_tols, value):
-    """Gradient bound the golden contraction actually guarantees.
+def minimize_by_coordinates(section, grids, x_tols, max_cycles: int, outer_tol=None):
+    """Minimize a section over the retained coordinates.
 
-    Curvature is estimated from the final bracket second differences; the
-    noise term covers finite-difference roundoff at the solution.
+    ``section(x)`` solves the slice at the retained-coordinate vector ``x``
+    and returns ``(sub, fixed)``: the :class:`SubMinimum` and the merit as a
+    function of the retained coordinates with the eliminated block held at
+    ``sub.y_star``. One coordinate takes a single bracket-plus-refine (0
+    iterations). Several coordinates take one cycle of such line searches
+    from the grid centers, which picks the basin and yields the brackets,
+    then BFGS on the section (Nocedal & Wright, ch. 6), its inverse Hessian
+    started from the bracket curvatures. By the envelope theorem the
+    section gradient is the gradient of ``fixed``, taken by central
+    differences with no further slice solve. The Armijo backtracking clips
+    every trial to the hull of the grids. BFGS stops once the full gradient
+    norm at the slice minimum, ``hypot(|grad fixed|, sub.grad_y_norm)``, is
+    at most ``outer_tol`` (default :func:`_outer_tol` of the current value);
+    needing more than ``max_cycles`` steps, or a line search that cannot
+    move, raises :class:`SolveError` carrying the best point. Returns ``(x,
+    value, brackets, iterations)`` with the brackets of the cycle.
+    """
+
+    def value(x):
+        return section(x)[0].value
+
+    if len(grids) == 1:
+        u, f, triplet = line_minimize(lambda v: value(np.array([v])), grids[0], x_tols[0])
+        return np.array([u]), f, [triplet], 0
+    x = np.array([0.5 * (g[0] + g[-1]) for g in grids])
+    brackets = []
+    for i, (grid, x_tol) in enumerate(zip(grids, x_tols)):
+        def line(v, _i=i):
+            trial = x.copy()
+            trial[_i] = v
+            return value(trial)
+
+        x[i], _, triplet = line_minimize(line, grid, x_tol)
+        brackets.append(triplet)
+    box = np.array([[g[0], g[-1]] for g in grids])
+    h0 = np.diag([1.0 / _bracket_curvature(tri) for tri in brackets])
+    sub, fixed = section(x)
+    g = numerics.fd_gradient(fixed, x, box=box)
+    inv_hess = h0
+    for iteration in range(max_cycles + 1):
+        f = sub.value
+        grad_norm = math.hypot(float(np.linalg.norm(g)), sub.grad_y_norm)
+        if grad_norm <= (outer_tol if outer_tol is not None else _outer_tol(f)):
+            return x, f, brackets, iteration
+        if iteration == max_cycles:
+            break
+        step = -inv_hess @ g
+        if g @ step >= 0.0:
+            inv_hess = h0
+            step = -h0 @ g
+        # One-ulp slack: the Armijo decrease vanishes below float resolution
+        # near the minimum.
+        f_slack = 4.0 * EPS * max(1.0, abs(f))
+        t = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            trial = np.clip(x + t * step, box[:, 0], box[:, 1])
+            trial_sub, fixed = section(trial)
+            if trial_sub.value <= f + ARMIJO_C1_DIRECT * float(g @ (trial - x)) + f_slack:
+                break
+            t *= 0.5
+        else:
+            trial = x
+        s = trial - x
+        if not np.any(s):
+            raise SolveError(
+                f"quasi-Newton line search stalled at x = {x}; the section minimum "
+                "may lie on the boundary of the retained box",
+                best_point=x,
+                best_value=f,
+                grad_norm=grad_norm,
+            )
+        g_new = numerics.fd_gradient(fixed, trial, box=box)
+        yv = g_new - g
+        sy = float(s @ yv)
+        if sy > EPS * float(np.linalg.norm(s) * np.linalg.norm(yv)):
+            # Inverse BFGS update (Nocedal & Wright, eq. 6.17).
+            rho = 1.0 / sy
+            left = np.eye(x.size) - rho * np.outer(s, yv)
+            inv_hess = left @ inv_hess @ left.T + rho * np.outer(s, s)
+        x, sub, g = trial, trial_sub, g_new
+    raise SolveError(
+        f"quasi-Newton outer stage did not converge within {max_cycles} iterations",
+        best_point=x,
+        best_value=sub.value,
+        grad_norm=grad_norm,
+    )
+
+
+def _outer_tol(value, brackets=(), x_tols=()):
+    """Gradient bound the outer stage actually guarantees.
+
+    The noise term covers finite-difference roundoff at the solution; BFGS
+    stops on the gradient norm itself, so for several coordinates that is
+    the whole bound. A golden contraction (one coordinate) adds the slope
+    its final width allows, with the curvature estimated from the final
+    bracket second differences.
     """
     curv_terms = []
     for tri, xt in zip(brackets, x_tols):
@@ -384,10 +458,12 @@ def solve_hierarchical(
     The split must hold a positive convexity certificate, which is probed
     up front; a violation is a refusal (:class:`ConvexityError` carrying the
     witness point). With one retained coordinate the outer stage is a single
-    bracket-plus-refine; with several it cycles coordinate line searches on
-    the section until the outer step norm drops below ``x_tol``. Boundary
-    minima are errors, not silent clamps. No evaluation leaves the domain
-    box.
+    bracket-plus-refine. With several it is one cycle of coordinate line
+    searches from the grid centers, then BFGS on the section, whose gradient
+    the envelope theorem gives as ``dF/dx`` at the slice minimum; it stops
+    on the gradient norm (see :class:`Tolerances`). Boundary minima along a
+    line search are errors, not silent clamps. No evaluation leaves the
+    domain box.
     """
     tol = tolerances or Tolerances()
     certificate = probe_y_convexity(merit, split, tol.probe_density)
@@ -398,19 +474,25 @@ def solve_hierarchical(
         tol.x_tol if tol.x_tol is not None else 1e-8 * (g[-1] - g[0]) for g in grids
     ]
     slices = SliceSolver(merit, split, tol.inner_tol)
-    x_star, _, brackets, cycles = minimize_by_coordinates(
-        slices.value, grids, x_tols, tol.max_cycles
+
+    def section(x):
+        sub = slices.solve(x)
+        return sub, lambda v: merit(split.embed(v, sub.y_star))
+
+    x_star, _, brackets, iterations = minimize_by_coordinates(
+        section, grids, x_tols, tol.max_cycles, tol.outer_tol
     )
     final = slices.solve(x_star)
     minimizer = split.embed(x_star, final.y_star)
     value = final.value
     grad = fd_gradient(merit, minimizer)
     grad_norm = float(np.linalg.norm(grad))
-    outer_tol = (
-        tol.outer_tol
-        if tol.outer_tol is not None
-        else _derived_outer_tol(brackets, x_tols, value)
-    )
+    if tol.outer_tol is not None:
+        outer_tol = tol.outer_tol
+    elif split.n == 1:
+        outer_tol = _outer_tol(value, brackets, x_tols)
+    else:
+        outer_tol = _outer_tol(value)
     if grad_norm > outer_tol:
         raise SolveError(
             f"gradient norm {grad_norm:.3e} at the refined minimizer exceeds "
@@ -431,7 +513,7 @@ def solve_hierarchical(
         split=split,
         outer_coordinates=split.x_indices,
         inner_method=final.method,
-        iterations=cycles,
+        iterations=iterations,
         outer_tol=outer_tol,
         x_tol=max(x_tols),
     )
@@ -468,7 +550,7 @@ def solve_direct(
     )
     best = (p.copy(), fval, np.inf)
     for iteration in range(max_iter + 1):
-        report = fd_hessian(feval, p, box=box)
+        report = fd_hessian(feval, p, box=box, f0=fval)
         g, hess = report.gradient, report.hessian
         grad_norm = float(np.linalg.norm(g))
         if grad_norm < best[2]:

@@ -291,7 +291,7 @@ def subminimize_newton(
 
     best_y, best_gn = y.copy(), np.inf
     for iteration in range(max_iter + 1):
-        report = fd_hessian(problem.value, y, box=ybox)
+        report = fd_hessian(problem.value, y, box=ybox, f0=fval)
         g, hess = report.gradient, report.hessian
         gn = float(np.linalg.norm(g))
         if gn < best_gn:

@@ -285,3 +285,76 @@ def test_nan_island_refused_with_point_in_box():
     with pytest.raises(NonFiniteValueError, match="non-finite") as excinfo:
         ms.solve_hierarchical(merit, ms.ParameterSplit((0,), (1,)))
     assert merit.contains(excinfo.value.point)
+
+
+def ill_conditioned_quadratic(box):
+    """Convex quadratic whose section over (p0, p1) has condition number
+    about 100; its minimum is (7, 6.5, 7) with F = 0."""
+    residuals = (
+        lambda p: 10.0 * (p[0] - p[1] - 0.5),
+        lambda p: p[0] + p[1] - 13.5,
+        lambda p: p[2] - p[0],
+    )
+    return ms.build_residual_merit(residuals, 3, box=np.asarray(box, dtype=float))
+
+
+def test_ill_conditioned_section_converges():
+    merit = ill_conditioned_quadratic([[-10.0, 10.0]] * 3)
+    report = ms.solve_hierarchical(merit, ms.ParameterSplit((0, 1), (2,)))
+    assert np.allclose(report.minimizer, [7.0, 6.5, 7.0], atol=1e-6)
+    assert report.certificates.gradient_norm <= report.outer_tol
+    assert len(report.certificates.brackets) == 2
+
+
+def test_close_rate_biexponential_fit_recovered():
+    t = np.arange(20.0)
+    rates, amplitudes = (-0.7, -2.3), (1.0, 2.0)
+    model = ms.PartiallyLinearModel(
+        basis=tuple(lambda tk, x, i=i: float(np.exp(x[i] * tk)) for i in range(2)),
+        t=t,
+        d=sum(a * np.exp(r * t) for a, r in zip(amplitudes, rates)),
+        nonlinear_dim=2,
+    )
+    merit = ms.build_partially_linear(
+        model, box=np.array([[-1.5, 0.0], [-6.0, -1.8], [-10.0, 10.0], [-10.0, 10.0]])
+    )
+    report = ms.solve_hierarchical(merit, ms.model_split(merit))
+    assert np.allclose(report.minimizer, rates + amplitudes, atol=1e-5)
+    assert report.certificates.gradient_norm <= report.outer_tol
+
+
+def test_multi_coordinate_solve_never_evaluates_outside_box():
+    # The section minimum lies half a unit from the p0 face of the box.
+    base = ill_conditioned_quadratic([[0.0, 7.5], [0.0, 7.5], [-10.0, 10.0]])
+    seen = []
+
+    def recording(p):
+        seen.append(np.array(p, copy=True))
+        return base(p)
+
+    merit = ms.MeritFunction(3, recording, domain_box=base.domain_box)
+    report = ms.solve_hierarchical(
+        merit, ms.ParameterSplit((0, 1), (2,)), tolerances=ms.Tolerances(probe_density=7)
+    )
+    assert np.allclose(report.minimizer, [7.0, 6.5, 7.0], atol=1e-6)
+    seen = np.array(seen)
+    box = merit.domain_box
+    assert np.all(seen >= box[:, 0]) and np.all(seen <= box[:, 1])
+
+
+def test_multi_coordinate_minimum_beyond_face_is_refused():
+    # Each line search from the grid centers finds an interior minimum, but
+    # the section keeps falling toward the corner (1, 1) of the retained box.
+    residuals = (
+        lambda p: 3.0 * (p[0] - p[1]),
+        lambda p: 0.3 * (p[0] + p[1] - 2.4),
+        lambda p: p[2] - p[0],
+    )
+    merit = ms.build_residual_merit(
+        residuals, 3, box=np.array([[-1.0, 1.0], [-1.0, 1.0], [-3.0, 3.0]])
+    )
+    with pytest.raises(ms.SolveError, match="boundary") as excinfo:
+        ms.solve_hierarchical(
+            merit, ms.ParameterSplit((0, 1), (2,)), tolerances=ms.Tolerances(probe_density=5)
+        )
+    assert np.array_equal(excinfo.value.best_point, [1.0, 1.0])
