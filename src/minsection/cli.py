@@ -321,12 +321,7 @@ def run(config: RunConfig) -> int:
     try:
         config.validate()
         definition = _load(config)
-    except (ProblemFileError, OSError) as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return 2
-    out = Path(config.output_dir)
-    try:
-        return _DISPATCH[config.command](config, definition, out)
+        return _DISPATCH[config.command](config, definition, Path(config.output_dir))
     except REFUSALS as err:
         print(f"refused: {err}", file=sys.stderr)
         witness = getattr(err, "point", None)
@@ -335,7 +330,7 @@ def run(config: RunConfig) -> int:
             if getattr(err, "min_eig", None) is not None:
                 print(f"witness min eigenvalue: {err.min_eig!r}", file=sys.stderr)
         return 1
-    except ProblemFileError as err:
+    except (ProblemFileError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
 

@@ -105,6 +105,10 @@ class Tolerances:
     the finite-difference noise bound ``max(1e-8, 100 eps^(2/3) max(1,
     |F|))`` on which the quasi-Newton steps stop. ``max_cycles``: the most
     quasi-Newton steps a solve with several retained coordinates may take.
+    ``probe_density``: grid points per axis of the convexity probe. An
+    explicit value samples that full grid; the default samples at most
+    ``PROBE_BUDGET`` (441) nodes, as described in
+    :func:`~minsection.subminimize.probe_y_convexity`.
     """
 
     inner_tol: float | None = None

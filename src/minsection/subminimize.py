@@ -1,7 +1,7 @@
 """Inner minimization over the eliminated block at fixed retained
 coordinates: exact linear elimination for partially linear models, a
 safeguarded Newton iteration for objectives convex in the eliminated block,
-and grid-based convexity certificates that guard both.
+and sampled convexity certificates that guard both.
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ PD_TOL = 1e-8
 
 ARMIJO_C1 = 1e-4
 MAX_HALVINGS = 40
+
+#: Most nodes a defaulted convexity probe samples: the 21 x 21 grid of a
+#: two-axis probe. A defaulted grid with more nodes is replaced by the box
+#: center, the box corners and Halton points, truncated to this budget.
+PROBE_BUDGET = 441
 
 
 class ConvexityError(RuntimeError):
@@ -134,7 +139,10 @@ class ConvexityCertificate:
 
     ``split is None`` means the full Hessian was probed. When violated, the
     worst sampled point is stored as the witness together with its smallest
-    block eigenvalue.
+    block eigenvalue. ``plan`` names the sample: ``"grid"``, a tensor grid
+    of ``grid_density`` nodes per axis, or ``"halton"``, the box center,
+    the box corners and Halton points, ``PROBE_BUDGET`` nodes in all, with
+    ``grid_density`` then ``None``.
     """
 
     split: ParameterSplit | None
@@ -143,7 +151,8 @@ class ConvexityCertificate:
     positive: bool
     witness: np.ndarray | None
     witness_min_eig: float | None
-    grid_density: int
+    grid_density: int | None
+    plan: str
 
     @property
     def verdict(self) -> str:
@@ -163,24 +172,69 @@ def default_inner_tol(f0: float) -> float:
     return INNER_TOL_FACTOR * max(1.0, abs(f0))
 
 
-def _probe(merit, split, axes_indices, density) -> ConvexityCertificate:
-    """Scan a coordinate grid for the worst block min-eigenvalue.
+def _first_primes(count: int) -> list[int]:
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % q for q in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _halton(count: int, dimension: int) -> np.ndarray:
+    """Halton points 1, ..., ``count`` in the unit cube (Halton 1960): the
+    radical inverse of each index in each of the first ``dimension``
+    primes, unscrambled."""
+    points = np.zeros((count, dimension))
+    for j, base in enumerate(_first_primes(dimension)):
+        index = np.arange(1, count + 1)
+        weight = 1.0
+        while np.any(index):
+            weight /= base
+            points[:, j] += weight * (index % base)
+            index //= base
+    return points
+
+
+def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCertificate:
+    """Scan a sample of the box for the worst block min-eigenvalue.
 
     ``split is None`` probes the full Hessian, otherwise the eliminated
     block; coordinates outside ``axes_indices`` stay at the box center.
+    The sample is the grid of ``density`` nodes per axis. A defaulted
+    density (``None``) takes ``default_density``, unless that grid would
+    have more than ``PROBE_BUDGET`` nodes: then the sample is the center of
+    the axes' box, its corners and the Halton points, truncated to
+    ``PROBE_BUDGET`` nodes.
     """
-    if density < 3:
-        raise ValueError("grid density must be at least 3 points per axis")
     box = merit.domain_box
-    axes = [np.linspace(box[i, 0], box[i, 1], density) for i in axes_indices]
+    axes_box = box[list(axes_indices)]
+    if density is None and default_density ** len(axes_box) > PROBE_BUDGET:
+        plan = "halton"
+        lo, hi = axes_box[:, 0], axes_box[:, 1]
+        nodes = itertools.islice(
+            itertools.chain(
+                [axes_box.mean(axis=1)],
+                itertools.product(*axes_box),
+                lo + _halton(PROBE_BUDGET, len(axes_box)) * (hi - lo),
+            ),
+            PROBE_BUDGET,
+        )
+    else:
+        plan = "grid"
+        density = default_density if density is None else density
+        if density < 3:
+            raise ValueError("grid density must be at least 3 points per axis")
+        nodes = itertools.product(*(np.linspace(lo, hi, density) for lo, hi in axes_box))
     worst = np.inf
     worst_point = None
     violated = False
     count = 0
     p = box.mean(axis=1)
     all_indices = tuple(range(merit.dimension))
-    for combo in itertools.product(*axes):
-        for i, v in zip(axes_indices, combo):
+    for node in nodes:
+        for i, v in zip(axes_indices, node):
             p[i] = v
         if split is None:
             block, _, _ = _second_diff_block(merit, p, all_indices, box)
@@ -202,6 +256,7 @@ def _probe(merit, split, axes_indices, density) -> ConvexityCertificate:
         witness=worst_point if violated else None,
         witness_min_eig=worst if violated else None,
         grid_density=density,
+        plan=plan,
     )
 
 
@@ -211,21 +266,30 @@ def probe_y_convexity(
     """Sample the eliminated-block Hessian over the domain box.
 
     For partially linear merits with the matching split, the block is
-    independent of the linear coordinates, so only the retained-coordinate
-    grid is scanned (one point per x grid node). Violations are a verdict,
-    never an error.
+    independent of the linear coordinates, so only the retained
+    coordinates are sampled (one block per x node). An explicit
+    ``grid_density`` samples that full grid. The default samples
+    :func:`default_probe_density` nodes per axis when that grid has at most
+    ``PROBE_BUDGET`` (441) nodes, and otherwise the box center, the box
+    corners and Halton points, 441 nodes in all (``plan == "halton"``).
+    Violations are a verdict, never an error.
     """
     if linear_elimination_applies(merit, split):
         axes_indices = split.x_indices
     else:
         axes_indices = range(merit.dimension)
-    density = grid_density or default_probe_density(merit.dimension)
-    return _probe(merit, split, axes_indices, density)
+    return _probe(merit, split, axes_indices, grid_density, default_probe_density(merit.dimension))
 
 
 def probe_full_convexity(merit: MeritFunction, grid_density: int | None = None) -> ConvexityCertificate:
-    """Sample the full Hessian over the domain box (strict-convexity probe)."""
-    return _probe(merit, None, range(merit.dimension), grid_density or 7)
+    """Sample the full Hessian over the domain box (strict-convexity probe).
+
+    The default is a 7-node grid per axis while that grid has at most
+    ``PROBE_BUDGET`` nodes (up to three axes), else the budgeted Halton
+    plan of :func:`probe_y_convexity`; an explicit ``grid_density`` always
+    samples its full grid.
+    """
+    return _probe(merit, None, range(merit.dimension), grid_density, 7)
 
 
 def subminimize_linear(problem: SliceProblem) -> SubMinimum:
@@ -360,7 +424,9 @@ class SliceSolver:
     Linear elimination is used when the split matches a partially linear
     model, Newton otherwise. Newton starts from the last solution this
     solver returned (the box center on the first solve) unless ``y0`` is
-    given. ``solves`` counts the slice solves made so far.
+    given. A call without ``y0`` at the previous call's x returns the
+    previous result unsolved. ``solves`` counts the slice solves made so
+    far.
     """
 
     def __init__(self, merit: MeritFunction, split: ParameterSplit, inner_tol: float | None = None):
@@ -368,18 +434,22 @@ class SliceSolver:
         self.split = split
         self.inner_tol = inner_tol
         self.linear = linear_elimination_applies(merit, split)
-        self.warm = None
+        self.last_x = None
+        self.last = None
         self.solves = 0
 
     def solve(self, x_fixed, y0=None) -> SubMinimum:
-        self.solves += 1
         problem = SliceProblem(self.merit, self.split, x_fixed)
+        x_key = tuple(problem.x_fixed.tolist())
+        if y0 is None and x_key == self.last_x:
+            return self.last
+        self.solves += 1
         if self.linear:
             sub = subminimize_linear(problem)
         else:
-            start = self.warm if y0 is None else y0
+            start = self.last.y_star if y0 is None and self.last is not None else y0
             sub = subminimize_newton(problem, y0=start, inner_tol=self.inner_tol)
-        self.warm = sub.y_star
+        self.last_x, self.last = x_key, sub
         return sub
 
     def value(self, x_fixed) -> float:

@@ -84,6 +84,17 @@ def test_malformed_problem_file_exit_2(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_unwritable_output_dir_exit_2(tmp_path, capsys):
+    # --out names a regular file, so creating the output directory fails
+    # with an OSError only once the command has run
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    code = run_cli(["--problem", "EXP_FIT", "--command", "solve", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error:")
+    assert out.read_text() == "not a directory\n"
+
+
 def test_missing_anchor_flags_exit_2(tmp_path, capsys):
     code = run_cli(
         ["--problem", "DEGEN_LINE", "--command", "recover", "--out", str(tmp_path)]

@@ -60,11 +60,24 @@ def test_recover_from_anchor_count(entries, merit_calls):
     assert merit_calls["n"] == 1333
 
 
+def test_m3_general_solve_count(merit_calls):
+    # Residuals (p0 - 0.3, p1 - sin p0, p2 - p0 p1): 3,969 of the evaluations
+    # are the 441-node budgeted convexity probe (84,980 over the 21^3 grid).
+    merit = ms.build_residual_merit(
+        (lambda p: p[0] - 0.3, lambda p: p[1] - np.sin(p[0]), lambda p: p[2] - p[0] * p[1]),
+        3,
+        box=np.array([[-2.0, 2.0]] * 3),
+    )
+    report = ms.solve_hierarchical(merit, ms.ParameterSplit((0,), (1, 2)))
+    assert merit_calls["n"] == 5600
+    assert report.certificates.convexity.plan == "halton"
+
+
 def test_random_quadratic_cycling_counts(merit_calls):
     merit = ms.random_quadratic_problem(6, 3, np.random.default_rng(0)).merit
     report = ms.solve_hierarchical(merit, ms.model_split(merit))
-    assert merit_calls["n"] == 232
-    assert report.inner_solves == 178
+    assert merit_calls["n"] == 231
+    assert report.inner_solves == 177
     assert report.iterations == 6
 
 

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import minsection as ms
-from minsection.subminimize import SliceProblem
+from minsection.subminimize import SliceProblem, SliceSolver
 
 
 def test_probe_sine_valley_positive(entries, split01):
@@ -190,3 +191,109 @@ def test_slice_solves_order_independent(entries, split01):
     forward = [ms.solve_slice(merit, split01, [x]).y_star[0] for x in xs]
     backward = [ms.solve_slice(merit, split01, [x]).y_star[0] for x in reversed(xs)]
     assert forward == list(reversed(backward))
+
+
+def test_repeated_slice_is_not_solved_again(entries, split01):
+    solver = SliceSolver(entries["SINE_VALLEY"].merit, split01)
+    first = solver.solve(np.array([0.3]))
+    assert solver.solve([0.3]) is first
+    assert solver.solves == 1
+    # an explicit start, or another x, is a new solve
+    assert solver.solve([0.3], y0=[1.0]) is not first
+    solver.solve([0.4])
+    assert solver.solves == 3
+
+
+# -- sample budget of the convexity probe ----------------------------------
+
+
+def recording_merit(residuals, dimension, box):
+    """Residual merit that records every point it is evaluated at."""
+    seen = []
+
+    def first(p):
+        seen.append(np.array(p, dtype=float))
+        return residuals[0](p)
+
+    merit = ms.build_residual_merit((first,) + tuple(residuals[1:]), dimension, box=box)
+    return merit, seen
+
+
+def chain_residuals(dimension):
+    """(p0 - 0.3, p1 - sin p0, p2 - p0 p1, p3 - p1 p2, ...)."""
+    residuals = [lambda p: p[0] - 0.3, lambda p: p[1] - math.sin(p[0])]
+    residuals += [lambda p, k=k: p[k] - p[k - 2] * p[k - 1] for k in range(2, dimension)]
+    return tuple(residuals)
+
+
+def m3_merit():
+    return ms.build_residual_merit(chain_residuals(3), 3, box=np.array([[-2.0, 2.0]] * 3))
+
+
+def probe_cases(entries):
+    """The 12 catalog single-coordinate splits and all six M = 3 splits."""
+    cases = [
+        (entry.merit, ms.ParameterSplit.single(i, 2)) for entry in entries.values() for i in (0, 1)
+    ]
+    for x in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
+        cases.append((m3_merit(), ms.ParameterSplit(x, tuple(i for i in range(3) if i not in x))))
+    return cases
+
+
+def test_default_probe_at_m4_samples_the_budget():
+    from minsection.subminimize import PROBE_BUDGET
+
+    merit, seen = recording_merit(chain_residuals(4), 4, np.array([[-2.0, 2.0]] * 4))
+    cert = ms.probe_y_convexity(merit, ms.ParameterSplit((0,), (1, 2, 3)))
+    assert PROBE_BUDGET == 441
+    assert cert.plan == "halton" and cert.grid_density is None
+    assert cert.sampled_points == 441
+    # 19 evaluations per 3 x 3 block: 21^4 grid nodes cost 3,695,139
+    assert len(seen) == 441 * 19
+
+
+def test_explicit_density_keeps_the_full_grid():
+    cert = ms.probe_y_convexity(m3_merit(), ms.ParameterSplit((0,), (1, 2)), grid_density=9)
+    assert cert.plan == "grid" and cert.grid_density == 9
+    assert cert.sampled_points == 729
+
+
+def test_budgeted_probe_verdicts_match_the_full_grid(entries):
+    for merit, split in probe_cases(entries):
+        budgeted = ms.probe_y_convexity(merit, split)
+        assert budgeted.sampled_points <= 441
+        assert budgeted.positive == ms.probe_y_convexity(merit, split, grid_density=21).positive
+
+
+def test_budgeted_probe_stays_in_the_box():
+    box = np.array([[0.1, 0.4], [-0.3, 0.2], [0.5, 0.6], [-1.0, -0.9]])
+    merit, seen = recording_merit(chain_residuals(4), 4, box)
+    assert ms.probe_y_convexity(merit, ms.ParameterSplit((0, 1), (2, 3))).plan == "halton"
+    assert ms.probe_full_convexity(merit).plan == "halton"
+    points = np.array(seen)
+    assert np.all(points >= box[:, 0]) and np.all(points <= box[:, 1])
+
+
+def test_budgeted_probe_is_deterministic():
+    split = ms.ParameterSplit((1,), (0, 2))
+    first = ms.probe_y_convexity(m3_merit(), split)
+    second = ms.probe_y_convexity(m3_merit(), split)
+    assert first.plan == "halton" and not first.positive
+    assert np.array_equal(first.witness, second.witness)
+    assert replace(first, witness=None) == replace(second, witness=None)
+
+
+def test_violated_certificates_carry_a_violating_witness(entries):
+    from minsection.numerics import fd_y_block
+    from minsection.subminimize import PD_TOL
+
+    violated = 0
+    for merit, split in probe_cases(entries):
+        cert = ms.probe_y_convexity(merit, split)
+        if cert.positive:
+            continue
+        violated += 1
+        w = np.linalg.eigvalsh(fd_y_block(merit, cert.witness, split))
+        assert cert.witness_min_eig == w[0]
+        assert cert.witness_min_eig <= PD_TOL * max(1.0, float(np.max(np.abs(w))))
+    assert violated == 7
