@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -70,6 +71,11 @@ class RunConfig:
             raise ProblemFileError(f"--grid-density must be at least 3, got {self.grid_density}")
         if self.starts < 1:
             raise ProblemFileError(f"--starts must be at least 1, got {self.starts}")
+        if self.anchor_value is not None and not math.isfinite(self.anchor_value):
+            raise ProblemFileError(f"--anchor-value must be finite, got {self.anchor_value!r}")
+        for flag, tol in (("--inner-tol", self.inner_tol), ("--outer-tol", self.outer_tol)):
+            if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+                raise ProblemFileError(f"{flag} must be positive and finite, got {tol!r}")
 
 
 def _atomic_write(path: Path, text: str):
@@ -231,6 +237,12 @@ def _cmd_audit(config, definition, out):
 
 def _cmd_recover(config, definition, out):
     _check_index("--anchor-index", config.anchor_index, definition.merit.dimension)
+    lo, hi = (float(v) for v in definition.merit.domain_box[config.anchor_index])
+    if not lo <= config.anchor_value <= hi:
+        raise ProblemFileError(
+            f"--anchor-value {config.anchor_value!r} lies outside [{lo!r}, {hi!r}], "
+            f"the box of parameter {config.anchor_index}"
+        )
     recovery = solver.recover_from_anchor(
         definition.merit,
         config.anchor_index,

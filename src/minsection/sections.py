@@ -322,14 +322,13 @@ def minimal_section_1d(
         minima_companions.append(sub.y_star)
 
     non_monotone = []
-    if grid.size >= 3:
-        comp_scale = np.maximum(1.0, np.max(np.abs(companions), axis=0))
-        diffs = np.diff(companions, axis=0)
-        for c in range(companions.shape[1]):
-            signs = np.sign(np.where(np.abs(diffs[:, c]) <= 1e-10 * comp_scale[c], 0.0, diffs[:, c]))
-            nonzero = signs[signs != 0.0]
-            if nonzero.size and np.any(nonzero != nonzero[0]):
-                non_monotone.append(int(split.y_indices[c]))
+    comp_scale = np.maximum(1.0, np.max(np.abs(companions), axis=0))
+    diffs = np.diff(companions, axis=0)
+    for c in range(companions.shape[1]):
+        signs = np.sign(np.where(np.abs(diffs[:, c]) <= 1e-10 * comp_scale[c], 0.0, diffs[:, c]))
+        nonzero = signs[signs != 0.0]
+        if nonzero.size and np.any(nonzero != nonzero[0]):
+            non_monotone.append(int(split.y_indices[c]))
 
     return MinimalSection1D(
         parameter_index=parameter_index,
@@ -415,7 +414,6 @@ def nesting_check(
     grid,
     probe_density: int | None = None,
     tolerance: float = 1e-6,
-    x_tol: float | None = None,
 ) -> NestingReport:
     """Verify that iterated minimization reproduces direct partial
     minimization: minimizing the outer minimal-section over the retained
@@ -443,8 +441,6 @@ def nesting_check(
     rest = tuple(i for i in outer if i not in inner)
     box = merit.domain_box
     rest_grids = [np.linspace(box[i, 0], box[i, 1], max(9, grid.size)) for i in rest]
-    width = max(float(g[-1] - g[0]) for g in rest_grids)
-    xt = x_tol if x_tol is not None else 1e-8 * width
     inner_pos = outer.index(inner[0])
     rest_pos = [outer.index(coord) for coord in rest]
 
@@ -464,7 +460,7 @@ def nesting_check(
             return sub, lambda v: merit(outer_split.embed(_place(v), sub.y_star))
 
         _, iterated_values[j], _, _ = minimize_by_coordinates(
-            section, rest_grids, [xt] * len(rest), Tolerances().max_cycles
+            section, rest_grids, Tolerances().max_cycles
         )
     max_gap = float(np.max(np.abs(inner_values - iterated_values)))
     return NestingReport(

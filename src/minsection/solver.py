@@ -1,8 +1,7 @@
 """Outer minimization: coordinate-grid triplet bracketing, golden-section
-refinement, an envelope-gradient BFGS stage for several retained
-coordinates, the two-level hierarchical solve, a direct damped-Newton
-baseline, hierarchical-vs-direct comparison, and anchor-based recovery of
-quasi-degenerate minima.
+refinement, the envelope-gradient BFGS outer stage, the two-level
+hierarchical solve, a direct damped-Newton baseline, hierarchical-vs-direct
+comparison, and anchor-based recovery of quasi-degenerate minima.
 """
 
 from __future__ import annotations
@@ -97,23 +96,19 @@ class Tolerances:
     """Solver tolerances; ``None`` selects the scaled defaults.
 
     ``inner_tol``: zero-derivative certificate for slice solves (default
-    ``INNER_TOL_FACTOR * max(1, F(x, y0))`` per slice). ``x_tol``: golden
-    contraction width (default ``1e-8 * grid width`` per coordinate).
-    ``outer_tol``: gradient-norm bound at the reported minimizer, i.e. what
-    the outer stage actually guarantees. With one retained coordinate the
-    default is derived from the final bracket curvature; with several it is
-    the finite-difference noise bound ``max(1e-8, 100 eps^(2/3) max(1,
-    |F|))`` on which the quasi-Newton steps stop. ``max_cycles``: the most
-    quasi-Newton steps a solve with several retained coordinates may take.
-    ``probe_density``: grid points per axis of the convexity probe. An
-    explicit value samples that full grid; the default samples at most
-    ``PROBE_BUDGET`` (441) nodes, as described in
+    ``INNER_TOL_FACTOR * max(1, F(x, y0))`` per slice). ``outer_tol``:
+    gradient-norm bound at the reported minimizer, on which the
+    quasi-Newton outer stage stops; the default is the finite-difference
+    noise bound ``max(1e-8, 100 eps^(2/3) max(1, |F|))`` for every number
+    of retained coordinates. ``max_cycles``: the most quasi-Newton steps
+    the outer stage may take. ``probe_density``: grid points per axis of
+    the convexity probe. An explicit value samples that full grid; the
+    default samples at most ``PROBE_BUDGET`` (441) nodes, as described in
     :func:`~minsection.subminimize.probe_y_convexity`.
     """
 
     inner_tol: float | None = None
     outer_tol: float | None = None
-    x_tol: float | None = None
     max_cycles: int = 60
     probe_density: int | None = None
 
@@ -132,8 +127,8 @@ class SolveReport:
     ``inner_solves`` counts slice sub-minimizations; for the hierarchical
     method it equals the number of section evaluations performed.
     ``iterations`` counts Newton steps for the direct method and
-    quasi-Newton steps after the first line-search cycle for the
-    hierarchical one (0 with one retained coordinate).
+    quasi-Newton steps after the grid-bracket cycle for the hierarchical
+    one, whatever the number of retained coordinates.
     """
 
     minimizer: np.ndarray
@@ -147,7 +142,6 @@ class SolveReport:
     inner_method: str = ""
     iterations: int = 0
     outer_tol: float = float("nan")
-    x_tol: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -287,20 +281,27 @@ def _plateau_midpoint_bracket(section_eval, grid, values) -> BracketTriplet:
     )
 
 
+def _bracket(section_eval, grid) -> BracketTriplet:
+    """Strict grid bracket; an exact tie between the two smallest
+    neighboring grid values (a convex minimum exactly midway between nodes)
+    is recovered via a midpoint probe, other bracket failures propagate."""
+    grid, values = _scan(section_eval, grid)
+    try:
+        return _bracket_from_values(grid, values)
+    except BracketError as err:
+        if err.reason != "plateau":
+            raise
+        return _plateau_midpoint_bracket(section_eval, grid, values)
+
+
 def line_minimize(section_eval, grid, x_tol: float):
-    """Bracket on the grid, then refine: ``(u, value, triplet)``.
+    """Bracket on the grid, then golden-refine: ``(u, value, triplet)``.
 
     Exact ties between the two smallest neighboring grid values (a convex
     minimum exactly midway between nodes) are recovered via a midpoint
     probe; other bracket failures propagate.
     """
-    grid, values = _scan(section_eval, grid)
-    try:
-        triplet = _bracket_from_values(grid, values)
-    except BracketError as err:
-        if err.reason != "plateau":
-            raise
-        triplet = _plateau_midpoint_bracket(section_eval, grid, values)
+    triplet = _bracket(section_eval, grid)
     u, value = golden_refine(section_eval, triplet, x_tol)
     return u, value, triplet
 
@@ -322,43 +323,37 @@ def _bracket_curvature(tri: BracketTriplet) -> float:
     )
 
 
-def minimize_by_coordinates(section, grids, x_tols, max_cycles: int, outer_tol=None):
+def minimize_by_coordinates(section, grids, max_cycles: int, outer_tol=None):
     """Minimize a section over the retained coordinates.
 
     ``section(x)`` solves the slice at the retained-coordinate vector ``x``
     and returns ``(sub, fixed)``: the :class:`SubMinimum` and the merit as a
     function of the retained coordinates with the eliminated block held at
-    ``sub.y_star``. One coordinate takes a single bracket-plus-refine (0
-    iterations). Several coordinates take one cycle of such line searches
-    from the grid centers, which picks the basin and yields the brackets,
-    then BFGS on the section (Nocedal & Wright, ch. 6), its inverse Hessian
-    started from the bracket curvatures. By the envelope theorem the
-    section gradient is the gradient of ``fixed``, taken by central
-    differences with no further slice solve. The Armijo backtracking clips
-    every trial to the hull of the grids. BFGS stops once the full gradient
-    norm at the slice minimum, ``hypot(|grad fixed|, sub.grad_y_norm)``, is
-    at most ``outer_tol`` (default :func:`_outer_tol` of the current value);
-    needing more than ``max_cycles`` steps, or a line search that cannot
-    move, raises :class:`SolveError` carrying the best point. Returns ``(x,
-    value, brackets, iterations)`` with the brackets of the cycle.
+    ``sub.y_star``. Every number of coordinates takes the same two steps.
+    One cycle of grid brackets from the grid centers picks the basin: each
+    coordinate in turn is bracketed on its grid and set to the bracket's
+    middle node. BFGS on the section (Nocedal & Wright, ch. 6) then starts
+    there, its inverse Hessian seeded from the bracket curvatures. By the
+    envelope theorem the section gradient is the gradient of ``fixed``,
+    taken by central differences with no further slice solve. The Armijo
+    backtracking clips every trial to the hull of the grids. BFGS stops once
+    the full gradient norm at the slice minimum, ``hypot(|grad fixed|,
+    sub.grad_y_norm)``, is at most ``outer_tol`` (default :func:`_outer_tol`
+    of the current value); needing more than ``max_cycles`` steps, or a line
+    search that cannot move, raises :class:`SolveError` carrying the best
+    point. Returns ``(x, value, brackets, iterations)`` with the brackets of
+    the cycle.
     """
-
-    def value(x):
-        return section(x)[0].value
-
-    if len(grids) == 1:
-        u, f, triplet = line_minimize(lambda v: value(np.array([v])), grids[0], x_tols[0])
-        return np.array([u]), f, [triplet], 0
     x = np.array([0.5 * (g[0] + g[-1]) for g in grids])
     brackets = []
-    for i, (grid, x_tol) in enumerate(zip(grids, x_tols)):
+    for i, grid in enumerate(grids):
         def line(v, _i=i):
             trial = x.copy()
             trial[_i] = v
-            return value(trial)
+            return section(trial)[0].value
 
-        x[i], _, triplet = line_minimize(line, grid, x_tol)
-        brackets.append(triplet)
+        brackets.append(_bracket(line, grid))
+        x[i] = brackets[-1].b
     box = np.array([[g[0], g[-1]] for g in grids])
     h0 = np.diag([1.0 / _bracket_curvature(tri) for tri in brackets])
     sub, fixed = section(x)
@@ -413,23 +408,10 @@ def minimize_by_coordinates(section, grids, x_tols, max_cycles: int, outer_tol=N
     )
 
 
-def _outer_tol(value, brackets=(), x_tols=()):
-    """Gradient bound the outer stage actually guarantees.
-
-    The noise term covers finite-difference roundoff at the solution; BFGS
-    stops on the gradient norm itself, so for several coordinates that is
-    the whole bound. A golden contraction (one coordinate) adds the slope
-    its final width allows, with the curvature estimated from the final
-    bracket second differences.
-    """
-    curv_terms = []
-    for tri, xt in zip(brackets, x_tols):
-        h = 0.5 * (tri.c - tri.a)
-        curv = abs(tri.fa - 2.0 * tri.fb + tri.fc) / (h * h) if h > 0 else 0.0
-        curv_terms.append(max(curv, 1.0) * xt)
-    spread = math.sqrt(max(1, len(curv_terms))) * max(curv_terms) if curv_terms else 0.0
-    noise = EPS ** (2.0 / 3.0) * max(1.0, abs(value))
-    return max(1e-8, 10.0 * spread + 100.0 * noise)
+def _outer_tol(value):
+    """Gradient bound the outer stage guarantees: the finite-difference
+    noise at the solution, ``max(1e-8, 100 eps^(2/3) max(1, |F|))``."""
+    return max(1e-8, 100.0 * EPS ** (2.0 / 3.0) * max(1.0, abs(value)))
 
 
 def _resolve_grids(grid, box, split):
@@ -456,17 +438,17 @@ def solve_hierarchical(
     grid=None,
     tolerances: Tolerances | None = None,
 ) -> SolveReport:
-    """Two-level minimization: eliminate the y block per slice, then bracket
-    and golden-refine the resulting section over the retained coordinates.
+    """Two-level minimization: eliminate the y block per slice, then
+    minimize the resulting section over the retained coordinates.
 
     The split must hold a positive convexity certificate, which is probed
     up front; a violation is a refusal (:class:`ConvexityError` carrying the
-    witness point). With one retained coordinate the outer stage is a single
-    bracket-plus-refine. With several it is one cycle of coordinate line
-    searches from the grid centers, then BFGS on the section, whose gradient
-    the envelope theorem gives as ``dF/dx`` at the slice minimum; it stops
-    on the gradient norm (see :class:`Tolerances`). Boundary minima along a
-    line search are errors, not silent clamps. No evaluation leaves the
+    witness point). The outer stage is :func:`minimize_by_coordinates` for
+    every number of retained coordinates: one cycle of grid brackets from
+    the grid centers, then BFGS on the section, whose gradient the envelope
+    theorem gives as ``dF/dx`` at the slice minimum; it stops on the
+    gradient norm (see :class:`Tolerances`). A boundary minimum along a
+    grid bracket is an error, not a silent clamp. No evaluation leaves the
     domain box.
     """
     tol = tolerances or Tolerances()
@@ -474,9 +456,6 @@ def solve_hierarchical(
     if not certificate.positive:
         raise ConvexityError.refusal("hierarchical solve", certificate)
     grids = _resolve_grids(grid, merit.domain_box, split)
-    x_tols = [
-        tol.x_tol if tol.x_tol is not None else 1e-8 * (g[-1] - g[0]) for g in grids
-    ]
     slices = SliceSolver(merit, split, tol.inner_tol)
 
     def section(x):
@@ -484,19 +463,14 @@ def solve_hierarchical(
         return sub, lambda v: merit(split.embed(v, sub.y_star))
 
     x_star, _, brackets, iterations = minimize_by_coordinates(
-        section, grids, x_tols, tol.max_cycles, tol.outer_tol
+        section, grids, tol.max_cycles, tol.outer_tol
     )
     final = slices.solve(x_star)
     minimizer = split.embed(x_star, final.y_star)
     value = final.value
     grad = fd_gradient(merit, minimizer)
     grad_norm = float(np.linalg.norm(grad))
-    if tol.outer_tol is not None:
-        outer_tol = tol.outer_tol
-    elif split.n == 1:
-        outer_tol = _outer_tol(value, brackets, x_tols)
-    else:
-        outer_tol = _outer_tol(value)
+    outer_tol = tol.outer_tol if tol.outer_tol is not None else _outer_tol(value)
     if grad_norm > outer_tol:
         raise SolveError(
             f"gradient norm {grad_norm:.3e} at the refined minimizer exceeds "
@@ -519,7 +493,6 @@ def solve_hierarchical(
         inner_method=final.method,
         iterations=iterations,
         outer_tol=outer_tol,
-        x_tol=max(x_tols),
     )
 
 
@@ -571,7 +544,6 @@ def solve_direct(
                 ),
                 iterations=iteration,
                 outer_tol=outer_tol,
-                x_tol=float("nan"),
             )
         try:
             step = np.linalg.solve(hess, -g)
@@ -628,11 +600,10 @@ def equivalence_report(
     hier = solve_hierarchical(merit, split, grid=grid, tolerances=tolerances)
     candidates = [(hier.minimizer, hier.value)]
     if split.n == 1:
-        grids = _resolve_grids(grid, merit.domain_box, split)
+        (axis,) = _resolve_grids(grid, merit.domain_box, split)
         slices = SliceSolver(merit, split, tol.inner_tol)
-        x_tol = tol.x_tol if tol.x_tol is not None else 1e-8 * (grids[0][-1] - grids[0][0])
         for u, value in enumerate_section_minima(
-            lambda v: slices.value(np.array([v])), grids[0], x_tol
+            lambda v: slices.value(np.array([v])), axis, 1e-8 * (axis[-1] - axis[0])
         ):
             sub = slices.solve(np.array([u]))
             point = split.embed(np.array([u]), sub.y_star)
@@ -677,7 +648,6 @@ def recover_from_anchor(
         raise ConvexityError.refusal("anchor recovery", certificate)
     sub = SliceSolver(merit, split, inner_tol).solve(np.array([float(anchor_value)]))
     recovered = split.embed(np.array([float(anchor_value)]), sub.y_star)
-    recovered[anchor_index] = float(anchor_value)
     return RegularizationRecovery(
         anchor_index=anchor_index,
         anchor_value=float(anchor_value),

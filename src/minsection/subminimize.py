@@ -100,6 +100,8 @@ class SliceProblem:
         object.__setattr__(self, "x_fixed", x)
         if x.size != self.split.n:
             raise ValueError(f"x_fixed must have {self.split.n} entries, got {x.size}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"x_fixed must be finite, got {x}")
         xb = self.split.x_box(self.merit.domain_box)
         pad = 1e-12 * np.maximum(1.0, np.abs(xb).max(axis=1))
         if np.any(x < xb[:, 0] - pad) or np.any(x > xb[:, 1] + pad):

@@ -117,6 +117,25 @@ def test_missing_anchor_flags_exit_2(tmp_path, capsys):
         (["--problem", "QUAD", "--command", "trace", "--grid-density", "0"], "--grid-density"),
         (["--problem", "QUAD", "--command", "sections", "--grid-density", "0"], "--grid-density"),
         (["--problem", "QUAD", "--command", "equivalence", "--starts", "0"], "--starts"),
+        (
+            ["--problem", "EXP_FIT", "--command", "recover", "--anchor-index", "0",
+             "--anchor-value", "nan"],
+            "--anchor-value",
+        ),
+        (
+            ["--problem", "EXP_FIT", "--command", "recover", "--anchor-index", "0",
+             "--anchor-value", "inf"],
+            "--anchor-value",
+        ),
+        (
+            ["--problem", "SINE_VALLEY", "--command", "recover", "--anchor-index", "0",
+             "--anchor-value", "50"],
+            "--anchor-value",
+        ),
+        (["--problem", "QUAD", "--command", "solve", "--outer-tol", "nan"], "--outer-tol"),
+        (["--problem", "QUAD", "--command", "solve", "--outer-tol", "0"], "--outer-tol"),
+        (["--problem", "QUAD", "--command", "solve", "--inner-tol", "-1"], "--inner-tol"),
+        (["--problem", "QUAD", "--command", "trace", "--inner-tol", "inf"], "--inner-tol"),
     ],
 )
 def test_bad_flag_values_exit_2(tmp_path, capsys, argv, flag):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minsection as ms
-from minsection.numerics import NonFiniteValueError
+from minsection.numerics import EPS, NonFiniteValueError
 from minsection.solver import BracketError, line_minimize
 
 
@@ -358,3 +358,28 @@ def test_multi_coordinate_minimum_beyond_face_is_refused():
             merit, ms.ParameterSplit((0, 1), (2,)), tolerances=ms.Tolerances(probe_density=5)
         )
     assert np.array_equal(excinfo.value.best_point, [1.0, 1.0])
+
+
+def test_narrow_dip_is_solved_not_refused():
+    # The dip is ten times narrower than the grid spacing. A stopping rule
+    # derived from the 0.1-wide grid bracket refused this found minimum.
+    merit = ms.MeritFunction(
+        2,
+        lambda p: float(1.0 - np.exp(-(((p[0] - 0.37) / 0.01) ** 2)) + p[1] ** 2 + 1e-12),
+        domain_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
+    )
+    report = ms.solve_hierarchical(merit, ms.ParameterSplit((0,), (1,)))
+    assert np.allclose(report.minimizer, [0.37, 0.0], atol=1e-7)
+    assert report.certificates.gradient_norm <= report.outer_tol
+
+
+def test_default_outer_tol_is_the_noise_bound_for_every_n(entries, split01):
+    quadratic = ms.random_quadratic_problem(4, 2, np.random.default_rng(0)).merit
+    reports = [
+        ms.solve_hierarchical(entries["QUAD"].merit, split01),
+        ms.solve_hierarchical(quadratic, ms.model_split(quadratic)),
+    ]
+    assert [len(r.outer_coordinates) for r in reports] == [1, 2]
+    for report in reports:
+        noise = 100.0 * EPS ** (2.0 / 3.0) * max(1.0, abs(report.value))
+        assert report.outer_tol == max(1e-8, noise)

@@ -128,6 +128,13 @@ def test_slice_problem_validates_x(entries, split01):
         SliceProblem(entries["QUAD"].merit, split01, [11.0])
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_slice_problem_refuses_non_finite_x(entries, split01, x):
+    # Every comparison with NaN is false, so a box check alone lets it in.
+    with pytest.raises(ValueError, match="finite"):
+        SliceProblem(entries["QUAD"].merit, split01, [x])
+
+
 def test_conditional_minimality(entries, split01):
     # F(x, y*) <= F(x, y) for random y, strictly unless y == y*
     rng = np.random.default_rng(2)
