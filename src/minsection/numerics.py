@@ -286,7 +286,8 @@ def fd_y_block(f, p, split, box=AUTO) -> np.ndarray:
     """
     if linear_elimination_applies(f, split):
         phi = f.model.design_matrix(split.x_part(p))
-        block = 2.0 * phi.T @ phi
+        with np.errstate(over="ignore"):
+            block = 2.0 * phi.T @ phi
         if not np.all(np.isfinite(block)):
             raise NonFiniteValueError("non-finite closed-form eliminated-block Hessian", p)
         return block

@@ -16,7 +16,10 @@ so files stay reproducible without an expression interpreter:
     {"type": "constant"}                           -> 1
 
 Offset terms additionally accept a fixed ``"scale"`` coefficient
-(default 1.0). Index fields address the nonlinear sub-vector x.
+(default 1.0). Index fields address the nonlinear sub-vector x. Each term
+is one numpy expression over the whole sample vector t, so one call fills
+one column of the design matrix; ``np.exp``, and ``t**d`` for d >= 2,
+may differ from the scalar ``math`` result by one ulp.
 Code-supplied residual callables are available only through the library
 interface.
 """
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,16 +125,16 @@ def _build_term(term, n, where):
         return lambda t, x: scale * t**degree
     if kind == "exponential":
         idx = check_index("rate_index")
-        return lambda t, x: scale * math.exp(x[idx] * t)
+        return lambda t, x: scale * np.exp(x[idx] * t)
     if kind == "sinusoid":
         fn_name = _require(term, "fn", str, where)
         if fn_name not in ("sin", "cos"):
             raise ProblemFileError(f"field {where}.fn must be 'sin' or 'cos'")
         idx = check_index("frequency_index")
-        fn = math.sin if fn_name == "sin" else math.cos
+        fn = np.sin if fn_name == "sin" else np.cos
         return lambda t, x: scale * fn(x[idx] * t)
     if kind == "constant":
-        return lambda t, x: scale
+        return lambda t, x: np.full(np.shape(t), scale)
     raise ProblemFileError(
         f"field {where}.type = {kind!r} is not in the supported expression set"
     )
@@ -143,17 +145,16 @@ def _require_finite(term, where, t, x_box):
 
     Checking the corners of the nonlinear box covers all of it: exp(x t) is
     monotone in x for each t, sinusoids are bounded, and polynomial and
-    constant terms do not depend on x.
+    constant terms do not depend on x. Each corner is one call on the whole
+    sample vector; the first non-finite sample is reported.
     """
-    for x in itertools.product(*x_box):
-        for tk in t:
-            try:
-                value = term(tk, x)
-            except OverflowError:
-                value = math.inf
-            if not math.isfinite(value):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in itertools.product(*x_box):
+            finite = np.isfinite(term(t, x))
+            if not finite.all():
+                tk = float(t[np.argmin(finite)])
                 raise ProblemFileError(
-                    f"field {where} is not finite at t = {float(tk)!r}, "
+                    f"field {where} is not finite at t = {tk!r}, "
                     f"x = {[float(v) for v in x]} "
                     "(a corner of the nonlinear domain box)"
                 )
@@ -264,7 +265,7 @@ def load_problem_file(path) -> ProblemDefinition:
             offset = lambda t_, x: sum(term(t_, x) for term in terms)
         try:
             plm = PartiallyLinearModel(
-                basis=basis, t=t, d=d, nonlinear_dim=n, offset=offset
+                basis=basis, t=t, d=d, nonlinear_dim=n, offset=offset, vectorized=True
             )
         except ValueError as err:
             raise ProblemFileError(f"field model: {err}") from err

@@ -145,6 +145,12 @@ class PartiallyLinearModel:
     coordinates: x = p[:nonlinear_dim], y = p[nonlinear_dim:]. At least J
     samples are required so the linear sub-problem is square or
     overdetermined.
+
+    By default each map is called once per sample, with a scalar t. With
+    ``vectorized`` set, each map is called once with the whole sample
+    vector ``t`` and must return the array of its values at every sample,
+    ``fn(t, x)[k] == fn(t[k], x)``; one call then fills one column of Phi.
+    Problem files build their terms that way.
     """
 
     basis: tuple[Callable[[float, np.ndarray], float], ...]
@@ -152,6 +158,7 @@ class PartiallyLinearModel:
     d: np.ndarray
     nonlinear_dim: int
     offset: Callable[[float, np.ndarray], float] | None = None
+    vectorized: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
@@ -182,14 +189,19 @@ class PartiallyLinearModel:
         x = np.asarray(x, dtype=float)
         phi = np.empty((self.t.size, self.linear_dim))
         for j, fn in enumerate(self.basis):
-            for k, tk in enumerate(self.t):
-                phi[k, j] = fn(tk, x)
+            if self.vectorized:
+                phi[:, j] = fn(self.t, x)
+            else:
+                for k, tk in enumerate(self.t):
+                    phi[k, j] = fn(tk, x)
         return phi
 
     def offsets(self, x) -> np.ndarray:
         if self.offset is None:
             return np.zeros(self.t.size)
         x = np.asarray(x, dtype=float)
+        if self.vectorized:
+            return np.asarray(self.offset(self.t, x), dtype=float)
         return np.array([self.offset(tk, x) for tk in self.t])
 
     def residuals(self, x, y) -> np.ndarray:
@@ -325,7 +337,10 @@ def linear_elimination_applies(merit, split: ParameterSplit) -> bool:
     layout. Plain callables never qualify."""
     if getattr(merit, "structure", None) != STRUCTURE_PARTIALLY_LINEAR or merit.model is None:
         return False
-    return model_split(merit) == split
+    n = merit.model.nonlinear_dim
+    return split.x_indices == tuple(range(n)) and split.y_indices == tuple(
+        range(n, merit.dimension)
+    )
 
 
 @dataclass(frozen=True)

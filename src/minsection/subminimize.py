@@ -424,11 +424,12 @@ class SliceSolver:
     """Solves the slices of one merit under one split.
 
     Linear elimination is used when the split matches a partially linear
-    model, Newton otherwise. Newton starts from the last solution this
+    model, Newton otherwise. Newton starts from the last result this
     solver returned (the box center on the first solve) unless ``y0`` is
-    given. A call without ``y0`` at the previous call's x returns the
-    previous result unsolved. ``solves`` counts the slice solves made so
-    far.
+    given. Each result of a call without ``y0`` is kept: a later such call
+    at the same x returns it unsolved, and it becomes the warm start. A
+    call with ``y0`` always solves. ``solves`` counts the slice solves made
+    so far.
     """
 
     def __init__(self, merit: MeritFunction, split: ParameterSplit, inner_tol: float | None = None):
@@ -436,14 +437,15 @@ class SliceSolver:
         self.split = split
         self.inner_tol = inner_tol
         self.linear = linear_elimination_applies(merit, split)
-        self.last_x = None
+        self.solved: dict[tuple[float, ...], SubMinimum] = {}
         self.last = None
         self.solves = 0
 
     def solve(self, x_fixed, y0=None) -> SubMinimum:
         problem = SliceProblem(self.merit, self.split, x_fixed)
         x_key = tuple(problem.x_fixed.tolist())
-        if y0 is None and x_key == self.last_x:
+        if y0 is None and x_key in self.solved:
+            self.last = self.solved[x_key]
             return self.last
         self.solves += 1
         if self.linear:
@@ -451,7 +453,9 @@ class SliceSolver:
         else:
             start = self.last.y_star if y0 is None and self.last is not None else y0
             sub = subminimize_newton(problem, y0=start, inner_tol=self.inner_tol)
-        self.last_x, self.last = x_key, sub
+        if y0 is None:
+            self.solved[x_key] = sub
+        self.last = sub
         return sub
 
     def value(self, x_fixed) -> float:

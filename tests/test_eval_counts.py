@@ -34,7 +34,12 @@ def first_axis_grid(merit, points=41):
 
 @pytest.mark.parametrize(
     "name, evaluations",
-    [("QUAD", 1439), ("SINE_VALLEY", 1599), ("TWO_WELLS", 1567), ("EXP_FIT", 28)],
+    [
+        pytest.param(name, evaluations, id=name)
+        for name, evaluations in (
+            ("QUAD", 1434), ("SINE_VALLEY", 1589), ("TWO_WELLS", 1555), ("EXP_FIT", 27)
+        )
+    ],
 )
 def test_solve_hierarchical_counts(entries, merit_calls, name, evaluations):
     merit = entries[name].merit
@@ -69,15 +74,15 @@ def test_m3_general_solve_count(merit_calls):
         box=np.array([[-2.0, 2.0]] * 3),
     )
     report = ms.solve_hierarchical(merit, ms.ParameterSplit((0,), (1, 2)))
-    assert merit_calls["n"] == 4694
+    assert merit_calls["n"] == 4655
     assert report.certificates.convexity.plan == "halton"
 
 
 def test_random_quadratic_cycling_counts(merit_calls):
     merit = ms.random_quadratic_problem(6, 3, np.random.default_rng(0)).merit
     report = ms.solve_hierarchical(merit, ms.model_split(merit))
-    assert merit_calls["n"] == 124
-    assert report.inner_solves == 70
+    assert merit_calls["n"] == 121
+    assert report.inner_solves == 67
     assert report.iterations == 6
 
 
@@ -87,5 +92,5 @@ def test_nesting_check_count(merit_calls):
     merit = ms.random_quadratic_problem(4, 2, np.random.default_rng(1)).merit
     grid = np.linspace(-1.0, 1.0, 5)
     report = ms.nesting_check(merit, ms.model_split(merit), (0,), grid, probe_density=3)
-    assert merit_calls["n"] == 3048
+    assert merit_calls["n"] == 3043
     assert report.passed

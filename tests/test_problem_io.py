@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -162,3 +164,131 @@ def test_data_csv_round_trip(tmp_path):
     t, d = ms.load_data_csv(tmp_path / "data.csv")
     assert np.array_equal(t, [0.0, 2.0])
     assert np.array_equal(d, [1.5, -0.25])
+
+
+# -- vectorized terms ---------------------------------------------------------
+
+X_BOX = [[-0.8, 0.3], [0.5, 2.0]]
+BASIS = [
+    {"type": "polynomial", "degree": 0},
+    {"type": "polynomial", "degree": 1, "scale": -1.5},
+    {"type": "polynomial", "degree": 2},
+    {"type": "polynomial", "degree": 5, "scale": 0.25},
+    {"type": "constant", "scale": 3.0},
+    {"type": "sinusoid", "fn": "sin", "frequency_index": 1},
+    {"type": "sinusoid", "fn": "cos", "frequency_index": 0, "scale": 2.0},
+    {"type": "exponential", "rate_index": 0},
+    {"type": "exponential", "rate_index": 1, "scale": -0.5},
+]
+
+
+def math_term(term, tk, x):
+    """One term at one sample, evaluated with the ``math`` module."""
+    scale = term.get("scale", 1.0)
+    if term["type"] == "polynomial":
+        return scale * tk ** term["degree"]
+    if term["type"] == "exponential":
+        return scale * math.exp(x[term["rate_index"]] * tk)
+    if term["type"] == "sinusoid":
+        return scale * getattr(math, term["fn"])(x[term["frequency_index"]] * tk)
+    return scale
+
+
+def load_terms(tmp_path, t, basis, offset=None):
+    lines = ["t,d"] + [f"{float(tk)!r},0.5" for tk in t]
+    (tmp_path / "obs.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    model = {"kind": "partially_linear", "basis": basis}
+    if offset is not None:
+        model["offset"] = offset
+    doc = {
+        "dimension": 2 + len(basis),
+        "domain_box": X_BOX + [[-5.0, 5.0]] * len(basis),
+        "model": model,
+        "data_file": "obs.csv",
+    }
+    path = tmp_path / "terms.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return ms.load_problem_file(path).merit.model
+
+
+def box_points(seed=0, count=4):
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(X_BOX).T
+    return [np.array(x) for x in itertools.product(*X_BOX)] + list(
+        rng.uniform(lo, hi, size=(count, 2))
+    )
+
+
+@pytest.mark.parametrize(
+    "t",
+    [np.arange(-6.0, 9.0), np.random.default_rng(7).uniform(-4.0, 6.0, 60)],
+    ids=["integer_t", "real_t"],
+)
+def test_vectorized_design_matrix_matches_math(tmp_path, t):
+    model = load_terms(tmp_path, t, BASIS)
+    assert model.vectorized
+    # exp, and powers of degree 2 and up, may round differently from math
+    # by one ulp; integer t keeps every power exact.
+    integer_t = np.array_equal(t, np.round(t))
+    exact = [
+        term["type"] in ("constant", "sinusoid")
+        or (term["type"] == "polynomial" and (term["degree"] < 2 or integer_t))
+        for term in BASIS
+    ]
+    for x in box_points():
+        phi = model.design_matrix(x)
+        assert phi.shape == (t.size, len(BASIS))
+        for j, term in enumerate(BASIS):
+            want = np.array([math_term(term, float(tk), x) for tk in t])
+            if exact[j]:
+                assert np.array_equal(phi[:, j], want), term
+            else:
+                np.testing.assert_array_max_ulp(phi[:, j], want, maxulp=2)
+
+
+def test_vectorized_offsets_match_math(tmp_path):
+    t = np.random.default_rng(8).uniform(-4.0, 6.0, 30)
+    exact_terms = [term for term in BASIS if term["type"] in ("constant", "sinusoid")]
+    exact_terms.append({"type": "polynomial", "degree": 1, "scale": 0.5})
+    basis = [{"type": "constant"}]
+    mixed = load_terms(tmp_path, t, basis, exact_terms)
+    exp_only = load_terms(tmp_path, t, basis, [BASIS[-1]])
+    constant_only = load_terms(tmp_path, t, basis, [{"type": "constant", "scale": 2.5}])
+    for x in box_points():
+        want = np.array([sum(math_term(term, float(tk), x) for term in exact_terms) for tk in t])
+        assert np.array_equal(mixed.offsets(x), want)
+        want = np.array([math_term(BASIS[-1], float(tk), x) for tk in t])
+        np.testing.assert_array_max_ulp(exp_only.offsets(x), want, maxulp=2)
+        assert np.array_equal(constant_only.offsets(x), np.full(t.size, 2.5))
+
+
+def test_overflow_at_load_names_first_sample_of_first_corner(tmp_path):
+    # The box corners are visited in itertools.product order; at the first
+    # one that overflows, the first non-finite sample is named.
+    t = np.arange(40.0)
+    basis = [{"type": "exponential", "rate_index": 1}]
+    lines = ["t,d"] + [f"{float(tk)!r},1.0" for tk in t]
+    (tmp_path / "obs.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    doc = {
+        "dimension": 3,
+        "domain_box": [[-30.0, 1.0], [-1.0, 25.0], [-10.0, 10.0]],
+        "model": {"kind": "partially_linear", "basis": basis,
+                  "offset": [{"type": "exponential", "rate_index": 0, "scale": -1e300}]},
+        "data_file": "obs.csv",
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ProblemFileError) as err:
+        ms.load_problem_file(path)
+    assert str(err.value) == (
+        "field model.basis[0] is not finite at t = 29.0, x = [-30.0, 25.0] "
+        "(a corner of the nonlinear domain box)"
+    )
+    doc["domain_box"][1] = [-1.0, 2.0]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ProblemFileError) as err:
+        ms.load_problem_file(path)
+    assert str(err.value) == (
+        "field model.offset[0] is not finite at t = 20.0, x = [1.0, -1.0] "
+        "(a corner of the nonlinear domain box)"
+    )

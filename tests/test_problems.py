@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import minsection as ms
-from minsection.problems import EXP_FIT_DATA, EXP_FIT_T
+from minsection.problems import EXP_FIT_DATA, EXP_FIT_T, linear_elimination_applies
 
 
 def test_residual_merit_zero_at_root():
@@ -163,3 +164,21 @@ def test_random_quadratic_problem_shape_and_minimum():
     for _ in range(20):
         q = p_star + rng.uniform(-1.0, 1.0, size=4)
         assert merit(q) >= merit(p_star)
+
+
+@pytest.mark.parametrize("nonlinear_dim", [1, 2, 3])
+def test_linear_elimination_applies_matches_model_split(nonlinear_dim):
+    merit = ms.random_quadratic_problem(4, nonlinear_dim, np.random.default_rng(3)).merit
+    canonical = ms.model_split(merit)
+    checked = 0
+    for n in range(1, 4):
+        for x_set in itertools.combinations(range(4), n):
+            y_set = [i for i in range(4) if i not in x_set]
+            for x in itertools.permutations(x_set):
+                for y in itertools.permutations(y_set):
+                    split = ms.ParameterSplit(x, y)
+                    assert linear_elimination_applies(merit, split) == (canonical == split)
+                    checked += 1
+    assert checked == 72
+    general = ms.build_residual_merit((lambda p: p[0], lambda p: p[1]), 2)
+    assert not linear_elimination_applies(general, ms.ParameterSplit((0,), (1,)))

@@ -211,6 +211,30 @@ def test_repeated_slice_is_not_solved_again(entries, split01):
     assert solver.solves == 3
 
 
+def test_revisited_slice_is_not_solved_again(entries, split01, monkeypatch):
+    starts = []
+    newton = ms.subminimize.subminimize_newton
+
+    def recording_newton(problem, y0=None, inner_tol=None):
+        starts.append(None if y0 is None else float(y0[0]))
+        return newton(problem, y0=y0, inner_tol=inner_tol)
+
+    monkeypatch.setattr(ms.subminimize, "subminimize_newton", recording_newton)
+    solver = SliceSolver(entries["SINE_VALLEY"].merit, split01)
+    first = solver.solve([0.3])
+    second = solver.solve([0.4])
+    assert solver.solve([0.3]) is first
+    assert solver.solves == 2
+    # the returned result is the warm start of the next solve
+    solver.solve([0.5])
+    assert starts == [None, float(first.y_star[0]), float(first.y_star[0])]
+    assert second.y_star[0] != first.y_star[0]
+    # an explicit start always solves, and its result is not kept
+    assert solver.solve([0.4], y0=[1.0]) is not second
+    assert solver.solve([0.4]) is second
+    assert solver.solves == 4
+
+
 # -- sample budget of the convexity probe ----------------------------------
 
 
