@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,12 +85,17 @@ def load_data_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 f"values, got {line!r}"
             )
         try:
-            t_vals.append(float(cells[0]))
-            d_vals.append(float(cells[1]))
+            t, d = float(cells[0]), float(cells[1])
         except ValueError as err:
             raise ProblemFileError(
                 f"data file {path} line {lineno}: {err}"
             ) from err
+        if not (math.isfinite(t) and math.isfinite(d)):
+            raise ProblemFileError(
+                f"data file {path} line {lineno}: values must be finite, got {line!r}"
+            )
+        t_vals.append(t)
+        d_vals.append(d)
     return np.array(t_vals), np.array(d_vals)
 
 

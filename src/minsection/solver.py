@@ -193,7 +193,7 @@ def _strict_triplets(grid, values):
 def _bracket_from_values(grid, values) -> BracketTriplet:
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise SolveError(f"non-finite section value at u = {grid[bad]!r}")
+        raise SolveError(f"non-finite section value at u = {float(grid[bad])!r}")
     triplet = next(_strict_triplets(grid, values), None)
     if triplet is not None:
         return triplet
@@ -203,7 +203,7 @@ def _bracket_from_values(grid, values) -> BracketTriplet:
     k = int(np.argmin(values))
     if k == 0 or k == grid.size - 1:
         raise BracketError(
-            f"smallest section value sits at the grid boundary u = {grid[k]!r}; "
+            f"smallest section value sits at the grid boundary u = {float(grid[k])!r}; "
             "the minimum is not bracketed (domain box may be mis-specified)",
             "boundary",
         )
@@ -233,25 +233,25 @@ def golden_refine(section_eval, triplet: BracketTriplet, x_tol: float):
         x1, x2 = b, b + (1.0 - GOLDEN) * (x3 - b)
         f1, f2 = triplet.fb, float(section_eval(x2))
         if not math.isfinite(f2):
-            raise SolveError(f"non-finite section value at u = {x2!r}")
+            raise SolveError(f"non-finite section value at u = {float(x2)!r}")
     else:
         x1, x2 = b - (1.0 - GOLDEN) * (b - x0), b
         f1, f2 = float(section_eval(x1)), triplet.fb
         if not math.isfinite(f1):
-            raise SolveError(f"non-finite section value at u = {x1!r}")
+            raise SolveError(f"non-finite section value at u = {float(x1)!r}")
     while abs(x3 - x0) > x_tol:
         if f2 < f1:
             x0, x1, f1 = x1, x2, f2
             x2 = GOLDEN * x1 + (1.0 - GOLDEN) * x3
             f2 = float(section_eval(x2))
             if not math.isfinite(f2):
-                raise SolveError(f"non-finite section value at u = {x2!r}")
+                raise SolveError(f"non-finite section value at u = {float(x2)!r}")
         else:
             x3, x2, f2 = x2, x1, f1
             x1 = GOLDEN * x2 + (1.0 - GOLDEN) * x0
             f1 = float(section_eval(x1))
             if not math.isfinite(f1):
-                raise SolveError(f"non-finite section value at u = {x1!r}")
+                raise SolveError(f"non-finite section value at u = {float(x1)!r}")
     return (x1, f1) if f1 < f2 else (x2, f2)
 
 

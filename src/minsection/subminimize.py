@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import EPS, _second_diff_block, fd_hessian, fd_y_block, linear_lsq_solve
+from .numerics import EPS, fd_hessian, fd_y_block, linear_lsq_solve
+from .numerics import _second_diff_block  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .problems import MeritFunction, ParameterSplit, linear_elimination_applies
 
 __all__ = [
@@ -209,9 +210,18 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
     have more than ``PROBE_BUDGET`` nodes: then the sample is the center of
     the axes' box, its corners and the Halton points, truncated to
     ``PROBE_BUDGET`` nodes.
+
+    The nodes are taken in chunks of at most ``PROBE_BUDGET``. A chunk's
+    finite-difference blocks come from one batched stencil
+    (:func:`numerics._second_diff_blocks`, which evaluates the merit node
+    by node in the scalar order), its closed-form blocks from
+    :func:`fd_y_block` per node, and its spectra from one stacked
+    ``eigvalsh``. The evaluations, their order, the blocks and the
+    certificate are those of a node-by-node scan.
     """
     box = merit.domain_box
-    axes_box = box[list(axes_indices)]
+    axes = list(axes_indices)
+    axes_box = box[axes]
     if density is None and default_density ** len(axes_box) > PROBE_BUDGET:
         plan = "halton"
         lo, hi = axes_box[:, 0], axes_box[:, 1]
@@ -229,27 +239,29 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
         if density < 3:
             raise ValueError("grid density must be at least 3 points per axis")
         nodes = itertools.product(*(np.linspace(lo, hi, density) for lo, hi in axes_box))
+    closed_form = split is not None and linear_elimination_applies(merit, split)
+    indices = tuple(range(merit.dimension)) if split is None else tuple(split.y_indices)
+    center = box.mean(axis=1)
     worst = np.inf
     worst_point = None
     violated = False
     count = 0
-    p = box.mean(axis=1)
-    all_indices = tuple(range(merit.dimension))
-    for node in nodes:
-        for i, v in zip(axes_indices, node):
-            p[i] = v
-        if split is None:
-            block, _, _ = _second_diff_block(merit, p, all_indices, box)
+    while chunk := list(itertools.islice(nodes, PROBE_BUDGET)):
+        points = np.tile(center, (len(chunk), 1))
+        points[:, axes] = chunk
+        if closed_form:
+            blocks = np.array([fd_y_block(merit, p, split) for p in points])
         else:
-            block = fd_y_block(merit, p, split)
-        w = np.linalg.eigvalsh(block)
-        scale = max(1.0, float(np.max(np.abs(w))))
-        if w[0] <= PD_TOL * scale:
-            violated = True
-        if w[0] < worst:
-            worst = float(w[0])
-            worst_point = p.copy()
-        count += 1
+            blocks = numerics._second_diff_blocks(merit, points, indices, box)
+        w = np.linalg.eigvalsh(blocks)
+        lowest = w[:, 0]
+        scale = np.maximum(1.0, np.abs(w).max(axis=1))
+        violated = violated or bool(np.any(lowest <= PD_TOL * scale))
+        n = int(np.argmin(lowest))
+        if lowest[n] < worst:
+            worst = float(lowest[n])
+            worst_point = points[n].copy()
+        count += len(points)
     return ConvexityCertificate(
         split=split,
         sampled_points=count,

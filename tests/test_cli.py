@@ -236,6 +236,37 @@ def test_file_problem_through_cli(tmp_path):
     assert np.allclose(payload["minimizer"], [-0.5, 2.0], atol=1e-6)
 
 
+def test_non_finite_observation_is_input_error(tmp_path, capsys):
+    t = np.arange(10.0)
+    d = 2.0 * np.exp(-0.5 * t)
+    rows = [f"{float(tk)!r},{float(dk)!r}" for tk, dk in zip(t, d)]
+    rows[3] = "3.0,nan"
+    (tmp_path / "obs.csv").write_text("t,d\n" + "\n".join(rows) + "\n")
+    (tmp_path / "prob.json").write_text(
+        json.dumps(
+            {
+                "dimension": 2,
+                "split": {"x_indices": [0], "y_indices": [1]},
+                "domain_box": [[-2.0, 0.5], [-5.0, 5.0]],
+                "model": {
+                    "kind": "partially_linear",
+                    "basis": [{"type": "exponential", "rate_index": 0}],
+                },
+                "data_file": "obs.csv",
+            }
+        )
+    )
+    out = tmp_path / "run"
+    code = run_cli(
+        ["--problem", str(tmp_path / "prob.json"), "--command", "solve", "--out", str(out)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert f"data file {tmp_path / 'obs.csv'} line 5: values must be finite" in err
+    assert not out.exists()
+
+
 def test_json_floats_round_trip(tmp_path):
     out = tmp_path / "run"
     run_cli(["--problem", "EXP_FIT", "--command", "solve", "--out", str(out)])

@@ -159,6 +159,19 @@ def test_data_csv_bad_cell_reports_line(tmp_path):
         ms.load_data_csv(tmp_path / "data.csv")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_data_csv_non_finite_cell_reports_line(tmp_path, cell):
+    (tmp_path / "data.csv").write_text(f"t,d\n0,1.0\n3.0,{cell}\n", encoding="utf-8")
+    with pytest.raises(ProblemFileError) as err:
+        ms.load_data_csv(tmp_path / "data.csv")
+    assert str(err.value) == (
+        f"data file {tmp_path / 'data.csv'} line 3: values must be finite, got '3.0,{cell}'"
+    )
+    (tmp_path / "data.csv").write_text(f"t,d\n{cell},1.0\n", encoding="utf-8")
+    with pytest.raises(ProblemFileError, match="line 2: values must be finite"):
+        ms.load_data_csv(tmp_path / "data.csv")
+
+
 def test_data_csv_round_trip(tmp_path):
     (tmp_path / "data.csv").write_text("t,d\n0,1.5\n2,-0.25\n", encoding="utf-8")
     t, d = ms.load_data_csv(tmp_path / "data.csv")

@@ -75,6 +75,29 @@ def test_golden_nonfinite_reported():
         ms.golden_refine(lambda u: float("nan") if u != 0.0 else 0.0, triplet, 1e-8)
 
 
+def test_refusal_messages_print_plain_floats():
+    grid = np.array([-2.0, -1.0, 0.0, 1.0])
+    with pytest.raises(ms.SolveError) as excinfo:
+        ms.bracket_on_grid(lambda u: float("nan") if u == -2.0 else u * u, grid)
+    assert str(excinfo.value) == "non-finite section value at u = -2.0"
+    with pytest.raises(BracketError) as excinfo:
+        ms.bracket_on_grid(lambda u: u, grid)
+    message = str(excinfo.value)
+    assert message.startswith("smallest section value sits at the grid boundary u = -2.0;")
+    # the bracket holds numpy scalars from the grid, as in the solver
+    triplet = ms.bracket_on_grid(lambda u: u * u, grid)
+    seen = []
+
+    def section(u):
+        seen.append(u)
+        return float("nan")
+
+    with pytest.raises(ms.SolveError) as excinfo:
+        ms.golden_refine(section, triplet, 1e-8)
+    assert isinstance(seen[-1], np.floating)
+    assert str(excinfo.value) == f"non-finite section value at u = {float(seen[-1])!r}"
+
+
 def test_line_minimize_midpoint_tie_recovery():
     # convex parabola with its minimum exactly midway between grid nodes:
     # the two smallest values tie bitwise and the midpoint probe recovers

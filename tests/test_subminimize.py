@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -328,3 +329,158 @@ def test_violated_certificates_carry_a_violating_witness(entries):
         assert cert.witness_min_eig == w[0]
         assert cert.witness_min_eig <= PD_TOL * max(1.0, float(np.max(np.abs(w))))
     assert violated == 7
+
+
+# -- the batched probe against a per-node reference -------------------------
+
+
+def reference_probe(merit, split, grid_density=None, full_density=7):
+    """The probe one node at a time: each block from the scalar
+    ``fd_y_block`` or ``_second_diff_block``, each spectrum from its own
+    ``eigvalsh``. ``split is None`` is the full-Hessian probe."""
+    from minsection.numerics import _second_diff_block, fd_y_block
+    from minsection.subminimize import PD_TOL, PROBE_BUDGET, _halton, default_probe_density
+    from minsection.subminimize import linear_elimination_applies
+
+    default = full_density if split is None else default_probe_density(merit.dimension)
+    if split is not None and linear_elimination_applies(merit, split):
+        axes = list(split.x_indices)
+    else:
+        axes = list(range(merit.dimension))
+    box = merit.domain_box
+    axes_box = box[axes]
+    if grid_density is None and default ** len(axes_box) > PROBE_BUDGET:
+        plan, density = "halton", None
+        lo, hi = axes_box[:, 0], axes_box[:, 1]
+        halton = lo + _halton(PROBE_BUDGET, len(axes_box)) * (hi - lo)
+        nodes = itertools.islice(
+            itertools.chain([axes_box.mean(axis=1)], itertools.product(*axes_box), halton),
+            PROBE_BUDGET,
+        )
+    else:
+        plan, density = "grid", default if grid_density is None else grid_density
+        nodes = itertools.product(*(np.linspace(lo, hi, density) for lo, hi in axes_box))
+    worst, worst_point, violated, count = np.inf, None, False, 0
+    p = box.mean(axis=1)
+    for node in nodes:
+        p[axes] = node
+        if split is None:
+            block, _, _ = _second_diff_block(merit, p, tuple(range(merit.dimension)), box)
+        else:
+            block = fd_y_block(merit, p, split)
+        w = np.linalg.eigvalsh(block)
+        if w[0] <= PD_TOL * max(1.0, float(np.max(np.abs(w)))):
+            violated = True
+        if w[0] < worst:
+            worst, worst_point = float(w[0]), p.copy()
+        count += 1
+    return ms.ConvexityCertificate(
+        split=split,
+        sampled_points=count,
+        min_eig_over_samples=worst,
+        positive=not violated,
+        witness=worst_point if violated else None,
+        witness_min_eig=worst if violated else None,
+        grid_density=density,
+        plan=plan,
+    )
+
+
+@pytest.fixture
+def merit_calls(monkeypatch):
+    """A list that grows by one on every merit evaluation."""
+    calls = []
+    evaluate = ms.MeritFunction.__call__
+
+    def counted(merit, p):
+        calls.append(None)
+        return evaluate(merit, p)
+
+    monkeypatch.setattr(ms.MeritFunction, "__call__", counted)
+    return calls
+
+
+def outcome(calls, probe, *args):
+    """(certificate or (error type, message, point), merit evaluations)."""
+    before = len(calls)
+    try:
+        result = probe(*args)
+    except ValueError as err:
+        point = getattr(err, "point", None)
+        result = (type(err), str(err), None if point is None else point.tolist())
+    return result, len(calls) - before
+
+
+def assert_same_probe(calls, merit, split, grid_density=None):
+    if split is None:
+        batched = outcome(calls, ms.probe_full_convexity, merit, grid_density)
+    else:
+        batched = outcome(calls, ms.probe_y_convexity, merit, split, grid_density)
+    reference = outcome(calls, reference_probe, merit, split, grid_density)
+    (got, got_evals), (want, want_evals) = batched, reference
+    assert got_evals == want_evals
+    if isinstance(want, tuple):
+        assert got == want
+        return want
+    assert got.plan == want.plan and got.grid_density == want.grid_density
+    assert got.sampled_points == want.sampled_points
+    assert got.min_eig_over_samples == want.min_eig_over_samples
+    assert got.positive == want.positive
+    assert got.witness_min_eig == want.witness_min_eig
+    assert (got.witness is None) == (want.witness is None)
+    assert want.witness is None or np.array_equal(got.witness, want.witness)
+    return want
+
+
+def test_batched_probe_matches_per_node_reference(entries, merit_calls):
+    catalog = [(e.merit, ms.ParameterSplit.single(i, 2)) for e in entries.values() for i in (0, 1)]
+    assert len(catalog) == 12
+    for merit, split in catalog:
+        assert_same_probe(merit_calls, merit, split)
+        assert_same_probe(merit_calls, merit, split, grid_density=9)
+    for merit, split in probe_cases(entries)[12:]:
+        assert_same_probe(merit_calls, merit, split)
+    m4 = ms.build_residual_merit(chain_residuals(4), 4, box=np.array([[-2.0, 2.0]] * 4))
+    assert assert_same_probe(merit_calls, m4, ms.ParameterSplit((0,), (1, 2, 3))).plan == "halton"
+    plans = [assert_same_probe(merit_calls, e.merit, None).plan for e in entries.values()]
+    plans += [assert_same_probe(merit_calls, m, None).plan for m in (m3_merit(), m4)]
+    assert plans[-2:] == ["grid", "halton"]
+
+
+def test_batched_probe_raises_as_the_reference(merit_calls):
+    def island(p):
+        return p[0] ** 2 + p[1] ** 2 if p[0] + p[1] < 1.5 else math.nan
+
+    def cliff(p):
+        # finite everywhere, but a stencil across p0 + p1 = 1 overflows its block
+        return 1e305 if p[0] + p[1] > 1.0 else p[0] ** 2 + p[1] ** 2
+
+    for evaluate in (island, cliff):
+        merit = ms.MeritFunction(2, evaluate, domain_box=[[-2.0, 2.0]] * 2)
+        for split in (None, ms.ParameterSplit.single(0, 2)):
+            # the scalar reference warns where the cliff's block overflows
+            with np.errstate(over="ignore"):
+                error = assert_same_probe(merit_calls, merit, split, grid_density=5)
+            assert error[0] is ms.numerics.NonFiniteValueError
+    # a box thinner than the stencil along coordinate 1 only near its top
+    merit = ms.MeritFunction(2, lambda p: p @ p, domain_box=[[-2.0, 2.0], [1000.0, 1000.4884]])
+    before = len(merit_calls)
+    error = assert_same_probe(merit_calls, merit, None, grid_density=5)
+    assert error[:2] == (ValueError, "domain box is thinner than the FD stencil along coordinate 1")
+    assert len(merit_calls) > before
+
+
+def test_explicit_density_probe_works_one_chunk_at_a_time():
+    import tracemalloc
+
+    merit = m3_merit()
+    ms.probe_full_convexity(merit, grid_density=3)
+    tracemalloc.start()
+    try:
+        cert = ms.probe_full_convexity(merit, grid_density=15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.sampled_points == 3375
+    # the stencil of the whole grid: 3,375 nodes x 19 points x 3 coordinates
+    assert peak < 3375 * 19 * 3 * 8
