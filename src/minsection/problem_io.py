@@ -26,6 +26,7 @@ interface.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -223,17 +224,9 @@ def load_problem_file(path) -> ProblemDefinition:
                 f"catalog problem {name} has dimension {merit.dimension}, file says {dimension}"
             )
         if box is not None:
-            merit = MeritFunction(
-                merit.dimension,
-                merit.evaluate,
-                structure=merit.structure,
-                domain_box=box,
-                residuals=merit.residuals,
-                model=merit.model,
-                gradient=merit.gradient,
-                hessian=merit.hessian,
-                name=merit.name,
-            )
+            # Keep the catalog evaluator so each evaluation is one counted call.
+            merit = copy.copy(merit)
+            merit.domain_box = box
         if split is None:
             split = ParameterSplit((0,), tuple(range(1, dimension)))
         return ProblemDefinition(merit=merit, split=split, name=name, entry=entry)

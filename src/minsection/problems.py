@@ -258,9 +258,6 @@ class MeritFunction:
     def __call__(self, p) -> float:
         return float(self._evaluate(np.asarray(p, dtype=float)))
 
-    def evaluate(self, p) -> float:
-        return self(p)
-
     def contains(self, p, rtol: float = 1e-12) -> bool:
         p = np.asarray(p, dtype=float)
         pad = rtol * np.maximum(1.0, np.abs(self.domain_box).max(axis=1))

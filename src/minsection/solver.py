@@ -12,12 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import EPS, fd_gradient, fd_hessian
+from .numerics import EPS, fd_gradient
+from .numerics import fd_hessian  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .problems import MeritFunction, ParameterSplit
 from .subminimize import (
+    ARMIJO_C1,
+    MAX_HALVINGS,
     ConvexityCertificate,
     ConvexityError,
     SliceSolver,
+    _damped_newton,
     probe_y_convexity,
 )
 from .subminimize import subminimize_linear  # noqa: F401 - unused; bench/tracing.py rebinds it here
@@ -46,8 +50,6 @@ __all__ = [
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 FLAT_TOL = 1e-12
-ARMIJO_C1_DIRECT = 1e-4
-MAX_BACKTRACKS = 40
 
 
 class BracketError(RuntimeError):
@@ -374,10 +376,10 @@ def minimize_by_coordinates(section, grids, max_cycles: int, outer_tol=None):
         # near the minimum.
         f_slack = 4.0 * EPS * max(1.0, abs(f))
         t = 1.0
-        for _ in range(MAX_BACKTRACKS):
+        for _ in range(MAX_HALVINGS):
             trial = np.clip(x + t * step, box[:, 0], box[:, 1])
             trial_sub, fixed = section(trial)
-            if trial_sub.value <= f + ARMIJO_C1_DIRECT * float(g @ (trial - x)) + f_slack:
+            if trial_sub.value <= f + ARMIJO_C1 * float(g @ (trial - x)) + f_slack:
                 break
             t *= 0.5
         else:
@@ -504,9 +506,13 @@ def solve_direct(
 ) -> SolveReport:
     """Damped Newton on the full gradient with Armijo backtracking.
 
-    Baseline for comparing against the hierarchical route. Falls back to a
-    steepest-descent direction whenever the Newton step is not a descent
-    direction; iterates are kept inside the domain box.
+    Baseline for comparing against the hierarchical route; it runs the same
+    damped-Newton loop as :func:`~minsection.subminimize.subminimize_newton`,
+    over every coordinate. A singular Hessian takes its least-squares step,
+    and a step that is not a descent direction is replaced by steepest
+    descent; iterates are kept inside the domain box. A line search that no
+    halving satisfies, or exceeding ``max_iter``, raises :class:`SolveError`
+    carrying the point of smallest gradient norm.
     """
     tol = tolerances or Tolerances()
     box = merit.domain_box
@@ -525,59 +531,36 @@ def solve_direct(
         if tol.outer_tol is not None
         else max(1e-8, 10.0 * EPS ** (2.0 / 3.0) * max(1.0, abs(fval)))
     )
-    best = (p.copy(), fval, np.inf)
-    for iteration in range(max_iter + 1):
-        report = fd_hessian(feval, p, box=box, f0=fval)
-        g, hess = report.gradient, report.hessian
-        grad_norm = float(np.linalg.norm(g))
-        if grad_norm < best[2]:
-            best = (p.copy(), fval, grad_norm)
-        if grad_norm <= outer_tol:
-            return SolveReport(
-                minimizer=p,
-                value=fval,
-                method="direct",
-                inner_solves=0,
-                outer_evaluations=evals["count"],
-                certificates=SolveCertificates(
-                    convexity=None, brackets=(), gradient_norm=grad_norm
-                ),
-                iterations=iteration,
-                outer_tol=outer_tol,
-            )
+
+    def direction(g, hess, _x):
         try:
             step = np.linalg.solve(hess, -g)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, -g, rcond=None)[0]
-        if g @ step >= 0.0:
-            step = -g
-        slope = float(g @ step)
-        # One-ulp slack: the Armijo decrease vanishes below float resolution
-        # near the minimum.
-        f_slack = 4.0 * EPS * max(1.0, abs(fval))
-        t = 1.0
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            trial = np.clip(p + t * step, box[:, 0], box[:, 1])
-            f_trial = feval(trial)
-            if f_trial <= fval + ARMIJO_C1_DIRECT * t * slope + f_slack:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            raise SolveError(
-                "direct line search stalled",
-                best_point=best[0],
-                best_value=best[1],
-                grad_norm=best[2],
-            )
-        p, fval = trial, f_trial
-    raise SolveError(
-        f"direct solve did not converge within {max_iter} iterations "
-        f"(best gradient norm {best[2]:.3e})",
-        best_point=best[0],
-        best_value=best[1],
-        grad_norm=best[2],
+        return -g if g @ step >= 0.0 else step
+
+    (p, fval, grad_norm), _, iteration, stop = _damped_newton(
+        feval, p, fval, box, outer_tol, max_iter, direction
+    )
+    if stop != "converged":
+        raise SolveError(
+            "direct line search stalled"
+            if stop == "stalled"
+            else f"direct solve did not converge within {max_iter} iterations "
+            f"(best gradient norm {grad_norm:.3e})",
+            best_point=p,
+            best_value=fval,
+            grad_norm=grad_norm,
+        )
+    return SolveReport(
+        minimizer=p,
+        value=fval,
+        method="direct",
+        inner_solves=0,
+        outer_evaluations=evals["count"],
+        certificates=SolveCertificates(convexity=None, brackets=(), gradient_norm=grad_norm),
+        iterations=iteration,
+        outer_tol=outer_tol,
     )
 
 

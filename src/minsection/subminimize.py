@@ -346,6 +346,44 @@ def subminimize_linear(problem: SliceProblem) -> SubMinimum:
     )
 
 
+def _damped_newton(f, x, fval, box, tol, max_iter, direction):
+    """Damped Newton with Armijo backtracking (Nocedal & Wright, ch. 3) on
+    finite-difference derivatives, trials clipped to ``box``.
+
+    Stops once the gradient norm is at most ``tol``, else steps along
+    ``direction(g, hess, x)``, which may raise to refuse the iterate.
+    Returns ``(best, hess, iteration, stop)``: ``best = (x, fval, gradient
+    norm)`` of the smallest norm seen (the stopping iterate on convergence),
+    the last Hessian, and ``stop`` in ``"converged"``, ``"stalled"`` or
+    ``"max_iter"``.
+    """
+    best = (x.copy(), fval, np.inf)
+    for iteration in range(max_iter + 1):
+        report = fd_hessian(f, x, box=box, f0=fval)
+        g, hess = report.gradient, report.hessian
+        gn = float(np.linalg.norm(g))
+        if gn < best[2]:
+            best = (x.copy(), fval, gn)
+        if gn <= tol:
+            return best, hess, iteration, "converged"
+        step = direction(g, hess, x)
+        slope = float(g @ step)
+        # Allow one-ulp increases: near the minimum the Armijo decrease is
+        # far below float resolution of the objective.
+        f_slack = 4.0 * EPS * max(1.0, abs(fval))
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            x_new = np.clip(x + t * step, box[:, 0], box[:, 1])
+            f_new = f(x_new)
+            if f_new <= fval + ARMIJO_C1 * t * slope + f_slack:
+                break
+            t *= 0.5
+        else:
+            return best, hess, iteration, "stalled"
+        x, fval = x_new, f_new
+    return best, hess, max_iter, "max_iter"
+
+
 def subminimize_newton(
     problem: SliceProblem,
     y0=None,
@@ -354,9 +392,11 @@ def subminimize_newton(
 ) -> SubMinimum:
     """Damped Newton on the slice with Armijo backtracking.
 
-    Requires the slice to be convex along the iterates: a non-positive-
-    definite block Hessian raises :class:`ConvexityError`. Iterates are kept
-    inside the eliminated-coordinate box. Exceeding ``max_iter`` raises
+    The loop is the one :func:`~minsection.solver.solve_direct` runs, here
+    on the eliminated block. Requires the slice to be convex along the
+    iterates: a non-positive-definite block Hessian raises
+    :class:`ConvexityError`. Iterates are kept inside the eliminated-
+    coordinate box. A stalled line search, or exceeding ``max_iter``, raises
     :class:`SubMinimizeError` carrying the best iterate and gradient norm.
     """
     ybox = problem.y_box()
@@ -367,68 +407,45 @@ def subminimize_newton(
     fval = problem.value(y)
     tol = default_inner_tol(fval) if inner_tol is None else float(inner_tol)
 
-    best_y, best_gn = y.copy(), np.inf
-    for iteration in range(max_iter + 1):
-        report = fd_hessian(problem.value, y, box=ybox, f0=fval)
-        g, hess = report.gradient, report.hessian
-        gn = float(np.linalg.norm(g))
-        if gn < best_gn:
-            best_y, best_gn = y.copy(), gn
+    def convex(hess, y, where, note=""):
         w = np.linalg.eigvalsh(hess)
-        min_eig = float(w[0])
-        if gn <= tol:
-            if min_eig <= PD_TOL * max(1.0, float(np.max(np.abs(w)))):
-                raise ConvexityError(
-                    "eliminated-block Hessian is not positive definite at the "
-                    f"sub-minimum (min eigenvalue {min_eig:.3e})",
-                    point=problem.point(y),
-                    min_eig=min_eig,
-                )
-            return SubMinimum(
-                y_star=y,
-                value=fval,
-                grad_y_norm=gn,
-                y_hessian_min_eig=min_eig,
-                method="newton",
-                iterations=iteration,
-                inner_tol=tol,
-                y_index=int(np.count_nonzero(w < -PD_TOL * max(1.0, abs(w[-1])))),
-            )
-        if min_eig <= PD_TOL * max(1.0, float(np.max(np.abs(w)))):
+        if w[0] <= PD_TOL * max(1.0, float(np.max(np.abs(w)))):
             raise ConvexityError(
-                "eliminated-block Hessian is not positive definite at an "
-                f"iterate (min eigenvalue {min_eig:.3e}); the convexity "
-                "assumption is violated for this split",
+                f"eliminated-block Hessian is not positive definite at {where} "
+                f"(min eigenvalue {float(w[0]):.3e}){note}",
                 point=problem.point(y),
-                min_eig=min_eig,
+                min_eig=float(w[0]),
             )
-        step = np.linalg.solve(hess, -g)
-        slope = float(g @ step)
-        # Allow one-ulp increases: near the minimum the Armijo decrease is
-        # far below float resolution of the objective.
-        f_slack = 4.0 * EPS * max(1.0, abs(fval))
-        t = 1.0
-        for _ in range(MAX_HALVINGS):
-            y_new = np.clip(y + t * step, ybox[:, 0], ybox[:, 1])
-            f_new = problem.value(y_new)
-            if f_new <= fval + ARMIJO_C1 * t * slope + f_slack:
-                break
-            t *= 0.5
-        else:
-            raise SubMinimizeError(
-                "backtracking line search failed on the slice; the objective "
-                "may not be convex in the eliminated block here",
-                best_y=best_y,
-                grad_norm=best_gn,
-                iterations=iteration,
-            )
-        y, fval = y_new, f_new
-    raise SubMinimizeError(
-        f"no convergence within {max_iter} Newton iterations "
-        f"(best gradient norm {best_gn:.3e}, tolerance {tol:.3e})",
-        best_y=best_y,
-        grad_norm=best_gn,
-        iterations=max_iter,
+        return w
+
+    def newton_step(g, hess, y):
+        convex(hess, y, "an iterate", "; the convexity assumption is violated for this split")
+        return np.linalg.solve(hess, -g)
+
+    (y, fval, gn), hess, iteration, stop = _damped_newton(
+        problem.value, y, fval, ybox, tol, max_iter, newton_step
+    )
+    if stop != "converged":
+        raise SubMinimizeError(
+            "backtracking line search failed on the slice; the objective may not be "
+            "convex in the eliminated block here"
+            if stop == "stalled"
+            else f"no convergence within {max_iter} Newton iterations "
+            f"(best gradient norm {gn:.3e}, tolerance {tol:.3e})",
+            best_y=y,
+            grad_norm=gn,
+            iterations=iteration,
+        )
+    w = convex(hess, y, "the sub-minimum")
+    return SubMinimum(
+        y_star=y,
+        value=fval,
+        grad_y_norm=gn,
+        y_hessian_min_eig=float(w[0]),
+        method="newton",
+        iterations=iteration,
+        inner_tol=tol,
+        y_index=int(np.count_nonzero(w < -PD_TOL * max(1.0, abs(w[-1])))),
     )
 
 
