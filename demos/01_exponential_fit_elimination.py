@@ -3,7 +3,7 @@
 The model y * exp(rate * t) is linear in the amplitude y, so at any fixed
 rate the best amplitude comes from one least-squares solve. That collapses
 the two-parameter fit into a one-dimensional search over the rate, which a
-coordinate-grid bracket plus golden-section refinement settles.
+grid bracket plus quasi-Newton steps on the section settle.
 """
 
 import numpy as np

@@ -96,6 +96,10 @@ class ParameterSplit:
             raise ValueError("index sets must jointly cover {0..M-1}")
         if len(x) != len(set(x)) or len(y) != len(set(y)):
             raise ValueError("index sets must not contain duplicates")
+        # Index arrays for embed and the part/box helpers; not fields, so
+        # equality, hashing and repr see only the index tuples.
+        object.__setattr__(self, "_x", np.array(x, dtype=np.intp))
+        object.__setattr__(self, "_y", np.array(y, dtype=np.intp))
 
     @property
     def n(self) -> int:
@@ -118,21 +122,21 @@ class ParameterSplit:
     def embed(self, x, y) -> np.ndarray:
         """Assemble a full parameter vector from its (x, y) parts."""
         p = np.empty(self.dimension)
-        p[list(self.x_indices)] = np.asarray(x, dtype=float)
-        p[list(self.y_indices)] = np.asarray(y, dtype=float)
+        p[self._x] = np.asarray(x, dtype=float)
+        p[self._y] = np.asarray(y, dtype=float)
         return p
 
     def x_part(self, p) -> np.ndarray:
-        return np.asarray(p, dtype=float)[list(self.x_indices)]
+        return np.asarray(p, dtype=float)[self._x]
 
     def y_part(self, p) -> np.ndarray:
-        return np.asarray(p, dtype=float)[list(self.y_indices)]
+        return np.asarray(p, dtype=float)[self._y]
 
     def x_box(self, box) -> np.ndarray:
-        return np.asarray(box, dtype=float)[list(self.x_indices)]
+        return np.asarray(box, dtype=float)[self._x]
 
     def y_box(self, box) -> np.ndarray:
-        return np.asarray(box, dtype=float)[list(self.y_indices)]
+        return np.asarray(box, dtype=float)[self._y]
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,8 @@ class MinimalSection1D:
     ``companions[j]`` holds the eliminated coordinates (ascending index
     order) at ``grid[j]``; ``values[j]`` is the objective evaluated exactly
     at that assembled point. ``local_minima`` are interior grid indices with
-    ``values[j] <= values[j +- 1]``; strict ones are golden-polished into
+    ``values[j] <= values[j +- 1]``; strict ones are polished by
+    :func:`~minsection.solver.golden_refine` (Brent's method) into
     ``minima_x``/``minima_values``/``minima_companions``, non-strict ones
     are flagged as plateau points. ``section_fn`` evaluates the continuous
     section anywhere via an on-demand slice solve.
@@ -181,8 +182,9 @@ def trace_implicit(
     """Trace the conditional-minimum graph over a grid of retained values.
 
     The trace is one left-to-right sweep: each grid point is solved by
-    linear elimination when available, otherwise by Newton warm-started
-    from the previous grid point's solution. Every sample certifies its
+    linear elimination when available, otherwise by Newton started from the
+    secant prediction of :class:`~minsection.subminimize.SliceSolver`
+    (the previous solution at the second point). Every sample certifies its
     derivative residual against its inner tolerance. Requires a positive
     convexity certificate for the split (caller responsibility): a slice
     failure raises :class:`TraceError` naming the failing x.
@@ -256,8 +258,9 @@ def minimal_section_1d(
     reachable. Several eliminated coordinates without a certificate are
     refused.
 
-    Grid-local minima are polished by golden section on the continuous
-    section (on-demand slice solves), tolerance 1e-10 in the abscissa.
+    Grid-local minima are polished by Brent's method
+    (:func:`~minsection.solver.golden_refine`) on the continuous section
+    (on-demand slice solves), tolerance 1e-10 in the abscissa.
     """
     if not 0 <= parameter_index < merit.dimension:
         raise ValueError(f"parameter index {parameter_index} out of range")

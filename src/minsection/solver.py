@@ -1,7 +1,8 @@
-"""Outer minimization: coordinate-grid triplet bracketing, golden-section
-refinement, the envelope-gradient BFGS outer stage, the two-level
-hierarchical solve, a direct damped-Newton baseline, hierarchical-vs-direct
-comparison, and anchor-based recovery of quasi-degenerate minima.
+"""Outer minimization: coordinate-grid triplet bracketing, the
+envelope-gradient BFGS outer stage, the two-level hierarchical solve, a
+direct damped-Newton baseline, hierarchical-vs-direct comparison, and
+anchor-based recovery of quasi-degenerate minima; plus Brent refinement of
+a bracketed 1-D minimum for the section tools.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ __all__ = [
     "solve_report_dict",
 ]
 
-#: Golden ratio contraction constant, (sqrt(5) - 1) / 2.
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: Golden-section step fraction, (3 - sqrt(5)) / 2.
+GOLDEN_SECTION = (3.0 - math.sqrt(5.0)) / 2.0
 
 FLAT_TOL = 1e-12
 
@@ -225,36 +226,65 @@ def bracket_on_grid(section_eval, grid) -> BracketTriplet:
 
 
 def golden_refine(section_eval, triplet: BracketTriplet, x_tol: float):
-    """Golden-section contraction of a bracketed minimum to width ``x_tol``.
+    """Brent's minimization of a bracketed minimum to a bracket of width
+    ``x_tol`` (Brent, *Algorithms for Minimization without Derivatives*,
+    1973, ch. 5).
 
-    Returns ``(u, value)`` for the best interior point found.
+    Each step fits a parabola through the three best points and takes its
+    vertex when that lies inside the bracket and the step is less than half
+    the one before last; otherwise it takes a golden-section step into the
+    larger side of the bracket. No trial lies closer than ``x_tol / 4`` to
+    the best point so far (or two ulps of it, where ``x_tol`` is below the
+    float resolution of the abscissa). Returns ``(u, value)`` for the best
+    point found.
     """
-    x0, x3 = triplet.a, triplet.c
-    b = triplet.b
-    if abs(x3 - b) > abs(b - x0):
-        x1, x2 = b, b + (1.0 - GOLDEN) * (x3 - b)
-        f1, f2 = triplet.fb, float(section_eval(x2))
-        if not math.isfinite(f2):
-            raise SolveError(f"non-finite section value at u = {float(x2)!r}")
-    else:
-        x1, x2 = b - (1.0 - GOLDEN) * (b - x0), b
-        f1, f2 = float(section_eval(x1)), triplet.fb
-        if not math.isfinite(f1):
-            raise SolveError(f"non-finite section value at u = {float(x1)!r}")
-    while abs(x3 - x0) > x_tol:
-        if f2 < f1:
-            x0, x1, f1 = x1, x2, f2
-            x2 = GOLDEN * x1 + (1.0 - GOLDEN) * x3
-            f2 = float(section_eval(x2))
-            if not math.isfinite(f2):
-                raise SolveError(f"non-finite section value at u = {float(x2)!r}")
+    # x: best point so far; w: second best; v: the previous w.
+    lo, hi = triplet.a, triplet.c
+    x = w = v = triplet.b
+    fx = fw = fv = triplet.fb
+    step = prev_step = 0.0
+    while True:
+        tol1 = max(0.25 * x_tol, 2.0 * EPS * abs(x))
+        mid = 0.5 * (lo + hi)
+        if abs(x - mid) <= 2.0 * tol1 - 0.5 * (hi - lo):
+            return x, fx
+        golden = True
+        if abs(prev_step) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            older, prev_step = prev_step, step
+            if abs(p) < abs(0.5 * q * older) and q * (lo - x) < p < q * (hi - x):
+                step = p / q
+                if x + step - lo < 2.0 * tol1 or hi - (x + step) < 2.0 * tol1:
+                    step = math.copysign(tol1, mid - x)
+                golden = False
+        if golden:
+            prev_step = lo - x if x >= mid else hi - x
+            step = GOLDEN_SECTION * prev_step
+        u = x + step if abs(step) >= tol1 else x + math.copysign(tol1, step)
+        fu = float(section_eval(u))
+        if not math.isfinite(fu):
+            raise SolveError(f"non-finite section value at u = {float(u)!r}")
+        if fu <= fx:
+            if u >= x:
+                lo = x
+            else:
+                hi = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            x3, x2, f2 = x2, x1, f1
-            x1 = GOLDEN * x2 + (1.0 - GOLDEN) * x0
-            f1 = float(section_eval(x1))
-            if not math.isfinite(f1):
-                raise SolveError(f"non-finite section value at u = {float(x1)!r}")
-    return (x1, f1) if f1 < f2 else (x2, f2)
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _plateau_midpoint_bracket(section_eval, grid, values) -> BracketTriplet:
@@ -297,7 +327,7 @@ def _bracket(section_eval, grid) -> BracketTriplet:
 
 
 def line_minimize(section_eval, grid, x_tol: float):
-    """Bracket on the grid, then golden-refine: ``(u, value, triplet)``.
+    """Bracket on the grid, then :func:`golden_refine`: ``(u, value, triplet)``.
 
     Exact ties between the two smallest neighboring grid values (a convex
     minimum exactly midway between nodes) are recovered via a midpoint
@@ -309,7 +339,8 @@ def line_minimize(section_eval, grid, x_tol: float):
 
 
 def enumerate_section_minima(section_eval, grid, x_tol: float):
-    """Golden-polish every strict interior grid minimum of a 1-D section.
+    """Polish every strict interior grid minimum of a 1-D section with
+    :func:`golden_refine`.
 
     Returns a list of ``(u, value)`` sorted by abscissa; used when a section
     may carry several local minima.
@@ -510,9 +541,10 @@ def solve_direct(
     damped-Newton loop as :func:`~minsection.subminimize.subminimize_newton`,
     over every coordinate. A singular Hessian takes its least-squares step,
     and a step that is not a descent direction is replaced by steepest
-    descent; iterates are kept inside the domain box. A line search that no
-    halving satisfies, or exceeding ``max_iter``, raises :class:`SolveError`
-    carrying the point of smallest gradient norm.
+    descent; iterates are kept inside the domain box. A step that leaves the
+    box at the iterate, a line search that no halving satisfies, or
+    exceeding ``max_iter`` raises :class:`SolveError` carrying the point of
+    smallest gradient norm.
     """
     tol = tolerances or Tolerances()
     box = merit.domain_box
@@ -544,10 +576,13 @@ def solve_direct(
     )
     if stop != "converged":
         raise SolveError(
-            "direct line search stalled"
-            if stop == "stalled"
-            else f"direct solve did not converge within {max_iter} iterations "
-            f"(best gradient norm {grad_norm:.3e})",
+            {
+                "boundary": "direct Newton step leaves the domain box at the iterate; "
+                "the minimum may lie outside the box",
+                "stalled": "direct line search stalled",
+                "max_iter": f"direct solve did not converge within {max_iter} "
+                f"iterations (best gradient norm {grad_norm:.3e})",
+            }[stop],
             best_point=p,
             best_value=fval,
             grad_norm=grad_norm,

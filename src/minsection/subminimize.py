@@ -354,8 +354,9 @@ def _damped_newton(f, x, fval, box, tol, max_iter, direction):
     ``direction(g, hess, x)``, which may raise to refuse the iterate.
     Returns ``(best, hess, iteration, stop)``: ``best = (x, fval, gradient
     norm)`` of the smallest norm seen (the stopping iterate on convergence),
-    the last Hessian, and ``stop`` in ``"converged"``, ``"stalled"`` or
-    ``"max_iter"``.
+    the last Hessian, and ``stop`` in ``"converged"``, ``"boundary"`` (the
+    clipped full step does not move the iterate, so no step length can),
+    ``"stalled"`` or ``"max_iter"``.
     """
     best = (x.copy(), fval, np.inf)
     for iteration in range(max_iter + 1):
@@ -368,6 +369,8 @@ def _damped_newton(f, x, fval, box, tol, max_iter, direction):
             return best, hess, iteration, "converged"
         step = direction(g, hess, x)
         slope = float(g @ step)
+        if np.array_equal(np.clip(x + step, box[:, 0], box[:, 1]), x):
+            return best, hess, iteration, "boundary"
         # Allow one-ulp increases: near the minimum the Armijo decrease is
         # far below float resolution of the objective.
         f_slack = 4.0 * EPS * max(1.0, abs(fval))
@@ -396,7 +399,8 @@ def subminimize_newton(
     on the eliminated block. Requires the slice to be convex along the
     iterates: a non-positive-definite block Hessian raises
     :class:`ConvexityError`. Iterates are kept inside the eliminated-
-    coordinate box. A stalled line search, or exceeding ``max_iter``, raises
+    coordinate box. A Newton step that leaves the box at the iterate, a
+    stalled line search, or exceeding ``max_iter`` raises
     :class:`SubMinimizeError` carrying the best iterate and gradient norm.
     """
     ybox = problem.y_box()
@@ -427,11 +431,14 @@ def subminimize_newton(
     )
     if stop != "converged":
         raise SubMinimizeError(
-            "backtracking line search failed on the slice; the objective may not be "
-            "convex in the eliminated block here"
-            if stop == "stalled"
-            else f"no convergence within {max_iter} Newton iterations "
-            f"(best gradient norm {gn:.3e}, tolerance {tol:.3e})",
+            {
+                "boundary": "the Newton step leaves the eliminated-coordinate box at "
+                "the iterate; the slice minimum may lie outside the box",
+                "stalled": "backtracking line search failed on the slice; the objective "
+                "may not be convex in the eliminated block here",
+                "max_iter": f"no convergence within {max_iter} Newton iterations "
+                f"(best gradient norm {gn:.3e}, tolerance {tol:.3e})",
+            }[stop],
             best_y=y,
             grad_norm=gn,
             iterations=iteration,
@@ -453,12 +460,16 @@ class SliceSolver:
     """Solves the slices of one merit under one split.
 
     Linear elimination is used when the split matches a partially linear
-    model, Newton otherwise. Newton starts from the last result this
-    solver returned (the box center on the first solve) unless ``y0`` is
-    given. Each result of a call without ``y0`` is kept: a later such call
-    at the same x returns it unsolved, and it becomes the warm start. A
-    call with ``y0`` always solves. ``solves`` counts the slice solves made
-    so far.
+    model, Newton otherwise. Unless ``y0`` is given, Newton starts from a
+    secant prediction along the implicit graph y*(x) (Allgower & Georg,
+    *Introduction to Numerical Continuation Methods*, 2003, ch. 2): when x
+    lies on the line through the x of the last two results returned,
+    ``x = x1 + t (x1 - x0)`` with ``|t| <= 2``, the start is
+    ``y1 + t (y1 - y0)``. Any other call starts from the last result
+    returned (the box center on the first solve). Each result of a call
+    without ``y0`` is kept: a later such call at the same x returns it
+    unsolved. A call with ``y0`` always solves. ``solves`` counts the slice
+    solves made so far.
     """
 
     def __init__(self, merit: MeritFunction, split: ParameterSplit, inner_tol: float | None = None):
@@ -467,24 +478,45 @@ class SliceSolver:
         self.inner_tol = inner_tol
         self.linear = linear_elimination_applies(merit, split)
         self.solved: dict[tuple[float, ...], SubMinimum] = {}
-        self.last = None
+        self.recent: list[tuple[np.ndarray, SubMinimum]] = []
         self.solves = 0
+
+    def _predict(self, x) -> np.ndarray | None:
+        """Newton start at ``x``: the secant prediction, else the last result.
+
+        x counts as on the line when its distance from it is at most
+        sqrt(eps) times its distance from x1, which rounding cannot exceed.
+        """
+        if not self.recent:
+            return None
+        x1, sub1 = self.recent[-1]
+        if len(self.recent) == 2:
+            x0, sub0 = self.recent[0]
+            dx = x1 - x0
+            span = float(dx @ dx)
+            if span > 0.0:
+                t = float((x - x1) @ dx) / span
+                off_line = np.abs(x - x1 - t * dx).max()
+                if abs(t) <= 2.0 and off_line <= np.sqrt(EPS) * np.abs(x - x1).max():
+                    return sub1.y_star + t * (sub1.y_star - sub0.y_star)
+        return sub1.y_star
 
     def solve(self, x_fixed, y0=None) -> SubMinimum:
         problem = SliceProblem(self.merit, self.split, x_fixed)
-        x_key = tuple(problem.x_fixed.tolist())
+        x = problem.x_fixed
+        x_key = tuple(x.tolist())
         if y0 is None and x_key in self.solved:
-            self.last = self.solved[x_key]
-            return self.last
-        self.solves += 1
-        if self.linear:
-            sub = subminimize_linear(problem)
+            sub = self.solved[x_key]
         else:
-            start = self.last.y_star if y0 is None and self.last is not None else y0
-            sub = subminimize_newton(problem, y0=start, inner_tol=self.inner_tol)
-        if y0 is None:
-            self.solved[x_key] = sub
-        self.last = sub
+            self.solves += 1
+            if self.linear:
+                sub = subminimize_linear(problem)
+            else:
+                start = self._predict(x) if y0 is None else y0
+                sub = subminimize_newton(problem, y0=start, inner_tol=self.inner_tol)
+            if y0 is None:
+                self.solved[x_key] = sub
+        self.recent = [*self.recent[-1:], (x, sub)]
         return sub
 
     def value(self, x_fixed) -> float:

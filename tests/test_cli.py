@@ -208,6 +208,25 @@ def test_equivalence_deterministic_outputs(tmp_path):
     assert payload["max_distance"] <= 1e-6
 
 
+@pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
+@pytest.mark.parametrize("problem", ["SINE_VALLEY", "TWO_WELLS"])
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_command_is_byte_deterministic(tmp_path, capsys, problem, command):
+    # Two runs in one process: no solver state may leak into the outputs.
+    extra = {
+        "recover": ["--anchor-index", "0", "--anchor-value", "0.3"],
+        "equivalence": ["--starts", "3", "--seed", "4"],
+    }.get(command, [])
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        status = run_cli(["--problem", problem, "--command", command, "--out", str(out)] + extra)
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        runs.append((status, capsys.readouterr().out, files))
+    assert runs[0][0] == 0 and runs[0][2]
+    assert runs[0] == runs[1]
+
+
 def test_file_problem_through_cli(tmp_path):
     t = np.arange(10.0)
     d = 2.0 * np.exp(-0.5 * t)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import minsection as ms
+from minsection import cli
 from minsection.problems import MeritFunction
 
 
@@ -39,7 +40,7 @@ def first_axis_grid(merit, points=41):
     [
         pytest.param(name, evaluations, id=name)
         for name, evaluations in (
-            ("QUAD", 1434), ("SINE_VALLEY", 1589), ("TWO_WELLS", 1555), ("EXP_FIT", 27)
+            ("QUAD", 1434), ("SINE_VALLEY", 1594), ("TWO_WELLS", 1460), ("EXP_FIT", 27)
         )
     ],
 )
@@ -53,13 +54,21 @@ def test_solve_hierarchical_counts(entries, merit_calls, name, evaluations):
 def test_trace_implicit_count(entries, split01, merit_calls):
     merit = entries["SINE_VALLEY"].merit
     ms.trace_implicit(merit, split01, first_axis_grid(merit))
-    assert merit_calls["n"] == 490
+    assert merit_calls["n"] == 460
 
 
 def test_minimal_section_count(entries, merit_calls):
     merit = entries["TWO_WELLS"].merit
     ms.minimal_section_1d(merit, 0, first_axis_grid(merit))
-    assert merit_calls["n"] == 2709
+    assert merit_calls["n"] == 1659
+
+
+def test_equivalence_report_count(entries, split01, merit_calls):
+    # The three starts the CLI draws for --starts 3 --seed 4.
+    rng = np.random.default_rng(4)
+    starts = [rng.uniform(-0.5, 0.5, size=2) * 10.0 for _ in range(3)]
+    ms.equivalence_report(entries["SINE_VALLEY"].merit, split01, starts)
+    assert merit_calls["n"] == 2138
 
 
 def test_recover_from_anchor_count(entries, merit_calls):
@@ -81,7 +90,7 @@ def test_m3_general_solve_count(merit_calls):
     # (84,980 over the 21^3 grid).
     merit = chain3_merit()
     report = ms.solve_hierarchical(merit, ms.ParameterSplit((0,), (1, 2)))
-    assert merit_calls["n"] == 4655
+    assert merit_calls["n"] == 4590
     assert report.certificates.convexity.plan == "halton"
 
 
@@ -99,7 +108,7 @@ def test_nesting_check_count(merit_calls):
     merit = ms.random_quadratic_problem(4, 2, np.random.default_rng(1)).merit
     grid = np.linspace(-1.0, 1.0, 5)
     report = ms.nesting_check(merit, ms.model_split(merit), (0,), grid, probe_density=3)
-    assert merit_calls["n"] == 3043
+    assert merit_calls["n"] == 2968
     assert report.passed
 
 
@@ -144,6 +153,54 @@ def test_slice_newton_stall_count(merit_calls):
     assert merit_calls["n"] == 92
     assert info.value.iterations == 3
     assert info.value.best_y is not None
+
+
+BOUNDARY_STOP = (
+    "the Newton step leaves the eliminated-coordinate box at the iterate; "
+    "the slice minimum may lie outside the box"
+)
+
+
+@pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
+@pytest.mark.parametrize(
+    "command, evaluations",
+    [("solve", 1335), ("sections", 1335), ("equivalence", 1335), ("trace", 12)],
+)
+def test_newton_step_out_of_box_stops_at_once(tmp_path, capsys, merit_calls, command, evaluations):
+    # The DEGEN_LINE slice at x = -10 has its minimum y = 12 beyond the box
+    # face y = 10: the first Newton step reaches the face and the next one
+    # points out of the box, which no step length can enter (3,579, 3,579,
+    # 3,579 and 2,256 evaluations when such a slice ran out its 50 Newton
+    # iterations).
+    argv = ["--problem", "DEGEN_LINE", "--command", command, "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert merit_calls["n"] == evaluations
+    assert capsys.readouterr().err.endswith(BOUNDARY_STOP + "\n")
+
+
+@pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
+def test_newton_boundary_stop_carries_best_iterate(merit_calls):
+    merit = ms.get_problem("DEGEN_LINE").merit
+    problem = ms.SliceProblem(merit, ms.ParameterSplit((0,), (1,)), [-10.0])
+    with pytest.raises(ms.SubMinimizeError) as info:
+        ms.subminimize_newton(problem)
+    assert str(info.value) == BOUNDARY_STOP
+    assert merit_calls["n"] == 12
+    assert info.value.iterations == 1
+    assert info.value.best_y is not None and info.value.best_y[0] == 10.0
+
+
+@pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
+def test_direct_boundary_stop_carries_best_point(merit_calls):
+    # The minimum (0, 2) lies beyond the face p1 = 1. From p0 = 0 the
+    # first step lands on the face, and the next points straight out of it.
+    merit = ms.MeritFunction(
+        2, lambda p: p[0] ** 2 + (p[1] - 2.0) ** 2, domain_box=[[-1.0, 1.0], [-1.0, 1.0]]
+    )
+    with pytest.raises(ms.SolveError, match="^direct Newton step leaves the domain box at the iterate; ") as info:
+        ms.solve_direct(merit, (0.0, 0.0))
+    assert merit_calls["n"] == 28
+    assert info.value.best_point is not None and merit.contains(info.value.best_point)
 
 
 def test_boxed_catalog_file_counts_once(tmp_path, entries, merit_calls):

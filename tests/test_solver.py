@@ -1,7 +1,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import minsection as ms
@@ -73,6 +73,71 @@ def test_golden_nonfinite_reported():
     triplet = ms.BracketTriplet(-1.0, 0.0, 1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ms.SolveError, match="non-finite"):
         ms.golden_refine(lambda u: float("nan") if u != 0.0 else 0.0, triplet, 1e-8)
+
+
+@pytest.mark.parametrize(
+    "section, abscissas, evaluations",
+    [
+        pytest.param(lambda u: u * u, (-1.0, 0.0, 1.0), 4, id="parabola"),
+        pytest.param(lambda u: (u - 0.3) ** 2, (-1.0, 0.0, 1.0), 5, id="shifted_parabola"),
+        pytest.param(lambda u: (u * u - 1.0) ** 2, (0.5, 1.1, 1.5), 11, id="double_well"),
+        # a kink defeats the parabolic steps; golden steps still contract it
+        pytest.param(lambda u: abs(u - 0.3), (-1.0, 0.0, 1.0), 34, id="kink"),
+    ],
+)
+def test_golden_refine_counts(section, abscissas, evaluations):
+    # Brent's steps: golden-section contraction took 51, 51, 49 and 51.
+    seen = []
+
+    def counted(u):
+        seen.append(u)
+        return section(u)
+
+    triplet = ms.BracketTriplet(*abscissas, *(section(u) for u in abscissas))
+    ms.golden_refine(counted, triplet, 1e-10)
+    assert len(seen) == evaluations
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    minimizer=st.floats(-0.9, 0.9),
+    quadratic=st.just(0.0) | st.floats(0.1, 10.0),
+    quartic=st.just(0.0) | st.floats(0.1, 10.0),
+    middle=st.floats(0.05, 0.95),
+)
+def test_golden_refine_on_unimodal_polynomials(minimizer, quadratic, quartic, middle):
+    assume(quadratic > 0.0 or quartic > 0.0)
+
+    def section(u):
+        d = u - minimizer
+        return quadratic * d * d + quartic * d**4
+
+    a, c = -1.0, 1.0
+    b = a + middle * (c - a)
+    # move b toward the minimizer until the triplet brackets it strictly
+    while not section(b) < min(section(a), section(c)):
+        b = 0.5 * (b + minimizer)
+    triplet = ms.BracketTriplet(a, b, c, section(a), section(b), section(c))
+    trials = []
+
+    def recorded(u):
+        trials.append(u)
+        return section(u)
+
+    x_tol = 1e-10
+    u, value = ms.golden_refine(recorded, triplet, x_tol)
+    assert all(a < t < c for t in trials)
+    assert abs(u - minimizer) <= x_tol
+    assert value == section(u)
+
+
+def test_golden_refine_terminates_below_float_resolution():
+    # At u = 1e6 the spacing of floats (1.2e-10) exceeds x_tol: the bracket
+    # stops at a few ulps instead of contracting forever.
+    section = lambda v: (v - 1e6 - 0.25) ** 2
+    triplet = ms.bracket_on_grid(section, np.array([1e6 - 1.0, 1e6, 1e6 + 1.0]))
+    u, _ = ms.golden_refine(section, triplet, 1e-12)
+    assert abs(u - (1e6 + 0.25)) <= 1e-9
 
 
 def test_refusal_messages_print_plain_floats():

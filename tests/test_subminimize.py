@@ -226,14 +226,45 @@ def test_revisited_slice_is_not_solved_again(entries, split01, monkeypatch):
     second = solver.solve([0.4])
     assert solver.solve([0.3]) is first
     assert solver.solves == 2
-    # the returned result is the warm start of the next solve
+    # the last two results returned, the revisited one included, predict the
+    # next start on their secant: x = 0.5 lies two spacings from x1 = 0.3
     solver.solve([0.5])
-    assert starts == [None, float(first.y_star[0]), float(first.y_star[0])]
+    y3, y4 = float(first.y_star[0]), float(second.y_star[0])
+    assert starts[:2] == [None, y3]
+    assert starts[2] == pytest.approx(y3 + 2.0 * (y4 - y3), rel=1e-12)
     assert second.y_star[0] != first.y_star[0]
     # an explicit start always solves, and its result is not kept
     assert solver.solve([0.4], y0=[1.0]) is not second
+    assert starts[3] == 1.0
     assert solver.solve([0.4]) is second
     assert solver.solves == 4
+    # two results at one x span no line: the next start is the last result
+    third = solver.solve([1.0])
+    assert starts[4] == y4
+    # more than two spacings from the last x: the last result again
+    solver.solve([2.3])
+    assert starts[5] == float(third.y_star[0])
+
+
+def test_secant_start_on_a_linear_implicit_graph(aniso3, monkeypatch):
+    # For a quadratic merit y*(x) is linear, so a secant start on the line
+    # of the last two x is the slice minimum itself; off that line the
+    # start is the last result.
+    iterations = []
+    newton = ms.subminimize.subminimize_newton
+
+    def recording_newton(problem, y0=None, inner_tol=None):
+        sub = newton(problem, y0=y0, inner_tol=inner_tol)
+        iterations.append(sub.iterations)
+        return sub
+
+    monkeypatch.setattr(ms.subminimize, "subminimize_newton", recording_newton)
+    merit, _ = aniso3
+    solver = SliceSolver(merit, ms.ParameterSplit((0, 1), (2,)))
+    for x in ([1.0, 1.0], [2.0, 0.0], [3.0, -1.0], [4.0, 2.0], [5.0, 5.0]):
+        solver.solve(x)
+    # [3, -1] and [5, 5] lie on the line of the two x before them, [4, 2] does not
+    assert [it == 0 for it in iterations] == [False, False, True, False, True]
 
 
 # -- sample budget of the convexity probe ----------------------------------
