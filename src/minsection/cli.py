@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,43 +38,20 @@ REFUSALS = (
 )
 
 
-@dataclass
-class RunConfig:
-    problem: str
-    command: str
-    x_indices: tuple[int, ...] | None = None
-    y_indices: tuple[int, ...] | None = None
-    grid_density: int | None = None
-    inner_tol: float | None = None
-    outer_tol: float | None = None
-    anchor_index: int | None = None
-    anchor_value: float | None = None
-    starts: int = 5
-    seed: int = 0
-    output_dir: str = "."
-
-    def validate(self):
-        if self.command not in COMMANDS:
-            raise ProblemFileError(
-                f"unknown command {self.command!r}; expected one of {', '.join(COMMANDS)}"
-            )
-        if self.command == "recover":
-            if self.anchor_index is None or self.anchor_value is None:
-                raise ProblemFileError(
-                    "command 'recover' requires --anchor-index and --anchor-value"
-                )
-        if self.command == "sections":
-            if self.x_indices is not None and len(self.x_indices) != 1:
-                raise ProblemFileError("command 'sections' takes a single --x-indices entry")
-        if self.grid_density is not None and self.grid_density < 3:
-            raise ProblemFileError(f"--grid-density must be at least 3, got {self.grid_density}")
-        if self.starts < 1:
-            raise ProblemFileError(f"--starts must be at least 1, got {self.starts}")
-        if self.anchor_value is not None and not math.isfinite(self.anchor_value):
-            raise ProblemFileError(f"--anchor-value must be finite, got {self.anchor_value!r}")
-        for flag, tol in (("--inner-tol", self.inner_tol), ("--outer-tol", self.outer_tol)):
-            if tol is not None and not (math.isfinite(tol) and tol > 0.0):
-                raise ProblemFileError(f"{flag} must be positive and finite, got {tol!r}")
+def _validate(args: argparse.Namespace):
+    if args.command == "recover" and (args.anchor_index is None or args.anchor_value is None):
+        raise ProblemFileError("command 'recover' requires --anchor-index and --anchor-value")
+    if args.command == "sections" and args.x_indices is not None and len(args.x_indices) != 1:
+        raise ProblemFileError("command 'sections' takes a single --x-indices entry")
+    if args.grid_density is not None and args.grid_density < 3:
+        raise ProblemFileError(f"--grid-density must be at least 3, got {args.grid_density}")
+    if args.starts < 1:
+        raise ProblemFileError(f"--starts must be at least 1, got {args.starts}")
+    if args.anchor_value is not None and not math.isfinite(args.anchor_value):
+        raise ProblemFileError(f"--anchor-value must be finite, got {args.anchor_value!r}")
+    for flag, tol in (("--inner-tol", args.inner_tol), ("--outer-tol", args.outer_tol)):
+        if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+            raise ProblemFileError(f"{flag} must be positive and finite, got {tol!r}")
 
 
 def _atomic_write(path: Path, text: str):
@@ -95,20 +71,20 @@ def _write_json(path: Path, payload: dict):
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load(config: RunConfig) -> ProblemDefinition:
-    candidate = Path(config.problem)
+def _load(args: argparse.Namespace) -> ProblemDefinition:
+    candidate = Path(args.problem)
     if candidate.suffix or candidate.exists():
         return load_problem_file(candidate)
     try:
-        entry = get_problem(config.problem)
+        entry = get_problem(args.problem)
     except KeyError as err:
         raise ProblemFileError(str(err.args[0])) from err
     split = ParameterSplit((0,), tuple(range(1, entry.merit.dimension)))
     return ProblemDefinition(merit=entry.merit, split=split, name=entry.name, entry=entry)
 
 
-def _resolve_split(config: RunConfig, definition: ProblemDefinition) -> ParameterSplit:
-    x, y = config.x_indices, config.y_indices
+def _resolve_split(args: argparse.Namespace, definition: ProblemDefinition) -> ParameterSplit:
+    x, y = args.x_indices, args.y_indices
     if x is None and y is None:
         return definition.split
     dim = definition.merit.dimension
@@ -131,11 +107,11 @@ def _check_index(flag: str, index: int, dim: int):
         raise ProblemFileError(f"{flag} {index} is out of range for a {dim}-parameter problem")
 
 
-def _tolerances(config: RunConfig) -> solver.Tolerances:
+def _tolerances(args: argparse.Namespace) -> solver.Tolerances:
     return solver.Tolerances(
-        inner_tol=config.inner_tol,
-        outer_tol=config.outer_tol,
-        probe_density=config.grid_density,
+        inner_tol=args.inner_tol,
+        outer_tol=args.outer_tol,
+        probe_density=args.grid_density,
     )
 
 
@@ -143,13 +119,13 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _cmd_solve(config, definition, out):
-    split = _resolve_split(config, definition)
+def _cmd_solve(args, definition, out):
+    split = _resolve_split(args, definition)
     report = solver.solve_hierarchical(
         definition.merit,
         split,
-        grid=config.grid_density,
-        tolerances=_tolerances(config),
+        grid=args.grid_density,
+        tolerances=_tolerances(args),
     )
     _atomic_write(out / "solve.txt", solver.format_solve_report(report))
     _write_json(out / "solve.json", solver.solve_report_dict(report))
@@ -157,15 +133,15 @@ def _cmd_solve(config, definition, out):
     return 0
 
 
-def _cmd_trace(config, definition, out):
-    split = _resolve_split(config, definition)
+def _cmd_trace(args, definition, out):
+    split = _resolve_split(args, definition)
     merit = definition.merit
-    density = 101 if config.grid_density is None else config.grid_density
+    density = 101 if args.grid_density is None else args.grid_density
     xbox = split.x_box(merit.domain_box)
     if split.n != 1:
         raise ProblemFileError("command 'trace' currently requires a 1-D retained block")
     grid = np.linspace(xbox[0, 0], xbox[0, 1], density)
-    trace = sections.trace_implicit(merit, split, grid, inner_tol=config.inner_tol)
+    trace = sections.trace_implicit(merit, split, grid, inner_tol=args.inner_tol)
     header = (
         ",".join(f"x_{i}" for i in range(split.n))
         + ","
@@ -184,15 +160,15 @@ def _cmd_trace(config, definition, out):
     return 0
 
 
-def _cmd_sections(config, definition, out):
+def _cmd_sections(args, definition, out):
     merit = definition.merit
-    index = config.x_indices[0] if config.x_indices else definition.split.x_indices[0]
+    index = args.x_indices[0] if args.x_indices else definition.split.x_indices[0]
     _check_index("--x-indices", index, merit.dimension)
-    density = 101 if config.grid_density is None else config.grid_density
+    density = 101 if args.grid_density is None else args.grid_density
     lo, hi = merit.domain_box[index]
     grid = np.linspace(lo, hi, density)
     section = sections.minimal_section_1d(
-        merit, index, grid, inner_tol=config.inner_tol
+        merit, index, grid, inner_tol=args.inner_tol
     )
     path = out / f"section_{index}.csv"
     _atomic_write(path, sections.section_csv_text(section))
@@ -203,9 +179,9 @@ def _cmd_sections(config, definition, out):
     return 0
 
 
-def _cmd_audit(config, definition, out):
+def _cmd_audit(args, definition, out):
     merit = definition.merit
-    density = 9 if config.grid_density is None else config.grid_density
+    density = 9 if args.grid_density is None else args.grid_density
     points = morse.find_critical_points(merit, seed_density=density)
     outward = morse.check_outward_gradient(merit, boundary_density=density)
     census = morse.morse_equality_audit(points, outward)
@@ -235,20 +211,20 @@ def _cmd_audit(config, definition, out):
     return 0
 
 
-def _cmd_recover(config, definition, out):
-    _check_index("--anchor-index", config.anchor_index, definition.merit.dimension)
-    lo, hi = (float(v) for v in definition.merit.domain_box[config.anchor_index])
-    if not lo <= config.anchor_value <= hi:
+def _cmd_recover(args, definition, out):
+    _check_index("--anchor-index", args.anchor_index, definition.merit.dimension)
+    lo, hi = (float(v) for v in definition.merit.domain_box[args.anchor_index])
+    if not lo <= args.anchor_value <= hi:
         raise ProblemFileError(
-            f"--anchor-value {config.anchor_value!r} lies outside [{lo!r}, {hi!r}], "
-            f"the box of parameter {config.anchor_index}"
+            f"--anchor-value {args.anchor_value!r} lies outside [{lo!r}, {hi!r}], "
+            f"the box of parameter {args.anchor_index}"
         )
     recovery = solver.recover_from_anchor(
         definition.merit,
-        config.anchor_index,
-        config.anchor_value,
-        inner_tol=config.inner_tol,
-        probe_density=config.grid_density,
+        args.anchor_index,
+        args.anchor_value,
+        inner_tol=args.inner_tol,
+        probe_density=args.grid_density,
     )
     text = (
         f"anchor: index {recovery.anchor_index} value {_fmt(recovery.anchor_value)}\n"
@@ -271,19 +247,19 @@ def _cmd_recover(config, definition, out):
     return 0
 
 
-def _cmd_equivalence(config, definition, out):
+def _cmd_equivalence(args, definition, out):
     merit = definition.merit
-    split = _resolve_split(config, definition)
-    rng = np.random.default_rng(config.seed)
+    split = _resolve_split(args, definition)
+    rng = np.random.default_rng(args.seed)
     box = merit.domain_box
     center = box.mean(axis=1)
     half = 0.5 * (box[:, 1] - box[:, 0])
     starts = [
         center + rng.uniform(-0.5, 0.5, size=merit.dimension) * half
-        for _ in range(config.starts)
+        for _ in range(args.starts)
     ]
     report = solver.equivalence_report(
-        merit, split, starts, grid=config.grid_density, tolerances=_tolerances(config)
+        merit, split, starts, grid=args.grid_density, tolerances=_tolerances(args)
     )
     payload = {
         "candidates": [
@@ -296,8 +272,8 @@ def _cmd_equivalence(config, definition, out):
         ],
         "max_distance": report.max_distance,
         "max_value_gap": report.max_value_gap,
-        "seed": config.seed,
-        "starts": config.starts,
+        "seed": args.seed,
+        "starts": args.starts,
     }
     text_lines = [
         f"hierarchical candidates: {len(report.candidates)}",
@@ -306,7 +282,7 @@ def _cmd_equivalence(config, definition, out):
         text_lines.append(
             f"  [{', '.join(_fmt(v) for v in point)}] value {_fmt(value)}"
         )
-    text_lines.append(f"direct starts: {config.starts} (seed {config.seed})")
+    text_lines.append(f"direct starts: {args.starts} (seed {args.seed})")
     text_lines.append(f"max distance: {_fmt(report.max_distance)}")
     text_lines.append(f"max value gap: {_fmt(report.max_value_gap)}")
     _atomic_write(out / "equivalence.txt", "\n".join(text_lines) + "\n")
@@ -328,12 +304,13 @@ _DISPATCH = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch one command; returns the process exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Dispatch one command line parsed by :func:`build_parser`; returns the
+    process exit status."""
     try:
-        config.validate()
-        definition = _load(config)
-        return _DISPATCH[config.command](config, definition, Path(config.output_dir))
+        _validate(args)
+        definition = _load(args)
+        return _DISPATCH[args.command](args, definition, Path(args.out))
     except REFUSALS as err:
         print(f"refused: {err}", file=sys.stderr)
         witness = getattr(err, "point", None)
@@ -378,23 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        problem=args.problem,
-        command=args.command,
-        x_indices=args.x_indices,
-        y_indices=args.y_indices,
-        grid_density=args.grid_density,
-        inner_tol=args.inner_tol,
-        outer_tol=args.outer_tol,
-        anchor_index=args.anchor_index,
-        anchor_value=args.anchor_value,
-        starts=args.starts,
-        seed=args.seed,
-        output_dir=args.out,
-    )
-    return run(config)
-
+    return run(build_parser().parse_args(argv))
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -16,7 +16,15 @@ from typing import Callable
 import numpy as np
 
 from .problems import MeritFunction, ParameterSplit
-from .solver import BracketTriplet, Tolerances, golden_refine, minimize_by_coordinates
+from .solver import (
+    TIE_TOL,
+    Tolerances,
+    _grid_minima,
+    _increasing_grid,
+    _triplet,
+    golden_refine,
+    minimize_by_coordinates,
+)
 from .solver import line_minimize  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .subminimize import subminimize_linear  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .subminimize import (
@@ -51,7 +59,6 @@ __all__ = [
 #: coordinate, no convexity certificate).
 FALLBACK_SCAN_DENSITY = 41
 
-PLATEAU_TOL = 1e-12
 POLISH_X_TOL = 1e-10
 
 
@@ -103,12 +110,14 @@ class MinimalSection1D:
 
     ``companions[j]`` holds the eliminated coordinates (ascending index
     order) at ``grid[j]``; ``values[j]`` is the objective evaluated exactly
-    at that assembled point. ``local_minima`` are interior grid indices with
-    ``values[j] <= values[j +- 1]``; strict ones are polished by
-    :func:`~minsection.solver.golden_refine` (Brent's method) into
-    ``minima_x``/``minima_values``/``minima_companions``, non-strict ones
-    are flagged as plateau points. ``section_fn`` evaluates the continuous
-    section anywhere via an on-demand slice solve.
+    at that assembled point. ``local_minima`` are interior grid indices
+    whose value is at most the tie tolerance ``TIE_TOL * max(1, max
+    |values|)`` above both neighbours; strict ones, more than the tolerance
+    below both, are polished by :func:`~minsection.solver.golden_refine`
+    (Brent's method) into ``minima_x``/``minima_values``/
+    ``minima_companions``, non-strict ones are flagged as plateau points.
+    ``section_fn`` evaluates the continuous section anywhere via an
+    on-demand slice solve.
     """
 
     parameter_index: int
@@ -258,7 +267,12 @@ def minimal_section_1d(
     reachable. Several eliminated coordinates without a certificate are
     refused.
 
-    Grid-local minima are polished by Brent's method
+    The grid must be 1-D and strictly increasing, with at least 3 points;
+    any other grid raises ``ValueError`` before the convexity probe. Grid
+    minima come from the same scan as
+    :func:`~minsection.solver.bracket_on_grid`, with values within
+    ``TIE_TOL * max(1, max |values|)`` counted as tied (see
+    :class:`MinimalSection1D`). Strict ones are polished by Brent's method
     (:func:`~minsection.solver.golden_refine`) on the continuous section
     (on-demand slice solves), tolerance 1e-10 in the abscissa.
     """
@@ -267,6 +281,7 @@ def minimal_section_1d(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("section grid must be 1-D with at least 3 points")
+    _increasing_grid(grid)
     split = ParameterSplit.single(parameter_index, merit.dimension)
     certificate = probe_y_convexity(merit, split, probe_density)
     certified = certificate.positive or linear_elimination_applies(merit, split)
@@ -299,23 +314,13 @@ def minimal_section_1d(
         companions = np.array([s.y_star for s in solutions])
         residuals = np.array([s.grad_y_norm for s in solutions])
 
-    local, plateau_flags = [], []
-    scale = max(1.0, float(np.max(np.abs(values))))
-    tie = PLATEAU_TOL * scale
-    for j in range(1, grid.size - 1):
-        left, mid, right = values[j - 1], values[j], values[j + 1]
-        if mid <= left + tie and mid <= right + tie:
-            strict = mid < left - tie and mid < right - tie
-            local.append(j)
-            plateau_flags.append(not strict)
-
+    tie = TIE_TOL * max(1.0, float(np.max(np.abs(values))))
+    grid_minima = list(_grid_minima(values, tie))
     minima_x, minima_values, minima_companions = [], [], []
-    for j, is_plateau in zip(local, plateau_flags):
-        if is_plateau:
+    for j, strict in grid_minima:
+        if not strict:
             continue
-        triplet = BracketTriplet(
-            grid[j - 1], grid[j], grid[j + 1], values[j - 1], values[j], values[j + 1]
-        )
+        triplet = _triplet(grid, values, j)
         u_star, _ = golden_refine(lambda u: section_fn(u).value, triplet, POLISH_X_TOL)
         sub = section_fn(u_star)
         if any(abs(u_star - prev) <= 1e-8 for prev in minima_x):
@@ -339,8 +344,8 @@ def minimal_section_1d(
         values=values,
         companions=companions,
         residual_norms=residuals,
-        local_minima=tuple(local),
-        plateau=tuple(plateau_flags),
+        local_minima=tuple(j for j, _ in grid_minima),
+        plateau=tuple(not strict for _, strict in grid_minima),
         minima_x=tuple(minima_x),
         minima_values=tuple(minima_values),
         minima_companions=tuple(minima_companions),

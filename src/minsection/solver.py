@@ -50,15 +50,18 @@ __all__ = [
 #: Golden-section step fraction, (3 - sqrt(5)) / 2.
 GOLDEN_SECTION = (3.0 - math.sqrt(5.0)) / 2.0
 
-FLAT_TOL = 1e-12
+#: Relative tie tolerance of the 1-D grid scans: grid values closer than
+#: ``TIE_TOL`` times the larger of 1 and their magnitude count as equal.
+TIE_TOL = 1e-12
 
 
 class BracketError(RuntimeError):
     """No valid bracketing triplet exists on the grid.
 
-    ``reason`` is one of ``"boundary"`` (an endpoint holds the smallest
-    value: the minimum is not interior), ``"flat"`` (all values equal within
-    1e-12) or ``"plateau"`` (an interior tie prevents a strict triplet).
+    ``reason`` is one of ``"boundary"`` (an endpoint holds, or ties, the
+    smallest value: the minimum is not interior), ``"flat"`` (all values
+    equal within ``TIE_TOL``) or ``"plateau"`` (an interior tie that the
+    midpoint probe does not resolve).
     """
 
     def __init__(self, message, reason):
@@ -174,34 +177,62 @@ class EquivalenceReport:
     max_value_gap: float
 
 
-def _scan(section_eval, grid):
-    """Check a bracketing grid and evaluate the section on it."""
+def _increasing_grid(grid):
+    """``grid`` as a float array, refused unless it holds at least 3
+    strictly increasing points."""
     grid = np.asarray(grid, dtype=float)
     if grid.size < 3:
         raise ValueError("bracketing needs a grid of at least 3 points")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
+    return grid
+
+
+def _scan(section_eval, grid):
+    """Check a bracketing grid and evaluate the section on it."""
+    grid = _increasing_grid(grid)
     return grid, np.array([float(section_eval(u)) for u in grid])
 
 
-def _strict_triplets(grid, values):
-    """Every grid triplet whose middle value is strictly smallest, left to right."""
-    for j in range(1, grid.size - 1):
-        if values[j] < values[j - 1] and values[j] < values[j + 1]:
-            yield BracketTriplet(
-                grid[j - 1], grid[j], grid[j + 1], values[j - 1], values[j], values[j + 1]
-            )
+def _grid_minima(values, tie):
+    """Yield ``(j, strict)`` for every interior grid minimum, left to right.
+
+    Node j qualifies when ``values[j]`` is at most ``tie`` above both
+    neighbours; it is strict when it lies more than ``tie`` below both.
+    """
+    for j in range(1, values.size - 1):
+        left, mid, right = values[j - 1], values[j], values[j + 1]
+        if mid <= left + tie and mid <= right + tie:
+            yield j, bool(mid < left - tie and mid < right - tie)
 
 
-def _bracket_from_values(grid, values) -> BracketTriplet:
+def _triplet(grid, values, j) -> BracketTriplet:
+    """The bracket of grid nodes ``j - 1``, ``j`` and ``j + 1``."""
+    return BracketTriplet(
+        grid[j - 1], grid[j], grid[j + 1], values[j - 1], values[j], values[j + 1]
+    )
+
+
+def bracket_on_grid(section_eval, grid) -> BracketTriplet:
+    """First consecutive grid triplet whose middle value is strictly smallest.
+
+    Ties are broken toward the leftmost qualifying triplet. With none,
+    :class:`BracketError` is raised as ``"flat"`` when all values agree to
+    ``TIE_TOL`` and as ``"boundary"`` when the smallest value, or its run of
+    ``TIE_TOL`` ties, reaches a grid end. An interior run of ties, as a
+    convex minimum exactly midway between two nodes gives, costs one more
+    evaluation at its midpoint: the bracket is (run start, midpoint, run
+    end) when the midpoint lies below both, else ``"plateau"`` is raised. A
+    non-finite grid value raises :class:`SolveError`.
+    """
+    grid, values = _scan(section_eval, grid)
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise SolveError(f"non-finite section value at u = {float(grid[bad])!r}")
-    triplet = next(_strict_triplets(grid, values), None)
-    if triplet is not None:
-        return triplet
-    spread = float(values.max() - values.min())
-    if spread <= FLAT_TOL * max(1.0, float(np.abs(values).max())):
+    for j, strict in _grid_minima(values, 0.0):
+        if strict:
+            return _triplet(grid, values, j)
+    if float(values.max() - values.min()) <= TIE_TOL * max(1.0, float(np.abs(values).max())):
         raise BracketError("section is flat on the grid (all values equal)", "flat")
     k = int(np.argmin(values))
     if k == 0 or k == grid.size - 1:
@@ -210,19 +241,19 @@ def _bracket_from_values(grid, values) -> BracketTriplet:
             "the minimum is not bracketed (domain box may be mis-specified)",
             "boundary",
         )
-    raise BracketError(
-        "interior plateau prevents a strict bracketing triplet", "plateau"
-    )
-
-
-def bracket_on_grid(section_eval, grid) -> BracketTriplet:
-    """First consecutive grid triplet whose middle value is strictly smallest.
-
-    Ties are broken toward the leftmost qualifying triplet. Raises
-    :class:`BracketError` when no triplet qualifies, distinguishing a
-    boundary minimum from a flat section.
-    """
-    return _bracket_from_values(*_scan(section_eval, grid))
+    run = np.flatnonzero(values <= values[k] + TIE_TOL * max(1.0, abs(float(values[k]))))
+    j0, j1 = int(run[0]), int(run[-1])
+    if j0 == 0 or j1 == grid.size - 1:
+        raise BracketError(
+            "tied minimal values reach the grid boundary; the minimum is not "
+            "bracketed",
+            "boundary",
+        )
+    mid = 0.5 * (grid[j0] + grid[j1])
+    v_mid = float(section_eval(mid))
+    if v_mid < values[j0] and v_mid < values[j1]:
+        return BracketTriplet(grid[j0], mid, grid[j1], values[j0], v_mid, values[j1])
+    raise BracketError("interior plateau prevents a strict bracketing triplet", "plateau")
 
 
 def golden_refine(section_eval, triplet: BracketTriplet, x_tol: float):
@@ -287,53 +318,14 @@ def golden_refine(section_eval, triplet: BracketTriplet, x_tol: float):
                 v, fv = u, fu
 
 
-def _plateau_midpoint_bracket(section_eval, grid, values) -> BracketTriplet:
-    """Recover a strict bracket when adjacent minimal grid values tie.
-
-    A convex section whose minimum falls exactly midway between two nodes
-    produces bitwise-equal neighbors and no strict triplet; probing the
-    midpoint of the tied run resolves it. Genuinely flat runs re-raise.
-    """
-    vmin = float(values.min())
-    tie = values <= vmin + FLAT_TOL * max(1.0, abs(vmin))
-    run = np.flatnonzero(tie)
-    j0, j1 = int(run[0]), int(run[-1])
-    if j0 == 0 or j1 == grid.size - 1:
-        raise BracketError(
-            "tied minimal values reach the grid boundary; the minimum is not "
-            "bracketed",
-            "boundary",
-        )
-    mid = 0.5 * (grid[j0] + grid[j1])
-    v_mid = float(section_eval(mid))
-    if v_mid < values[j0] and v_mid < values[j1]:
-        return BracketTriplet(grid[j0], mid, grid[j1], values[j0], v_mid, values[j1])
-    raise BracketError(
-        "interior plateau prevents a strict bracketing triplet", "plateau"
-    )
-
-
-def _bracket(section_eval, grid) -> BracketTriplet:
-    """Strict grid bracket; an exact tie between the two smallest
-    neighboring grid values (a convex minimum exactly midway between nodes)
-    is recovered via a midpoint probe, other bracket failures propagate."""
-    grid, values = _scan(section_eval, grid)
-    try:
-        return _bracket_from_values(grid, values)
-    except BracketError as err:
-        if err.reason != "plateau":
-            raise
-        return _plateau_midpoint_bracket(section_eval, grid, values)
-
-
 def line_minimize(section_eval, grid, x_tol: float):
-    """Bracket on the grid, then :func:`golden_refine`: ``(u, value, triplet)``.
+    """:func:`bracket_on_grid`, then :func:`golden_refine`: ``(u, value, triplet)``.
 
-    Exact ties between the two smallest neighboring grid values (a convex
-    minimum exactly midway between nodes) are recovered via a midpoint
-    probe; other bracket failures propagate.
+    An exact tie of the two smallest neighbouring grid values (a convex
+    minimum exactly midway between nodes) is recovered by the bracket's
+    midpoint probe; other bracket failures propagate.
     """
-    triplet = _bracket(section_eval, grid)
+    triplet = bracket_on_grid(section_eval, grid)
     u, value = golden_refine(section_eval, triplet, x_tol)
     return u, value, triplet
 
@@ -346,7 +338,11 @@ def enumerate_section_minima(section_eval, grid, x_tol: float):
     may carry several local minima.
     """
     grid, values = _scan(section_eval, grid)
-    return [golden_refine(section_eval, t, x_tol) for t in _strict_triplets(grid, values)]
+    return [
+        golden_refine(section_eval, _triplet(grid, values, j), x_tol)
+        for j, strict in _grid_minima(values, 0.0)
+        if strict
+    ]
 
 
 def _bracket_curvature(tri: BracketTriplet) -> float:
@@ -385,7 +381,7 @@ def minimize_by_coordinates(section, grids, max_cycles: int, outer_tol=None):
             trial[_i] = v
             return section(trial)[0].value
 
-        brackets.append(_bracket(line, grid))
+        brackets.append(bracket_on_grid(line, grid))
         x[i] = brackets[-1].b
     box = np.array([[g[0], g[-1]] for g in grids])
     h0 = np.diag([1.0 / _bracket_curvature(tri) for tri in brackets])
@@ -542,7 +538,8 @@ def solve_direct(
     over every coordinate. A singular Hessian takes its least-squares step,
     and a step that is not a descent direction is replaced by steepest
     descent; iterates are kept inside the domain box. A step that leaves the
-    box at the iterate, a line search that no halving satisfies, or
+    box where no step length can move the iterate or where the iterate is
+    stationary on its faces, a line search that no halving satisfies, or
     exceeding ``max_iter`` raises :class:`SolveError` carrying the point of
     smallest gradient norm.
     """

@@ -354,9 +354,12 @@ def _damped_newton(f, x, fval, box, tol, max_iter, direction):
     ``direction(g, hess, x)``, which may raise to refuse the iterate.
     Returns ``(best, hess, iteration, stop)``: ``best = (x, fval, gradient
     norm)`` of the smallest norm seen (the stopping iterate on convergence),
-    the last Hessian, and ``stop`` in ``"converged"``, ``"boundary"`` (the
-    clipped full step does not move the iterate, so no step length can),
-    ``"stalled"`` or ``"max_iter"``.
+    the last Hessian, and ``stop`` in ``"converged"``, ``"boundary"``,
+    ``"stalled"`` or ``"max_iter"``. ``"boundary"`` means that the clipped
+    full step does not move the iterate, so no step length can, or that
+    the full step leaves the box at an iterate stationary on its faces: the
+    gradient components not held against a face have a norm of at most
+    ``tol``.
     """
     best = (x.copy(), fval, np.inf)
     for iteration in range(max_iter + 1):
@@ -369,8 +372,15 @@ def _damped_newton(f, x, fval, box, tol, max_iter, direction):
             return best, hess, iteration, "converged"
         step = direction(g, hess, x)
         slope = float(g @ step)
-        if np.array_equal(np.clip(x + step, box[:, 0], box[:, 1]), x):
+        full = np.clip(x + step, box[:, 0], box[:, 1])
+        if np.array_equal(full, x):
             return best, hess, iteration, "boundary"
+        if not np.array_equal(full, x + step):
+            # Projected-gradient test: the components not held against a
+            # face (at lo with g > 0, or at hi with g < 0) are stationary.
+            held = ((x <= box[:, 0]) & (g > 0.0)) | ((x >= box[:, 1]) & (g < 0.0))
+            if np.linalg.norm(g[~held]) <= tol:
+                return best, hess, iteration, "boundary"
         # Allow one-ulp increases: near the minimum the Armijo decrease is
         # far below float resolution of the objective.
         f_slack = 4.0 * EPS * max(1.0, abs(fval))
@@ -399,7 +409,8 @@ def subminimize_newton(
     on the eliminated block. Requires the slice to be convex along the
     iterates: a non-positive-definite block Hessian raises
     :class:`ConvexityError`. Iterates are kept inside the eliminated-
-    coordinate box. A Newton step that leaves the box at the iterate, a
+    coordinate box. A Newton step that leaves the box where no step length
+    can move the iterate or where the iterate is stationary on its faces, a
     stalled line search, or exceeding ``max_iter`` raises
     :class:`SubMinimizeError` carrying the best iterate and gradient norm.
     """

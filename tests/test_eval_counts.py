@@ -203,6 +203,45 @@ def test_direct_boundary_stop_carries_best_point(merit_calls):
     assert info.value.best_point is not None and merit.contains(info.value.best_point)
 
 
+@pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
+def test_direct_stops_on_projected_gradient(merit_calls):
+    # From p0 = 0.5 the first step lands on the face p1 = 1 with p0 about
+    # -9e-12, so each later clipped step still moves the iterate a little;
+    # the gradient off the held face is below tolerance there (10,614
+    # evaluations in 200 iterations before this stop).
+    merit = ms.MeritFunction(
+        2, lambda p: p[0] ** 2 + (p[1] - 2.0) ** 2, domain_box=[[-1.0, 1.0], [-1.0, 1.0]]
+    )
+    with pytest.raises(ms.SolveError, match="^direct Newton step leaves the domain box at the iterate; ") as info:
+        ms.solve_direct(merit, (0.5, 0.0))
+    assert merit_calls["n"] == 28
+    assert info.value.best_point is not None and merit.contains(info.value.best_point)
+
+
+@pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
+def test_slice_newton_stops_on_projected_gradient(merit_calls):
+    # The same face stop on an eliminated block of two coordinates (2,664
+    # evaluations in 50 iterations before it).
+    merit = ms.MeritFunction(
+        3,
+        lambda p: p[0] ** 2 + p[1] ** 2 + (p[2] - 2.0) ** 2,
+        domain_box=[[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]],
+    )
+    problem = ms.SliceProblem(merit, ms.ParameterSplit((0,), (1, 2)), [0.2])
+    with pytest.raises(ms.SubMinimizeError) as info:
+        ms.subminimize_newton(problem, y0=[0.5, 0.0])
+    assert str(info.value) == BOUNDARY_STOP
+    assert merit_calls["n"] == 28
+    assert info.value.iterations == 1
+    assert info.value.best_y is not None
+
+
+def test_section_decreasing_grid_refused_before_probe(entries, merit_calls):
+    with pytest.raises(ValueError, match="^grid must be strictly increasing$"):
+        ms.minimal_section_1d(entries["QUAD"].merit, 0, np.linspace(1.0, -1.0, 21))
+    assert merit_calls["n"] == 0
+
+
 def test_boxed_catalog_file_counts_once(tmp_path, entries, merit_calls):
     # The file's merit reuses the catalog evaluator, so one call is one
     # evaluation (the census counted 7,280 when the file wrapped the merit).

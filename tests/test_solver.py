@@ -173,6 +173,43 @@ def test_line_minimize_midpoint_tie_recovery():
     assert triplet.b == pytest.approx(0.5)
 
 
+def test_bracket_on_grid_recovers_midpoint_tie():
+    # the grid values at 0 and 1 tie bitwise; one more evaluation, at their
+    # midpoint, gives the bracket
+    seen = []
+
+    def section(u):
+        seen.append(u)
+        return (u - 0.5) ** 2
+
+    triplet = ms.bracket_on_grid(section, np.linspace(-2.0, 3.0, 6))
+    assert (triplet.a, triplet.b, triplet.c) == (0.0, 0.5, 1.0)
+    assert (triplet.fa, triplet.fb, triplet.fc) == (0.25, 0.0, 0.25)
+    assert len(seen) == 7
+
+
+@pytest.mark.parametrize(
+    "section, reason, message, evaluations",
+    [
+        pytest.param(lambda u: max(1.0, 2.0 - u), "boundary",
+                     "tied minimal values reach the grid boundary", 5, id="tie_reaches_edge"),
+        pytest.param(lambda u: max(1.0, abs(u - 2.0)), "plateau",
+                     "interior plateau prevents", 6, id="flat_bottom"),
+    ],
+)
+def test_bracket_on_grid_unresolved_ties(section, reason, message, evaluations):
+    seen = []
+
+    def counted(u):
+        seen.append(u)
+        return section(u)
+
+    with pytest.raises(BracketError, match=message) as excinfo:
+        ms.bracket_on_grid(counted, np.arange(5.0))
+    assert excinfo.value.reason == reason
+    assert len(seen) == evaluations
+
+
 def test_solve_hierarchical_exp_fit(entries, split01):
     report = ms.solve_hierarchical(entries["EXP_FIT"].merit, split01)
     assert np.allclose(report.minimizer, [-0.5, 2.0], atol=1e-6)
