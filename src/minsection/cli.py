@@ -14,12 +14,13 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import morse, sections, solver
-from .numerics import NonFiniteValueError, RankDeficiencyError
+from .numerics import BoundaryStepWarning, NonFiniteValueError, RankDeficiencyError
 from .problem_io import ProblemDefinition, ProblemFileError, load_problem_file
 from .problems import ParameterSplit, get_problem
 from .subminimize import ConvexityError, SubMinimizeError
@@ -304,24 +305,57 @@ _DISPATCH = {
 }
 
 
-def run(args: argparse.Namespace) -> int:
-    """Dispatch one command line parsed by :func:`build_parser`; returns the
-    process exit status."""
+def _dispatch(args: argparse.Namespace) -> tuple[int, list[str]]:
+    """Run one command; returns the exit status and the lines for stderr."""
     try:
         _validate(args)
         definition = _load(args)
-        return _DISPATCH[args.command](args, definition, Path(args.out))
+        return _DISPATCH[args.command](args, definition, Path(args.out)), []
     except REFUSALS as err:
-        print(f"refused: {err}", file=sys.stderr)
+        lines = [f"refused: {err}"]
         witness = getattr(err, "point", None)
         if witness is not None:
-            print(f"witness point: {[float(v) for v in witness]}", file=sys.stderr)
+            lines.append(f"witness point: {[float(v) for v in witness]}")
             if getattr(err, "min_eig", None) is not None:
-                print(f"witness min eigenvalue: {err.min_eig!r}", file=sys.stderr)
-        return 1
+                lines.append(f"witness min eigenvalue: {err.min_eig!r}")
+        return 1, lines
     except (ProblemFileError, OSError) as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return 2
+        return 2, [f"input error: {err}"]
+
+
+def run(args: argparse.Namespace) -> int:
+    """Dispatch one command line parsed by :func:`build_parser`; returns the
+    process exit status.
+
+    Every :class:`BoundaryStepWarning` of the command is counted, not
+    shown, and the count is printed as one ``warning:`` line on stderr
+    ahead of any refusal or input error. Other warnings pass through.
+    """
+    clamps = 0
+    show = warnings.showwarning
+
+    def tally(message, category, *rest):
+        nonlocal clamps
+        if issubclass(category, BoundaryStepWarning):
+            clamps += 1
+        else:
+            show(message, category, *rest)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", BoundaryStepWarning)
+        warnings.showwarning = tally
+        try:
+            status, lines = _dispatch(args)
+        finally:
+            if clamps:
+                print(
+                    f"warning: gradient stencil clamped at the domain boundary {clamps} "
+                    "time(s); one-sided differences were used",
+                    file=sys.stderr,
+                )
+    for line in lines:
+        print(line, file=sys.stderr)
+    return status
 
 
 def _indices(text: str) -> tuple[int, ...]:

@@ -154,7 +154,11 @@ class PartiallyLinearModel:
     ``vectorized`` set, each map is called once with the whole sample
     vector ``t`` and must return the array of its values at every sample,
     ``fn(t, x)[k] == fn(t[k], x)``; one call then fills one column of Phi.
-    Problem files build their terms that way.
+    A vectorized map also serves a stack of N x rows in one call: it gets
+    the (n, N, 1) array ``x_stack.T[:, :, None]``, so ``x[i]`` is a column
+    of N values, and must return values that broadcast to (N, T), with
+    ``fn(t, x_stack.T[:, :, None])[r] == fn(t, x_stack[r])``. Problem files
+    build their terms that way.
     """
 
     basis: tuple[Callable[[float, np.ndarray], float], ...]
@@ -189,8 +193,22 @@ class PartiallyLinearModel:
         return self.nonlinear_dim + self.linear_dim
 
     def design_matrix(self, x) -> np.ndarray:
-        """Matrix ``Phi[k, j] = phi_j(t_k; x)``."""
+        """Matrix ``Phi[k, j] = phi_j(t_k; x)``; a stack of x rows, shape
+        (N, n), gives the stack of their matrices, shape (N, T, J)."""
         x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return self._matrix(x)
+        phi = np.empty((len(x), self.t.size, self.linear_dim))
+        if self.vectorized:
+            columns = x.T[:, :, None]
+            for j, fn in enumerate(self.basis):
+                phi[:, :, j] = fn(self.t, columns)
+        else:
+            for r, row in enumerate(x):
+                phi[r] = self._matrix(row)
+        return phi
+
+    def _matrix(self, x) -> np.ndarray:
         phi = np.empty((self.t.size, self.linear_dim))
         for j, fn in enumerate(self.basis):
             if self.vectorized:

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import EPS, fd_hessian, fd_y_block, linear_lsq_solve
+from .numerics import EPS, NonFiniteValueError, fd_hessian, linear_lsq_solve
 from .numerics import _second_diff_block  # noqa: F401 - unused; bench/tracing.py rebinds it here
+from .numerics import fd_y_block  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .problems import MeritFunction, ParameterSplit, linear_elimination_applies
 
 __all__ = [
@@ -50,6 +51,10 @@ MAX_HALVINGS = 40
 #: two-axis probe. A defaulted grid with more nodes is replaced by the box
 #: center, the box corners and Halton points, truncated to this budget.
 PROBE_BUDGET = 441
+
+#: Most float64 values in one stacked design matrix of the closed-form
+#: probe; a chunk whose stack would hold more is taken in slices.
+STACK_VALUES = 2**20
 
 
 class ConvexityError(RuntimeError):
@@ -214,10 +219,11 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
     The nodes are taken in chunks of at most ``PROBE_BUDGET``. A chunk's
     finite-difference blocks come from one batched stencil
     (:func:`numerics._second_diff_blocks`, which evaluates the merit node
-    by node in the scalar order), its closed-form blocks from
-    :func:`fd_y_block` per node, and its spectra from one stacked
-    ``eigvalsh``. The evaluations, their order, the blocks and the
-    certificate are those of a node-by-node scan.
+    by node in the scalar order), its closed-form blocks ``2 Phi^T Phi``
+    from stacked design matrices (:func:`_closed_form_blocks`), and its
+    spectra from one stacked ``eigvalsh``. The evaluations, their order,
+    the blocks and the certificate are those of a node-by-node scan with
+    :func:`fd_y_block`.
     """
     box = merit.domain_box
     axes = list(axes_indices)
@@ -240,6 +246,10 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
             raise ValueError("grid density must be at least 3 points per axis")
         nodes = itertools.product(*(np.linspace(lo, hi, density) for lo, hi in axes_box))
     closed_form = split is not None and linear_elimination_applies(merit, split)
+    if closed_form:
+        x_indices = list(split.x_indices)
+        matrix_size = merit.model.t.size * merit.model.linear_dim
+        rows_per_stack = max(1, STACK_VALUES // matrix_size)
     indices = tuple(range(merit.dimension)) if split is None else tuple(split.y_indices)
     center = box.mean(axis=1)
     worst = np.inf
@@ -250,7 +260,11 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
         points = np.tile(center, (len(chunk), 1))
         points[:, axes] = chunk
         if closed_form:
-            blocks = np.array([fd_y_block(merit, p, split) for p in points])
+            # one stacked design matrix per slice of at most STACK_VALUES values
+            slices = np.array_split(points, -(-len(points) // rows_per_stack))
+            blocks = np.concatenate(
+                [_closed_form_blocks(merit.model, part, x_indices) for part in slices]
+            )
         else:
             blocks = numerics._second_diff_blocks(merit, points, indices, box)
         w = np.linalg.eigvalsh(blocks)
@@ -274,6 +288,24 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
     )
 
 
+def _closed_form_blocks(model, points, x_indices) -> np.ndarray:
+    """The closed-form eliminated blocks ``2 Phi^T Phi`` at every row of
+    ``points``, from one stacked design matrix and one stacked matmul;
+    bitwise those of :func:`fd_y_block` node by node. The first row whose
+    block is not finite raises :class:`NonFiniteValueError` carrying it; a
+    basis map that raises does so before any block is checked.
+    """
+    phi = model.design_matrix(points[:, x_indices])
+    with np.errstate(over="ignore"):
+        blocks = np.matmul(2.0 * phi.transpose(0, 2, 1), phi)
+    finite = np.isfinite(blocks).all(axis=(1, 2))
+    if not finite.all():
+        raise NonFiniteValueError(
+            "non-finite closed-form eliminated-block Hessian", points[np.argmin(finite)]
+        )
+    return blocks
+
+
 def probe_y_convexity(
     merit: MeritFunction, split: ParameterSplit, grid_density: int | None = None
 ) -> ConvexityCertificate:
@@ -281,12 +313,15 @@ def probe_y_convexity(
 
     For partially linear merits with the matching split, the block is
     independent of the linear coordinates, so only the retained
-    coordinates are sampled (one block per x node). An explicit
+    coordinates are sampled (one block per x node). Those blocks are the
+    closed form ``2 Phi^T Phi``, built without a merit evaluation from
+    stacked design matrices of at most ``STACK_VALUES`` values. An explicit
     ``grid_density`` samples that full grid. The default samples
     :func:`default_probe_density` nodes per axis when that grid has at most
     ``PROBE_BUDGET`` (441) nodes, and otherwise the box center, the box
     corners and Halton points, 441 nodes in all (``plan == "halton"``).
-    Violations are a verdict, never an error.
+    Violations are a verdict, never an error; a non-finite block raises
+    :class:`NonFiniteValueError` carrying its node.
     """
     if linear_elimination_applies(merit, split):
         axes_indices = split.x_indices

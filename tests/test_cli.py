@@ -1,5 +1,7 @@
 import ast
 import json
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -364,3 +366,40 @@ def test_nan_island_refused_with_witness(tmp_path, capsys, monkeypatch):
     assert code == 1
     err = capsys.readouterr().err
     assert "non-finite" in err and "witness point" in err
+
+
+def test_boundary_clamps_are_one_warning_line(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(ms.__file__).resolve().parents[1]))
+    argv = ["--problem", "TWO_WELLS", "--command", "solve", "--out", str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, "-m", "minsection.cli"] + argv, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0
+    assert "numerics.py" not in done.stderr
+    lines = [line for line in done.stderr.splitlines() if line.startswith("warning:")]
+    assert len(lines) == 1 and done.stderr == lines[0] + "\n"
+    assert lines[0].startswith("warning: gradient stencil clamped at the domain boundary ")
+    assert lines[0].endswith(" time(s); one-sided differences were used")
+
+
+def test_other_warnings_pass_through_and_refusals_follow_the_tally(tmp_path, capsys, monkeypatch):
+    def command(args, definition, out):
+        for _ in range(3):
+            warnings.warn("clamped", ms.BoundaryStepWarning)
+        warnings.warn("something else", UserWarning)
+        raise ms.SolveError("no minimum")
+
+    monkeypatch.setitem(cli._DISPATCH, "solve", command)
+    with pytest.warns(UserWarning, match="something else") as caught:
+        status = run_cli(["--problem", "QUAD", "--command", "solve", "--out", str(tmp_path)])
+    assert status == 1
+    assert [w.category for w in caught] == [UserWarning]
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: gradient stencil clamped at the domain boundary 3 time(s); one-sided "
+        "differences were used",
+        "refused: no minimum",
+    ]

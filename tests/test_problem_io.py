@@ -305,3 +305,23 @@ def test_overflow_at_load_names_first_sample_of_first_corner(tmp_path):
         "field model.offset[0] is not finite at t = 20.0, x = [1.0, -1.0] "
         "(a corner of the nonlinear domain box)"
     )
+
+
+@pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "scalar"])
+def test_stacked_design_matrix_is_its_rows(tmp_path, vectorized):
+    t = np.random.default_rng(9).uniform(-4.0, 6.0, 40)
+    if vectorized:
+        model = load_terms(tmp_path, t, BASIS)
+    else:
+        model = ms.PartiallyLinearModel(
+            basis=tuple(lambda tk, x, term=term: math_term(term, tk, x) for term in BASIS),
+            t=t,
+            d=np.zeros(t.size),
+            nonlinear_dim=2,
+        )
+    xs = np.array(box_points(count=20))
+    stack = model.design_matrix(xs)
+    assert stack.shape == (len(xs), t.size, len(BASIS))
+    for x, phi in zip(xs, stack):
+        assert np.array_equal(phi, model.design_matrix(x))
+    assert model.design_matrix(xs[:0]).shape == (0, t.size, len(BASIS))

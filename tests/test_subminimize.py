@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from dataclasses import replace
 
@@ -515,3 +516,109 @@ def test_explicit_density_probe_works_one_chunk_at_a_time():
     assert cert.sampled_points == 3375
     # the stencil of the whole grid: 3,375 nodes x 19 points x 3 coordinates
     assert peak < 3375 * 19 * 3 * 8
+
+
+def load_fit_file(tmp_path, t, x_box, basis, offset=None):
+    """A partially linear problem file over samples ``t`` (data 0.5)."""
+    (tmp_path / "obs.csv").write_text(
+        "t,d\n" + "\n".join(f"{float(tk)!r},0.5" for tk in t) + "\n", encoding="utf-8"
+    )
+    model = {"kind": "partially_linear", "basis": basis}
+    if offset is not None:
+        model["offset"] = offset
+    doc = {
+        "dimension": len(x_box) + len(basis),
+        "domain_box": [list(b) for b in x_box] + [[-5.0, 5.0]] * len(basis),
+        "model": model,
+        "data_file": "obs.csv",
+    }
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    definition = ms.load_problem_file(path)
+    return definition.merit, definition.split
+
+
+def test_batched_closed_form_probe_matches_per_node_reference(tmp_path, merit_calls):
+    every_term = [
+        {"type": "polynomial", "degree": 2, "scale": 0.5},
+        {"type": "exponential", "rate_index": 0},
+        {"type": "sinusoid", "fn": "sin", "frequency_index": 0},
+        {"type": "sinusoid", "fn": "cos", "frequency_index": 0, "scale": 2.0},
+        {"type": "constant", "scale": 3.0},
+    ]
+    one_rate = load_fit_file(tmp_path, np.linspace(0.0, 3.0, 400), [(-1.0, 1.5)], every_term)
+    assert assert_same_probe(merit_calls, *one_rate).sampled_points == 7
+    assert_same_probe(merit_calls, *one_rate, grid_density=21)
+    biexp = load_fit_file(
+        tmp_path,
+        np.linspace(0.0, 4.0, 20),
+        [(-3.0, -0.1), (-1.0, 0.5)],
+        [{"type": "exponential", "rate_index": i} for i in (0, 1)],
+    )
+    assert assert_same_probe(merit_calls, *biexp).sampled_points == 441
+    three_rates = load_fit_file(
+        tmp_path,
+        np.linspace(0.0, 3.0, 12),
+        [(-2.0, 0.5), (-1.0, 1.0), (0.5, 2.0)],
+        [{"type": "exponential", "rate_index": 0}],
+        offset=[
+            {"type": "exponential", "rate_index": 1},
+            {"type": "sinusoid", "fn": "sin", "frequency_index": 2},
+        ],
+    )
+    assert assert_same_probe(merit_calls, *three_rates).plan == "halton"
+    # scalar basis and offset maps on a 6-D quadratic, n = 3
+    rows = np.linalg.cholesky(np.eye(6) + 0.3).T
+    model = ms.PartiallyLinearModel(
+        basis=tuple(lambda tk, x, j=j: float(rows[int(tk), j]) for j in range(3, 6)),
+        t=np.arange(6.0),
+        d=np.ones(6),
+        nonlinear_dim=3,
+        offset=lambda tk, x: float(rows[int(tk), :3] @ x),
+    )
+    scalar = ms.build_partially_linear(model)
+    assert assert_same_probe(merit_calls, scalar, ms.ParameterSplit((0, 1, 2), (3, 4, 5))).positive
+    assert merit_calls == []
+
+
+def test_batched_closed_form_probe_raises_as_the_reference(merit_calls, monkeypatch):
+    # Every basis value is finite on the rate box [-2, 17] (exp(17 * 39) is
+    # about 1e288), but 2 Phi^T Phi overflows from a rate of about 9.1 up.
+    model = ms.PartiallyLinearModel(
+        basis=(lambda tk, x: math.exp(x[0] * tk),),
+        t=np.arange(40.0),
+        d=np.ones(40),
+        nonlinear_dim=1,
+    )
+    merit = ms.build_partially_linear(model, box=[[-2.0, 17.0], [-10.0, 10.0]])
+    split = ms.ParameterSplit((0,), (1,))
+    error = assert_same_probe(merit_calls, merit, split)
+    assert error[:2] == (
+        ms.numerics.NonFiniteValueError, "non-finite closed-form eliminated-block Hessian"
+    )
+    # three nodes per stacked design matrix: the overflow starts in a later slice
+    monkeypatch.setattr(ms.subminimize, "STACK_VALUES", 3 * 40)
+    assert assert_same_probe(merit_calls, merit, split) == error
+    assert assert_same_probe(merit_calls, merit, split, grid_density=7) != error
+    assert merit_calls == []
+
+
+def test_closed_form_probe_bounds_its_design_matrix_stack(tmp_path):
+    import tracemalloc
+
+    t = np.linspace(0.0, 10.0, 5000)
+    merit, split = load_fit_file(
+        tmp_path,
+        t,
+        [(-3.0, -0.1), (-1.0, 0.5)],
+        [{"type": "exponential", "rate_index": i} for i in (0, 1)],
+    )
+    tracemalloc.start()
+    try:
+        cert = ms.probe_y_convexity(merit, split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.sampled_points == 441
+    # the unsliced stack alone, 441 nodes x 5,000 samples x 2 columns, is 35 MB
+    assert peak < 16 * 2**20
