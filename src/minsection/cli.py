@@ -318,6 +318,11 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, list[str]]:
             lines.append(f"witness point: {[float(v) for v in witness]}")
             if getattr(err, "min_eig", None) is not None:
                 lines.append(f"witness min eigenvalue: {err.min_eig!r}")
+        best = getattr(err, "best_point", None)
+        if best is not None:
+            lines.append(f"best point: {[float(v) for v in best]}")
+            if err.best_value is not None:
+                lines.append(f"best value: {float(err.best_value)!r}")
         return 1, lines
     except (ProblemFileError, OSError) as err:
         return 2, [f"input error: {err}"]

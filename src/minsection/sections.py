@@ -458,9 +458,10 @@ def nesting_check(
         inner_values[j] = inner_slices.value(np.array([u]))
 
         def place(rest_vec, _u=u):
-            full = np.empty(len(outer))
-            full[inner_pos] = _u
-            full[rest_pos] = rest_vec
+            rest_vec = np.asarray(rest_vec, dtype=float)
+            full = np.empty((*rest_vec.shape[:-1], len(outer)))
+            full[..., inner_pos] = _u
+            full[..., rest_pos] = rest_vec
             return full
 
         def section(rest_vec, _place=place):

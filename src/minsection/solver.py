@@ -358,24 +358,32 @@ def minimize_by_coordinates(section, grids, max_cycles: int, outer_tol=None):
     ``section(x)`` solves the slice at the retained-coordinate vector ``x``
     and returns ``(sub, fixed)``: the :class:`SubMinimum` and the merit as a
     function of the retained coordinates with the eliminated block held at
-    ``sub.y_star``. Every number of coordinates takes the same two steps.
-    One cycle of grid brackets from the grid centers picks the basin: each
-    coordinate in turn is bracketed on its grid and set to the bracket's
-    middle node. BFGS on the section (Nocedal & Wright, ch. 6) then starts
-    there, its inverse Hessian seeded from the bracket curvatures. By the
-    envelope theorem the section gradient is the gradient of ``fixed``,
-    taken by central differences with no further slice solve. The Armijo
-    backtracking clips every trial to the hull of the grids. BFGS stops once
-    the full gradient norm at the slice minimum, ``hypot(|grad fixed|,
-    sub.grad_y_norm)``, is at most ``outer_tol`` (default :func:`_outer_tol`
-    of the current value); needing more than ``max_cycles`` steps, or a line
-    search that cannot move, raises :class:`SolveError` carrying the best
-    point. Returns ``(x, value, brackets, iterations)`` with the brackets of
-    the cycle.
+    ``sub.y_star``. Given an (N, n) stack of x rows, ``section`` solves
+    them as one stack (:meth:`~minsection.subminimize.SliceSolver.solve`)
+    and its result is not used. Every number of coordinates takes the same
+    two steps. One cycle of grid brackets from the grid centers picks the
+    basin: each coordinate in turn has its grid solved as one stack, is
+    bracketed on it, every node then a cached slice, and is set to the
+    bracket's middle node. BFGS on the section (Nocedal & Wright, ch. 6)
+    then starts there, its inverse Hessian seeded from the bracket
+    curvatures. By the envelope theorem the section gradient is the
+    gradient of ``fixed``, taken by central differences with no further
+    slice solve. The Armijo backtracking clips every trial to the hull of
+    the grids. BFGS stops once the full gradient norm at the slice minimum,
+    ``hypot(|grad fixed|, sub.grad_y_norm)``, is at most ``outer_tol``
+    (default :func:`_outer_tol` of the current value); needing more than
+    ``max_cycles`` steps, or a line search that cannot move, raises
+    :class:`SolveError` carrying the best point. Returns ``(x, value,
+    brackets, iterations)`` with the brackets of the cycle.
     """
     x = np.array([0.5 * (g[0] + g[-1]) for g in grids])
     brackets = []
     for i, grid in enumerate(grids):
+        grid = _increasing_grid(grid)
+        rows = np.tile(x, (grid.size, 1))
+        rows[:, i] = grid
+        section(rows)
+
         def line(v, _i=i):
             trial = x.copy()
             trial[_i] = v

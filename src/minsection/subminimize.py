@@ -52,8 +52,8 @@ MAX_HALVINGS = 40
 #: center, the box corners and Halton points, truncated to this budget.
 PROBE_BUDGET = 441
 
-#: Most float64 values in one stacked design matrix of the closed-form
-#: probe; a chunk whose stack would hold more is taken in slices.
+#: Most float64 values in one stacked design matrix, of the closed-form
+#: probe or of a stacked slice solve; a larger stack is taken in slices.
 STACK_VALUES = 2**20
 
 
@@ -104,14 +104,7 @@ class SliceProblem:
     def __post_init__(self):
         x = np.atleast_1d(np.asarray(self.x_fixed, dtype=float))
         object.__setattr__(self, "x_fixed", x)
-        if x.size != self.split.n:
-            raise ValueError(f"x_fixed must have {self.split.n} entries, got {x.size}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"x_fixed must be finite, got {x}")
-        xb = self.split.x_box(self.merit.domain_box)
-        pad = 1e-12 * np.maximum(1.0, np.abs(xb).max(axis=1))
-        if np.any(x < xb[:, 0] - pad) or np.any(x > xb[:, 1] + pad):
-            raise ValueError("x_fixed lies outside the retained-coordinate box")
+        _check_rows(self.merit, self.split, x.reshape(1, -1))
 
     def point(self, y) -> np.ndarray:
         return self.split.embed(self.x_fixed, y)
@@ -121,6 +114,23 @@ class SliceProblem:
 
     def y_box(self) -> np.ndarray:
         return self.split.y_box(self.merit.domain_box)
+
+
+def _check_rows(merit, split, xs) -> None:
+    """Refuse the first row of the (N, n) stack ``xs`` that is not a valid
+    retained-coordinate vector: of the wrong length, not finite, or outside
+    the retained-coordinate box (padded by 1e-12 of its scale)."""
+    if xs.shape[1] != split.n:
+        raise ValueError(f"x_fixed must have {split.n} entries, got {xs.shape[1]}")
+    xb = split.x_box(merit.domain_box)
+    pad = 1e-12 * np.maximum(1.0, np.abs(xb).max(axis=1))
+    finite = np.isfinite(xs).all(axis=1)
+    valid = finite & ((xs >= xb[:, 0] - pad) & (xs <= xb[:, 1] + pad)).all(axis=1)
+    if not valid.all():
+        k = int(np.argmin(valid))
+        if not finite[k]:
+            raise ValueError(f"x_fixed must be finite, got {xs[k]}")
+        raise ValueError("x_fixed lies outside the retained-coordinate box")
 
 
 @dataclass(frozen=True)
@@ -248,8 +258,7 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
     closed_form = split is not None and linear_elimination_applies(merit, split)
     if closed_form:
         x_indices = list(split.x_indices)
-        matrix_size = merit.model.t.size * merit.model.linear_dim
-        rows_per_stack = max(1, STACK_VALUES // matrix_size)
+        rows_per_stack = _rows_per_stack(merit.model)
     indices = tuple(range(merit.dimension)) if split is None else tuple(split.y_indices)
     center = box.mean(axis=1)
     worst = np.inf
@@ -288,6 +297,12 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
     )
 
 
+def _rows_per_stack(model) -> int:
+    """Most x rows in one stacked design matrix of ``model``: the rows of
+    at most ``STACK_VALUES`` values, and at least one."""
+    return max(1, STACK_VALUES // (model.t.size * model.linear_dim))
+
+
 def _closed_form_blocks(model, points, x_indices) -> np.ndarray:
     """The closed-form eliminated blocks ``2 Phi^T Phi`` at every row of
     ``points``, from one stacked design matrix and one stacked matmul;
@@ -295,15 +310,20 @@ def _closed_form_blocks(model, points, x_indices) -> np.ndarray:
     block is not finite raises :class:`NonFiniteValueError` carrying it; a
     basis map that raises does so before any block is checked.
     """
-    phi = model.design_matrix(points[:, x_indices])
-    with np.errstate(over="ignore"):
-        blocks = np.matmul(2.0 * phi.transpose(0, 2, 1), phi)
+    blocks = _gram_blocks(model.design_matrix(points[:, x_indices]))
     finite = np.isfinite(blocks).all(axis=(1, 2))
     if not finite.all():
         raise NonFiniteValueError(
             "non-finite closed-form eliminated-block Hessian", points[np.argmin(finite)]
         )
     return blocks
+
+
+def _gram_blocks(phi) -> np.ndarray:
+    """The blocks ``2 Phi^T Phi`` of a stack of design matrices, from one
+    stacked matmul; an overflow leaves an infinite entry and no warning."""
+    with np.errstate(over="ignore"):
+        return np.matmul(2.0 * phi.transpose(0, 2, 1), phi)
 
 
 def probe_y_convexity(
@@ -346,39 +366,52 @@ def subminimize_linear(problem: SliceProblem) -> SubMinimum:
 
     Solves ``min_y ||Phi y - (d - psi)||`` by an orthogonal decomposition;
     the stored derivative certificate uses the exact quadratic gradient
-    ``2 Phi^T (Phi y - b)``.
+    ``2 Phi^T (Phi y - b)``. This is the one-row case of the stacked solve
+    that :meth:`SliceSolver.solve` runs on a stack of x rows.
     """
-    merit = problem.merit
-    if not linear_elimination_applies(merit, problem.split):
+    if not linear_elimination_applies(problem.merit, problem.split):
         raise ValueError(
             "linear elimination requires a partially linear merit with the "
             "matching nonlinear/linear split"
         )
+    return next(_linear_rows(problem.merit, problem.split, problem.x_fixed.reshape(1, -1)))
+
+
+def _linear_rows(merit, split, xs):
+    """Yield the linear-elimination :class:`SubMinimum` of each row of the
+    valid (N, n) stack ``xs``, in order.
+
+    The stack takes one stacked design matrix, one stacked matmul for the
+    blocks ``2 Phi^T Phi`` and one stacked ``eigvalsh``. Each row then
+    takes its own least-squares solve, its gradient and one counted merit
+    evaluation, so every result is bitwise the one-row result. A basis map
+    that raises does so before any row is solved.
+    """
     model = merit.model
-    phi = model.design_matrix(problem.x_fixed)
-    b = model.d - model.offsets(problem.x_fixed)
-    try:
-        y_star = linear_lsq_solve(phi, b)
-    except numerics.RankDeficiencyError as err:
-        raise numerics.RankDeficiencyError(
-            f"basis collinearity at x = {problem.x_fixed}: {err} ",
-            rank=err.rank,
-            required=err.required,
-        ) from err
-    grad = 2.0 * phi.T @ (phi @ y_star - b)
-    y_hess = 2.0 * phi.T @ phi
-    w = np.linalg.eigvalsh(y_hess)
-    value = problem.value(y_star)
-    return SubMinimum(
-        y_star=y_star,
-        value=value,
-        grad_y_norm=float(np.linalg.norm(grad)),
-        y_hessian_min_eig=float(w[0]),
-        method="linear_elimination",
-        iterations=0,
-        inner_tol=default_inner_tol(value),
-        y_index=int(np.count_nonzero(w < -PD_TOL * max(1.0, abs(w[-1])))),
-    )
+    phis = model.design_matrix(xs)
+    spectra = np.linalg.eigvalsh(_gram_blocks(phis))
+    for x, phi, w in zip(xs, phis, spectra):
+        b = model.d - model.offsets(x)
+        try:
+            y_star = linear_lsq_solve(phi, b)
+        except numerics.RankDeficiencyError as err:
+            raise numerics.RankDeficiencyError(
+                f"basis collinearity at x = {x}: {err} ",
+                rank=err.rank,
+                required=err.required,
+            ) from err
+        grad = 2.0 * phi.T @ (phi @ y_star - b)
+        value = merit(split.embed(x, y_star))
+        yield SubMinimum(
+            y_star=y_star,
+            value=value,
+            grad_y_norm=float(np.linalg.norm(grad)),
+            y_hessian_min_eig=float(w[0]),
+            method="linear_elimination",
+            iterations=0,
+            inner_tol=default_inner_tol(value),
+            y_index=int(np.count_nonzero(w < -PD_TOL * max(1.0, abs(w[-1])))),
+        )
 
 
 def _damped_newton(f, x, fval, box, tol, max_iter, direction):
@@ -516,6 +549,15 @@ class SliceSolver:
     without ``y0`` is kept: a later such call at the same x returns it
     unsolved. A call with ``y0`` always solves. ``solves`` counts the slice
     solves made so far.
+
+    :meth:`solve` also takes an (N, n) stack of x rows. On the linear path
+    the rows not yet solved are validated once and solved as one stack
+    (the variable-projection view of Golub & Pereyra, SIAM J. Numer. Anal.
+    10, 1973, makes each slice one least-squares solve): one stacked
+    design matrix and one stacked ``eigvalsh`` per ``STACK_VALUES``
+    values, then a least-squares solve and one counted merit evaluation
+    per row. Results, ``solved`` and ``solves`` are those of N single
+    calls. The Newton path solves the rows one by one, in order.
     """
 
     def __init__(self, merit: MeritFunction, split: ParameterSplit, inner_tol: float | None = None):
@@ -547,13 +589,19 @@ class SliceSolver:
                     return sub1.y_star + t * (sub1.y_star - sub0.y_star)
         return sub1.y_star
 
-    def solve(self, x_fixed, y0=None) -> SubMinimum:
-        problem = SliceProblem(self.merit, self.split, x_fixed)
-        x = problem.x_fixed
+    def solve(self, x_fixed, y0=None):
+        """The :class:`SubMinimum` at ``x_fixed``; an (N, n) stack of x rows
+        gives the list of its rows' results, in order, as N calls would."""
+        x = np.atleast_1d(np.asarray(x_fixed, dtype=float))
+        if x.ndim == 2:
+            if self.linear and y0 is None:
+                self._solve_linear_stack(x)
+            return [self.solve(row, y0) for row in x]
         x_key = tuple(x.tolist())
         if y0 is None and x_key in self.solved:
             sub = self.solved[x_key]
         else:
+            problem = SliceProblem(self.merit, self.split, x)
             self.solves += 1
             if self.linear:
                 sub = subminimize_linear(problem)
@@ -564,6 +612,25 @@ class SliceSolver:
                 self.solved[x_key] = sub
         self.recent = [*self.recent[-1:], (x, sub)]
         return sub
+
+    def _solve_linear_stack(self, xs) -> None:
+        """Solve and keep every distinct row of ``xs`` not yet in
+        ``solved``, validated first as a whole, in stacks whose design
+        matrices hold at most ``STACK_VALUES`` values."""
+        todo = {}
+        for key, row in zip(map(tuple, xs.tolist()), xs):
+            if key not in self.solved:
+                todo.setdefault(key, row)
+        if not todo:
+            return
+        keys, rows = list(todo), np.array(list(todo.values()))
+        _check_rows(self.merit, self.split, rows)
+        per_stack = _rows_per_stack(self.merit.model)
+        for start in range(0, len(rows), per_stack):
+            part = slice(start, start + per_stack)
+            for key, sub in zip(keys[part], _linear_rows(self.merit, self.split, rows[part])):
+                self.solves += 1
+                self.solved[key] = sub
 
     def value(self, x_fixed) -> float:
         """Section value at ``x_fixed``: the slice minimum of the merit."""

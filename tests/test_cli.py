@@ -368,6 +368,21 @@ def test_nan_island_refused_with_witness(tmp_path, capsys, monkeypatch):
     assert "non-finite" in err and "witness point" in err
 
 
+def test_solve_error_refusal_prints_best_point(tmp_path, capsys):
+    # An outer tolerance below float resolution stalls the quasi-Newton
+    # line search at the section minimum, a SolveError refusal.
+    argv = ["--problem", "SINE_VALLEY", "--command", "solve", "--outer-tol", "1e-300"]
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 1
+    assert list(tmp_path.iterdir()) == []
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("refused: quasi-Newton line search stalled at x = ")
+    best = ast.literal_eval(lines[1].removeprefix("best point: "))
+    assert lines[1].startswith("best point: ") and len(best) == 1 and abs(best[0]) < 1e-6
+    value = float(lines[2].removeprefix("best value: "))
+    assert lines[2].startswith("best value: ") and 0.0 <= value < 1e-12
+    assert len(lines) == 3
+
+
 def test_boundary_clamps_are_one_warning_line(tmp_path):
     import subprocess
     import sys

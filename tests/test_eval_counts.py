@@ -262,3 +262,54 @@ def test_boxed_catalog_file_counts_once(tmp_path, entries, merit_calls):
     merit_calls["n"] = 0
     ms.find_critical_points(entries["TWO_WELLS"].merit, box=box)
     assert merit_calls["n"] == 3640
+
+
+def biexp_file(tmp_path, t, d, rate_box):
+    """A two-rate bi-exponential problem file: d ~ y0 exp(x0 t) + y1 exp(x1 t)."""
+    (tmp_path / "obs.csv").write_text(
+        "t,d\n" + "".join(f"{tk!r},{dk!r}\n" for tk, dk in zip(t.tolist(), d.tolist()))
+    )
+    path = tmp_path / "biexp.json"
+    path.write_text(json.dumps({
+        "dimension": 4,
+        "split": {"x_indices": [0, 1], "y_indices": [2, 3]},
+        "domain_box": [*rate_box, [-10.0, 10.0], [-10.0, 10.0]],
+        "model": {
+            "kind": "partially_linear",
+            "basis": [{"type": "exponential", "rate_index": i} for i in (0, 1)],
+        },
+        "data_file": "obs.csv",
+    }))
+    return ms.load_problem_file(path)
+
+
+def test_biexponential_file_counts(tmp_path, merit_calls):
+    # Each outer grid's slices are solved as one stack: one evaluation per
+    # distinct slice, as when they were solved node by node.
+    t = np.arange(20.0)
+    definition = biexp_file(
+        tmp_path, t, np.exp(-0.3 * t) + 2.0 * np.exp(-4.0 * t), ([-1.5, 0.0], [-6.0, -1.8])
+    )
+    report = ms.solve_hierarchical(definition.merit, definition.split)
+    assert merit_calls["n"] == 88
+    assert report.inner_solves == 48
+    assert report.iterations == 7
+
+
+def test_grid_stack_stays_under_the_cap(tmp_path):
+    import tracemalloc
+
+    t = np.linspace(0.0, 10.0, 5000)
+    definition = biexp_file(
+        tmp_path, t, np.exp(-2.0 * t) + 2.0 * np.exp(-0.3 * t), ([-3.0, -1.0], [-0.6, 0.0])
+    )
+    tracemalloc.start()
+    try:
+        report = ms.solve_hierarchical(definition.merit, definition.split, grid=201)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.inner_solves == 404
+    # one whole 201-node grid stack, 201 x 5,000 samples x 2 columns, is
+    # 15.3 MiB, and its transposed copy for 2 Phi^T Phi as much again
+    assert peak < 20 * 2**20

@@ -622,3 +622,145 @@ def test_closed_form_probe_bounds_its_design_matrix_stack(tmp_path):
     assert cert.sampled_points == 441
     # the unsliced stack alone, 441 nodes x 5,000 samples x 2 columns, is 35 MB
     assert peak < 16 * 2**20
+
+
+def reference_linear(merit, split, x):
+    """The node-by-node linear elimination: one design matrix, one
+    least-squares solve, one ``2 Phi^T Phi`` and one ``eigvalsh`` per x."""
+    model = merit.model
+    phi = model.design_matrix(x)
+    b = model.d - model.offsets(x)
+    y_star = ms.numerics.linear_lsq_solve(phi, b)
+    grad = 2.0 * phi.T @ (phi @ y_star - b)
+    w = np.linalg.eigvalsh(2.0 * phi.T @ phi)
+    value = merit(split.embed(x, y_star))
+    return ms.SubMinimum(
+        y_star=y_star,
+        value=value,
+        grad_y_norm=float(np.linalg.norm(grad)),
+        y_hessian_min_eig=float(w[0]),
+        method="linear_elimination",
+        iterations=0,
+        inner_tol=ms.subminimize.default_inner_tol(value),
+        y_index=int(np.count_nonzero(w < -1e-8 * max(1.0, abs(w[-1])))),
+    )
+
+
+def assert_same_sub(got, want):
+    assert np.array_equal(got.y_star, want.y_star)
+    for field in ("value", "grad_y_norm", "y_hessian_min_eig", "y_index", "inner_tol",
+                  "method", "iterations"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+def stacked_cases(tmp_path, entries):
+    """(merit, split, stack) for every basis kind of the stacked solve."""
+    rng = np.random.default_rng(3)
+    exp_fit = entries["EXP_FIT"].merit
+    exp_split = ms.model_split(exp_fit)
+    lo, hi = exp_split.x_box(exp_fit.domain_box)[0]
+    cases = [(exp_fit, exp_split, np.linspace(lo, hi, 21)[:, None])]
+    biexp = load_fit_file(
+        tmp_path,
+        np.linspace(0.0, 4.0, 20),
+        [(-3.0, -0.1), (-1.0, 0.5)],
+        [{"type": "exponential", "rate_index": i} for i in (0, 1)],
+    )
+    cases.append((*biexp, np.column_stack([np.linspace(-3.0, -0.1, 21), np.full(21, 0.25)])))
+    frequency = load_fit_file(
+        tmp_path,
+        0.05 * np.arange(400),
+        [(0.7, 1.3)],
+        [
+            {"type": "sinusoid", "fn": "sin", "frequency_index": 0},
+            {"type": "sinusoid", "fn": "cos", "frequency_index": 0},
+            {"type": "constant"},
+        ],
+    )
+    cases.append((*frequency, np.linspace(0.7, 1.3, 21)[:, None]))
+    rows = np.linalg.cholesky(np.eye(6) + 0.3).T
+    model = ms.PartiallyLinearModel(
+        basis=tuple(lambda tk, x, j=j: float(rows[int(tk), j]) for j in range(3, 6)),
+        t=np.arange(6.0),
+        d=np.ones(6),
+        nonlinear_dim=3,
+        offset=lambda tk, x: float(rows[int(tk), :3] @ x),
+    )
+    cases.append((
+        ms.build_partially_linear(model),
+        ms.ParameterSplit((0, 1, 2), (3, 4, 5)),
+        rng.uniform(-5.0, 5.0, size=(21, 3)),
+    ))
+    return cases
+
+
+def test_stacked_linear_solve_matches_per_node(tmp_path, entries, merit_calls):
+    for merit, split, stack in stacked_cases(tmp_path, entries):
+        slices = SliceSolver(merit, split)
+        before = len(merit_calls)
+        stacked = slices.solve(stack)
+        assert len(merit_calls) - before == len(stack) == slices.solves == len(stacked)
+        for x, sub in zip(stack, stacked):
+            assert_same_sub(sub, ms.subminimize_linear(SliceProblem(merit, split, x)))
+            assert_same_sub(sub, reference_linear(merit, split, x))
+            assert slices.solve(x) is sub
+        assert slices.solves == len(stack)
+
+
+def test_stacked_linear_solve_refuses_as_per_node(entries, merit_calls):
+    merit = entries["EXP_FIT"].merit
+    split = ms.model_split(merit)
+    lo, hi = split.x_box(merit.domain_box)[0]
+    grid = np.linspace(lo, hi, 9)[:, None]
+    # each stack with the index of its first invalid row
+    for bad, k in (
+        (np.vstack([grid, [[hi + 1.0]]]), 9),
+        (np.vstack([grid[:4], [[np.nan]], grid[4:]]), 4),
+        (np.vstack([grid[:2], [[np.inf]], [[lo - 1.0]]]), 2),
+        (np.column_stack([grid, grid]), 0),
+    ):
+        slices = SliceSolver(merit, split)
+        with pytest.raises(ValueError) as per_node:
+            SliceProblem(merit, split, bad[k])
+        with pytest.raises(ValueError) as stacked:
+            slices.solve(bad)
+        assert str(stacked.value) == str(per_node.value)
+        assert slices.solves == 0 and slices.solved == {}
+    assert merit_calls == []
+
+
+def test_stacked_linear_solve_skips_solved_rows(entries, merit_calls):
+    merit = entries["EXP_FIT"].merit
+    split = ms.model_split(merit)
+    lo, hi = split.x_box(merit.domain_box)[0]
+    grid = np.linspace(lo, hi, 11)[:, None]
+    slices = SliceSolver(merit, split)
+    known = slices.solve(grid[5])
+    assert slices.solves == 1 and len(merit_calls) == 1
+    stack = np.vstack([grid, grid[2:4]])
+    stacked = slices.solve(stack)
+    assert stacked[5] is known
+    assert stacked[11] is stacked[2] and stacked[12] is stacked[3]
+    assert slices.solves == 11 and len(merit_calls) == 11
+    assert all(again is sub for again, sub in zip(slices.solve(stack), stacked))
+    assert slices.solves == 11 and len(merit_calls) == 11
+
+
+def test_stacked_linear_solve_is_cut_at_the_stack_cap(tmp_path, entries, monkeypatch):
+    merit, split, stack = stacked_cases(tmp_path, entries)[1]
+    whole = SliceSolver(merit, split).solve(stack)
+    sizes = []
+    design_matrix = ms.PartiallyLinearModel.design_matrix
+
+    def recorded(model, x):
+        if np.ndim(x) == 2:
+            sizes.append(len(x))
+        return design_matrix(model, x)
+
+    monkeypatch.setattr(ms.PartiallyLinearModel, "design_matrix", recorded)
+    # four x rows per stacked design matrix: 20 samples x 2 columns each
+    monkeypatch.setattr(ms.subminimize, "STACK_VALUES", 4 * 20 * 2 + 7)
+    cut = SliceSolver(merit, split).solve(stack)
+    assert sizes == [4, 4, 4, 4, 4, 1]
+    for got, want in zip(cut, whole):
+        assert_same_sub(got, want)
