@@ -25,6 +25,7 @@ from .numerics import (
 )
 from .numerics import fd_hessian  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .problems import MeritFunction
+from .subminimize import _backtrack
 
 __all__ = [
     "CriticalPoint",
@@ -90,44 +91,34 @@ def _newton_on_gradient(merit, seed, g, box, critical_tol, max_iter):
     The linear step solves the FD Hessian system (exactly symmetric, each
     mixed partial being computed once) in the minimum-norm least-squares
     sense, which also handles consistent singular systems (valley floors).
-    When no damped Newton step reduces the gradient norm, a short normalized
-    gradient-descent step of ``1e-2 * box diagonal`` is tried before giving
-    up.
+    A step backtracks to a smaller gradient norm by the line search of the
+    Newton slice solves (:func:`~minsection.subminimize._backtrack`). When
+    no damped Newton step reduces it, a normalized gradient-descent step of
+    ``1e-2 * box diagonal`` is backtracked before giving up.
     """
     diag = float(np.linalg.norm(box[:, 1] - box[:, 0]))
     p = np.asarray(seed, dtype=float)
     gn = float(np.linalg.norm(g))
+
+    def smaller(trial, _t):  # than the current gradient norm
+        g_trial = fd_gradient(merit, trial, box=box)
+        gn_trial = float(np.linalg.norm(g_trial))
+        return (g_trial, gn_trial) if gn_trial < gn else None
+
     for _ in range(max_iter):
         if gn <= critical_tol:
             return p, gn
         hess = _second_diff_block(merit, p, range(p.size), box)[0]
         step = np.linalg.lstsq(hess, -g, rcond=None)[0]
-        accepted = False
-        t = 1.0
-        for _ in range(25):
-            trial = np.clip(p + t * step, box[:, 0], box[:, 1])
-            g_trial = fd_gradient(merit, trial, box=box)
-            gn_trial = float(np.linalg.norm(g_trial))
-            if gn_trial < gn:
-                p, g, gn = trial, g_trial, gn_trial
-                accepted = True
-                break
-            t *= 0.5
-        if accepted:
-            continue
-        s = GRADIENT_FALLBACK_STEP * diag
-        direction = -g / gn if gn > 0 else -g
-        for _ in range(30):
-            trial = np.clip(p + s * direction, box[:, 0], box[:, 1])
-            g_trial = fd_gradient(merit, trial, box=box)
-            gn_trial = float(np.linalg.norm(g_trial))
-            if gn_trial < gn:
-                p, g, gn = trial, g_trial, gn_trial
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
+        found = _backtrack(p, step, box, smaller, tries=25)
+        if found is None:
+            direction = -g / gn if gn > 0 else -g
+            found = _backtrack(
+                p, direction, box, smaller, tries=30, t=GRADIENT_FALLBACK_STEP * diag
+            )
+        if found is None:
             return None
+        p, (g, gn) = found
     return (p, gn) if gn <= critical_tol else None
 
 
@@ -140,11 +131,12 @@ def find_critical_points(
 ) -> list[CriticalPoint]:
     """Locate and classify the stationary points reachable from a seed grid.
 
-    Newton-on-gradient runs from every node of a ``seed_density``-per-axis
-    grid; converged points are deduplicated within a scaled merge radius
-    and classified via their Hessian spectrum. Seeds that fail to converge
-    (or leave the box) are dropped and counted in the module log; they are
-    never errors.
+    Newton-on-gradient (:func:`_newton_on_gradient`, whose steps backtrack
+    by the line search of the Newton slice solves) runs from every node of
+    a ``seed_density``-per-axis grid; converged points are deduplicated
+    within a scaled merge radius and classified via their Hessian spectrum.
+    Seeds that fail to converge (or leave the box) are dropped and counted
+    in the module log; they are never errors.
     """
     if seed_density < 3:
         raise ValueError("seed density must be at least 3 per axis")

@@ -18,7 +18,6 @@ import numpy as np
 from .problems import MeritFunction, ParameterSplit
 from .solver import (
     TIE_TOL,
-    Tolerances,
     _grid_minima,
     _increasing_grid,
     _triplet,
@@ -366,7 +365,7 @@ def sublevel_interval(
     coincide. Sections with several local minima (or plateau points) are
     refused: analyze each basin separately in that case.
     """
-    if len(section.minima_x) != 1 or any(section.plateau):
+    if not section.has_unique_strict_minimum:
         raise ValueError(
             "sub-level projection requires a section with a unique strict "
             "local minimum; analyze each basin separately"
@@ -430,7 +429,9 @@ def nesting_check(
 
     Only claimed for strictly convex objectives, so the full Hessian is
     probed first and a violation is a refusal. The inner subset must be a
-    single coordinate strictly contained in the outer retained set.
+    single coordinate strictly contained in the outer retained set. A
+    :class:`~minsection.solver.SolveError` of the outer stage carries its
+    best point as a full parameter vector.
     """
     inner = tuple(int(i) for i in inner_x_subset)
     outer = tuple(outer_split.x_indices)
@@ -466,11 +467,9 @@ def nesting_check(
 
         def section(rest_vec, _place=place):
             sub = outer_slices.solve(_place(rest_vec))
-            return sub, lambda v: merit(outer_split.embed(_place(v), sub.y_star))
+            return sub, lambda v: outer_split.embed(_place(v), sub.y_star)
 
-        _, iterated_values[j], _, _ = minimize_by_coordinates(
-            section, rest_grids, Tolerances().max_cycles
-        )
+        _, iterated_values[j], _, _ = minimize_by_coordinates(merit, section, rest_grids)
     max_gap = float(np.max(np.abs(inner_values - iterated_values)))
     return NestingReport(
         inner_indices=inner,

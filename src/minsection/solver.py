@@ -17,11 +17,11 @@ from .numerics import EPS, fd_gradient
 from .numerics import fd_hessian  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .problems import MeritFunction, ParameterSplit
 from .subminimize import (
-    ARMIJO_C1,
-    MAX_HALVINGS,
     ConvexityCertificate,
     ConvexityError,
     SliceSolver,
+    _armijo,
+    _backtrack,
     _damped_newton,
     probe_y_convexity,
 )
@@ -53,6 +53,9 @@ GOLDEN_SECTION = (3.0 - math.sqrt(5.0)) / 2.0
 #: Relative tie tolerance of the 1-D grid scans: grid values closer than
 #: ``TIE_TOL`` times the larger of 1 and their magnitude count as equal.
 TIE_TOL = 1e-12
+
+#: Most quasi-Newton steps the outer stage may take.
+MAX_CYCLES = 60
 
 
 class BracketError(RuntimeError):
@@ -106,8 +109,8 @@ class Tolerances:
     gradient-norm bound at the reported minimizer, on which the
     quasi-Newton outer stage stops; the default is the finite-difference
     noise bound ``max(1e-8, 100 eps^(2/3) max(1, |F|))`` for every number
-    of retained coordinates. ``max_cycles``: the most quasi-Newton steps
-    the outer stage may take. ``probe_density``: grid points per axis of
+    of retained coordinates; the outer stage takes at most ``MAX_CYCLES``
+    quasi-Newton steps. ``probe_density``: grid points per axis of
     the convexity probe. An explicit value samples that full grid; the
     default samples at most ``PROBE_BUDGET`` (441) nodes, as described in
     :func:`~minsection.subminimize.probe_y_convexity`.
@@ -115,7 +118,6 @@ class Tolerances:
 
     inner_tol: float | None = None
     outer_tol: float | None = None
-    max_cycles: int = 60
     probe_density: int | None = None
 
 
@@ -352,29 +354,32 @@ def _bracket_curvature(tri: BracketTriplet) -> float:
     )
 
 
-def minimize_by_coordinates(section, grids, max_cycles: int, outer_tol=None):
-    """Minimize a section over the retained coordinates.
+def minimize_by_coordinates(merit, section, grids, outer_tol=None):
+    """Minimize a section of ``merit`` over the retained coordinates.
 
     ``section(x)`` solves the slice at the retained-coordinate vector ``x``
-    and returns ``(sub, fixed)``: the :class:`SubMinimum` and the merit as a
-    function of the retained coordinates with the eliminated block held at
-    ``sub.y_star``. Given an (N, n) stack of x rows, ``section`` solves
-    them as one stack (:meth:`~minsection.subminimize.SliceSolver.solve`)
-    and its result is not used. Every number of coordinates takes the same
-    two steps. One cycle of grid brackets from the grid centers picks the
-    basin: each coordinate in turn has its grid solved as one stack, is
-    bracketed on it, every node then a cached slice, and is set to the
-    bracket's middle node. BFGS on the section (Nocedal & Wright, ch. 6)
-    then starts there, its inverse Hessian seeded from the bracket
-    curvatures. By the envelope theorem the section gradient is the
-    gradient of ``fixed``, taken by central differences with no further
-    slice solve. The Armijo backtracking clips every trial to the hull of
-    the grids. BFGS stops once the full gradient norm at the slice minimum,
-    ``hypot(|grad fixed|, sub.grad_y_norm)``, is at most ``outer_tol``
-    (default :func:`_outer_tol` of the current value); needing more than
-    ``max_cycles`` steps, or a line search that cannot move, raises
-    :class:`SolveError` carrying the best point. Returns ``(x, value,
-    brackets, iterations)`` with the brackets of the cycle.
+    and returns ``(sub, point)``: the :class:`SubMinimum` and the full
+    parameter vector as a function of the retained coordinates, with the
+    eliminated block held at ``sub.y_star``. Given an (N, n) stack of x
+    rows, ``section`` solves them as one stack
+    (:meth:`~minsection.subminimize.SliceSolver.solve`) and its result is
+    not used. Every number of coordinates takes the same two steps. One
+    cycle of grid brackets from the grid centers picks the basin: each
+    coordinate in turn has its grid solved as one stack, is bracketed on
+    it, every node then a cached slice, and is set to the bracket's middle
+    node. BFGS on the section (Nocedal & Wright, ch. 6) then starts there,
+    its inverse Hessian seeded from the bracket curvatures. By the envelope
+    theorem the section gradient is the gradient of ``merit(point(x))``,
+    taken by central differences with no further slice solve. The line
+    search is the backtracking of the Newton solves
+    (:func:`~minsection.subminimize._backtrack`) under the Armijo test,
+    every trial clipped to the hull of the grids. BFGS stops once the full
+    gradient norm at the slice minimum, ``hypot(|grad|, sub.grad_y_norm)``,
+    is at most ``outer_tol`` (default :func:`_outer_tol` of the current
+    value); needing more than ``MAX_CYCLES`` steps, or a line search that
+    cannot move, raises :class:`SolveError` carrying the best point as a
+    full parameter vector. Returns ``(x, value, brackets, iterations)``
+    with the brackets of the cycle.
     """
     x = np.array([0.5 * (g[0] + g[-1]) for g in grids])
     brackets = []
@@ -393,42 +398,37 @@ def minimize_by_coordinates(section, grids, max_cycles: int, outer_tol=None):
         x[i] = brackets[-1].b
     box = np.array([[g[0], g[-1]] for g in grids])
     h0 = np.diag([1.0 / _bracket_curvature(tri) for tri in brackets])
-    sub, fixed = section(x)
-    g = numerics.fd_gradient(fixed, x, box=box)
+    sub, point = section(x)
+    g = numerics.fd_gradient(lambda v: merit(point(v)), x, box=box)
     inv_hess = h0
-    for iteration in range(max_cycles + 1):
+
+    def sufficient(trial, _t):  # against the current x, f and g
+        solved = section(trial)
+        return solved if _armijo(solved[0].value, f, float(g @ (trial - x))) else None
+
+    for iteration in range(MAX_CYCLES + 1):
         f = sub.value
         grad_norm = math.hypot(float(np.linalg.norm(g)), sub.grad_y_norm)
         if grad_norm <= (outer_tol if outer_tol is not None else _outer_tol(f)):
             return x, f, brackets, iteration
-        if iteration == max_cycles:
+        if iteration == MAX_CYCLES:
             break
         step = -inv_hess @ g
         if g @ step >= 0.0:
             inv_hess = h0
             step = -h0 @ g
-        # One-ulp slack: the Armijo decrease vanishes below float resolution
-        # near the minimum.
-        f_slack = 4.0 * EPS * max(1.0, abs(f))
-        t = 1.0
-        for _ in range(MAX_HALVINGS):
-            trial = np.clip(x + t * step, box[:, 0], box[:, 1])
-            trial_sub, fixed = section(trial)
-            if trial_sub.value <= f + ARMIJO_C1 * float(g @ (trial - x)) + f_slack:
-                break
-            t *= 0.5
-        else:
-            trial = x
-        s = trial - x
-        if not np.any(s):
+        found = _backtrack(x, step, box, sufficient)
+        if found is None or not np.any(found[0] - x):
             raise SolveError(
                 f"quasi-Newton line search stalled at x = {x}; the section minimum "
                 "may lie on the boundary of the retained box",
-                best_point=x,
+                best_point=point(x),
                 best_value=f,
                 grad_norm=grad_norm,
             )
-        g_new = numerics.fd_gradient(fixed, trial, box=box)
+        trial, (trial_sub, point) = found
+        s = trial - x
+        g_new = numerics.fd_gradient(lambda v: merit(point(v)), trial, box=box)
         yv = g_new - g
         sy = float(s @ yv)
         if sy > EPS * float(np.linalg.norm(s) * np.linalg.norm(yv)):
@@ -438,8 +438,8 @@ def minimize_by_coordinates(section, grids, max_cycles: int, outer_tol=None):
             inv_hess = left @ inv_hess @ left.T + rho * np.outer(s, s)
         x, sub, g = trial, trial_sub, g_new
     raise SolveError(
-        f"quasi-Newton outer stage did not converge within {max_cycles} iterations",
-        best_point=x,
+        f"quasi-Newton outer stage did not converge within {MAX_CYCLES} iterations",
+        best_point=point(x),
         best_value=sub.value,
         grad_norm=grad_norm,
     )
@@ -485,8 +485,9 @@ def solve_hierarchical(
     the grid centers, then BFGS on the section, whose gradient the envelope
     theorem gives as ``dF/dx`` at the slice minimum; it stops on the
     gradient norm (see :class:`Tolerances`). A boundary minimum along a
-    grid bracket is an error, not a silent clamp. No evaluation leaves the
-    domain box.
+    grid bracket is an error, not a silent clamp. A :class:`SolveError`
+    carries its best point as a full parameter vector. No evaluation leaves
+    the domain box.
     """
     tol = tolerances or Tolerances()
     certificate = probe_y_convexity(merit, split, tol.probe_density)
@@ -497,10 +498,10 @@ def solve_hierarchical(
 
     def section(x):
         sub = slices.solve(x)
-        return sub, lambda v: merit(split.embed(v, sub.y_star))
+        return sub, lambda v: split.embed(v, sub.y_star)
 
     x_star, _, brackets, iterations = minimize_by_coordinates(
-        section, grids, tol.max_cycles, tol.outer_tol
+        merit, section, grids, tol.outer_tol
     )
     final = slices.solve(x_star)
     minimizer = split.embed(x_star, final.y_star)

@@ -278,8 +278,7 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
             blocks = numerics._second_diff_blocks(merit, points, indices, box)
         w = np.linalg.eigvalsh(blocks)
         lowest = w[:, 0]
-        scale = np.maximum(1.0, np.abs(w).max(axis=1))
-        violated = violated or bool(np.any(lowest <= PD_TOL * scale))
+        violated = violated or bool(np.any(_indefinite(w)))
         n = int(np.argmin(lowest))
         if lowest[n] < worst:
             worst = float(lowest[n])
@@ -402,21 +401,47 @@ def _linear_rows(merit, split, xs):
             ) from err
         grad = 2.0 * phi.T @ (phi @ y_star - b)
         value = merit(split.embed(x, y_star))
-        yield SubMinimum(
-            y_star=y_star,
-            value=value,
-            grad_y_norm=float(np.linalg.norm(grad)),
-            y_hessian_min_eig=float(w[0]),
-            method="linear_elimination",
-            iterations=0,
-            inner_tol=default_inner_tol(value),
-            y_index=int(np.count_nonzero(w < -PD_TOL * max(1.0, abs(w[-1])))),
+        yield _sub_minimum(
+            y_star, value, float(np.linalg.norm(grad)), w, "linear_elimination", 0,
+            default_inner_tol(value),
         )
+
+
+def _indefinite(w):
+    """Whether each ascending spectrum (last axis of ``w``) has its lowest
+    eigenvalue at most ``PD_TOL`` times max(1, its largest magnitude)."""
+    return w[..., 0] <= PD_TOL * np.maximum(1.0, np.abs(w).max(axis=-1))
+
+
+def _sub_minimum(y, value, grad_norm, w, method, iterations, inner_tol) -> SubMinimum:
+    """The :class:`SubMinimum` at ``y``, its block Hessian's spectrum ``w``."""
+    y_index = int(np.count_nonzero(w < -PD_TOL * max(1.0, abs(w[-1]))))
+    return SubMinimum(y, value, grad_norm, float(w[0]), method, iterations, inner_tol, y_index)
+
+
+def _armijo(value, fval, decrease) -> bool:
+    """Armijo's test of ``value`` against ``fval`` for a predicted change
+    ``decrease``, with a one-ulp slack for a decrease below float resolution."""
+    return value <= fval + ARMIJO_C1 * decrease + 4.0 * EPS * max(1.0, abs(fval))
+
+
+def _backtrack(x, step, box, accept, tries=MAX_HALVINGS, t=1.0):
+    """Try ``clip(x + t * step)`` to ``box``, halving ``t``, ``tries`` times:
+    ``(trial, accept(trial, t))`` for the first result not None, else None."""
+    for _ in range(tries):
+        trial = np.clip(x + t * step, box[:, 0], box[:, 1])
+        verdict = accept(trial, t)
+        if verdict is not None:
+            return trial, verdict
+        t *= 0.5
+    return None
 
 
 def _damped_newton(f, x, fval, box, tol, max_iter, direction):
     """Damped Newton with Armijo backtracking (Nocedal & Wright, ch. 3) on
-    finite-difference derivatives, trials clipped to ``box``.
+    finite-difference derivatives, trials clipped to ``box``. The line
+    search is :func:`_backtrack` under the :func:`_armijo` test; the outer
+    BFGS stage and the critical-point census run the same loop.
 
     Stops once the gradient norm is at most ``tol``, else steps along
     ``direction(g, hess, x)``, which may raise to refuse the iterate.
@@ -430,6 +455,11 @@ def _damped_newton(f, x, fval, box, tol, max_iter, direction):
     ``tol``.
     """
     best = (x.copy(), fval, np.inf)
+
+    def sufficient(trial, t):  # against the current fval and slope
+        f_trial = f(trial)
+        return f_trial if _armijo(f_trial, fval, t * slope) else None
+
     for iteration in range(max_iter + 1):
         report = fd_hessian(f, x, box=box, f0=fval)
         g, hess = report.gradient, report.hessian
@@ -449,19 +479,10 @@ def _damped_newton(f, x, fval, box, tol, max_iter, direction):
             held = ((x <= box[:, 0]) & (g > 0.0)) | ((x >= box[:, 1]) & (g < 0.0))
             if np.linalg.norm(g[~held]) <= tol:
                 return best, hess, iteration, "boundary"
-        # Allow one-ulp increases: near the minimum the Armijo decrease is
-        # far below float resolution of the objective.
-        f_slack = 4.0 * EPS * max(1.0, abs(fval))
-        t = 1.0
-        for _ in range(MAX_HALVINGS):
-            x_new = np.clip(x + t * step, box[:, 0], box[:, 1])
-            f_new = f(x_new)
-            if f_new <= fval + ARMIJO_C1 * t * slope + f_slack:
-                break
-            t *= 0.5
-        else:
+        found = _backtrack(x, step, box, sufficient)
+        if found is None:
             return best, hess, iteration, "stalled"
-        x, fval = x_new, f_new
+        x, fval = found
     return best, hess, max_iter, "max_iter"
 
 
@@ -492,7 +513,7 @@ def subminimize_newton(
 
     def convex(hess, y, where, note=""):
         w = np.linalg.eigvalsh(hess)
-        if w[0] <= PD_TOL * max(1.0, float(np.max(np.abs(w)))):
+        if _indefinite(w):
             raise ConvexityError(
                 f"eliminated-block Hessian is not positive definite at {where} "
                 f"(min eigenvalue {float(w[0]):.3e}){note}",
@@ -523,41 +544,28 @@ def subminimize_newton(
             iterations=iteration,
         )
     w = convex(hess, y, "the sub-minimum")
-    return SubMinimum(
-        y_star=y,
-        value=fval,
-        grad_y_norm=gn,
-        y_hessian_min_eig=float(w[0]),
-        method="newton",
-        iterations=iteration,
-        inner_tol=tol,
-        y_index=int(np.count_nonzero(w < -PD_TOL * max(1.0, abs(w[-1])))),
-    )
+    return _sub_minimum(y, fval, gn, w, "newton", iteration, tol)
 
 
 class SliceSolver:
     """Solves the slices of one merit under one split.
 
-    Linear elimination is used when the split matches a partially linear
-    model, Newton otherwise. Unless ``y0`` is given, Newton starts from a
-    secant prediction along the implicit graph y*(x) (Allgower & Georg,
-    *Introduction to Numerical Continuation Methods*, 2003, ch. 2): when x
-    lies on the line through the x of the last two results returned,
-    ``x = x1 + t (x1 - x0)`` with ``|t| <= 2``, the start is
-    ``y1 + t (y1 - y0)``. Any other call starts from the last result
-    returned (the box center on the first solve). Each result of a call
-    without ``y0`` is kept: a later such call at the same x returns it
-    unsolved. A call with ``y0`` always solves. ``solves`` counts the slice
-    solves made so far.
-
-    :meth:`solve` also takes an (N, n) stack of x rows. On the linear path
+    :meth:`solve` takes an (N, n) stack of x rows, or one x as the one-row
+    stack. Each result is kept, and a later call at the same x returns it
+    unsolved. ``solves`` counts the slice solves made so far. Linear
+    elimination is used when the split matches a partially linear model:
     the rows not yet solved are validated once and solved as one stack
-    (the variable-projection view of Golub & Pereyra, SIAM J. Numer. Anal.
-    10, 1973, makes each slice one least-squares solve): one stacked
-    design matrix and one stacked ``eigvalsh`` per ``STACK_VALUES``
-    values, then a least-squares solve and one counted merit evaluation
-    per row. Results, ``solved`` and ``solves`` are those of N single
-    calls. The Newton path solves the rows one by one, in order.
+    (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973),
+    one stacked design matrix and ``eigvalsh`` per ``STACK_VALUES`` values,
+    then a least-squares solve and one counted merit evaluation per row.
+    Otherwise Newton solves the rows one by one, in order. ``y0`` is a
+    Newton start only: such a call always solves, and its result is not
+    kept. Without it, Newton starts from a secant prediction along the
+    implicit graph y*(x) (Allgower & Georg, *Introduction to Numerical
+    Continuation Methods*, 2003, ch. 2): when x lies on the line through
+    the x of the last two results returned, ``x = x1 + t (x1 - x0)`` with
+    ``|t| <= 2``, the start is ``y1 + t (y1 - y0)``; else it is the last
+    result returned (the box center on the first solve).
     """
 
     def __init__(self, merit: MeritFunction, split: ParameterSplit, inner_tol: float | None = None):
@@ -591,34 +599,32 @@ class SliceSolver:
 
     def solve(self, x_fixed, y0=None):
         """The :class:`SubMinimum` at ``x_fixed``; an (N, n) stack of x rows
-        gives the list of its rows' results, in order, as N calls would."""
+        gives the list of its rows' results, in order."""
         x = np.atleast_1d(np.asarray(x_fixed, dtype=float))
-        if x.ndim == 2:
-            if self.linear and y0 is None:
-                self._solve_linear_stack(x)
-            return [self.solve(row, y0) for row in x]
-        x_key = tuple(x.tolist())
-        if y0 is None and x_key in self.solved:
-            sub = self.solved[x_key]
-        else:
-            problem = SliceProblem(self.merit, self.split, x)
-            self.solves += 1
-            if self.linear:
-                sub = subminimize_linear(problem)
+        rows = x.reshape(1, -1) if x.ndim == 1 else x
+        keys = list(map(tuple, rows.tolist()))
+        if self.linear:
+            self._solve_linear(rows, keys)
+        subs = []
+        for row, key in zip(rows, keys):
+            if self.linear or (y0 is None and key in self.solved):
+                sub = self.solved[key]
             else:
-                start = self._predict(x) if y0 is None else y0
+                problem = SliceProblem(self.merit, self.split, row)
+                self.solves += 1
+                start = self._predict(row) if y0 is None else y0
                 sub = subminimize_newton(problem, y0=start, inner_tol=self.inner_tol)
-            if y0 is None:
-                self.solved[x_key] = sub
-        self.recent = [*self.recent[-1:], (x, sub)]
-        return sub
+                if y0 is None:
+                    self.solved[key] = sub
+            self.recent = [*self.recent[-1:], (row, sub)]
+            subs.append(sub)
+        return subs if x.ndim == 2 else subs[0]
 
-    def _solve_linear_stack(self, xs) -> None:
-        """Solve and keep every distinct row of ``xs`` not yet in
-        ``solved``, validated first as a whole, in stacks whose design
-        matrices hold at most ``STACK_VALUES`` values."""
+    def _solve_linear(self, rows, keys) -> None:
+        """Validate, solve and keep the distinct rows not yet in ``solved``,
+        in stacks of at most ``STACK_VALUES`` design-matrix values."""
         todo = {}
-        for key, row in zip(map(tuple, xs.tolist()), xs):
+        for key, row in zip(keys, rows):
             if key not in self.solved:
                 todo.setdefault(key, row)
         if not todo:

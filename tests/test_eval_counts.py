@@ -155,6 +155,54 @@ def test_slice_newton_stall_count(merit_calls):
     assert info.value.best_y is not None
 
 
+@pytest.mark.parametrize(
+    "name, evaluations",
+    [
+        # EXP_FIT is the one catalog census that takes the gradient-descent
+        # fallback of the census Newton loop (48 times), DEGEN_LINE twice.
+        pytest.param("EXP_FIT", 31611, id="EXP_FIT"),
+        pytest.param("DEGEN_LINE", 2006, id="DEGEN_LINE"),
+        pytest.param("SINE_VALLEY", 7328, id="SINE_VALLEY"),
+    ],
+)
+def test_census_counts(entries, merit_calls, name, evaluations):
+    ms.find_critical_points(entries[name].merit)
+    assert merit_calls["n"] == evaluations
+
+
+def beyond_face_merit():
+    """A section that keeps falling toward the corner (1, 1) of the
+    retained box, though every grid line search finds an interior minimum."""
+    residuals = (
+        lambda p: 3.0 * (p[0] - p[1]),
+        lambda p: 0.3 * (p[0] + p[1] - 2.4),
+        lambda p: p[2] - p[0],
+    )
+    return ms.build_residual_merit(
+        residuals, 3, box=np.array([[-1.0, 1.0], [-1.0, 1.0], [-3.0, 3.0]])
+    )
+
+
+def test_bfgs_boundary_stall_count(merit_calls):
+    with pytest.raises(ms.SolveError, match="^quasi-Newton line search stalled at x = "):
+        ms.solve_hierarchical(
+            beyond_face_merit(),
+            ms.ParameterSplit((0, 1), (2,)),
+            tolerances=ms.Tolerances(probe_density=5),
+        )
+    assert merit_calls["n"] == 644
+
+
+def test_bfgs_resolution_stall_count(entries, split01, merit_calls):
+    # An outer tolerance below float resolution: BFGS reaches the section
+    # minimum and its line search can no longer move.
+    with pytest.raises(ms.SolveError, match="^quasi-Newton line search stalled at x = "):
+        ms.solve_hierarchical(
+            entries["SINE_VALLEY"].merit, split01, tolerances=ms.Tolerances(outer_tol=1e-300)
+        )
+    assert merit_calls["n"] == 1832
+
+
 BOUNDARY_STOP = (
     "the Newton step leaves the eliminated-coordinate box at the iterate; "
     "the slice minimum may lie outside the box"

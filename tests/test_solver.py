@@ -482,7 +482,9 @@ def test_multi_coordinate_minimum_beyond_face_is_refused():
         ms.solve_hierarchical(
             merit, ms.ParameterSplit((0, 1), (2,)), tolerances=ms.Tolerances(probe_density=5)
         )
-    assert np.array_equal(excinfo.value.best_point, [1.0, 1.0])
+    best = excinfo.value.best_point
+    assert len(best) == 3 and np.array_equal(best[:2], [1.0, 1.0])
+    assert merit.contains(best) and excinfo.value.best_value == merit(best)
 
 
 def test_narrow_dip_is_solved_not_refused():
