@@ -9,6 +9,7 @@ domain box.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -144,9 +145,7 @@ def fd_gradient(f, p, box=AUTO) -> np.ndarray:
             clamped = True
             sign = 1.0 if p[i] + 2.0 * h <= hi else -1.0
             if sign < 0 and p[i] - 2.0 * h < lo:
-                raise ValueError(
-                    f"domain box is thinner than the FD stencil along coordinate {i}"
-                )
+                raise _thin_box_error(i)
             f0 = f(p)
             work[i] = p[i] + sign * h
             f1 = f(work)
@@ -190,9 +189,7 @@ def _second_diff_block(f, p, indices, box, f0=None):
         if box is not None:
             lo, hi = box[i]
             if hi - lo < 4.0 * h:
-                raise ValueError(
-                    f"domain box is thinner than the FD stencil along coordinate {i}"
-                )
+                raise _thin_box_error(i)
             moved = min(max(p[i], lo + h), hi - h)
             if moved != p[i]:
                 shifted = True
@@ -226,12 +223,14 @@ def _second_diff_block(f, p, indices, box, f0=None):
             work[j] = q[j]
             block[a, b] = block[b, a] = (fpp - fpm - fmp + fmm) / (4.0 * ha * hb)
     if not np.all(np.isfinite(block)):
-        a, b = np.argwhere(~np.isfinite(block))[0]
-        raise NonFiniteValueError(
-            f"non-finite Hessian entry at coordinate pair ({indices[a]}, {indices[b]})", q
-        )
+        raise _non_finite_block_error(block, indices, q)
     return block, steps, shifted
 
+
+#: Fewest rows whose finite-difference stencils :func:`_fd_hessians` builds
+#: as one stack; fewer rows take :func:`fd_hessian` one by one, which costs
+#: less numpy overhead than one stacked stencil below about eight rows.
+MIN_STACKED_ROWS = 8
 
 #: Bound on the sum of a stencil's absolute values, per unit of
 #: ``min(1, h_min^2)``, below which its block cannot overflow: every entry
@@ -239,22 +238,77 @@ def _second_diff_block(f, p, indices, box, f0=None):
 _FINITE_BLOCK_BOUND = 1e307
 
 
-def _stencil_rows(k):
-    """The rows of the ``1 + 2 k^2`` stencil, in the order
-    :func:`_second_diff_block` evaluates them (the center, the +- pair of
-    each coordinate, then pp, pm, mm, mp for each pair a < b), that step
-    coordinate ``a`` up and those that step it down, for each ``a``."""
-    up = [[1 + 2 * a] for a in range(k)]
-    down = [[2 + 2 * a] for a in range(k)]
+@functools.lru_cache(maxsize=None)
+def _stencil_entries(k, count):
+    """Where the first ``count`` of the ``1 + 2 k^2`` points of a
+    second-difference stencil, in the order :func:`_second_diff_block`
+    evaluates them (the center, the +- pair of each coordinate, then pp,
+    pm, mm, mp for each pair a < b), leave the center: ``(point,
+    coordinate, sign)`` arrays, one entry per coordinate moved by its step.
+    The +- pairs are the points 1 to 2k."""
+    point, coordinate, sign = [], [], []
+    for a in range(k):
+        point += [1 + 2 * a, 2 + 2 * a]
+        coordinate += [a, a]
+        sign += [1.0, -1.0]
     row = 1 + 2 * k
     for a in range(k):
         for b in range(a + 1, k):
-            up[a] += [row, row + 1]
-            down[a] += [row + 2, row + 3]
-            up[b] += [row, row + 3]
-            down[b] += [row + 1, row + 2]
-            row += 4
-    return up, down
+            for sa, sb in ((1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)):
+                point += [row, row]
+                coordinate += [a, b]
+                sign += [sa, sb]
+                row += 1
+    taken = np.array(point) < count
+    return np.array(point)[taken], np.array(coordinate)[taken], np.array(sign)[taken]
+
+
+def _stencil(centers, steps, count, indices=None):
+    """The first ``count`` points of the second-difference stencil around
+    each row of ``centers``, shape (N, count, M): the coordinates
+    ``indices`` (all by default) are moved by ``+- steps``, as ``center +
+    step`` and ``center - step``."""
+    point, coordinate, sign = _stencil_entries(steps.shape[1], count)
+    moved = coordinate if indices is None else indices[coordinate]
+    stencil = np.repeat(centers[:, None, :], count, axis=1)
+    stencil[:, point, moved] = centers[:, moved] + sign * steps[:, coordinate]
+    return stencil
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(k):
+    """The index pairs a < b of k coordinates, as two arrays."""
+    return np.triu_indices(k, 1)
+
+
+def _second_diff_stencil(points, indices, box):
+    """The steps, inward-shifted centers and thin-box mask of
+    :func:`_second_diff_block` at each row of ``points``, with numpy, and
+    its ``1 + 2 k^2`` stencil points per row, laid out as in
+    :func:`_stencil_entries`: ``(steps, q, thin, stencil)``."""
+    points = np.asarray(points, dtype=float)
+    idx = np.asarray(indices, dtype=int)
+    k = idx.size
+    x = points[:, idx]
+    steps = (x + HESSIAN_STEP * np.maximum(1.0, np.abs(x))) - x
+    q = points.copy()
+    thin = np.zeros(steps.shape, dtype=bool)
+    if box is not None:
+        lo, hi = box[idx, 0], box[idx, 1]
+        thin = hi - lo < 4.0 * steps
+        q[:, idx] = np.minimum(np.maximum(x, lo + steps), hi - steps)
+    return steps, q, thin, _stencil(q, steps, 1 + 2 * k * k, idx)
+
+
+def _thin_box_error(coordinate):
+    return ValueError(f"domain box is thinner than the FD stencil along coordinate {coordinate}")
+
+
+def _non_finite_block_error(block, indices, point):
+    a, b = np.argwhere(~np.isfinite(block))[0]
+    return NonFiniteValueError(
+        f"non-finite Hessian entry at coordinate pair ({indices[a]}, {indices[b]})", point
+    )
 
 
 def _second_diff_blocks(f, points, indices, box):
@@ -262,31 +316,17 @@ def _second_diff_blocks(f, points, indices, box):
     (N, k, k) array.
 
     The steps, the inward shifts and every stencil coordinate are computed
-    with numpy; ``f`` is then called row by row in the scalar order (point
-    by point: the center, the +- pairs, then pp, pm, mm, mp per pair), and
-    the blocks are assembled with the scalar formulas, so each block is
-    bitwise the scalar one and costs the same ``1 + 2 k^2`` evaluations.
-    A thin box or a non-finite block raises the scalar error at the first
-    point that has one, after evaluating exactly the points before it.
+    with numpy (:func:`_second_diff_stencil`); ``f`` is then called row by
+    row in the scalar order (point by point: the center, the +- pairs, then
+    pp, pm, mm, mp per pair), and the blocks are assembled with the scalar
+    formulas, so each block is bitwise the scalar one and costs the same
+    ``1 + 2 k^2`` evaluations. A thin box or a non-finite block raises the
+    scalar error at the first point that has one, after evaluating exactly
+    the points before it.
     """
-    points = np.asarray(points, dtype=float)
-    idx = np.asarray(indices, dtype=int)
-    k = idx.size
-    x = points[:, idx]
-    steps = (x + HESSIAN_STEP * np.maximum(1.0, np.abs(x))) - x
-    q = points.copy()
-    count = len(points)
-    if box is not None:
-        lo, hi = box[idx, 0], box[idx, 1]
-        thin = hi - lo < 4.0 * steps
-        if thin.any():
-            count = int(np.flatnonzero(thin.any(axis=1))[0])
-        q[:, idx] = np.minimum(np.maximum(x, lo + steps), hi - steps)
-    stencil = np.repeat(q[:, None, :], 1 + 2 * k * k, axis=1)
-    for a, (up, down) in enumerate(zip(*_stencil_rows(k))):
-        i = idx[a]
-        stencil[:, up, i] = (q[:, i] + steps[:, a])[:, None]
-        stencil[:, down, i] = (q[:, i] - steps[:, a])[:, None]
+    steps, q, thin, stencil = _second_diff_stencil(points, indices, box)
+    thin_rows = thin.any(axis=1)
+    count = int(np.argmax(thin_rows)) if thin_rows.any() else len(q)
     values = np.empty(stencil.shape[:2])
     bounds = _FINITE_BLOCK_BOUND * np.minimum(1.0, steps.min(axis=1) ** 2)
     for n in range(count):
@@ -295,35 +335,29 @@ def _second_diff_blocks(f, points, indices, box):
             with np.errstate(over="ignore", invalid="ignore"):
                 block = _assemble_blocks(values[n : n + 1], steps[n : n + 1])[0]
             if not np.all(np.isfinite(block)):
-                a, b = np.argwhere(~np.isfinite(block))[0]
-                raise NonFiniteValueError(
-                    f"non-finite Hessian entry at coordinate pair ({indices[a]}, {indices[b]})",
-                    q[n],
-                )
-    if count < len(points):
-        a = int(np.flatnonzero(thin[count])[0])
-        raise ValueError(
-            f"domain box is thinner than the FD stencil along coordinate {indices[a]}"
-        )
+                raise _non_finite_block_error(block, indices, q[n])
+    if count < len(q):
+        raise _thin_box_error(indices[int(np.argmax(thin[count]))])
     return _assemble_blocks(values, steps)
 
 
 def _assemble_blocks(values, steps):
     """Second-difference blocks from stencil values laid out as in
-    :func:`_stencil_rows`, with the formulas of
+    :func:`_stencil_entries`, with the formulas of
     :func:`_second_diff_block`."""
     count, k = steps.shape
-    a, b = np.triu_indices(k, 1)
+    a, b = _pairs(k)
     blocks = np.empty((count, k, k))
     f0 = values[:, :1]
     diag = np.arange(k)
     blocks[:, diag, diag] = (
         values[:, 1 : 1 + 2 * k : 2] - 2.0 * f0 + values[:, 2 : 2 + 2 * k : 2]
     ) / (steps * steps)
-    fpp, fpm, fmm, fmp = (values[:, 1 + 2 * k + r :: 4] for r in range(4))
-    mixed = (fpp - fpm - fmp + fmm) / (4.0 * steps[:, a] * steps[:, b])
-    blocks[:, a, b] = mixed
-    blocks[:, b, a] = mixed
+    if k > 1:
+        fpp, fpm, fmm, fmp = (values[:, 1 + 2 * k + r :: 4] for r in range(4))
+        mixed = (fpp - fpm - fmp + fmm) / (4.0 * steps[:, a] * steps[:, b])
+        blocks[:, a, b] = mixed
+        blocks[:, b, a] = mixed
     return blocks
 
 
@@ -365,6 +399,81 @@ def fd_hessian(f, p, split=None, box=AUTO, f0=None) -> DerivativeReport:
         fd_step=steps,
         boundary_clamped=shifted,
     )
+
+
+def _fd_hessians(fs, points, box, f0):
+    """:func:`fd_hessian` at each row of the (N, k) stack ``points`` in
+    ``box``, given the values ``f0`` there: ``(gradients, hessians,
+    errors)``, the errors keyed by position in the stack.
+
+    ``fs[j]`` is the objective of row j. A stack of fewer than
+    ``MIN_STACKED_ROWS`` rows, and a row whose gradient stencil would be
+    clamped or whose second-difference stencil would be shifted off a face
+    of the box, take :func:`fd_hessian` row by row. The other rows take one
+    stacked central gradient stencil and then one stacked second-difference
+    stencil, built with numpy and evaluated point by point in the scalar
+    order, with the scalar formulas: each row's gradient and Hessian are
+    bitwise those of :func:`fd_hessian` and cost the same evaluations.
+    ``errors`` maps a row to the error :func:`fd_hessian` raises there, a
+    thin box or a non-finite entry, after the evaluations it makes before
+    raising.
+    """
+    n, k = points.shape
+    if n == 1:
+        gradient, hessian, error = _fd_hessian_row(fs[0], points[0], box, f0[0])
+        return gradient[None], hessian[None], {} if error is None else {0: error}
+    grads, hessians, errors = np.zeros((n, k)), np.zeros((n, k, k)), {}
+    if n < MIN_STACKED_ROWS:
+        inside = np.zeros(n, dtype=bool)
+    else:
+        lo, hi = box[:, 0], box[:, 1]
+        scale = np.maximum(1.0, np.abs(points))
+        h = (points + GRADIENT_STEP * scale) - points
+        s = (points + HESSIAN_STEP * scale) - points
+        inside = (points + h <= hi) & (points - h >= lo) & ~(hi - lo < 4.0 * s)
+        inside = (inside & (np.minimum(np.maximum(points, lo + s), hi - s) == points)).all(axis=1)
+    for j in np.flatnonzero(~inside).tolist():
+        grads[j], hessians[j], error = _fd_hessian_row(fs[j], points[j], box, f0[j])
+        if error is not None:
+            errors[j] = error
+    at = np.flatnonzero(inside)
+    if not at.size:
+        return grads, hessians, errors
+    pairs = _evaluate(fs, at, _stencil(points[at], h[at], 1 + 2 * k)[:, 1:]).reshape(-1, k, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (pairs[..., 0] - pairs[..., 1]) / (2.0 * h[at])
+    grads[at] = g
+    finite = np.isfinite(g).all(axis=1)
+    for j, row in zip(at[~finite].tolist(), g[~finite]):
+        bad = int(np.flatnonzero(~np.isfinite(row))[0])
+        errors[j] = NonFiniteValueError(f"non-finite gradient entry at coordinate {bad}", points[j])
+    at = at[finite]
+    values = np.empty((at.size, 1 + 2 * k * k))
+    values[:, 0] = np.asarray(f0)[at]
+    values[:, 1:] = _evaluate(fs, at, _stencil(points[at], s[at], 1 + 2 * k * k)[:, 1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        hessians[at] = blocks = _assemble_blocks(values, s[at])
+    for i in np.flatnonzero(~np.isfinite(blocks).all(axis=(1, 2))).tolist():
+        errors[int(at[i])] = _non_finite_block_error(blocks[i], range(k), points[at[i]])
+    return grads, hessians, errors
+
+
+def _fd_hessian_row(f, p, box, f0):
+    """:func:`fd_hessian` of ``f`` at ``p``: ``(gradient, hessian, None)``,
+    or zeros and the thin-box or non-finite error it raises."""
+    try:
+        report = fd_hessian(f, p, box=box, f0=f0)
+    except ValueError as err:  # NonFiniteValueError is a ValueError
+        return np.zeros(p.size), np.zeros((p.size, p.size)), err
+    return report.gradient, report.hessian, None
+
+
+def _evaluate(fs, at, stencil):
+    """The values ``fs[j](point)`` at the points of each row ``j`` of ``at``
+    (its row of the (len(at), S, k) ``stencil``), in order, as an
+    (len(at), S) array."""
+    values = [fs[j](point) for j, points in zip(at.tolist(), stencil) for point in points]
+    return np.reshape(values, stencil.shape[:2])
 
 
 def fd_y_block(f, p, split, box=AUTO) -> np.ndarray:

@@ -121,9 +121,9 @@ class ParameterSplit:
 
     def embed(self, x, y) -> np.ndarray:
         """Assemble a full parameter vector from its (x, y) parts."""
-        p = np.empty(self.dimension)
-        p[self._x] = np.asarray(x, dtype=float)
-        p[self._y] = np.asarray(y, dtype=float)
+        p = np.empty(len(self._x) + len(self._y))
+        p[self._x] = x
+        p[self._y] = y
         return p
 
     def x_part(self, p) -> np.ndarray:

@@ -189,27 +189,28 @@ def trace_implicit(
 ) -> ImplicitTrace:
     """Trace the conditional-minimum graph over a grid of retained values.
 
-    The trace is one left-to-right sweep: each grid point is solved by
-    linear elimination when available, otherwise by Newton started from the
-    secant prediction of :class:`~minsection.subminimize.SliceSolver`
-    (the previous solution at the second point). Every sample certifies its
+    The whole grid is handed to one
+    :class:`~minsection.subminimize.SliceSolver` as one stack: solved by
+    linear elimination when available, otherwise by Newton in levels (the
+    middle point from the box center, then the two ends, then bisection
+    midpoints), each point started from the interpolant through the up to
+    four nearest points already solved. Every sample certifies its
     derivative residual against its inner tolerance. Requires a positive
     convexity certificate for the split (caller responsibility): a slice
-    failure raises :class:`TraceError` naming the failing x.
+    failure raises :class:`TraceError` naming the failing x, the lowest
+    failing grid point of the first level that has one.
     """
     grid = _normalize_x_grid(x_grid, split.n)
     slices = SliceSolver(merit, split, inner_tol)
-
-    solutions = []
-    for x in grid:
-        try:
-            solutions.append(slices.solve(x))
-        except (ConvexityError, SubMinimizeError) as err:
-            raise TraceError(
-                f"slice solve failed at x = {x} (the conditional-minimum "
-                f"graph does not extend there): {err}",
-                x_failed=x,
-            ) from err
+    try:
+        solutions = slices.solve(grid)
+    except (ConvexityError, SubMinimizeError) as err:
+        x = slices.failed_x
+        raise TraceError(
+            f"slice solve failed at x = {x} (the conditional-minimum "
+            f"graph does not extend there): {err}",
+            x_failed=x,
+        ) from err
 
     g_values = np.array([s.y_star for s in solutions])
     values = np.array([s.value for s in solutions])

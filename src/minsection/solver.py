@@ -489,6 +489,12 @@ def solve_hierarchical(
     carries its best point as a full parameter vector. No evaluation leaves
     the domain box.
     """
+    return _solve_hierarchical(merit, split, grid, tolerances)[0]
+
+
+def _solve_hierarchical(merit, split, grid, tolerances):
+    """:func:`solve_hierarchical`: the report and the
+    :class:`~minsection.subminimize.SliceSolver` holding its slices."""
     tol = tolerances or Tolerances()
     certificate = probe_y_convexity(merit, split, tol.probe_density)
     if not certificate.positive:
@@ -517,7 +523,7 @@ def solve_hierarchical(
             best_value=value,
             grad_norm=grad_norm,
         )
-    return SolveReport(
+    report = SolveReport(
         minimizer=minimizer,
         value=value,
         method="hierarchical",
@@ -532,6 +538,7 @@ def solve_hierarchical(
         iterations=iterations,
         outer_tol=outer_tol,
     )
+    return report, slices
 
 
 def solve_direct(
@@ -542,9 +549,9 @@ def solve_direct(
 ) -> SolveReport:
     """Damped Newton on the full gradient with Armijo backtracking.
 
-    Baseline for comparing against the hierarchical route; it runs the same
-    damped-Newton loop as :func:`~minsection.subminimize.subminimize_newton`,
-    over every coordinate. A singular Hessian takes its least-squares step,
+    Baseline for comparing against the hierarchical route; it runs the
+    damped-Newton loop of :func:`~minsection.subminimize.subminimize_newton`
+    as a one-row stack, over every coordinate. A singular Hessian takes its least-squares step,
     and a step that is not a descent direction is replaced by steepest
     descent; iterates are kept inside the domain box. A step that leaves the
     box where no step length can move the iterate or where the iterate is
@@ -570,16 +577,20 @@ def solve_direct(
         else max(1e-8, 10.0 * EPS ** (2.0 / 3.0) * max(1.0, abs(fval)))
     )
 
-    def direction(g, hess, _x):
-        try:
-            step = np.linalg.solve(hess, -g)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, -g, rcond=None)[0]
-        return -g if g @ step >= 0.0 else step
+    def direction(g, hess, _x, _rows):
+        steps = np.empty_like(g)
+        for j, (gj, hj) in enumerate(zip(g, hess)):
+            try:
+                step = np.linalg.solve(hj, -gj)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(hj, -gj, rcond=None)[0]
+            steps[j] = -gj if gj @ step >= 0.0 else step
+        return steps, {}
 
-    (p, fval, grad_norm), _, iteration, stop = _damped_newton(
-        feval, p, fval, box, outer_tol, max_iter, direction
-    )
+    (outcome,) = _damped_newton([feval], p[None], [fval], box, [outer_tol], max_iter, direction)
+    if isinstance(outcome, Exception):
+        raise outcome
+    (p, fval, grad_norm), _, iteration, stop = outcome
     if stop != "converged":
         raise SolveError(
             {
@@ -618,14 +629,16 @@ def equivalence_report(
 
     With one retained coordinate, every polished local minimum of the
     section is listed as a candidate, so sections crossing several minima
-    cover all the direct answers. Disagreements are findings, not errors.
+    cover all the direct answers; the section is scanned with the
+    hierarchical solve's own slices, its grid handed over as one stack
+    first, so a slice that solve has solved is not solved again.
+    Disagreements are findings, not errors.
     """
-    tol = tolerances or Tolerances()
-    hier = solve_hierarchical(merit, split, grid=grid, tolerances=tolerances)
+    hier, slices = _solve_hierarchical(merit, split, grid, tolerances)
     candidates = [(hier.minimizer, hier.value)]
     if split.n == 1:
         (axis,) = _resolve_grids(grid, merit.domain_box, split)
-        slices = SliceSolver(merit, split, tol.inner_tol)
+        slices.solve(axis[:, None])
         for u, value in enumerate_section_minima(
             lambda v: slices.value(np.array([v])), axis, 1e-8 * (axis[-1] - axis[0])
         ):

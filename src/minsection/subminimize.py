@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import EPS, NonFiniteValueError, fd_hessian, linear_lsq_solve
+from .numerics import EPS, NonFiniteValueError, linear_lsq_solve
+from .numerics import fd_hessian  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .numerics import _second_diff_block  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .numerics import fd_y_block  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .problems import MeritFunction, ParameterSplit, linear_elimination_applies
@@ -427,7 +428,8 @@ def _armijo(value, fval, decrease) -> bool:
 
 def _backtrack(x, step, box, accept, tries=MAX_HALVINGS, t=1.0):
     """Try ``clip(x + t * step)`` to ``box``, halving ``t``, ``tries`` times:
-    ``(trial, accept(trial, t))`` for the first result not None, else None."""
+    ``(trial, accept(trial, t))`` for the first result not None, else None.
+    ``x`` may be a stack of rows, each with its row of ``step``."""
     for _ in range(tries):
         trial = np.clip(x + t * step, box[:, 0], box[:, 1])
         verdict = accept(trial, t)
@@ -437,53 +439,224 @@ def _backtrack(x, step, box, accept, tries=MAX_HALVINGS, t=1.0):
     return None
 
 
-def _damped_newton(f, x, fval, box, tol, max_iter, direction):
+def _row_dots(a, b):
+    """The dot product of each row of ``a`` with that row of ``b``; bitwise
+    ``a[r] @ b[r]``, which one stacked ``matmul`` computes as one-row dots."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _damped_newton(fs, x, fval, box, tol, max_iter, direction):
     """Damped Newton with Armijo backtracking (Nocedal & Wright, ch. 3) on
-    finite-difference derivatives, trials clipped to ``box``. The line
-    search is :func:`_backtrack` under the :func:`_armijo` test; the outer
-    BFGS stage and the critical-point census run the same loop.
+    finite-difference derivatives, trials clipped to ``box``, on every row
+    of the (N, k) stack ``x`` at once. The line search is
+    :func:`_backtrack` under the :func:`_armijo` test; the outer BFGS stage
+    and the critical-point census run the same line search.
 
-    Stops once the gradient norm is at most ``tol``, else steps along
-    ``direction(g, hess, x)``, which may raise to refuse the iterate.
-    Returns ``(best, hess, iteration, stop)``: ``best = (x, fval, gradient
-    norm)`` of the smallest norm seen (the stopping iterate on convergence),
-    the last Hessian, and ``stop`` in ``"converged"``, ``"boundary"``,
-    ``"stalled"`` or ``"max_iter"``. ``"boundary"`` means that the clipped
-    full step does not move the iterate, so no step length can, or that
-    the full step leaves the box at an iterate stationary on its faces: the
-    gradient components not held against a face have a norm of at most
-    ``tol``.
+    ``fs[r]`` is row r's objective, ``fval`` holds the rows' values
+    at ``x`` and ``tol`` their gradient tolerances. An iteration takes the
+    derivatives of the rows still running from one stacked stencil
+    (:func:`numerics._fd_hessians`, given ``fval``), their steps from one
+    call ``direction(g, hess, x, rows)``, which returns the steps and a
+    dict of refusals by position, and backtracks them together, each row
+    halving its own step until its own Armijo test holds. A row stops once
+    its gradient norm is at most its ``tol``. Where the full step leaves
+    the box at an iterate stationary on its faces (the gradient components
+    not held against a face, at lo with g > 0 or at hi with g < 0, have a
+    norm of at most ``tol``), the row stops at the boundary; where it
+    leaves the box at another iterate with coordinates held, the row steps
+    on its free block only, along ``direction`` of the system with the
+    held coordinates pinned: the projected Newton step (Bertsekas, SIAM J.
+    Control Optim. 20(2), 1982). A row whose clipped step does not move it
+    stops at the boundary too.
+
+    Returns, per row, the error that ended it (a refusal of ``direction``
+    or a derivative error) or ``(best, hess, iteration, stop)``: ``best =
+    (x, fval, gradient norm)`` of the smallest norm seen (the stopping
+    iterate on convergence), the last Hessian, and ``stop`` in
+    ``"converged"``, ``"boundary"``, ``"stalled"`` or ``"max_iter"``. A
+    row's outcome and evaluations are those of the row run alone.
     """
-    best = (x.copy(), fval, np.inf)
-
-    def sufficient(trial, t):  # against the current fval and slope
-        f_trial = f(trial)
-        return f_trial if _armijo(f_trial, fval, t * slope) else None
-
+    x = np.array(x, dtype=float)
+    fval = [float(v) for v in fval]
+    lo, hi = box[:, 0], box[:, 1]
+    best = [(row.copy(), value, np.inf) for row, value in zip(x, fval)]
+    last = [None] * len(x)
+    out = [None] * len(x)
+    live = list(range(len(x)))
     for iteration in range(max_iter + 1):
-        report = fd_hessian(f, x, box=box, f0=fval)
-        g, hess = report.gradient, report.hessian
-        gn = float(np.linalg.norm(g))
-        if gn < best[2]:
-            best = (x.copy(), fval, gn)
-        if gn <= tol:
-            return best, hess, iteration, "converged"
-        step = direction(g, hess, x)
-        slope = float(g @ step)
-        full = np.clip(x + step, box[:, 0], box[:, 1])
-        if np.array_equal(full, x):
-            return best, hess, iteration, "boundary"
-        if not np.array_equal(full, x + step):
-            # Projected-gradient test: the components not held against a
-            # face (at lo with g > 0, or at hi with g < 0) are stationary.
-            held = ((x <= box[:, 0]) & (g > 0.0)) | ((x >= box[:, 1]) & (g < 0.0))
-            if np.linalg.norm(g[~held]) <= tol:
-                return best, hess, iteration, "boundary"
-        found = _backtrack(x, step, box, sufficient)
-        if found is None:
-            return best, hess, iteration, "stalled"
-        x, fval = found
-    return best, hess, max_iter, "max_iter"
+        if not live:
+            return out
+        g, hess, errors = numerics._fd_hessians(
+            [fs[r] for r in live], _rows(x, live), box, [fval[r] for r in live]
+        )
+        norms = np.sqrt(_row_dots(g, g)).tolist()
+        going = []
+        for j, r in enumerate(live):
+            if j in errors:
+                out[r] = errors[j]
+                continue
+            if norms[j] < best[r][2]:
+                best[r] = (x[r].copy(), fval[r], norms[j])
+            last[r] = hess[j]
+            if norms[j] <= tol[r]:
+                out[r] = (best[r], hess[j], iteration, "converged")
+            else:
+                going.append(j)
+        rows = [live[j] for j in going]
+        live = []
+        if not rows:
+            continue
+        g, hess, xr = _rows(g, going), _rows(hess, going), _rows(x, rows)
+        steps, ended = direction(g, hess, xr, rows)
+        unclipped = xr + steps
+        full = np.minimum(np.maximum(unclipped, lo), hi)
+        moves, leaves = (full != xr).any(axis=1).tolist(), (full != unclipped).any(axis=1).tolist()
+        pinned, held = [], []
+        for j, r in enumerate(rows):
+            if j in ended or not leaves[j]:
+                continue
+            on_face = ((xr[j] <= lo) & (g[j] > 0.0)) | ((xr[j] >= hi) & (g[j] < 0.0))
+            if np.linalg.norm(g[j][~on_face]) <= tol[r]:
+                ended[j] = (best[r], hess[j], iteration, "boundary")
+            elif on_face.any():
+                pinned.append(j)
+                held.append(on_face)
+        if pinned:
+            # the held coordinates' rows and columns become those of the identity
+            free = ~np.array(held)
+            system = hess[pinned] * (free[:, :, None] & free[:, None, :])
+            system[~free[:, :, None] & np.eye(x.shape[1], dtype=bool)] = 1.0
+            steps[pinned], refused = direction(
+                g[pinned] * free, system, xr[pinned], [rows[j] for j in pinned]
+            )
+            ended.update((pinned[i], err) for i, err in refused.items())
+            full = np.minimum(np.maximum(xr[pinned] + steps[pinned], lo), hi)
+            moved = (full != xr[pinned]).any(axis=1)
+            for j, move in zip(pinned, moved.tolist()):
+                moves[j] = move
+        search = []
+        for j, r in enumerate(rows):
+            if j in ended:
+                out[r] = ended[j]
+            elif not moves[j]:
+                out[r] = (best[r], hess[j], iteration, "boundary")
+            else:
+                search.append(j)
+        if not search:
+            continue
+        g, steps, xr = _rows(g, search), _rows(steps, search), _rows(xr, search)
+        rows = [rows[j] for j in search]
+        slopes = _row_dots(g, steps).tolist()
+        found = [None] * len(rows)
+
+        def sufficient(trials, t):  # each row against its own fval and slope
+            for i, (r, trial) in enumerate(zip(rows, trials)):
+                if found[i] is None:
+                    value = fs[r](trial)
+                    if _armijo(value, fval[r], t * slopes[i]):
+                        found[i] = (trial, value)
+            return None if None in found else found
+
+        _backtrack(xr, steps, box, sufficient)
+        for j, r in enumerate(rows):
+            if found[j] is None:
+                out[r] = (best[r], hess[search[j]], iteration, "stalled")
+            else:
+                x[r], fval[r] = found[j]
+                live.append(r)
+    for r in live:
+        out[r] = (best[r], last[r], max_iter, "max_iter")
+    return out
+
+
+def _rows(a, rows):
+    """``a[rows]`` for the ascending positions ``rows``; ``a`` itself when
+    they are all of its rows."""
+    return a if len(rows) == len(a) else a[rows]
+
+
+def _newton_rows(merit, split, xs, starts, inner_tol=None, max_iter=50):
+    """Damped Newton on the slices at the rows of the valid (N, n) stack
+    ``xs``, from the (N, m) ``starts`` clipped to the eliminated-coordinate
+    box: per row its :class:`SubMinimum`, or the error its solve raises.
+    The rows are solved as stacks (:func:`_newton_stack`) whose
+    second-difference stencils hold at most ``STACK_VALUES`` values.
+    """
+    m = split.m
+    per_stack = max(1, STACK_VALUES // ((1 + 2 * m * m) * m))
+    starts = np.asarray(starts, dtype=float)
+    results = []
+    for start in range(0, len(xs), per_stack):
+        part = slice(start, start + per_stack)
+        results += _newton_stack(merit, split, xs[part], starts[part], inner_tol, max_iter)
+    return results
+
+
+def _newton_stack(merit, split, xs, starts, inner_tol, max_iter):
+    """:func:`_newton_rows` on one stack (:func:`_damped_newton`). An
+    iteration takes one stacked ``eigvalsh`` and one stacked ``solve``, and
+    a row's result is bitwise that of the row solved alone."""
+    ybox = split.y_box(merit.domain_box)
+    ys = np.clip(starts, ybox[:, 0], ybox[:, 1])
+
+    values = [lambda y, x=x: merit(split.embed(x, y)) for x in xs]
+
+    def convexity_error(row, y, w, where, note=""):
+        return ConvexityError(
+            f"eliminated-block Hessian is not positive definite at {where} "
+            f"(min eigenvalue {float(w[0]):.3e}){note}",
+            point=split.embed(xs[row], y),
+            min_eig=float(w[0]),
+        )
+
+    def newton_step(g, hess, y, rows):
+        w = np.linalg.eigvalsh(hess)
+        refused = _indefinite(w)
+        if not refused.any():
+            return np.linalg.solve(hess, -g[..., None])[..., 0], {}
+        steps = np.zeros_like(g)
+        if not refused.all():
+            steps[~refused] = np.linalg.solve(hess[~refused], -g[~refused][..., None])[..., 0]
+        note = "; the convexity assumption is violated for this split"
+        return steps, {
+            j: convexity_error(rows[j], y[j], w[j], "an iterate", note)
+            for j in np.flatnonzero(refused)
+        }
+
+    fval = [value(y) for value, y in zip(values, ys)]
+    tols = [default_inner_tol(v) if inner_tol is None else float(inner_tol) for v in fval]
+    outcomes = _damped_newton(values, ys, fval, ybox, tols, max_iter, newton_step)
+    converged = [
+        r for r, o in enumerate(outcomes) if not isinstance(o, Exception) and o[3] == "converged"
+    ]
+    if converged:
+        spectra = np.linalg.eigvalsh(np.stack([outcomes[r][1] for r in converged]))
+        spectra = dict(zip(converged, zip(spectra, _indefinite(spectra).tolist())))
+    results = []
+    for r, outcome in enumerate(outcomes):
+        if isinstance(outcome, Exception):
+            results.append(outcome)
+            continue
+        (y, fv, gn), _, iteration, stop = outcome
+        if stop != "converged":
+            results.append(SubMinimizeError(
+                {
+                    "boundary": "the Newton step leaves the eliminated-coordinate box at "
+                    "the iterate; the slice minimum may lie outside the box",
+                    "stalled": "backtracking line search failed on the slice; the objective "
+                    "may not be convex in the eliminated block here",
+                    "max_iter": f"no convergence within {max_iter} Newton iterations "
+                    f"(best gradient norm {gn:.3e}, tolerance {tols[r]:.3e})",
+                }[stop],
+                best_y=y,
+                grad_norm=gn,
+                iterations=iteration,
+            ))
+        elif spectra[r][1]:
+            results.append(convexity_error(r, y, spectra[r][0], "the sub-minimum"))
+        else:
+            results.append(_sub_minimum(y, fv, gn, spectra[r][0], "newton", iteration, tols[r]))
+    return results
 
 
 def subminimize_newton(
@@ -495,56 +668,57 @@ def subminimize_newton(
     """Damped Newton on the slice with Armijo backtracking.
 
     The loop is the one :func:`~minsection.solver.solve_direct` runs, here
-    on the eliminated block. Requires the slice to be convex along the
-    iterates: a non-positive-definite block Hessian raises
-    :class:`ConvexityError`. Iterates are kept inside the eliminated-
-    coordinate box. A Newton step that leaves the box where no step length
-    can move the iterate or where the iterate is stationary on its faces, a
-    stalled line search, or exceeding ``max_iter`` raises
-    :class:`SubMinimizeError` carrying the best iterate and gradient norm.
+    on the eliminated block, and this is the one-row case of the stacked
+    solve that :meth:`SliceSolver.solve` runs. Starts from ``y0`` clipped to
+    the eliminated-coordinate box, else from the box center. Requires the
+    slice to be convex along the iterates: a non-positive-definite block
+    Hessian raises :class:`ConvexityError`. Iterates are kept inside the
+    eliminated-coordinate box; a step that leaves it at an iterate with
+    coordinates held against a face steps on the free coordinates only. A
+    Newton step that leaves the box where no step length can move the
+    iterate or where the iterate is stationary on its faces, a stalled line
+    search, or exceeding ``max_iter`` raises :class:`SubMinimizeError`
+    carrying the best iterate and gradient norm.
     """
-    ybox = problem.y_box()
     if y0 is None:
-        y = ybox.mean(axis=1)
+        start = problem.y_box().mean(axis=1)
     else:
-        y = np.clip(np.atleast_1d(np.asarray(y0, dtype=float)), ybox[:, 0], ybox[:, 1])
-    fval = problem.value(y)
-    tol = default_inner_tol(fval) if inner_tol is None else float(inner_tol)
-
-    def convex(hess, y, where, note=""):
-        w = np.linalg.eigvalsh(hess)
-        if _indefinite(w):
-            raise ConvexityError(
-                f"eliminated-block Hessian is not positive definite at {where} "
-                f"(min eigenvalue {float(w[0]):.3e}){note}",
-                point=problem.point(y),
-                min_eig=float(w[0]),
-            )
-        return w
-
-    def newton_step(g, hess, y):
-        convex(hess, y, "an iterate", "; the convexity assumption is violated for this split")
-        return np.linalg.solve(hess, -g)
-
-    (y, fval, gn), hess, iteration, stop = _damped_newton(
-        problem.value, y, fval, ybox, tol, max_iter, newton_step
+        start = np.atleast_1d(np.asarray(y0, dtype=float))
+    (result,) = _newton_stack(
+        problem.merit, problem.split, problem.x_fixed[None], start[None], inner_tol, max_iter
     )
-    if stop != "converged":
-        raise SubMinimizeError(
-            {
-                "boundary": "the Newton step leaves the eliminated-coordinate box at "
-                "the iterate; the slice minimum may lie outside the box",
-                "stalled": "backtracking line search failed on the slice; the objective "
-                "may not be convex in the eliminated block here",
-                "max_iter": f"no convergence within {max_iter} Newton iterations "
-                f"(best gradient norm {gn:.3e}, tolerance {tol:.3e})",
-            }[stop],
-            best_y=y,
-            grad_norm=gn,
-            iterations=iteration,
-        )
-    w = convex(hess, y, "the sub-minimum")
-    return _sub_minimum(y, fval, gn, w, "newton", iteration, tol)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _levels(count):
+    """The positions ``0, ..., count - 1`` of a stack in level order: the
+    middle, then the two ends, then level by level the midpoints between
+    neighbouring positions already taken, each level ascending."""
+    middle = count // 2
+    levels = [[middle]]
+    taken = sorted({0, middle, count - 1})
+    if len(taken) > 1:
+        levels.append([j for j in taken if j != middle])
+    while len(taken) < count:
+        levels.append([(a + b) // 2 for a, b in zip(taken, taken[1:]) if b - a > 1])
+        taken = sorted(taken + levels[-1])
+    return levels
+
+
+def _interpolated_starts(taken, ys, targets):
+    """At each of the positions ``targets``, the Lagrange interpolant in the
+    stack position through the rows of ``ys`` at the up to four positions
+    of ``taken`` nearest it (ties to the lower position)."""
+    taken = np.asarray(taken)
+    t = np.asarray(targets, dtype=float)[:, None]
+    nodes = taken[np.argsort(np.abs(taken - t), axis=1, kind="stable")[:, :4]]
+    # weight of node a: the product over the other nodes b of (t - b) / (a - b)
+    same = np.eye(nodes.shape[1], dtype=bool)
+    ratios = (t - nodes)[:, None, :] / np.where(same, 1, nodes[:, :, None] - nodes[:, None, :])
+    ratios[:, same] = 1.0
+    return np.einsum("lq,lqm->lm", ratios.prod(axis=2), ys[nodes])
 
 
 class SliceSolver:
@@ -558,14 +732,25 @@ class SliceSolver:
     (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973),
     one stacked design matrix and ``eigvalsh`` per ``STACK_VALUES`` values,
     then a least-squares solve and one counted merit evaluation per row.
-    Otherwise Newton solves the rows one by one, in order. ``y0`` is a
-    Newton start only: such a call always solves, and its result is not
-    kept. Without it, Newton starts from a secant prediction along the
-    implicit graph y*(x) (Allgower & Georg, *Introduction to Numerical
-    Continuation Methods*, 2003, ch. 2): when x lies on the line through
-    the x of the last two results returned, ``x = x1 + t (x1 - x0)`` with
-    ``|t| <= 2``, the start is ``y1 + t (y1 - y0)``; else it is the last
-    result returned (the box center on the first solve).
+
+    Otherwise the distinct rows not yet solved are validated once and
+    solved by damped Newton in levels, each level one stack
+    (:func:`_newton_rows`): the middle row, then the two end rows, then
+    level by level the midpoints between rows already solved. The middle
+    row starts from a secant prediction along the implicit graph y*(x)
+    (Allgower & Georg, *Introduction to Numerical Continuation Methods*,
+    2003, ch. 2): when x lies on the line through the x of the last two
+    results returned, ``x = x1 + t (x1 - x0)`` with ``|t| <= 2``, the
+    start is ``y1 + t (y1 - y0)``; else it is the last result returned
+    (the box center on the first solve). Every later row starts from the
+    Lagrange interpolant, in the row's position in the stack, through the
+    up to four nearest rows already solved: a multilevel predictor. Starts
+    are clipped to the eliminated-coordinate box, and a one-row level runs
+    :func:`subminimize_newton`, the one-row case of the same loop. A level
+    with a failing row keeps its other rows' results, records the failing
+    row's x as ``failed_x`` and raises the error of its lowest failing row.
+    ``y0`` is a Newton start for every row: such a call always solves, as
+    one stack, and its results are not kept.
     """
 
     def __init__(self, merit: MeritFunction, split: ParameterSplit, inner_tol: float | None = None):
@@ -576,6 +761,7 @@ class SliceSolver:
         self.solved: dict[tuple[float, ...], SubMinimum] = {}
         self.recent: list[tuple[np.ndarray, SubMinimum]] = []
         self.solves = 0
+        self.failed_x: np.ndarray | None = None
 
     def _predict(self, x) -> np.ndarray | None:
         """Newton start at ``x``: the secant prediction, else the last result.
@@ -599,37 +785,90 @@ class SliceSolver:
 
     def solve(self, x_fixed, y0=None):
         """The :class:`SubMinimum` at ``x_fixed``; an (N, n) stack of x rows
-        gives the list of its rows' results, in order."""
+        gives the list of its rows' results, in order.
+
+        The Newton rows not yet solved are solved level by level, each level
+        one stack, and a row's result is bitwise that of the row solved
+        alone from the same start. A failing row raises its refusal, the
+        lowest failing row of the first level that has one, with its x in
+        ``failed_x``; every row solved, in that level too, is kept."""
         x = np.atleast_1d(np.asarray(x_fixed, dtype=float))
         rows = x.reshape(1, -1) if x.ndim == 1 else x
         keys = list(map(tuple, rows.tolist()))
         if self.linear:
             self._solve_linear(rows, keys)
-        subs = []
-        for row, key in zip(rows, keys):
-            if self.linear or (y0 is None and key in self.solved):
-                sub = self.solved[key]
-            else:
-                problem = SliceProblem(self.merit, self.split, row)
-                self.solves += 1
-                start = self._predict(row) if y0 is None else y0
-                sub = subminimize_newton(problem, y0=start, inner_tol=self.inner_tol)
-                if y0 is None:
-                    self.solved[key] = sub
-            self.recent = [*self.recent[-1:], (row, sub)]
-            subs.append(sub)
+        elif y0 is None:
+            self._solve_levels(rows, keys)
+        else:
+            if len(rows) > 1:
+                _check_rows(self.merit, self.split, rows)
+            subs = self._newton(rows, [np.atleast_1d(np.asarray(y0, dtype=float))] * len(rows))
+        if self.linear or y0 is None:
+            subs = [self.solved[key] for key in keys]
+        self.recent = [*self.recent, *zip(rows, subs)][-2:]
         return subs if x.ndim == 2 else subs[0]
 
-    def _solve_linear(self, rows, keys) -> None:
-        """Validate, solve and keep the distinct rows not yet in ``solved``,
-        in stacks of at most ``STACK_VALUES`` design-matrix values."""
+    def _unsolved(self, rows, keys):
+        """The keys and the (N, n) stack of the distinct rows not yet in
+        ``solved``, in order of first appearance."""
         todo = {}
         for key, row in zip(keys, rows):
             if key not in self.solved:
                 todo.setdefault(key, row)
         if not todo:
+            return [], rows[:0]
+        return list(todo), np.array(list(todo.values()))
+
+    def _solve_levels(self, rows, keys) -> None:
+        """Solve and keep the distinct rows not yet in ``solved``, level by
+        level."""
+        keys, rows = self._unsolved(rows, keys)
+        if not keys:
             return
-        keys, rows = list(todo), np.array(list(todo.values()))
+        if len(rows) > 1:  # a lone row is validated by its SliceProblem
+            _check_rows(self.merit, self.split, rows)
+        levels = _levels(len(rows))
+        ys = np.empty((len(rows), self.split.m))
+        taken = []
+        for level in levels:
+            if taken:
+                starts = _interpolated_starts(taken, ys, level)
+            else:
+                starts = [self._predict(rows[level[0]])]
+            subs = self._newton(_rows(rows, level), starts, [keys[j] for j in level])
+            if level is not levels[-1]:
+                ys[level] = [sub.y_star for sub in subs]
+                taken = sorted(taken + level)
+
+    def _newton(self, rows, starts, keys=None):
+        """Newton on ``rows`` as one stack from ``starts``; keeps the
+        results under ``keys`` when given, then raises the error of the
+        first failing row, recording its x in ``failed_x``."""
+        self.solves += len(rows)
+        if len(rows) > 1:
+            subs = _newton_rows(self.merit, self.split, rows, starts, self.inner_tol)
+        else:
+            problem = SliceProblem(self.merit, self.split, rows[0])
+            try:
+                subs = [subminimize_newton(problem, y0=starts[0], inner_tol=self.inner_tol)]
+            except Exception as err:  # raised below, once recorded
+                subs = [err]
+        failed = [j for j, sub in enumerate(subs) if isinstance(sub, Exception)]
+        if keys is not None:
+            self.solved.update(
+                (key, sub) for key, sub in zip(keys, subs) if not isinstance(sub, Exception)
+            )
+        if failed:
+            self.failed_x = rows[failed[0]]
+            raise subs[failed[0]]
+        return subs
+
+    def _solve_linear(self, rows, keys) -> None:
+        """Validate, solve and keep the distinct rows not yet in ``solved``,
+        in stacks of at most ``STACK_VALUES`` design-matrix values."""
+        keys, rows = self._unsolved(rows, keys)
+        if not keys:
+            return
         _check_rows(self.merit, self.split, rows)
         per_stack = _rows_per_stack(self.merit.model)
         for start in range(0, len(rows), per_stack):

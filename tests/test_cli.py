@@ -370,8 +370,11 @@ def test_nan_island_refused_with_witness(tmp_path, capsys, monkeypatch):
 
 def test_solve_error_refusal_prints_best_point(tmp_path, capsys):
     # An outer tolerance below float resolution stalls the quasi-Newton
-    # line search at the section minimum, a SolveError refusal.
-    argv = ["--problem", "SINE_VALLEY", "--command", "solve", "--outer-tol", "1e-300"]
+    # line search at the section minimum, a SolveError refusal. An even grid
+    # has no node at the minimum x = 0, whose slice the middle-first grid
+    # solve would hit exactly.
+    argv = ["--problem", "SINE_VALLEY", "--command", "solve", "--outer-tol", "1e-300",
+            "--grid-density", "20"]
     assert run_cli(argv + ["--out", str(tmp_path)]) == 1
     assert list(tmp_path.iterdir()) == []
     lines = capsys.readouterr().err.splitlines()

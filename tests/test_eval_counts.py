@@ -40,7 +40,7 @@ def first_axis_grid(merit, points=41):
     [
         pytest.param(name, evaluations, id=name)
         for name, evaluations in (
-            ("QUAD", 1434), ("SINE_VALLEY", 1594), ("TWO_WELLS", 1460), ("EXP_FIT", 27)
+            ("QUAD", 1434), ("SINE_VALLEY", 1574), ("TWO_WELLS", 1448), ("EXP_FIT", 27)
         )
     ],
 )
@@ -54,13 +54,34 @@ def test_solve_hierarchical_counts(entries, merit_calls, name, evaluations):
 def test_trace_implicit_count(entries, split01, merit_calls):
     merit = entries["SINE_VALLEY"].merit
     ms.trace_implicit(merit, split01, first_axis_grid(merit))
-    assert merit_calls["n"] == 460
+    assert merit_calls["n"] == 450
+
+
+@pytest.mark.parametrize(
+    "name, evaluations",
+    [
+        pytest.param("SINE_VALLEY", 1055, id="SINE_VALLEY"),
+        pytest.param("TWO_WELLS", 519, id="TWO_WELLS"),
+    ],
+)
+def test_trace_level_order_counts(entries, split01, merit_calls, name, evaluations):
+    # The 101-node grids of the CLI trace and sections, solved in 8 levels
+    # (1,010 and 541 evaluations as a left-to-right secant sweep).
+    merit = entries[name].merit
+    ms.trace_implicit(merit, split01, first_axis_grid(merit, 101))
+    assert merit_calls["n"] == evaluations
+
+
+def test_section_101_count(entries, merit_calls):
+    merit = entries["TWO_WELLS"].merit
+    ms.minimal_section_1d(merit, 0, first_axis_grid(merit, 101))
+    assert merit_calls["n"] == 1942
 
 
 def test_minimal_section_count(entries, merit_calls):
     merit = entries["TWO_WELLS"].merit
     ms.minimal_section_1d(merit, 0, first_axis_grid(merit))
-    assert merit_calls["n"] == 1659
+    assert merit_calls["n"] == 1652
 
 
 def test_equivalence_report_count(entries, split01, merit_calls):
@@ -68,7 +89,7 @@ def test_equivalence_report_count(entries, split01, merit_calls):
     rng = np.random.default_rng(4)
     starts = [rng.uniform(-0.5, 0.5, size=2) * 10.0 for _ in range(3)]
     ms.equivalence_report(entries["SINE_VALLEY"].merit, split01, starts)
-    assert merit_calls["n"] == 2138
+    assert merit_calls["n"] == 1858
 
 
 def test_recover_from_anchor_count(entries, merit_calls):
@@ -90,7 +111,7 @@ def test_m3_general_solve_count(merit_calls):
     # (84,980 over the 21^3 grid).
     merit = chain3_merit()
     report = ms.solve_hierarchical(merit, ms.ParameterSplit((0,), (1, 2)))
-    assert merit_calls["n"] == 4590
+    assert merit_calls["n"] == 4564
     assert report.certificates.convexity.plan == "halton"
 
 
@@ -190,17 +211,22 @@ def test_bfgs_boundary_stall_count(merit_calls):
             ms.ParameterSplit((0, 1), (2,)),
             tolerances=ms.Tolerances(probe_density=5),
         )
-    assert merit_calls["n"] == 644
+    assert merit_calls["n"] == 639
 
 
 def test_bfgs_resolution_stall_count(entries, split01, merit_calls):
     # An outer tolerance below float resolution: BFGS reaches the section
-    # minimum and its line search can no longer move.
+    # minimum and its line search can no longer move. An even grid has no
+    # node at the minimum x = 0, whose slice the middle-first grid solve
+    # would hit exactly.
     with pytest.raises(ms.SolveError, match="^quasi-Newton line search stalled at x = "):
         ms.solve_hierarchical(
-            entries["SINE_VALLEY"].merit, split01, tolerances=ms.Tolerances(outer_tol=1e-300)
+            entries["SINE_VALLEY"].merit,
+            split01,
+            grid=20,
+            tolerances=ms.Tolerances(outer_tol=1e-300),
         )
-    assert merit_calls["n"] == 1832
+    assert merit_calls["n"] == 1603
 
 
 BOUNDARY_STOP = (
@@ -212,18 +238,50 @@ BOUNDARY_STOP = (
 @pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
 @pytest.mark.parametrize(
     "command, evaluations",
-    [("solve", 1335), ("sections", 1335), ("equivalence", 1335), ("trace", 12)],
+    [
+        pytest.param(command, evaluations, id=command)
+        for command, evaluations in (
+            ("solve", 1355), ("sections", 1355), ("equivalence", 1355), ("trace", 32)
+        )
+    ],
 )
 def test_newton_step_out_of_box_stops_at_once(tmp_path, capsys, merit_calls, command, evaluations):
     # The DEGEN_LINE slice at x = -10 has its minimum y = 12 beyond the box
     # face y = 10: the first Newton step reaches the face and the next one
     # points out of the box, which no step length can enter (3,579, 3,579,
     # 3,579 and 2,256 evaluations when such a slice ran out its 50 Newton
-    # iterations).
+    # iterations). The grid is solved middle first, so the slices at x = 0
+    # and at the other end x = 10 are solved before the stack refuses (10
+    # evaluations each).
     argv = ["--problem", "DEGEN_LINE", "--command", command, "--out", str(tmp_path)]
     assert cli.main(argv) == 1
     assert merit_calls["n"] == evaluations
     assert capsys.readouterr().err.endswith(BOUNDARY_STOP + "\n")
+
+
+@pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
+def test_slice_newton_corner_stop_count(merit_calls):
+    # The slice minimum (1.2, 1.2, 1.2) lies beyond the corner p1 = p2 = 1.
+    # At (1, 1, 1.2) both p1 and p2 are held against their faces; the
+    # projected step on p3 alone reaches (1, 1, 1), stationary on those
+    # faces (3,126 evaluations in 50 iterations when the full step kept
+    # moving p3 by about -0 there).
+    merit = ms.build_residual_merit(
+        (
+            lambda p: 0.5 * p[0],
+            lambda p: 3.0 * (p[1] - p[2]),
+            lambda p: 0.3 * (p[1] + p[2] - 2.4),
+            lambda p: p[3] - p[1],
+        ),
+        4,
+        box=np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], [-3.0, 3.0]]),
+    )
+    with pytest.raises(ms.SubMinimizeError) as info:
+        ms.solve_slice(merit, ms.ParameterSplit((0,), (1, 2, 3)), [0.0])
+    assert str(info.value) == BOUNDARY_STOP
+    assert merit_calls["n"] == 81
+    assert info.value.best_y.tolist()[:2] == [1.0, 1.0]
+    assert info.value.best_y[2] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -764,3 +765,174 @@ def test_stacked_linear_solve_is_cut_at_the_stack_cap(tmp_path, entries, monkeyp
     assert sizes == [4, 4, 4, 4, 4, 1]
     for got, want in zip(cut, whole):
         assert_same_sub(got, want)
+
+
+# -- stacked Newton slices against one-row solves ---------------------------
+
+
+def steep_line_merit():
+    """x^2 + (y - 3x)^2 on [-2, 2] x [-5, 5]: the slice minimum y = 3x lies
+    beyond a face of the y-box for |x| > 5/3."""
+    return ms.build_residual_merit(
+        (lambda p: p[0], lambda p: p[1] - 3.0 * p[0]), 2, box=np.array([[-2.0, 2.0], [-5.0, 5.0]])
+    )
+
+
+def walled_merit():
+    """x^2 + (y - 3x)^2 on [-2, 2] x [-5, 5], infinite above y = 4.2."""
+    return ms.build_residual_merit(
+        (lambda p: p[0], lambda p: p[1] - 3.0 * p[0], lambda p: math.inf if p[1] > 4.2 else 0.0),
+        2,
+        box=np.array([[-2.0, 2.0], [-5.0, 5.0]]),
+    )
+
+
+def newton_stack_cases(entries):
+    """(merit, split, x rows, starts) stacks of Newton slices."""
+    rng = np.random.default_rng(11)
+    sine = entries["SINE_VALLEY"].merit
+    chain = m3_merit()
+    steep = steep_line_merit()
+    return [
+        (sine, ms.ParameterSplit((0,), (1,)), rng.uniform(-10.0, 10.0, (9, 1)),
+         rng.uniform(-10.0, 10.0, (9, 1))),
+        (chain, ms.ParameterSplit((0,), (1, 2)), rng.uniform(-2.0, 2.0, (7, 1)),
+         rng.uniform(-2.0, 2.0, (7, 2))),
+        # starts on and next to the faces y = +-5 clamp their first gradient
+        # stencils; the rows at x = +-1.9 end at a face
+        (steep, ms.ParameterSplit((0,), (1,)), np.array([[-1.9], [-1.0], [0.3], [1.2], [1.9]]),
+         np.array([[5.0], [-5.0], [5.0 - 1e-9], [0.0], [5.0]])),
+        # the merit is infinite above y = 4.2: the first gradient stencil, the
+        # first second-difference stencil or the start itself meets the wall
+        (walled_merit(), ms.ParameterSplit((0,), (1,)), np.array([[0.0], [0.5], [1.0], [1.3]]),
+         np.array([[4.2 - 1e-5], [4.2 - 3e-4], [0.0], [4.3]])),
+    ]
+
+
+def newton_outcome(calls, solve):
+    """(result or (error type, message), merit evaluations, warnings)."""
+    before = len(calls)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = solve()
+        except Exception as err:  # compared with the one-row solve's error
+            result = (type(err), str(err))
+    return result, len(calls) - before, [w.category for w in caught]
+
+
+@pytest.mark.parametrize("min_rows", [2, 8], ids=["stacked", "default"])
+@pytest.mark.parametrize("case", [0, 1, 2, 3], ids=["SINE_VALLEY", "chain3", "faces", "wall"])
+def test_newton_stack_rows_are_one_row_solves(entries, merit_calls, monkeypatch, case, min_rows):
+    from minsection.subminimize import _newton_rows
+
+    # every stack of at least min_rows rows takes the stacked stencils
+    monkeypatch.setattr(ms.numerics, "MIN_STACKED_ROWS", min_rows)
+    merit, split, xs, starts = newton_stack_cases(entries)[case]
+    stacked, stacked_evals, stacked_warnings = newton_outcome(
+        merit_calls, lambda: _newton_rows(merit, split, xs, starts)
+    )
+    evals, clamps = 0, []
+    for x, y0, got in zip(xs, starts, stacked):
+        want, count, caught = newton_outcome(
+            merit_calls, lambda: ms.subminimize_newton(SliceProblem(merit, split, x), y0=y0)
+        )
+        evals += count
+        clamps += caught
+        if isinstance(want, tuple):
+            assert (type(got), str(got)) == want
+        else:
+            assert_same_sub(got, want)
+    assert stacked_evals == evals
+    # one BoundaryStepWarning per clamped row-gradient, as row by row
+    assert stacked_warnings == clamps
+    assert set(clamps) <= {ms.BoundaryStepWarning}
+    assert len(clamps) == (5 if case == 2 else 0)
+
+
+@pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
+def test_newton_stack_refuses_at_the_first_failing_level(merit_calls):
+    # The slice minimum 5 exp(-(x - c)^2 / 0.01) leaves the y-box [-2, 2]
+    # near each spike center c. The nine grid rows are solved in the levels
+    # [4], [0, 8], [2, 6], [1, 3, 5, 7].
+    def spikes(*centers):
+        def implicit(x):
+            return sum(5.0 * np.exp(-((x - c) ** 2) / 0.01) for c in centers)
+
+        return ms.build_residual_merit(
+            (lambda p: 0.1 * p[0], lambda p: p[1] - implicit(p[0])),
+            2,
+            box=np.array([[0.0, 8.0], [-2.0, 2.0]]),
+        )
+
+    split = ms.ParameterSplit((0,), (1,))
+    grid = np.arange(9.0)
+    # rows 1 and 8 fail: row 8 is in the earlier level
+    slices = SliceSolver(spikes(1.0, 8.0), split)
+    with pytest.raises(ms.SubMinimizeError, match="^the Newton step leaves"):
+        slices.solve(grid[:, None])
+    assert slices.failed_x.tolist() == [8.0]
+    assert sorted(slices.solved) == [(0.0,), (4.0,)]
+    assert slices.solves == 3
+    # rows 3 and 1 fail in one level: the lower row is raised
+    with pytest.raises(ms.TraceError) as info:
+        ms.trace_implicit(spikes(3.0, 1.0), split, grid)
+    assert info.value.x_failed.tolist() == [1.0]
+    assert str(info.value).startswith("slice solve failed at x = [1.] ")
+
+
+def test_newton_stack_stays_in_the_box(monkeypatch):
+    from minsection.subminimize import _newton_rows
+
+    monkeypatch.setattr(ms.numerics, "MIN_STACKED_ROWS", 2)
+    box = np.array([[-2.0, 2.0], [-5.0, 5.0]])
+    merit, seen = recording_merit((lambda p: p[0], lambda p: p[1] - 3.0 * p[0]), 2, box)
+    xs = np.linspace(-2.0, 2.0, 17)[:, None]
+    starts = np.resize([5.0, -5.0, 4.9999, 0.0], (17, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ms.BoundaryStepWarning)
+        _newton_rows(merit, ms.ParameterSplit((0,), (1,)), xs, starts)
+    points = np.array(seen)
+    assert len(points) > 17 * 5
+    assert np.all((points >= box[:, 0]) & (points <= box[:, 1]))
+
+
+def test_newton_stencils_stay_under_the_cap(entries, monkeypatch):
+    from minsection import numerics
+
+    merit, split = m3_merit(), ms.ParameterSplit((0,), (1, 2))
+    grid = np.linspace(-2.0, 2.0, 41)[:, None]
+    whole = SliceSolver(merit, split).solve(grid)
+    sizes = []
+    stencil = numerics._stencil
+
+    def recorded(*args):
+        points = stencil(*args)
+        sizes.append(points.size)
+        return points
+
+    monkeypatch.setattr(numerics, "_stencil", recorded)
+    # three rows per stack: 9 stencil points of 2 coordinates each
+    monkeypatch.setattr(ms.subminimize, "STACK_VALUES", 3 * 9 * 2 + 5)
+    monkeypatch.setattr(numerics, "MIN_STACKED_ROWS", 2)
+    cut = SliceSolver(merit, split).solve(grid)
+    assert sizes and max(sizes) <= 3 * 9 * 2
+    assert 3 * 9 * 2 in sizes
+    for got, want in zip(cut, whole):
+        assert_same_sub(got, want)
+
+
+def test_level_order_and_starts():
+    from minsection.subminimize import _interpolated_starts, _levels
+
+    assert _levels(1) == [[0]]
+    assert _levels(2) == [[1], [0]]
+    assert _levels(9) == [[4], [0, 8], [2, 6], [1, 3, 5, 7]]
+    assert sorted(sum(_levels(101), [])) == list(range(101))
+    assert len(_levels(101)) == 8
+    # a cubic through the four nearest rows is exact on a cubic
+    ys = (np.arange(9.0) ** 3)[:, None]
+    starts = _interpolated_starts([0, 2, 4, 6, 8], ys, [1, 3, 5, 7])
+    assert starts[:, 0].tolist() == [1, 27, 125, 343]
+    # one row taken: its value
+    assert _interpolated_starts([4], ys, [0, 8]).tolist() == [[64.0], [64.0]]
