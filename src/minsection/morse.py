@@ -19,6 +19,9 @@ import numpy as np
 from .numerics import (
     BoundaryStepWarning,
     EigenSummary,
+    _gradient_step,
+    _inward_derivative,
+    _non_finite_gradient_error,
     _second_diff_block,
     eigen_index,
     fd_gradient,
@@ -41,6 +44,14 @@ logger = logging.getLogger(__name__)
 
 MERGE_RADIUS_FACTOR = 1e-5
 GRADIENT_FALLBACK_STEP = 1e-2
+#: Radius, per unit of box diagonal, of the ball around each found
+#: non-degenerate critical point inside which a census seed may be ended as
+#: a duplicate of that point (Morse lemma: such a point is isolated and has
+#: a Newton-convergence neighbourhood).
+BALL_RADIUS_FACTOR = 1e-2
+#: Largest ``|Newton correction error| / |distance|`` at which a seed in a
+#: found point's ball is ended (the Newton ball theorem allows below 1/3).
+CONTRACTION_LIMIT = 0.25
 
 
 class DegenerateCriticalPointError(ValueError):
@@ -57,6 +68,7 @@ class CriticalPoint:
 
     ``index_gamma`` counts negative Hessian eigenvalues; ``degenerate`` is
     set when any eigenvalue sits within the degeneracy tolerance of zero.
+    ``hessian`` is the FD Hessian the classification was read from.
     """
 
     location: np.ndarray
@@ -65,6 +77,7 @@ class CriticalPoint:
     index_gamma: int
     degenerate: bool
     eigen: EigenSummary
+    hessian: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -84,9 +97,63 @@ class MorseCensus:
         return self.boundary_outward and self.alternating_sum == 1
 
 
-def _newton_on_gradient(merit, seed, g, box, critical_tol, max_iter):
-    """Refine one seed, whose FD gradient is ``g``, to a gradient zero; None
-    when it fails to converge.
+#: Returned by :func:`_newton_on_gradient` for a seed ended as a duplicate
+#: of a found point.
+DUPLICATE = "duplicate"
+
+
+def _converges_to_found(p, g, hess, points, radius, min_curvature):
+    """Whether Newton from the iterate ``p``, whose FD gradient is ``g``,
+    converges to one of the found ``points``; ``hess`` is the Hessian of
+    the step that reached ``p``.
+
+    A found point q qualifies when it lies within ``radius`` of ``p``, is
+    non-degenerate with ``hess``'s index, ``hess`` being non-degenerate
+    too, and is resolved: its smallest Hessian eigenvalue magnitude is at
+    least ``min_curvature``, so every iterate whose gradient norm is within
+    the census tolerance of q's zero lies within a quarter of the merge
+    radius of it. Then the Newton ball theorem (Deuflhard 2004, ch. 2)
+    decides, with the Lipschitz constant ``omega`` of q's Hessian estimated
+    along the segment from q to ``p``: ``d = p - q`` and the Newton
+    correction of q's Hessian at ``p`` differ by ``e`` of about ``omega
+    |d|^2 / 2``, and Newton from ``p`` converges to q when ``|d| < 2 / (3
+    omega)``, that is ``|e| < |d| / 3``; the test asks ``|e| <=
+    CONTRACTION_LIMIT |d|``. A seed near another zero has a correction
+    toward that zero, not toward q, and fails it however close the two
+    zeros lie. The distance test comes first, so an iterate outside every
+    ball costs no linear algebra.
+    """
+    near = [
+        q for q in points
+        if not q.degenerate
+        and q.eigen.min_abs >= min_curvature
+        and np.linalg.norm(p - q.location) <= radius
+    ]
+    if not near:
+        return False
+    summary = eigen_index(hess)
+    if summary.near_zero_count:
+        return False
+    for q in near:
+        if q.index_gamma != summary.negative_count:
+            continue
+        offset = p - q.location
+        error = np.linalg.norm(offset - np.linalg.solve(q.hessian, g))
+        if error <= CONTRACTION_LIMIT * np.linalg.norm(offset):
+            return True
+    return False
+
+
+def _newton_on_gradient(merit, seed, g, box, critical_tol, max_iter, points=()):
+    """Refine one seed, whose FD gradient is ``g``, to a gradient zero.
+
+    Returns ``(point, gradient norm)`` on convergence, None when the seed
+    fails to converge, and :data:`DUPLICATE` when the seed is ended as a
+    duplicate of one of the found ``points``: an accepted, not yet
+    converged iterate passes :func:`_converges_to_found` for the ball radius
+    ``BALL_RADIUS_FACTOR * box diagonal``. The test uses the Hessian and
+    gradient already in hand, before the next Hessian is computed, so it
+    costs no evaluation.
 
     The linear step solves the FD Hessian system (exactly symmetric, each
     mixed partial being computed once) in the minimum-norm least-squares
@@ -97,6 +164,10 @@ def _newton_on_gradient(merit, seed, g, box, critical_tol, max_iter):
     ``1e-2 * box diagonal`` is backtracked before giving up.
     """
     diag = float(np.linalg.norm(box[:, 1] - box[:, 0]))
+    radius = BALL_RADIUS_FACTOR * diag
+    # A gradient norm of at most critical_tol puts an iterate within
+    # critical_tol / curvature of the zero: a quarter of the merge radius.
+    min_curvature = 4.0 * critical_tol / (MERGE_RADIUS_FACTOR * max(1.0, diag))
     p = np.asarray(seed, dtype=float)
     gn = float(np.linalg.norm(g))
 
@@ -119,6 +190,8 @@ def _newton_on_gradient(merit, seed, g, box, critical_tol, max_iter):
         if found is None:
             return None
         p, (g, gn) = found
+        if gn > critical_tol and _converges_to_found(p, g, hess, points, radius, min_curvature):
+            return DUPLICATE
     return (p, gn) if gn <= critical_tol else None
 
 
@@ -135,8 +208,19 @@ def find_critical_points(
     by the line search of the Newton slice solves) runs from every node of
     a ``seed_density``-per-axis grid; converged points are deduplicated
     within a scaled merge radius and classified via their Hessian spectrum.
-    Seeds that fail to converge (or leave the box) are dropped and counted
-    in the module log; they are never errors.
+    Each found non-degenerate point gets a ball of radius
+    ``BALL_RADIUS_FACTOR * box diagonal``; a later seed whose Newton iterate
+    enters it is ended there as a duplicate, adding no point, when
+    :func:`_converges_to_found` finds that Newton from the iterate
+    converges to that point and stops within the merge radius of it. The
+    test is a Newton ball-theorem estimate, not a proof; the census it
+    gives is bitwise that of running every seed to convergence on the
+    catalog problems, on points of the same index closer together than a
+    ball's radius, and on seeded two-well and quadratic merits
+    (``test_census_matches_reference_loop``). Points too flat to be
+    resolved within the merge radius at the gradient tolerance get no ball.
+    Seeds that fail to converge (or leave the box) are dropped; dropped and
+    ball-ended seeds are counted in the module log. Neither is an error.
     """
     if seed_density < 3:
         raise ValueError("seed density must be at least 3 per axis")
@@ -145,7 +229,7 @@ def find_critical_points(
     seeds = [np.array(combo) for combo in itertools.product(*axes)]
 
     points: list[CriticalPoint] = []
-    dropped = 0
+    dropped = ended_in_ball = 0
     # Seeds on the box faces trigger clamped stencils by construction.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryStepWarning)
@@ -157,9 +241,12 @@ def find_critical_points(
             1.0, float(np.linalg.norm(box[:, 1] - box[:, 0]))
         )
         for seed, g in zip(seeds, grads):
-            result = _newton_on_gradient(merit, seed, g, box, critical_tol, max_iter)
+            result = _newton_on_gradient(merit, seed, g, box, critical_tol, max_iter, points)
             if result is None:
                 dropped += 1
+                continue
+            if result is DUPLICATE:
+                ended_in_ball += 1
                 continue
             p, gn = result
             if np.any(p < box[:, 0]) or np.any(p > box[:, 1]):
@@ -167,7 +254,8 @@ def find_critical_points(
                 continue
             if any(np.linalg.norm(p - q.location) <= merge_radius for q in points):
                 continue
-            summary = eigen_index(_second_diff_block(merit, p, range(p.size), box)[0])
+            hess = _second_diff_block(merit, p, range(p.size), box)[0]
+            summary = eigen_index(hess)
             points.append(
                 CriticalPoint(
                     location=p,
@@ -176,13 +264,16 @@ def find_critical_points(
                     index_gamma=summary.negative_count,
                     degenerate=summary.near_zero_count > 0,
                     eigen=summary,
+                    hessian=hess,
                 )
             )
     logger.info(
-        "critical point search: %d seeds, %d unique points, %d dropped",
+        "critical point search: %d seeds, %d unique points, %d dropped, "
+        "%d ended in a found point's ball",
         len(seeds),
         len(points),
         dropped,
+        ended_in_ball,
     )
     points.sort(key=lambda cp: (cp.value, tuple(cp.location)))
     return points
@@ -194,8 +285,10 @@ def check_outward_gradient(merit: MeritFunction, box=None, boundary_density: int
 
     Each face is sampled on a grid of ``boundary_density`` points per face
     axis over its relative interior (edges and corners carry no unique
-    outward normal). Gradients use unclamped central differences, so the
-    objective must be evaluable within a stencil step outside the box.
+    outward normal). Only the normal derivative is taken, by the inward
+    one-sided three-point difference of :func:`~minsection.fd_gradient`'s
+    clamped stencil (step ``cbrt(eps) * max(1, |p_i|)``): three evaluations
+    per sampled point, all inside the box.
     """
     if boundary_density < 3:
         raise ValueError("boundary density must be at least 3 per face axis")
@@ -207,14 +300,17 @@ def check_outward_gradient(merit: MeritFunction, box=None, boundary_density: int
     for i in range(dim):
         others = [j for j in range(dim) if j != i]
         for side, sign in ((box[i, 0], -1.0), (box[i, 1], 1.0)):
+            h = _gradient_step(side)
             grids = [face_axes[j] for j in others]
             for combo in itertools.product(*grids) if others else [()]:
                 p = np.empty(dim)
                 p[i] = side
                 for j, v in zip(others, combo):
                     p[j] = v
-                g = fd_gradient(merit, p, box=None)
-                if sign * g[i] <= 0.0:
+                normal = _inward_derivative(merit, p, p.copy(), i, h, *box[i])
+                if not np.isfinite(normal):
+                    raise _non_finite_gradient_error(i, p)
+                if sign * normal <= 0.0:
                     return False
     return True
 

@@ -133,7 +133,7 @@ def fd_gradient(f, p, box=AUTO) -> np.ndarray:
     clamped = False
     work = p.copy()
     for i in range(m):
-        h = _exact_step(p[i], GRADIENT_STEP * max(1.0, abs(p[i])))
+        h = _gradient_step(p[i])
         lo, hi = (-np.inf, np.inf) if box is None else box[i]
         if p[i] + h <= hi and p[i] - h >= lo:
             work[i] = p[i] + h
@@ -143,15 +143,7 @@ def fd_gradient(f, p, box=AUTO) -> np.ndarray:
             grad[i] = (f_plus - f_minus) / (2.0 * h)
         else:
             clamped = True
-            sign = 1.0 if p[i] + 2.0 * h <= hi else -1.0
-            if sign < 0 and p[i] - 2.0 * h < lo:
-                raise _thin_box_error(i)
-            f0 = f(p)
-            work[i] = p[i] + sign * h
-            f1 = f(work)
-            work[i] = p[i] + sign * 2.0 * h
-            f2 = f(work)
-            grad[i] = sign * (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
+            grad[i] = _inward_derivative(f, p, work, i, h, lo, hi)
         work[i] = p[i]
     if clamped:
         warnings.warn(
@@ -161,9 +153,30 @@ def fd_gradient(f, p, box=AUTO) -> np.ndarray:
             stacklevel=2,
         )
     if not np.all(np.isfinite(grad)):
-        bad = int(np.flatnonzero(~np.isfinite(grad))[0])
-        raise NonFiniteValueError(f"non-finite gradient entry at coordinate {bad}", p)
+        raise _non_finite_gradient_error(int(np.flatnonzero(~np.isfinite(grad))[0]), p)
     return grad
+
+
+def _gradient_step(value: float) -> float:
+    """The gradient stencil's step ``cbrt(eps) * max(1, |value|)``, rounded
+    by :func:`_exact_step`."""
+    return _exact_step(value, GRADIENT_STEP * max(1.0, abs(value)))
+
+
+def _inward_derivative(f, p, work, i, h, lo, hi):
+    """Three-point one-sided difference of ``f`` along coordinate ``i`` at
+    ``p``, with step ``h`` toward the interior of ``[lo, hi]``: upward
+    unless ``p_i + 2h`` passes ``hi``. ``work`` is a copy of ``p``; its
+    coordinate ``i`` is left at the last stencil point."""
+    sign = 1.0 if p[i] + 2.0 * h <= hi else -1.0
+    if sign < 0 and p[i] - 2.0 * h < lo:
+        raise _thin_box_error(i)
+    f0 = f(p)
+    work[i] = p[i] + sign * h
+    f1 = f(work)
+    work[i] = p[i] + sign * 2.0 * h
+    f2 = f(work)
+    return sign * (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
 
 
 def _second_diff_block(f, p, indices, box, f0=None):
@@ -302,6 +315,10 @@ def _second_diff_stencil(points, indices, box):
 
 def _thin_box_error(coordinate):
     return ValueError(f"domain box is thinner than the FD stencil along coordinate {coordinate}")
+
+
+def _non_finite_gradient_error(coordinate, p):
+    return NonFiniteValueError(f"non-finite gradient entry at coordinate {coordinate}", p)
 
 
 def _non_finite_block_error(block, indices, point):
@@ -446,7 +463,7 @@ def _fd_hessians(fs, points, box, f0):
     finite = np.isfinite(g).all(axis=1)
     for j, row in zip(at[~finite].tolist(), g[~finite]):
         bad = int(np.flatnonzero(~np.isfinite(row))[0])
-        errors[j] = NonFiniteValueError(f"non-finite gradient entry at coordinate {bad}", points[j])
+        errors[j] = _non_finite_gradient_error(bad, points[j])
     at = at[finite]
     values = np.empty((at.size, 1 + 2 * k * k))
     values[:, 0] = np.asarray(f0)[at]

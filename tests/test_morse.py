@@ -1,8 +1,16 @@
 
+import itertools
+import logging
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minsection as ms
+from minsection import morse
+from minsection.numerics import NonFiniteValueError
 
 
 def two_wells_oracle():
@@ -163,3 +171,181 @@ def test_census_report_text(entries):
     report = ms.census_report(points, census)
     assert "audit: PASS" in report
     assert "index=0" in report
+
+
+def test_outward_check_evaluates_only_inside_the_box(entries):
+    # Only the normal derivative is taken, one-sided toward the interior:
+    # three evaluations per sampled face point, none outside the box.
+    box = np.array([[-2.0, 2.0], [-1.5, 3.0]])
+    for name in ("QUAD", "TWO_WELLS", "SINE_VALLEY"):
+        merit = entries[name].merit
+        seen = []
+
+        def recording(p, merit=merit, seen=seen):
+            p = np.asarray(p, dtype=float)
+            assert np.all(p >= box[:, 0]) and np.all(p <= box[:, 1]), p
+            seen.append(p.copy())
+            return merit(p)
+
+        recorder = ms.MeritFunction(2, recording, domain_box=box)
+        assert ms.check_outward_gradient(recorder, boundary_density=5)
+        assert len(seen) == 4 * 5 * 3
+
+
+def test_outward_check_refuses_non_finite_and_thin_boxes():
+    box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    blows_up = ms.MeritFunction(
+        2, lambda p: float(p @ p) if p[0] < 0.99 else float("nan"), domain_box=box
+    )
+    with pytest.raises(NonFiniteValueError):
+        ms.check_outward_gradient(blows_up, boundary_density=3)
+    thin = np.array([[-1.0, 1.0], [0.0, 1e-6]])
+    with pytest.raises(ValueError, match="thinner than the FD stencil along coordinate 1"):
+        ms.check_outward_gradient(ms.get_problem("QUAD").merit, box=thin)
+
+
+def pocket_merit(depth=0.0016):
+    """Two minima at p0 = +-sqrt(depth) on the line p1 = p0 / 2, with a
+    saddle between them: 0.08 apart by default, closer than a census ball's
+    diameter (0.113 on [-2, 2]^2); 0.02 apart, closer than its radius, at
+    ``depth = 1e-4``."""
+    residuals = (
+        lambda p: (p[0] ** 2 - depth) * (1.0 + p[0] ** 2),
+        lambda p: p[1] - 0.5 * p[0],
+    )
+    return ms.build_residual_merit(residuals, 2, box=np.array([[-2.0, 2.0], [-2.0, 2.0]]))
+
+
+def ripple_merit(k):
+    """Minima pi / k apart along p0 on the parabola p1 = 0.3 p0^2 over
+    [-1, 1]^2, a saddle midway between each pair, all well resolved: the
+    minima lie closer together than a census ball's diameter (0.057) for
+    k = 60 and than its radius for k = 200."""
+    residuals = (lambda p: np.sin(k * p[0]) / k, lambda p: p[1] - 0.3 * p[0] ** 2)
+    return ms.build_residual_merit(residuals, 2, box=np.array([[-1.0, 1.0], [-1.0, 1.0]]))
+
+
+def reference_census(merit, box=None, seed_density=9):
+    """The census seed loop with every seed run to convergence or failure."""
+    box = merit.domain_box if box is None else np.asarray(box, dtype=float)
+    axes = [np.linspace(lo, hi, seed_density) for lo, hi in box]
+    seeds = [np.array(combo) for combo in itertools.product(*axes)]
+    points = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ms.BoundaryStepWarning)
+        grads = [ms.fd_gradient(merit, s, box=box) for s in seeds]
+        critical_tol = 1e-8 * max(1.0, float(np.median([np.linalg.norm(g) for g in grads])))
+        merge_radius = 1e-5 * max(1.0, float(np.linalg.norm(box[:, 1] - box[:, 0])))
+        for seed, g in zip(seeds, grads):
+            result = morse._newton_on_gradient(merit, seed, g, box, critical_tol, 60)
+            if result is None:
+                continue
+            p, gn = result
+            if np.any(p < box[:, 0]) or np.any(p > box[:, 1]):
+                continue
+            if any(np.linalg.norm(p - q.location) <= merge_radius for q in points):
+                continue
+            hess = morse._second_diff_block(merit, p, range(p.size), box)[0]
+            summary = ms.eigen_index(hess)
+            points.append(
+                ms.CriticalPoint(p, merit(p), gn, summary.negative_count,
+                                 summary.near_zero_count > 0, summary, hess)
+            )
+    points.sort(key=lambda cp: (cp.value, tuple(cp.location)))
+    return points
+
+
+def assert_same_points(found, reference):
+    assert len(found) == len(reference)
+    for a, b in zip(found, reference):
+        assert np.array_equal(a.location, b.location)
+        assert a.value == b.value
+        assert a.grad_norm == b.grad_norm
+        assert (a.index_gamma, a.degenerate) == (b.index_gamma, b.degenerate)
+        assert np.array_equal(a.eigen.eigenvalues, b.eigen.eigenvalues)
+        assert np.array_equal(a.hessian, b.hessian)
+
+
+CATALOG_NAMES = ("QUAD", "SINE_VALLEY", "TWO_WELLS", "DEGEN_LINE", "EXP_FIT", "NEG_Y")
+
+
+@pytest.mark.parametrize(
+    "name, box, density",
+    [
+        *[pytest.param(n, None, d, id=f"{n}-{d}") for n in CATALOG_NAMES for d in (9, 15)],
+        pytest.param("TWO_WELLS", [[-2.0, 2.0], [-2.0, 2.0]], 9, id="cli_audit-box"),
+        pytest.param("pocket", None, 9, id="pocket-9"),
+        pytest.param("pocket", None, 15, id="pocket-15"),
+        pytest.param("close-pocket", None, 9, id="close-pocket-9"),
+        pytest.param("close-pocket", None, 15, id="close-pocket-15"),
+        *[pytest.param(f"close-wells-{a}", None, d, id=f"close-wells-{a}-{d}")
+          for a in (0.02, 0.01, 0.005) for d in (9, 15)],
+        *[pytest.param(f"ripple-{k}", None, d, id=f"ripple-{k}-{d}")
+          for k in (60, 200) for d in (9, 15)],
+    ],
+)
+def test_census_matches_reference_loop(entries, name, box, density):
+    # A seed is ended in a found point's ball only where Newton from it
+    # converges to that point, so the census is bitwise that of running
+    # every seed to convergence, also where two points of the same index lie
+    # closer together than a ball's radius: resolved (ripple) or not (the
+    # close pocket and wells, where the gradient tolerance spans more than
+    # the merge radius and no ball is used).
+    if name.startswith("ripple-"):
+        merit = ripple_merit(float(name.split("-")[1]))
+    elif name.startswith("close-wells-"):
+        merit = two_wells_merit(float(name.rsplit("-", 1)[1]), 0.3, 1.0)
+    elif name.endswith("pocket"):
+        merit = pocket_merit(1e-4 if name == "close-pocket" else 0.0016)
+    else:
+        merit = entries[name].merit
+    assert_same_points(
+        ms.find_critical_points(merit, box=box, seed_density=density),
+        reference_census(merit, box=box, seed_density=density),
+    )
+
+
+def two_wells_merit(a, b, c):
+    """Minima at (+-a, +-a b), 2a apart, and a saddle at the origin."""
+    return ms.build_residual_merit(
+        (lambda p: p[0] ** 2 - a * a, lambda p: c * (p[1] - b * p[0])),
+        2,
+        box=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
+    )
+
+
+def seeded_two_wells(seed):
+    # Wells from 0.01 to 3 apart: some closer than a census ball's radius.
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** rng.uniform(np.log10(0.005), np.log10(1.5))
+    return two_wells_merit(a, rng.uniform(-1.0, 1.0), rng.uniform(0.5, 3.0))
+
+
+def seeded_quadratic(seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
+    center = rng.uniform(-1.0, 1.0, size=2)
+    return ms.build_residual_merit(
+        (lambda p: float(rows[0] @ (p - center)), lambda p: float(rows[1] @ (p - center))),
+        2,
+        box=np.array([[-2.0, 2.0], [-2.0, 2.0]]),
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), two_wells=st.booleans(), density=st.sampled_from((5, 9)))
+def test_census_matches_reference_loop_on_seeded_merits(seed, two_wells, density):
+    merit = seeded_two_wells(seed) if two_wells else seeded_quadratic(seed)
+    assert_same_points(
+        ms.find_critical_points(merit, seed_density=density),
+        reference_census(merit, seed_density=density),
+    )
+
+
+def test_census_log_counts_seeds_ended_in_a_ball(entries, caplog):
+    with caplog.at_level(logging.INFO, logger="minsection.morse"):
+        ms.find_critical_points(entries["TWO_WELLS"].merit, box=[[-2.0, 2.0], [-2.0, 2.0]])
+    (message,) = [r.getMessage() for r in caplog.records if "critical point search" in r.getMessage()]
+    assert message.startswith("critical point search: 81 seeds, 3 unique points, ")
+    assert message.endswith(" ended in a found point's ball")
+    assert int(message.split(", ")[-1].split()[0]) > 0
