@@ -3,13 +3,16 @@
 Loads a problem (catalog name or definition file), dispatches one command
 (solve, trace, sections, audit, recover, equivalence), and writes reports
 and CSVs for external plotting. Exit codes: 0 success, 1 solver refusal
-(theory preconditions violated, witness printed), 2 input error.
+(theory preconditions violated, witness printed) or internal error, 2 input
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import math
 import os
 import sys
@@ -180,10 +183,30 @@ def _cmd_sections(args, definition, out):
     return 0
 
 
+@contextlib.contextmanager
+def _notes(logger):
+    """Collect the INFO records ``logger`` emits inside the block as
+    ``note:`` lines."""
+    lines = []
+    handler = logging.Handler(logging.INFO)
+    handler.emit = lambda record: lines.append(f"note: {record.getMessage()}")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield lines
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def _cmd_audit(args, definition, out):
     merit = definition.merit
     density = 9 if args.grid_density is None else args.grid_density
-    points = morse.find_critical_points(merit, seed_density=density)
+    with _notes(morse.logger) as notes:
+        points = morse.find_critical_points(merit, seed_density=density)
+    for line in notes:
+        print(line, file=sys.stderr)
     outward = morse.check_outward_gradient(merit, boundary_density=density)
     census = morse.morse_equality_audit(points, outward)
     _atomic_write(out / "census.txt", morse.census_report(points, census))
@@ -326,6 +349,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, list[str]]:
         return 1, lines
     except (ProblemFileError, OSError) as err:
         return 2, [f"input error: {err}"]
+    except Exception as err:  # a fault of the program, not of the input or the theory
+        return 1, [f"internal error: {type(err).__name__}: {err}"]
 
 
 def run(args: argparse.Namespace) -> int:
@@ -334,7 +359,9 @@ def run(args: argparse.Namespace) -> int:
 
     Every :class:`BoundaryStepWarning` of the command is counted, not
     shown, and the count is printed as one ``warning:`` line on stderr
-    ahead of any refusal or input error. Other warnings pass through.
+    ahead of any refusal or input error. Other warnings pass through. An
+    exception that is neither a refusal nor an input error is printed as
+    one ``internal error: <type>: <message>`` line, with status 1.
     """
     clamps = 0
     show = warnings.showwarning

@@ -10,6 +10,7 @@ domain box.
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -128,23 +129,22 @@ def fd_gradient(f, p, box=AUTO) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     box = _resolve_box(f, box)
-    m = p.size
-    grad = np.empty(m)
+    bounds = itertools.repeat((-np.inf, np.inf)) if box is None else box.tolist()
+    grad = []
     clamped = False
     work = p.copy()
-    for i in range(m):
-        h = _gradient_step(p[i])
-        lo, hi = (-np.inf, np.inf) if box is None else box[i]
-        if p[i] + h <= hi and p[i] - h >= lo:
-            work[i] = p[i] + h
+    for i, (value, (lo, hi)) in enumerate(zip(p.tolist(), bounds)):
+        h = _gradient_step(value)
+        if value + h <= hi and value - h >= lo:
+            work[i] = value + h
             f_plus = f(work)
-            work[i] = p[i] - h
+            work[i] = value - h
             f_minus = f(work)
-            grad[i] = (f_plus - f_minus) / (2.0 * h)
+            grad.append((f_plus - f_minus) / (2.0 * h))
         else:
             clamped = True
-            grad[i] = _inward_derivative(f, p, work, i, h, lo, hi)
-        work[i] = p[i]
+            grad.append(_inward_derivative(f, p, work, i, h, lo, hi))
+        work[i] = value
     if clamped:
         warnings.warn(
             "gradient stencil clamped at the domain boundary; one-sided "
@@ -152,6 +152,7 @@ def fd_gradient(f, p, box=AUTO) -> np.ndarray:
             BoundaryStepWarning,
             stacklevel=2,
         )
+    grad = np.array(grad, dtype=float)
     if not np.all(np.isfinite(grad)):
         raise _non_finite_gradient_error(int(np.flatnonzero(~np.isfinite(grad))[0]), p)
     return grad
@@ -190,54 +191,60 @@ def _second_diff_block(f, p, indices, box, f0=None):
     stays inside the box (second derivatives are continuous, so the shifted
     estimate is reported with a ``boundary_clamped`` flag rather than a
     lower-order formula); a shifted stencil evaluates its own center.
+    The steps, shifts and stencil coordinates are Python floats, bitwise
+    the numpy scalars, and every stencil point is written into one
+    ``work`` array.
     """
     p = np.asarray(p, dtype=float)
-    k = len(indices)
-    steps = np.empty(k)
-    q = p.copy()
+    center = p.tolist()
+    bounds = None if box is None else box.tolist()
+    steps = []
     shifted = False
-    for a, i in enumerate(indices):
-        h = _exact_step(p[i], HESSIAN_STEP * max(1.0, abs(p[i])))
-        steps[a] = h
-        if box is not None:
-            lo, hi = box[i]
+    for i in indices:
+        value = center[i]
+        h = _exact_step(value, HESSIAN_STEP * max(1.0, abs(value)))
+        steps.append(h)
+        if bounds is not None:
+            lo, hi = bounds[i]
             if hi - lo < 4.0 * h:
                 raise _thin_box_error(i)
-            moved = min(max(p[i], lo + h), hi - h)
-            if moved != p[i]:
+            moved = min(max(value, lo + h), hi - h)
+            if moved != value:
                 shifted = True
-                q[i] = moved
-    block = np.empty((k, k))
+                center[i] = moved
+    k = len(steps)
+    block = [[0.0] * k for _ in range(k)]
+    work = np.array(center)
     if f0 is None or shifted:
-        f0 = f(q)
-    work = q.copy()
-    for a, i in enumerate(indices):
-        h = steps[a]
-        work[i] = q[i] + h
+        f0 = f(work)
+    for a, (i, h) in enumerate(zip(indices, steps)):
+        c = center[i]
+        work[i] = c + h
         f_plus = f(work)
-        work[i] = q[i] - h
+        work[i] = c - h
         f_minus = f(work)
-        work[i] = q[i]
-        block[a, a] = (f_plus - 2.0 * f0 + f_minus) / (h * h)
+        work[i] = c
+        block[a][a] = (f_plus - 2.0 * f0 + f_minus) / (h * h)
     for a, i in enumerate(indices):
         for b in range(a + 1, k):
             j = indices[b]
             ha, hb = steps[a], steps[b]
-            work[i] = q[i] + ha
-            work[j] = q[j] + hb
+            work[i] = center[i] + ha
+            work[j] = center[j] + hb
             fpp = f(work)
-            work[j] = q[j] - hb
+            work[j] = center[j] - hb
             fpm = f(work)
-            work[i] = q[i] - ha
+            work[i] = center[i] - ha
             fmm = f(work)
-            work[j] = q[j] + hb
+            work[j] = center[j] + hb
             fmp = f(work)
-            work[i] = q[i]
-            work[j] = q[j]
-            block[a, b] = block[b, a] = (fpp - fpm - fmp + fmm) / (4.0 * ha * hb)
+            work[i] = center[i]
+            work[j] = center[j]
+            block[a][b] = block[b][a] = (fpp - fpm - fmp + fmm) / (4.0 * ha * hb)
+    block = np.array(block)
     if not np.all(np.isfinite(block)):
-        raise _non_finite_block_error(block, indices, q)
-    return block, steps, shifted
+        raise _non_finite_block_error(block, indices, center)
+    return block, np.array(steps), shifted
 
 
 #: Fewest rows whose finite-difference stencils :func:`_fd_hessians` builds
@@ -344,18 +351,19 @@ def _second_diff_blocks(f, points, indices, box):
     steps, q, thin, stencil = _second_diff_stencil(points, indices, box)
     thin_rows = thin.any(axis=1)
     count = int(np.argmax(thin_rows)) if thin_rows.any() else len(q)
-    values = np.empty(stencil.shape[:2])
-    bounds = _FINITE_BLOCK_BOUND * np.minimum(1.0, steps.min(axis=1) ** 2)
+    bounds = (_FINITE_BLOCK_BOUND * np.minimum(1.0, steps.min(axis=1) ** 2)).tolist()
+    values = []
     for n in range(count):
-        values[n] = row_values = [f(r) for r in stencil[n]]
-        if not sum(map(abs, row_values)) <= bounds[n]:
+        row = [f(point) for point in stencil[n]]
+        values.append(row)
+        if not sum(map(abs, row)) <= bounds[n]:
             with np.errstate(over="ignore", invalid="ignore"):
-                block = _assemble_blocks(values[n : n + 1], steps[n : n + 1])[0]
+                block = _assemble_blocks(np.array([row], dtype=float), steps[n : n + 1])[0]
             if not np.all(np.isfinite(block)):
                 raise _non_finite_block_error(block, indices, q[n])
     if count < len(q):
         raise _thin_box_error(indices[int(np.argmax(thin[count]))])
-    return _assemble_blocks(values, steps)
+    return _assemble_blocks(np.array(values, dtype=float), steps)
 
 
 def _assemble_blocks(values, steps):

@@ -238,9 +238,12 @@ class MeritFunction:
     """Evaluatable scalar field F: R^M -> [0, inf) on a finite domain box.
 
     ``evaluate`` must be deterministic and pure; concurrent evaluation is
-    safe. ``structure`` tags how the value is assembled: ``general``,
-    ``residual`` (F = sum of squared residual maps) or ``partially_linear``
-    (built from a :class:`PartiallyLinearModel`). Closed-form ``gradient``
+    safe. The point ``p`` it is handed may be a view or a buffer that the
+    caller overwrites after the call (the finite-difference stencils and
+    the Newton slices reuse one per row), so a merit must not keep a
+    reference to it. ``structure`` tags how the value is assembled:
+    ``general``, ``residual`` (F = sum of squared residual maps) or
+    ``partially_linear`` (built from a :class:`PartiallyLinearModel`). Closed-form ``gradient``
     and ``hessian`` callables, when present, serve as verification oracles;
     the solvers themselves differentiate numerically.
     """
@@ -294,15 +297,28 @@ class MeritFunction:
 
 def build_residual_merit(residuals, dimension: int, box=None, name=None, gradient=None,
                          hessian=None) -> MeritFunction:
-    """Merit function from residual maps: ``F(p) = sum_k r_k(p)^2``."""
+    """Merit function from residual maps: ``F(p) = sum_k r_k(p)^2``.
+
+    The squares are added left to right in one plain loop, which for
+    residuals returning numpy scalars is bitwise
+    ``sum(r(p) ** 2 for r in residuals)``. Each square keeps the residual's
+    own type, so a numpy residual that overflows gives ``inf`` with a
+    ``RuntimeWarning`` rather than an ``OverflowError``.
+    """
     residuals = tuple(residuals)
     if not residuals:
         raise ValueError("at least one residual map is required")
     if dimension < 2:
         raise ValueError("merit functions require dimension M >= 2")
+    first, rest = residuals[0], residuals[1:]
 
     def evaluate(p):
-        return float(sum(r(p) ** 2 for r in residuals))
+        # starting from the first square skips sum's ``0 +``, which leaves a
+        # square (never -0.0) unchanged
+        total = first(p) ** 2
+        for r in rest:
+            total += r(p) ** 2
+        return total
 
     return MeritFunction(
         dimension,

@@ -599,7 +599,7 @@ def _newton_stack(merit, split, xs, starts, inner_tol, max_iter):
     ybox = split.y_box(merit.domain_box)
     ys = np.clip(starts, ybox[:, 0], ybox[:, 1])
 
-    values = [lambda y, x=x: merit(split.embed(x, y)) for x in xs]
+    values = [_slice_objective(merit, split, x, y) for x, y in zip(xs, ys)]
 
     def convexity_error(row, y, w, where, note=""):
         return ConvexityError(
@@ -657,6 +657,20 @@ def _newton_stack(merit, split, xs, starts, inner_tol, max_iter):
         else:
             results.append(_sub_minimum(y, fv, gn, spectra[r][0], "newton", iteration, tols[r]))
     return results
+
+
+def _slice_objective(merit, split, x, y):
+    """``y -> merit(split.embed(x, y))`` on one full-length point, assembled
+    once from ``(x, y)``, whose eliminated coordinates each call overwrites
+    (as :func:`numerics.fd_gradient` reuses its ``work`` array)."""
+    point = split.embed(x, y)
+    at = np.asarray(split.y_indices, dtype=int)
+
+    def value(y):
+        point[at] = y
+        return merit(point)
+
+    return value
 
 
 def subminimize_newton(

@@ -422,3 +422,26 @@ def test_other_warnings_pass_through_and_refusals_follow_the_tally(tmp_path, cap
         "differences were used",
         "refused: no minimum",
     ]
+
+
+def test_audit_prints_the_census_counts_as_one_note(tmp_path, capsys):
+    logger = ms.morse.logger
+    level, handlers = logger.level, list(logger.handlers)
+    assert run_cli(["--problem", "TWO_WELLS", "--command", "audit", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "note: critical point search: 81 seeds, 3 unique points, 0 dropped, "
+        "70 ended in a found point's ball"
+    ]
+    # the census logger is left as it was
+    assert (logger.level, logger.handlers) == (level, handlers)
+
+
+def test_unexpected_exception_is_one_internal_error_line(tmp_path, capsys, monkeypatch):
+    def command(args, definition, out):
+        raise RuntimeError("lost a row")
+
+    monkeypatch.setitem(cli._DISPATCH, "solve", command)
+    assert run_cli(["--problem", "QUAD", "--command", "solve", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["internal error: RuntimeError: lost a row"]
+    assert "Traceback" not in captured.err + captured.out

@@ -32,6 +32,31 @@ def test_residual_merit_rejects_empty():
         ms.build_residual_merit((), 2)
 
 
+def test_residual_merit_is_the_sum_of_squares_bit_for_bit(entries):
+    chain = (lambda p: p[0] - 0.3, lambda p: p[1] - math.sin(p[0]), lambda p: p[2] - p[0] * p[1])
+    merits = [e.merit for e in entries.values() if e.merit.structure == "residual"]
+    assert len(merits) == 4
+    merits.append(ms.build_residual_merit(chain, 3, box=np.array([[-2.0, 2.0]] * 3)))
+    rng = np.random.default_rng(20)
+    for merit in merits:
+        box = merit.domain_box
+        points = box[:, 0] + rng.uniform(size=(1000, merit.dimension)) * (box[:, 1] - box[:, 0])
+        got = np.array([merit(p) for p in points])
+        want = np.array([float(sum(r(p) ** 2 for r in merit.residuals)) for p in points])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_residual_merit_overflow_is_inf_and_nan_is_nan():
+    # numpy squares: an overflow is inf with a RuntimeWarning, never an
+    # OverflowError as a Python float square would raise
+    merit = ms.build_residual_merit((lambda p: p[0], lambda p: p[1]), 2)
+    for p in ([1e200, 1.0], [1.0, 1e200]):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert merit(np.array(p)) == math.inf
+    assert math.isnan(merit(np.array([math.nan, 1.0])))
+    assert math.isnan(merit(np.array([1.0, math.nan])))
+
+
 def test_partially_linear_zero_at_generating_parameters(entries):
     merit = entries["EXP_FIT"].merit
     assert merit([-0.5, 2.0]) == 0.0

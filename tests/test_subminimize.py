@@ -897,6 +897,37 @@ def test_newton_stack_stays_in_the_box(monkeypatch):
     assert np.all((points >= box[:, 0]) & (points <= box[:, 1]))
 
 
+def test_newton_stack_rows_keep_their_own_x(entries, monkeypatch):
+    # each row's slice objective overwrites one full-length point of its
+    # own: no evaluation of a row may see another row's x
+    merit, split = entries["TWO_WELLS"].merit, ms.ParameterSplit((0,), (1,))
+    grid = np.linspace(-2.0, 2.0, 21)[:, None]
+    seen, owners = [], []
+    evaluate = ms.MeritFunction.__call__
+    objective = ms.subminimize._slice_objective
+
+    def recorded(self, p):
+        seen.append(np.array(p, copy=True))
+        return evaluate(self, p)
+
+    def owned(merit, split, x, y):
+        value = objective(merit, split, x, y)
+
+        def row(v):
+            owners.append(float(x[0]))
+            return value(v)
+
+        return row
+
+    monkeypatch.setattr(ms.MeritFunction, "__call__", recorded)
+    monkeypatch.setattr(ms.subminimize, "_slice_objective", owned)
+    solved = SliceSolver(merit, split).solve(grid)
+    assert len(solved) == 21 and all(sub.method == "newton" for sub in solved)
+    assert len(seen) == len(owners) > 21 * 5
+    assert [float(p[0]) for p in seen] == owners
+    assert sorted(set(owners)) == grid[:, 0].tolist()
+
+
 def test_newton_stencils_stay_under_the_cap(entries, monkeypatch):
     from minsection import numerics
 
