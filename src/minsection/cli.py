@@ -51,6 +51,8 @@ def _validate(args: argparse.Namespace):
         raise ProblemFileError(f"--grid-density must be at least 3, got {args.grid_density}")
     if args.starts < 1:
         raise ProblemFileError(f"--starts must be at least 1, got {args.starts}")
+    if args.seed < 0:
+        raise ProblemFileError(f"--seed must be non-negative, got {args.seed}")
     if args.anchor_value is not None and not math.isfinite(args.anchor_value):
         raise ProblemFileError(f"--anchor-value must be finite, got {args.anchor_value!r}")
     for flag, tol in (("--inner-tol", args.inner_tol), ("--outer-tol", args.outer_tol)):

@@ -324,7 +324,7 @@ def morse_equality_audit(points, outward: bool) -> MorseCensus:
     """
     degenerate = [p for p in points if p.degenerate]
     if degenerate:
-        where = "; ".join(str(p.location) for p in degenerate)
+        where = "; ".join(str([float(v) for v in p.location]) for p in degenerate)
         raise DegenerateCriticalPointError(
             f"degenerate critical point(s) at {where}: the index census is "
             "undefined (a singular Hessian carries no index)",

@@ -431,36 +431,34 @@ def _fd_hessians(fs, points, box, f0):
     ``box``, given the values ``f0`` there: ``(gradients, hessians,
     errors)``, the errors keyed by position in the stack.
 
-    ``fs[j]`` is the objective of row j. A stack of fewer than
-    ``MIN_STACKED_ROWS`` rows, and a row whose gradient stencil would be
-    clamped or whose second-difference stencil would be shifted off a face
-    of the box, take :func:`fd_hessian` row by row. The other rows take one
-    stacked central gradient stencil and then one stacked second-difference
-    stencil, built with numpy and evaluated point by point in the scalar
-    order, with the scalar formulas: each row's gradient and Hessian are
-    bitwise those of :func:`fd_hessian` and cost the same evaluations.
-    ``errors`` maps a row to the error :func:`fd_hessian` raises there, a
-    thin box or a non-finite entry, after the evaluations it makes before
-    raising.
+    ``fs[j]`` is the objective of row j. One path serves every stack, a
+    lone row included. A stack of fewer than ``MIN_STACKED_ROWS`` rows,
+    and a row whose gradient stencil would be clamped or whose
+    second-difference stencil would be shifted off a face of the box, take
+    :func:`fd_hessian` row by row. The other rows take one stacked central
+    gradient stencil and then the stacked second-difference stencil of the
+    probe's plan (:func:`_second_diff_stencil`), evaluated point by point
+    in the scalar order, with the scalar formulas: each row's gradient and
+    Hessian are bitwise those of :func:`fd_hessian` and cost the same
+    evaluations. ``errors`` maps a row to the error :func:`fd_hessian`
+    raises there, a thin box or a non-finite entry, after the evaluations
+    it makes before raising.
     """
     n, k = points.shape
-    if n == 1:
-        gradient, hessian, error = _fd_hessian_row(fs[0], points[0], box, f0[0])
-        return gradient[None], hessian[None], {} if error is None else {0: error}
     grads, hessians, errors = np.zeros((n, k)), np.zeros((n, k, k)), {}
-    if n < MIN_STACKED_ROWS:
-        inside = np.zeros(n, dtype=bool)
-    else:
-        lo, hi = box[:, 0], box[:, 1]
-        scale = np.maximum(1.0, np.abs(points))
-        h = (points + GRADIENT_STEP * scale) - points
-        s = (points + HESSIAN_STEP * scale) - points
-        inside = (points + h <= hi) & (points - h >= lo) & ~(hi - lo < 4.0 * s)
-        inside = (inside & (np.minimum(np.maximum(points, lo + s), hi - s) == points)).all(axis=1)
+    inside = np.zeros(n, dtype=bool)
+    if n >= MIN_STACKED_ROWS:
+        s, q, thin, stencil = _second_diff_stencil(points, range(k), box)
+        h = (points + GRADIENT_STEP * np.maximum(1.0, np.abs(points))) - points
+        inside = (points + h <= box[:, 1]) & (points - h >= box[:, 0]) & ~thin & (q == points)
+        inside = inside.all(axis=1)
     for j in np.flatnonzero(~inside).tolist():
-        grads[j], hessians[j], error = _fd_hessian_row(fs[j], points[j], box, f0[j])
-        if error is not None:
-            errors[j] = error
+        try:
+            report = fd_hessian(fs[j], points[j], box=box, f0=f0[j])
+        except ValueError as err:  # NonFiniteValueError is a ValueError
+            errors[j] = err
+        else:
+            grads[j], hessians[j] = report.gradient, report.hessian
     at = np.flatnonzero(inside)
     if not at.size:
         return grads, hessians, errors
@@ -475,22 +473,12 @@ def _fd_hessians(fs, points, box, f0):
     at = at[finite]
     values = np.empty((at.size, 1 + 2 * k * k))
     values[:, 0] = np.asarray(f0)[at]
-    values[:, 1:] = _evaluate(fs, at, _stencil(points[at], s[at], 1 + 2 * k * k)[:, 1:])
+    values[:, 1:] = _evaluate(fs, at, stencil[at, 1:])
     with np.errstate(over="ignore", invalid="ignore"):
         hessians[at] = blocks = _assemble_blocks(values, s[at])
     for i in np.flatnonzero(~np.isfinite(blocks).all(axis=(1, 2))).tolist():
         errors[int(at[i])] = _non_finite_block_error(blocks[i], range(k), points[at[i]])
     return grads, hessians, errors
-
-
-def _fd_hessian_row(f, p, box, f0):
-    """:func:`fd_hessian` of ``f`` at ``p``: ``(gradient, hessian, None)``,
-    or zeros and the thin-box or non-finite error it raises."""
-    try:
-        report = fd_hessian(f, p, box=box, f0=f0)
-    except ValueError as err:  # NonFiniteValueError is a ValueError
-        return np.zeros(p.size), np.zeros((p.size, p.size)), err
-    return report.gradient, report.hessian, None
 
 
 def _evaluate(fs, at, stencil):

@@ -100,11 +100,16 @@ def load_data_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(t_vals), np.array(d_vals)
 
 
+def _is_int(value) -> bool:
+    """Whether a JSON value is an integer: JSON booleans are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(mapping, key, kind, where):
     if key not in mapping:
         raise ProblemFileError(f"missing field {where}.{key}" if where else f"missing field {key}")
     value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and not (_is_int(value) if kind is int else isinstance(value, kind)):
         label = f"{where}.{key}" if where else key
         raise ProblemFileError(f"field {label} has the wrong type")
     return value
@@ -194,6 +199,9 @@ def load_problem_file(path) -> ProblemDefinition:
         split_doc = _require(doc, "split", dict, "")
         x_idx = _require(split_doc, "x_indices", list, "split")
         y_idx = _require(split_doc, "y_indices", list, "split")
+        for key, indices in (("x_indices", x_idx), ("y_indices", y_idx)):
+            if not all(map(_is_int, indices)):
+                raise ProblemFileError(f"field split.{key} must list integers, got {indices!r}")
         try:
             split = ParameterSplit(tuple(x_idx), tuple(y_idx))
         except ValueError as err:

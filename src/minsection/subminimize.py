@@ -698,7 +698,7 @@ def subminimize_newton(
         start = problem.y_box().mean(axis=1)
     else:
         start = np.atleast_1d(np.asarray(y0, dtype=float))
-    (result,) = _newton_stack(
+    (result,) = _newton_rows(
         problem.merit, problem.split, problem.x_fixed[None], start[None], inner_tol, max_iter
     )
     if isinstance(result, Exception):
@@ -748,8 +748,8 @@ class SliceSolver:
     then a least-squares solve and one counted merit evaluation per row.
 
     Otherwise the distinct rows not yet solved are validated once and
-    solved by damped Newton in levels, each level one stack
-    (:func:`_newton_rows`): the middle row, then the two end rows, then
+    solved by damped Newton in levels, each level one stack, a lone row
+    too (:func:`_newton_rows`): the middle row, then the two end rows, then
     level by level the midpoints between rows already solved. The middle
     row starts from a secant prediction along the implicit graph y*(x)
     (Allgower & Georg, *Introduction to Numerical Continuation Methods*,
@@ -759,10 +759,9 @@ class SliceSolver:
     (the box center on the first solve). Every later row starts from the
     Lagrange interpolant, in the row's position in the stack, through the
     up to four nearest rows already solved: a multilevel predictor. Starts
-    are clipped to the eliminated-coordinate box, and a one-row level runs
-    :func:`subminimize_newton`, the one-row case of the same loop. A level
-    with a failing row keeps its other rows' results, records the failing
-    row's x as ``failed_x`` and raises the error of its lowest failing row.
+    are clipped to the eliminated-coordinate box. A level with a failing
+    row keeps its other rows' results, records the failing row's x as
+    ``failed_x`` and raises the error of its lowest failing row.
     ``y0`` is a Newton start for every row: such a call always solves, as
     one stack, and its results are not kept.
     """
@@ -777,14 +776,15 @@ class SliceSolver:
         self.solves = 0
         self.failed_x: np.ndarray | None = None
 
-    def _predict(self, x) -> np.ndarray | None:
-        """Newton start at ``x``: the secant prediction, else the last result.
+    def _predict(self, x) -> np.ndarray:
+        """Newton start at ``x``: the secant prediction, else the last
+        result, else the center of the eliminated-coordinate box.
 
         x counts as on the line when its distance from it is at most
         sqrt(eps) times its distance from x1, which rounding cannot exceed.
         """
         if not self.recent:
-            return None
+            return self.split.y_box(self.merit.domain_box).mean(axis=1)
         x1, sub1 = self.recent[-1]
         if len(self.recent) == 2:
             x0, sub0 = self.recent[0]
@@ -809,38 +809,24 @@ class SliceSolver:
         x = np.atleast_1d(np.asarray(x_fixed, dtype=float))
         rows = x.reshape(1, -1) if x.ndim == 1 else x
         keys = list(map(tuple, rows.tolist()))
-        if self.linear:
-            self._solve_linear(rows, keys)
-        elif y0 is None:
-            self._solve_levels(rows, keys)
-        else:
-            if len(rows) > 1:
-                _check_rows(self.merit, self.split, rows)
-            subs = self._newton(rows, [np.atleast_1d(np.asarray(y0, dtype=float))] * len(rows))
         if self.linear or y0 is None:
+            todo = {}
+            for key, row in zip(keys, rows):
+                if key not in self.solved:
+                    todo.setdefault(key, row)
+            if todo:
+                fresh = np.array(list(todo.values()))
+                _check_rows(self.merit, self.split, fresh)
+                (self._solve_linear if self.linear else self._solve_levels)(fresh, list(todo))
             subs = [self.solved[key] for key in keys]
+        else:
+            _check_rows(self.merit, self.split, rows)
+            subs = self._newton(rows, [np.atleast_1d(np.asarray(y0, dtype=float))] * len(rows))
         self.recent = [*self.recent, *zip(rows, subs)][-2:]
         return subs if x.ndim == 2 else subs[0]
 
-    def _unsolved(self, rows, keys):
-        """The keys and the (N, n) stack of the distinct rows not yet in
-        ``solved``, in order of first appearance."""
-        todo = {}
-        for key, row in zip(keys, rows):
-            if key not in self.solved:
-                todo.setdefault(key, row)
-        if not todo:
-            return [], rows[:0]
-        return list(todo), np.array(list(todo.values()))
-
     def _solve_levels(self, rows, keys) -> None:
-        """Solve and keep the distinct rows not yet in ``solved``, level by
-        level."""
-        keys, rows = self._unsolved(rows, keys)
-        if not keys:
-            return
-        if len(rows) > 1:  # a lone row is validated by its SliceProblem
-            _check_rows(self.merit, self.split, rows)
+        """Solve and keep the valid distinct rows ``rows``, level by level."""
         levels = _levels(len(rows))
         ys = np.empty((len(rows), self.split.m))
         taken = []
@@ -859,14 +845,7 @@ class SliceSolver:
         results under ``keys`` when given, then raises the error of the
         first failing row, recording its x in ``failed_x``."""
         self.solves += len(rows)
-        if len(rows) > 1:
-            subs = _newton_rows(self.merit, self.split, rows, starts, self.inner_tol)
-        else:
-            problem = SliceProblem(self.merit, self.split, rows[0])
-            try:
-                subs = [subminimize_newton(problem, y0=starts[0], inner_tol=self.inner_tol)]
-            except Exception as err:  # raised below, once recorded
-                subs = [err]
+        subs = _newton_rows(self.merit, self.split, rows, starts, self.inner_tol)
         failed = [j for j, sub in enumerate(subs) if isinstance(sub, Exception)]
         if keys is not None:
             self.solved.update(
@@ -878,12 +857,8 @@ class SliceSolver:
         return subs
 
     def _solve_linear(self, rows, keys) -> None:
-        """Validate, solve and keep the distinct rows not yet in ``solved``,
-        in stacks of at most ``STACK_VALUES`` design-matrix values."""
-        keys, rows = self._unsolved(rows, keys)
-        if not keys:
-            return
-        _check_rows(self.merit, self.split, rows)
+        """Solve and keep the valid distinct rows ``rows``, in stacks of at
+        most ``STACK_VALUES`` design-matrix values."""
         per_stack = _rows_per_stack(self.merit.model)
         for start in range(0, len(rows), per_stack):
             part = slice(start, start + per_stack)

@@ -75,7 +75,15 @@ def test_degenerate_audit_refused(tmp_path, capsys):
         ["--problem", "DEGEN_LINE", "--command", "audit", "--out", str(tmp_path)]
     )
     assert code == 1
-    assert "degenerate" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "degenerate" in err
+    # each printed location is the repr of a census point's coordinates
+    (refusal,) = [line for line in err.splitlines() if line.startswith("refused: ")]
+    where = refusal.split(" at ", 1)[1].split(": ", 1)[0]
+    printed = [ast.literal_eval(loc) for loc in where.split("; ")]
+    points = ms.find_critical_points(ms.get_problem("DEGEN_LINE").merit, seed_density=9)
+    census = [[float(v) for v in p.location] for p in points if p.degenerate]
+    assert printed == census
 
 
 def test_malformed_problem_file_exit_2(tmp_path, capsys):
@@ -138,6 +146,7 @@ def test_missing_anchor_flags_exit_2(tmp_path, capsys):
         (["--problem", "QUAD", "--command", "solve", "--outer-tol", "0"], "--outer-tol"),
         (["--problem", "QUAD", "--command", "solve", "--inner-tol", "-1"], "--inner-tol"),
         (["--problem", "QUAD", "--command", "trace", "--inner-tol", "inf"], "--inner-tol"),
+        (["--problem", "QUAD", "--command", "equivalence", "--seed", "-1"], "--seed"),
     ],
 )
 def test_bad_flag_values_exit_2(tmp_path, capsys, argv, flag):

@@ -1,11 +1,13 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import minsection as ms
+from minsection import cli
 from minsection.problem_io import ProblemFileError
 
 
@@ -143,6 +145,29 @@ def test_split_mismatch_reported(tmp_path):
     path = write_exp_fit_inputs(tmp_path, split={"x_indices": [0], "y_indices": [2]})
     with pytest.raises(ProblemFileError, match="split"):
         ms.load_problem_file(path)
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"model": {"kind": "partially_linear",
+                    "basis": [{"type": "exponential", "rate_index": False}]}},
+         "model.basis[0].rate_index"),
+        ({"model": {"kind": "partially_linear", "basis": [{"type": "polynomial", "degree": True}]}},
+         "model.basis[0].degree"),
+        ({"split": {"x_indices": [0.5], "y_indices": [1]}}, "split.x_indices"),
+    ],
+    ids=["bool-rate-index", "bool-degree", "float-split-index"],
+)
+def test_non_integer_index_fields_are_input_errors(tmp_path, capsys, overrides, field):
+    # JSON booleans are not integers, and a float index is not truncated
+    path = write_exp_fit_inputs(tmp_path, **overrides)
+    with pytest.raises(ProblemFileError, match=re.escape(f"field {field} ")):
+        ms.load_problem_file(path)
+    out = tmp_path / "run"
+    assert cli.main(["--problem", str(path), "--command", "solve", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and field in err
 
 
 def test_data_csv_header_enforced(tmp_path):

@@ -216,14 +216,15 @@ def test_repeated_slice_is_not_solved_again(entries, split01):
 
 def test_revisited_slice_is_not_solved_again(entries, split01, monkeypatch):
     starts = []
-    newton = ms.subminimize.subminimize_newton
+    newton = ms.subminimize._newton_rows
 
-    def recording_newton(problem, y0=None, inner_tol=None):
-        starts.append(None if y0 is None else float(y0[0]))
-        return newton(problem, y0=y0, inner_tol=inner_tol)
+    def recording_newton(merit, split, xs, ys, inner_tol=None):
+        starts.append(float(np.asarray(ys)[0, 0]))
+        return newton(merit, split, xs, ys, inner_tol)
 
-    monkeypatch.setattr(ms.subminimize, "subminimize_newton", recording_newton)
-    solver = SliceSolver(entries["SINE_VALLEY"].merit, split01)
+    monkeypatch.setattr(ms.subminimize, "_newton_rows", recording_newton)
+    merit = entries["SINE_VALLEY"].merit
+    solver = SliceSolver(merit, split01)
     first = solver.solve([0.3])
     second = solver.solve([0.4])
     assert solver.solve([0.3]) is first
@@ -232,7 +233,8 @@ def test_revisited_slice_is_not_solved_again(entries, split01, monkeypatch):
     # next start on their secant: x = 0.5 lies two spacings from x1 = 0.3
     solver.solve([0.5])
     y3, y4 = float(first.y_star[0]), float(second.y_star[0])
-    assert starts[:2] == [None, y3]
+    # the first solve starts from the center of the y-box
+    assert starts[:2] == [float(split01.y_box(merit.domain_box).mean()), y3]
     assert starts[2] == pytest.approx(y3 + 2.0 * (y4 - y3), rel=1e-12)
     assert second.y_star[0] != first.y_star[0]
     # an explicit start always solves, and its result is not kept
@@ -253,14 +255,14 @@ def test_secant_start_on_a_linear_implicit_graph(aniso3, monkeypatch):
     # of the last two x is the slice minimum itself; off that line the
     # start is the last result.
     iterations = []
-    newton = ms.subminimize.subminimize_newton
+    newton = ms.subminimize._newton_rows
 
-    def recording_newton(problem, y0=None, inner_tol=None):
-        sub = newton(problem, y0=y0, inner_tol=inner_tol)
-        iterations.append(sub.iterations)
-        return sub
+    def recording_newton(merit, split, xs, ys, inner_tol=None):
+        subs = newton(merit, split, xs, ys, inner_tol)
+        iterations.extend(sub.iterations for sub in subs)
+        return subs
 
-    monkeypatch.setattr(ms.subminimize, "subminimize_newton", recording_newton)
+    monkeypatch.setattr(ms.subminimize, "_newton_rows", recording_newton)
     merit, _ = aniso3
     solver = SliceSolver(merit, ms.ParameterSplit((0, 1), (2,)))
     for x in ([1.0, 1.0], [2.0, 0.0], [3.0, -1.0], [4.0, 2.0], [5.0, 5.0]):
@@ -806,6 +808,10 @@ def newton_stack_cases(entries):
         # first second-difference stencil or the start itself meets the wall
         (walled_merit(), ms.ParameterSplit((0,), (1,)), np.array([[0.0], [0.5], [1.0], [1.3]]),
          np.array([[4.2 - 1e-5], [4.2 - 3e-4], [0.0], [4.3]])),
+        # a lone row, as SliceSolver hands a one-row level to the stacked
+        # solve: started on the face y = 5, it clamps its first gradient
+        # stencil and ends at that face
+        (steep, ms.ParameterSplit((0,), (1,)), np.array([[1.9]]), np.array([[5.0]])),
     ]
 
 
@@ -822,7 +828,9 @@ def newton_outcome(calls, solve):
 
 
 @pytest.mark.parametrize("min_rows", [2, 8], ids=["stacked", "default"])
-@pytest.mark.parametrize("case", [0, 1, 2, 3], ids=["SINE_VALLEY", "chain3", "faces", "wall"])
+@pytest.mark.parametrize(
+    "case", [0, 1, 2, 3, 4], ids=["SINE_VALLEY", "chain3", "faces", "wall", "lone"]
+)
 def test_newton_stack_rows_are_one_row_solves(entries, merit_calls, monkeypatch, case, min_rows):
     from minsection.subminimize import _newton_rows
 
@@ -847,7 +855,7 @@ def test_newton_stack_rows_are_one_row_solves(entries, merit_calls, monkeypatch,
     # one BoundaryStepWarning per clamped row-gradient, as row by row
     assert stacked_warnings == clamps
     assert set(clamps) <= {ms.BoundaryStepWarning}
-    assert len(clamps) == (5 if case == 2 else 0)
+    assert len(clamps) == {2: 5, 4: 1}.get(case, 0)
 
 
 @pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
