@@ -26,6 +26,7 @@ from . import morse, sections, solver
 from .numerics import BoundaryStepWarning, NonFiniteValueError, RankDeficiencyError
 from .problem_io import ProblemDefinition, ProblemFileError, load_problem_file
 from .problems import ParameterSplit, get_problem
+from .solver import _fmt
 from .subminimize import ConvexityError, SubMinimizeError
 
 COMMANDS = ("solve", "trace", "sections", "audit", "recover", "equivalence")
@@ -119,10 +120,6 @@ def _tolerances(args: argparse.Namespace) -> solver.Tolerances:
         outer_tol=args.outer_tol,
         probe_density=args.grid_density,
     )
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _cmd_solve(args, definition, out):

@@ -52,6 +52,8 @@ BALL_RADIUS_FACTOR = 1e-2
 #: Largest ``|Newton correction error| / |distance|`` at which a seed in a
 #: found point's ball is ended (the Newton ball theorem allows below 1/3).
 CONTRACTION_LIMIT = 0.25
+#: Most damped-Newton iterations a census seed takes.
+MAX_SEED_ITERATIONS = 60
 
 
 class DegenerateCriticalPointError(ValueError):
@@ -196,17 +198,15 @@ def _newton_on_gradient(merit, seed, g, box, critical_tol, max_iter, points=()):
 
 
 def find_critical_points(
-    merit: MeritFunction,
-    box=None,
-    seed_density: int = 9,
-    critical_tol: float | None = None,
-    max_iter: int = 60,
+    merit: MeritFunction, box=None, seed_density: int = 9
 ) -> list[CriticalPoint]:
     """Locate and classify the stationary points reachable from a seed grid.
 
     Newton-on-gradient (:func:`_newton_on_gradient`, whose steps backtrack
     by the line search of the Newton slice solves) runs from every node of
-    a ``seed_density``-per-axis grid; converged points are deduplicated
+    a ``seed_density``-per-axis grid, for at most ``MAX_SEED_ITERATIONS``
+    iterations, and converges once its gradient norm is at most ``1e-8 *
+    max(1, median seed gradient norm)``; converged points are deduplicated
     within a scaled merge radius and classified via their Hessian spectrum.
     Each found non-degenerate point gets a ball of radius
     ``BALL_RADIUS_FACTOR * box diagonal``; a later seed whose Newton iterate
@@ -219,8 +219,9 @@ def find_critical_points(
     ball's radius, and on seeded two-well and quadratic merits
     (``test_census_matches_reference_loop``). Points too flat to be
     resolved within the merge radius at the gradient tolerance get no ball.
-    Seeds that fail to converge (or leave the box) are dropped; dropped and
-    ball-ended seeds are counted in the module log. Neither is an error.
+    Seeds that fail to converge are dropped; every trial is clipped to the
+    box, so no seed leaves it. Dropped and ball-ended seeds are counted in
+    the module log. Neither is an error.
     """
     if seed_density < 3:
         raise ValueError("seed density must be at least 3 per axis")
@@ -234,14 +235,15 @@ def find_critical_points(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryStepWarning)
         grads = [fd_gradient(merit, s, box=box) for s in seeds]
-        if critical_tol is None:
-            norms = [float(np.linalg.norm(g)) for g in grads]
-            critical_tol = 1e-8 * max(1.0, float(np.median(norms)))
+        norms = [float(np.linalg.norm(g)) for g in grads]
+        critical_tol = 1e-8 * max(1.0, float(np.median(norms)))
         merge_radius = MERGE_RADIUS_FACTOR * max(
             1.0, float(np.linalg.norm(box[:, 1] - box[:, 0]))
         )
         for seed, g in zip(seeds, grads):
-            result = _newton_on_gradient(merit, seed, g, box, critical_tol, max_iter, points)
+            result = _newton_on_gradient(
+                merit, seed, g, box, critical_tol, MAX_SEED_ITERATIONS, points
+            )
             if result is None:
                 dropped += 1
                 continue
@@ -249,9 +251,6 @@ def find_critical_points(
                 ended_in_ball += 1
                 continue
             p, gn = result
-            if np.any(p < box[:, 0]) or np.any(p > box[:, 1]):
-                dropped += 1
-                continue
             if any(np.linalg.norm(p - q.location) <= merge_radius for q in points):
                 continue
             hess = _second_diff_block(merit, p, range(p.size), box)[0]

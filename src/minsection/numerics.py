@@ -525,17 +525,16 @@ def _check_symmetric(H) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def eigen_index(H, degeneracy_tol: float | None = None) -> EigenSummary:
+def eigen_index(H) -> EigenSummary:
     """Full symmetric eigendecomposition with sign counts.
 
     ``negative_count`` is the candidate Morse index; ``near_zero_count > 0``
-    signals a degenerate (numerically singular) matrix. The default
-    degeneracy tolerance is ``1e-6 * max(1, max |eigenvalue|)``.
+    signals a degenerate (numerically singular) matrix. The degeneracy
+    tolerance is ``1e-6 * max(1, max |eigenvalue|)``.
     """
     H = _check_symmetric(H)
     w = np.linalg.eigvalsh(H)
-    if degeneracy_tol is None:
-        degeneracy_tol = 1e-6 * max(1.0, float(np.max(np.abs(w))))
+    degeneracy_tol = 1e-6 * max(1.0, float(np.max(np.abs(w))))
     near_zero = int(np.count_nonzero(np.abs(w) <= degeneracy_tol))
     negative = int(np.count_nonzero(w < -degeneracy_tol))
     positive = int(np.count_nonzero(w > degeneracy_tol))
@@ -549,14 +548,11 @@ def eigen_index(H, degeneracy_tol: float | None = None) -> EigenSummary:
     )
 
 
-def is_positive_definite(H, tol: float | None = None) -> bool:
-    """True iff the smallest eigenvalue exceeds ``tol``
-    (default ``1e-8 * max(1, ||H||_2)``)."""
+def is_positive_definite(H) -> bool:
+    """True iff the smallest eigenvalue exceeds ``1e-8 * max(1, ||H||_2)``."""
     H = _check_symmetric(H)
     w = np.linalg.eigvalsh(H)
-    if tol is None:
-        tol = 1e-8 * max(1.0, float(np.max(np.abs(w))))
-    return bool(w[0] > tol)
+    return bool(w[0] > 1e-8 * max(1.0, float(np.max(np.abs(w)))))
 
 
 def linear_lsq_solve(A, b) -> np.ndarray:

@@ -63,11 +63,12 @@ def as_parameter_vector(values, dimension: int | None = None) -> np.ndarray:
     return p
 
 
-def default_box(dimension: int, half_width: float = DEFAULT_BOX_HALF_WIDTH) -> np.ndarray:
-    """Per-coordinate closed interval bounds, ``[-half_width, half_width]`` each."""
+def default_box(dimension: int) -> np.ndarray:
+    """Per-coordinate closed interval bounds, ``[-DEFAULT_BOX_HALF_WIDTH,
+    DEFAULT_BOX_HALF_WIDTH]`` each."""
     box = np.empty((dimension, 2))
-    box[:, 0] = -half_width
-    box[:, 1] = half_width
+    box[:, 0] = -DEFAULT_BOX_HALF_WIDTH
+    box[:, 1] = DEFAULT_BOX_HALF_WIDTH
     return box
 
 
@@ -283,9 +284,11 @@ class MeritFunction:
     def __call__(self, p) -> float:
         return float(self._evaluate(np.asarray(p, dtype=float)))
 
-    def contains(self, p, rtol: float = 1e-12) -> bool:
+    def contains(self, p) -> bool:
+        """Whether ``p`` lies in the domain box, padded by 1e-12 of each
+        coordinate's scale."""
         p = np.asarray(p, dtype=float)
-        pad = rtol * np.maximum(1.0, np.abs(self.domain_box).max(axis=1))
+        pad = 1e-12 * np.maximum(1.0, np.abs(self.domain_box).max(axis=1))
         return bool(
             np.all(p >= self.domain_box[:, 0] - pad) and np.all(p <= self.domain_box[:, 1] + pad)
         )
@@ -604,19 +607,18 @@ def random_quadratic_problem(
     dimension: int,
     nonlinear_dim: int,
     rng: np.random.Generator,
-    eig_range: tuple[float, float] = (0.8, 3.0),
 ) -> ProblemCatalogEntry:
     """Random positive-definite quadratic least-squares problem.
 
     Built as a partially linear model (basis maps constant in x, offset
     linear in x) so the eliminated block admits exact linear
     sub-minimization: residuals are ``L (p - p_star)`` plus one constant
-    residual row, giving ``F(p) = (p - p_star)^T L^T L (p - p_star) + c^2``.
+    residual row, giving ``F(p) = (p - p_star)^T L^T L (p - p_star) + c^2``,
+    where ``L^T L`` has eigenvalues drawn uniformly from [0.8, 3].
     """
     if not 1 <= nonlinear_dim < dimension:
         raise ValueError("need 1 <= nonlinear_dim < dimension")
-    lo, hi = eig_range
-    eigs = rng.uniform(lo, hi, size=dimension)
+    eigs = rng.uniform(0.8, 3.0, size=dimension)
     q, _ = np.linalg.qr(rng.standard_normal((dimension, dimension)))
     a = (q * eigs) @ q.T
     a = 0.5 * (a + a.T)

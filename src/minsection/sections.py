@@ -58,6 +58,10 @@ __all__ = [
 #: coordinate, no convexity certificate).
 FALLBACK_SCAN_DENSITY = 41
 
+#: Largest gap between iterated and direct partial minimization at which
+#: :func:`nesting_check` passes.
+NESTING_TOL = 1e-6
+
 POLISH_X_TOL = 1e-10
 
 
@@ -356,15 +360,14 @@ def minimal_section_1d(
     )
 
 
-def sublevel_interval(
-    section: MinimalSection1D, level_z: float, x_tol: float | None = None
-) -> SubLevelInterval:
+def sublevel_interval(section: MinimalSection1D, level_z: float) -> SubLevelInterval:
     """Projection interval of the sub-level set onto the section's axis.
 
     The endpoints are located by bisection on the continuous section left
-    and right of its unique minimum; at the minimum level the endpoints
-    coincide. Sections with several local minima (or plateau points) are
-    refused: analyze each basin separately in that case.
+    and right of its unique minimum, to ``1e-10`` of the grid's width; at
+    the minimum level the endpoints coincide. Sections with several local
+    minima (or plateau points) are refused: analyze each basin separately
+    in that case.
     """
     if not section.has_unique_strict_minimum:
         raise ValueError(
@@ -381,8 +384,7 @@ def sublevel_interval(
         )
     if level_z <= v_min + val_tol:
         return SubLevelInterval(section.parameter_index, level_z, x_star, x_star)
-    width = float(section.grid[-1] - section.grid[0])
-    tol = x_tol if x_tol is not None else 1e-10 * width
+    tol = 1e-10 * float(section.grid[-1] - section.grid[0])
 
     def crossing(a: float, b: float) -> float:
         # section(a) >= z >= section(b); bisect the monotone flank.
@@ -421,12 +423,11 @@ def nesting_check(
     inner_x_subset,
     grid,
     probe_density: int | None = None,
-    tolerance: float = 1e-6,
 ) -> NestingReport:
     """Verify that iterated minimization reproduces direct partial
     minimization: minimizing the outer minimal-section over the retained
     coordinates absent from the inner subset must equal the inner
-    minimal-section value, pointwise on the grid.
+    minimal-section value, pointwise on the grid, within ``NESTING_TOL``.
 
     Only claimed for strictly convex objectives, so the full Hessian is
     probed first and a violation is a refusal. The inner subset must be a
@@ -479,8 +480,8 @@ def nesting_check(
         inner_values=inner_values,
         iterated_values=iterated_values,
         max_gap=max_gap,
-        tolerance=tolerance,
-        passed=max_gap <= tolerance,
+        tolerance=NESTING_TOL,
+        passed=max_gap <= NESTING_TOL,
         certificate=certificate,
     )
 

@@ -761,9 +761,9 @@ class SliceSolver:
     up to four nearest rows already solved: a multilevel predictor. Starts
     are clipped to the eliminated-coordinate box. A level with a failing
     row keeps its other rows' results, records the failing row's x as
-    ``failed_x`` and raises the error of its lowest failing row.
-    ``y0`` is a Newton start for every row: such a call always solves, as
-    one stack, and its results are not kept.
+    ``failed_x`` and raises the error of its lowest failing row. A Newton
+    solve from a start of the caller's choosing is
+    :func:`subminimize_newton`.
     """
 
     def __init__(self, merit: MeritFunction, split: ParameterSplit, inner_tol: float | None = None):
@@ -797,7 +797,7 @@ class SliceSolver:
                     return sub1.y_star + t * (sub1.y_star - sub0.y_star)
         return sub1.y_star
 
-    def solve(self, x_fixed, y0=None):
+    def solve(self, x_fixed):
         """The :class:`SubMinimum` at ``x_fixed``; an (N, n) stack of x rows
         gives the list of its rows' results, in order.
 
@@ -809,24 +809,22 @@ class SliceSolver:
         x = np.atleast_1d(np.asarray(x_fixed, dtype=float))
         rows = x.reshape(1, -1) if x.ndim == 1 else x
         keys = list(map(tuple, rows.tolist()))
-        if self.linear or y0 is None:
-            todo = {}
-            for key, row in zip(keys, rows):
-                if key not in self.solved:
-                    todo.setdefault(key, row)
-            if todo:
-                fresh = np.array(list(todo.values()))
-                _check_rows(self.merit, self.split, fresh)
-                (self._solve_linear if self.linear else self._solve_levels)(fresh, list(todo))
-            subs = [self.solved[key] for key in keys]
-        else:
-            _check_rows(self.merit, self.split, rows)
-            subs = self._newton(rows, [np.atleast_1d(np.asarray(y0, dtype=float))] * len(rows))
+        todo = {}
+        for key, row in zip(keys, rows):
+            if key not in self.solved:
+                todo.setdefault(key, row)
+        if todo:
+            fresh = np.array(list(todo.values()))
+            _check_rows(self.merit, self.split, fresh)
+            (self._solve_linear if self.linear else self._solve_levels)(fresh, list(todo))
+        subs = [self.solved[key] for key in keys]
         self.recent = [*self.recent, *zip(rows, subs)][-2:]
         return subs if x.ndim == 2 else subs[0]
 
     def _solve_levels(self, rows, keys) -> None:
-        """Solve and keep the valid distinct rows ``rows``, level by level."""
+        """Solve and keep the valid distinct rows ``rows``, level by level,
+        each level one Newton stack; a failing row raises as :meth:`solve`
+        says."""
         levels = _levels(len(rows))
         ys = np.empty((len(rows), self.split.m))
         taken = []
@@ -835,26 +833,18 @@ class SliceSolver:
                 starts = _interpolated_starts(taken, ys, level)
             else:
                 starts = [self._predict(rows[level[0]])]
-            subs = self._newton(_rows(rows, level), starts, [keys[j] for j in level])
+            self.solves += len(level)
+            subs = _newton_rows(self.merit, self.split, _rows(rows, level), starts, self.inner_tol)
+            failed = [(j, sub) for j, sub in zip(level, subs) if isinstance(sub, Exception)]
+            self.solved.update(
+                (keys[j], sub) for j, sub in zip(level, subs) if not isinstance(sub, Exception)
+            )
+            if failed:
+                self.failed_x = rows[failed[0][0]]
+                raise failed[0][1]
             if level is not levels[-1]:
                 ys[level] = [sub.y_star for sub in subs]
                 taken = sorted(taken + level)
-
-    def _newton(self, rows, starts, keys=None):
-        """Newton on ``rows`` as one stack from ``starts``; keeps the
-        results under ``keys`` when given, then raises the error of the
-        first failing row, recording its x in ``failed_x``."""
-        self.solves += len(rows)
-        subs = _newton_rows(self.merit, self.split, rows, starts, self.inner_tol)
-        failed = [j for j, sub in enumerate(subs) if isinstance(sub, Exception)]
-        if keys is not None:
-            self.solved.update(
-                (key, sub) for key, sub in zip(keys, subs) if not isinstance(sub, Exception)
-            )
-        if failed:
-            self.failed_x = rows[failed[0]]
-            raise subs[failed[0]]
-        return subs
 
     def _solve_linear(self, rows, keys) -> None:
         """Solve and keep the valid distinct rows ``rows``, in stacks of at
@@ -871,12 +861,8 @@ class SliceSolver:
         return self.solve(x_fixed).value
 
 
-def solve_slice(
-    merit: MeritFunction,
-    split: ParameterSplit,
-    x_fixed,
-    y0=None,
-    inner_tol: float | None = None,
-) -> SubMinimum:
-    """One slice solve: linear elimination when available, else Newton."""
-    return SliceSolver(merit, split, inner_tol).solve(x_fixed, y0)
+def solve_slice(merit: MeritFunction, split: ParameterSplit, x_fixed) -> SubMinimum:
+    """One slice solve: linear elimination when available, else damped
+    Newton from the center of the eliminated-coordinate box, certified
+    against the default inner tolerance (:func:`default_inner_tol`)."""
+    return SliceSolver(merit, split).solve(x_fixed)

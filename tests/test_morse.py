@@ -192,6 +192,22 @@ def test_outward_check_evaluates_only_inside_the_box(entries):
         assert len(seen) == 4 * 5 * 3
 
 
+def test_census_evaluates_only_inside_the_box(entries):
+    # The seeds are nodes of the box, and every Newton and fallback trial
+    # is clipped to it, so no converged seed can lie outside it.
+    for name, box in (("TWO_WELLS", [[-2.0, 2.0], [-2.0, 2.0]]), ("EXP_FIT", None)):
+        merit = entries[name].merit
+        box = merit.domain_box if box is None else np.array(box)
+
+        def recording(p, merit=merit, box=box):
+            p = np.asarray(p, dtype=float)
+            assert np.all(p >= box[:, 0]) and np.all(p <= box[:, 1]), p
+            return merit(p)
+
+        # each point found is evaluated at its location, so it lies in the box
+        assert ms.find_critical_points(ms.MeritFunction(2, recording, domain_box=box))
+
+
 def test_outward_check_refuses_non_finite_and_thin_boxes():
     box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
     blows_up = ms.MeritFunction(

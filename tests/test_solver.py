@@ -299,6 +299,30 @@ def test_solve_direct_rejects_outside_start(entries):
         ms.solve_direct(entries["QUAD"].merit, np.array([50.0, 0.0]))
 
 
+def test_solve_direct_singular_hessian_takes_the_least_squares_step():
+    # F = (p0 - 0.3)^2 does not depend on p1, so its FD Hessian [[2, 0],
+    # [0, 0]] is exactly singular: np.linalg.solve refuses it, and the
+    # least-squares step reaches the valley floor at once, keeping p1
+    box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    merit = ms.build_residual_merit((lambda p: p[0] - 0.3,), 2, box=box)
+    report = ms.solve_direct(merit, np.array([0.8, 0.4]))
+    assert report.iterations == 1
+    assert report.minimizer[0] == pytest.approx(0.3, abs=1e-8)
+    assert report.minimizer[1] == 0.4
+
+
+def test_solve_direct_refuses_a_non_finite_derivative_at_the_start():
+    # the gradient stencil at the start reaches past p0 = 0.5, where F is NaN
+    box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    merit = ms.MeritFunction(
+        2, lambda p: float(p @ p) if p[0] <= 0.5 else float("nan"), domain_box=box
+    )
+    start = np.array([0.5 - 1e-7, 0.2])
+    with pytest.raises(NonFiniteValueError) as excinfo:
+        ms.solve_direct(merit, start)
+    assert excinfo.value.point.tolist() == start.tolist()
+
+
 def test_solve_direct_iteration_cap_carries_best(entries):
     with pytest.raises(ms.SolveError) as excinfo:
         ms.solve_direct(

@@ -208,10 +208,9 @@ def test_repeated_slice_is_not_solved_again(entries, split01):
     first = solver.solve(np.array([0.3]))
     assert solver.solve([0.3]) is first
     assert solver.solves == 1
-    # an explicit start, or another x, is a new solve
-    assert solver.solve([0.3], y0=[1.0]) is not first
+    # another x is a new solve
     solver.solve([0.4])
-    assert solver.solves == 3
+    assert solver.solves == 2
 
 
 def test_revisited_slice_is_not_solved_again(entries, split01, monkeypatch):
@@ -237,17 +236,16 @@ def test_revisited_slice_is_not_solved_again(entries, split01, monkeypatch):
     assert starts[:2] == [float(split01.y_box(merit.domain_box).mean()), y3]
     assert starts[2] == pytest.approx(y3 + 2.0 * (y4 - y3), rel=1e-12)
     assert second.y_star[0] != first.y_star[0]
-    # an explicit start always solves, and its result is not kept
-    assert solver.solve([0.4], y0=[1.0]) is not second
-    assert starts[3] == 1.0
+    # two results at one x, both revisits, span no line: the next start is
+    # the last result
     assert solver.solve([0.4]) is second
-    assert solver.solves == 4
-    # two results at one x span no line: the next start is the last result
+    assert solver.solve([0.4]) is second
+    assert solver.solves == 3
     third = solver.solve([1.0])
-    assert starts[4] == y4
+    assert starts[3] == y4
     # more than two spacings from the last x: the last result again
     solver.solve([2.3])
-    assert starts[5] == float(third.y_star[0])
+    assert starts[4] == float(third.y_star[0])
 
 
 def test_secant_start_on_a_linear_implicit_graph(aniso3, monkeypatch):
@@ -812,6 +810,13 @@ def newton_stack_cases(entries):
         # solve: started on the face y = 5, it clamps its first gradient
         # stencil and ends at that face
         (steep, ms.ParameterSplit((0,), (1,)), np.array([[1.9]]), np.array([[5.0]])),
+        # p0^2 + (p1^2 - p0)^2: the y-block 12 y^2 - 4 x is -1.88 at the start
+        # of the row x = 0.5, which is refused in the iteration where the
+        # other two rows step
+        (ms.build_residual_merit((lambda p: p[0], lambda p: p[1] ** 2 - p[0]), 2,
+                                 box=np.array([[-2.0, 2.0], [-2.0, 2.0]])),
+         ms.ParameterSplit((0,), (1,)), np.array([[-1.0], [0.5], [-0.5]]),
+         np.array([[0.1], [0.1], [0.3]])),
     ]
 
 
@@ -829,7 +834,7 @@ def newton_outcome(calls, solve):
 
 @pytest.mark.parametrize("min_rows", [2, 8], ids=["stacked", "default"])
 @pytest.mark.parametrize(
-    "case", [0, 1, 2, 3, 4], ids=["SINE_VALLEY", "chain3", "faces", "wall", "lone"]
+    "case", [0, 1, 2, 3, 4, 5], ids=["SINE_VALLEY", "chain3", "faces", "wall", "lone", "refused"]
 )
 def test_newton_stack_rows_are_one_row_solves(entries, merit_calls, monkeypatch, case, min_rows):
     from minsection.subminimize import _newton_rows
