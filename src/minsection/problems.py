@@ -211,12 +211,13 @@ class PartiallyLinearModel:
 
     def _matrix(self, x) -> np.ndarray:
         phi = np.empty((self.t.size, self.linear_dim))
-        for j, fn in enumerate(self.basis):
-            if self.vectorized:
+        if self.vectorized:
+            for j, fn in enumerate(self.basis):
                 phi[:, j] = fn(self.t, x)
-            else:
-                for k, tk in enumerate(self.t):
-                    phi[k, j] = fn(tk, x)
+        else:
+            ts = list(self.t)
+            for j, fn in enumerate(self.basis):
+                phi[:, j] = [fn(tk, x) for tk in ts]
         return phi
 
     def offsets(self, x) -> np.ndarray:
@@ -247,6 +248,12 @@ class MeritFunction:
     ``partially_linear`` (built from a :class:`PartiallyLinearModel`). Closed-form ``gradient``
     and ``hessian`` callables, when present, serve as verification oracles;
     the solvers themselves differentiate numerically.
+
+    A ``partially_linear`` merit's value at ``p`` is its model's
+    ``value(p[:n], p[n:])``, n the model's ``nonlinear_dim``, as
+    :func:`build_partially_linear` makes it. The solvers rely on this: the
+    closed-form eliminated-block Hessian ``2 Phi^T Phi`` and the linear
+    slice values are taken from the model without evaluating the merit.
     """
 
     def __init__(

@@ -211,7 +211,7 @@ def trace_implicit(
     except (ConvexityError, SubMinimizeError) as err:
         x = slices.failed_x
         raise TraceError(
-            f"slice solve failed at x = {x} (the conditional-minimum "
+            f"slice solve failed at x = {x.tolist()} (the conditional-minimum "
             f"graph does not extend there): {err}",
             x_failed=x,
         ) from err

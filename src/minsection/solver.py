@@ -420,7 +420,7 @@ def minimize_by_coordinates(merit, section, grids, outer_tol=None):
         found = _backtrack(x, step, box, sufficient)
         if found is None or not np.any(found[0] - x):
             raise SolveError(
-                f"quasi-Newton line search stalled at x = {x}; the section minimum "
+                f"quasi-Newton line search stalled at x = {x.tolist()}; the section minimum "
                 "may lie on the boundary of the retained box",
                 best_point=point(x),
                 best_value=f,

@@ -366,42 +366,48 @@ def subminimize_linear(problem: SliceProblem) -> SubMinimum:
 
     Solves ``min_y ||Phi y - (d - psi)||`` by an orthogonal decomposition;
     the stored derivative certificate uses the exact quadratic gradient
-    ``2 Phi^T (Phi y - b)``. This is the one-row case of the stacked solve
-    that :meth:`SliceSolver.solve` runs on a stack of x rows.
+    ``2 Phi^T (Phi y - b)``, and the value is the squared norm of the
+    residual ``Phi y* + psi - d`` at hand, with no merit evaluation. This is
+    the one-row case of the stacked solve that :meth:`SliceSolver.solve`
+    runs on a stack of x rows.
     """
     if not linear_elimination_applies(problem.merit, problem.split):
         raise ValueError(
             "linear elimination requires a partially linear merit with the "
             "matching nonlinear/linear split"
         )
-    return next(_linear_rows(problem.merit, problem.split, problem.x_fixed.reshape(1, -1)))
+    return next(_linear_rows(problem.merit.model, problem.x_fixed.reshape(1, -1)))
 
 
-def _linear_rows(merit, split, xs):
+def _linear_rows(model, xs):
     """Yield the linear-elimination :class:`SubMinimum` of each row of the
-    valid (N, n) stack ``xs``, in order.
+    valid (N, n) stack ``xs`` of the partially linear ``model``, in order.
 
     The stack takes one stacked design matrix, one stacked matmul for the
     blocks ``2 Phi^T Phi`` and one stacked ``eigvalsh``. Each row then
-    takes its own least-squares solve, its gradient and one counted merit
-    evaluation, so every result is bitwise the one-row result. A basis map
-    that raises does so before any row is solved.
+    takes its own least-squares solve and its gradient, so every result is
+    bitwise the one-row result. A row's value comes from its residual
+    ``Phi y* + psi - d`` by the operations of
+    :meth:`PartiallyLinearModel.value`, with no merit evaluation: it is
+    bitwise the merit at ``(x, y*)``, which is the model's value. A basis
+    map that raises does so before any row is solved.
     """
-    model = merit.model
     phis = model.design_matrix(xs)
     spectra = np.linalg.eigvalsh(_gram_blocks(phis))
     for x, phi, w in zip(xs, phis, spectra):
-        b = model.d - model.offsets(x)
+        off = model.offsets(x)
+        b = model.d - off
         try:
             y_star = linear_lsq_solve(phi, b)
         except numerics.RankDeficiencyError as err:
             raise numerics.RankDeficiencyError(
-                f"basis collinearity at x = {x}: {err} ",
+                f"basis collinearity at x = {x.tolist()}: {err}",
                 rank=err.rank,
                 required=err.required,
             ) from err
         grad = 2.0 * phi.T @ (phi @ y_star - b)
-        value = merit(split.embed(x, y_star))
+        r = phi @ y_star + off - model.d
+        value = float(r @ r)
         yield _sub_minimum(
             y_star, value, float(np.linalg.norm(grad)), w, "linear_elimination", 0,
             default_inner_tol(value),
@@ -745,7 +751,8 @@ class SliceSolver:
     the rows not yet solved are validated once and solved as one stack
     (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973),
     one stacked design matrix and ``eigvalsh`` per ``STACK_VALUES`` values,
-    then a least-squares solve and one counted merit evaluation per row.
+    then a least-squares solve per row, whose residual gives the row's
+    value with no merit evaluation.
 
     Otherwise the distinct rows not yet solved are validated once and
     solved by damped Newton in levels, each level one stack, a lone row
@@ -852,7 +859,7 @@ class SliceSolver:
         per_stack = _rows_per_stack(self.merit.model)
         for start in range(0, len(rows), per_stack):
             part = slice(start, start + per_stack)
-            for key, sub in zip(keys[part], _linear_rows(self.merit, self.split, rows[part])):
+            for key, sub in zip(keys[part], _linear_rows(self.merit.model, rows[part])):
                 self.solves += 1
                 self.solved[key] = sub
 

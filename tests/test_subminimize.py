@@ -81,7 +81,7 @@ def test_linear_elimination_collinear_basis_at_x():
     with pytest.raises(ms.RankDeficiencyError) as excinfo:
         ms.subminimize_linear(SliceProblem(merit, split, [0.0]))
     assert excinfo.value.rank == 1
-    assert "x = [0.]" in str(excinfo.value)
+    assert "x = [0.0]: " in str(excinfo.value) and not str(excinfo.value).endswith(" ")
     # away from the collinear point the same model solves fine
     sub = ms.subminimize_linear(SliceProblem(merit, split, [0.4]))
     assert sub.y_hessian_min_eig > 0.0
@@ -700,12 +700,28 @@ def test_stacked_linear_solve_matches_per_node(tmp_path, entries, merit_calls):
         slices = SliceSolver(merit, split)
         before = len(merit_calls)
         stacked = slices.solve(stack)
-        assert len(merit_calls) - before == len(stack) == slices.solves == len(stacked)
+        assert len(merit_calls) == before
+        assert len(stack) == slices.solves == len(stacked)
         for x, sub in zip(stack, stacked):
             assert_same_sub(sub, ms.subminimize_linear(SliceProblem(merit, split, x)))
             assert_same_sub(sub, reference_linear(merit, split, x))
             assert slices.solve(x) is sub
         assert slices.solves == len(stack)
+
+
+def test_linear_rows_make_no_merit_call(tmp_path, entries, merit_calls):
+    # A linear row's value is the squared norm of the residual its solve
+    # holds: bitwise the merit at (x, y*), with no merit evaluation.
+    for merit, split, stack in stacked_cases(tmp_path, entries):
+        stacked = SliceSolver(merit, split).solve(stack)
+        alone = [SliceSolver(merit, split).solve(x) for x in stack]
+        alone.append(ms.subminimize_linear(SliceProblem(merit, split, stack[0])))
+        assert merit_calls == []
+        for x, sub in zip(stack, stacked):
+            assert sub.value == merit(split.embed(x, sub.y_star))
+        for x, sub in zip(stack, alone):
+            assert sub.value == merit(split.embed(x, sub.y_star))
+        merit_calls.clear()
 
 
 def test_stacked_linear_solve_refuses_as_per_node(entries, merit_calls):
@@ -737,14 +753,14 @@ def test_stacked_linear_solve_skips_solved_rows(entries, merit_calls):
     grid = np.linspace(lo, hi, 11)[:, None]
     slices = SliceSolver(merit, split)
     known = slices.solve(grid[5])
-    assert slices.solves == 1 and len(merit_calls) == 1
+    assert slices.solves == 1 and merit_calls == []
     stack = np.vstack([grid, grid[2:4]])
     stacked = slices.solve(stack)
     assert stacked[5] is known
     assert stacked[11] is stacked[2] and stacked[12] is stacked[3]
-    assert slices.solves == 11 and len(merit_calls) == 11
+    assert slices.solves == 11 and merit_calls == []
     assert all(again is sub for again, sub in zip(slices.solve(stack), stacked))
-    assert slices.solves == 11 and len(merit_calls) == 11
+    assert slices.solves == 11 and merit_calls == []
 
 
 def test_stacked_linear_solve_is_cut_at_the_stack_cap(tmp_path, entries, monkeypatch):
@@ -891,7 +907,7 @@ def test_newton_stack_refuses_at_the_first_failing_level(merit_calls):
     with pytest.raises(ms.TraceError) as info:
         ms.trace_implicit(spikes(3.0, 1.0), split, grid)
     assert info.value.x_failed.tolist() == [1.0]
-    assert str(info.value).startswith("slice solve failed at x = [1.] ")
+    assert str(info.value).startswith("slice solve failed at x = [1.0] ")
 
 
 def test_newton_stack_stays_in_the_box(monkeypatch):
