@@ -31,6 +31,10 @@ from .subminimize import ConvexityError, SubMinimizeError
 
 COMMANDS = ("solve", "trace", "sections", "audit", "recover", "equivalence")
 
+#: Most census seeds ``audit`` runs, one Newton solve from each node of its
+#: ``--grid-density``-per-axis grid: the default 9 per axis at M = 3.
+AUDIT_SEEDS = 9**3
+
 REFUSALS = (
     ConvexityError,
     SubMinimizeError,
@@ -202,6 +206,15 @@ def _notes(logger):
 def _cmd_audit(args, definition, out):
     merit = definition.merit
     density = 9 if args.grid_density is None else args.grid_density
+    seeds = density**merit.dimension
+    if seeds > AUDIT_SEEDS:
+        fits = max((d for d in range(3, 10) if d**merit.dimension <= AUDIT_SEEDS), default=None)
+        raise ProblemFileError(
+            f"audit would run {seeds} census seeds ({density} per axis in {merit.dimension} "
+            f"dimensions), more than {AUDIT_SEEDS}; "
+            + (f"the largest --grid-density that fits is {fits}" if fits
+               else "no --grid-density fits")
+        )
     with _notes(morse.logger) as notes:
         points = morse.find_critical_points(merit, seed_density=density)
     for line in notes:

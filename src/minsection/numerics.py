@@ -558,8 +558,10 @@ def is_positive_definite(H) -> bool:
 def linear_lsq_solve(A, b) -> np.ndarray:
     """Minimize ``||A y - b||_2`` through an orthogonal (SVD) decomposition.
 
-    Normal equations are never formed. Raises :class:`RankDeficiencyError`
-    carrying the numerical rank when A has deficient column rank.
+    Normal equations are never formed. This is the one-row call of
+    :func:`_lsq_rows`, so a lone system and a row of a stack take the same
+    operations. Raises :class:`RankDeficiencyError` carrying the numerical
+    rank when A has deficient column rank.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -568,11 +570,34 @@ def linear_lsq_solve(A, b) -> np.ndarray:
     k, j = A.shape
     if k < j:
         raise ValueError(f"underdetermined system: {k} rows for {j} unknowns")
-    y, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if rank < j:
-        raise RankDeficiencyError(
-            f"matrix has numerical rank {rank}, expected full column rank {j}",
-            rank=int(rank),
-            required=j,
-        )
-    return y
+    y, rank = _lsq_rows(A[None], b[None])
+    if rank[0] < j:
+        raise _rank_error(int(rank[0]), j)
+    return y[0]
+
+
+def _lsq_rows(A, b):
+    """Least squares ``min ||A[r] y - b[r]||_2`` for every row r of the
+    (N, T, J) stack ``A`` and the (N, T) right-hand sides ``b``, T >= J,
+    from one stacked SVD: ``(y, rank)``, shapes (N, J) and (N,).
+
+    Each rank counts the singular values above ``eps max(T, J) s_max``, the
+    rule of :func:`numpy.linalg.lstsq` with ``rcond=None``, and ``y`` is
+    ``V diag(1/s) U^T b`` over those values, formed with stacked matmuls.
+    A rank-deficient row gets that truncated solution and no warning; its
+    caller refuses it. Each row is bitwise the one-row stack's result.
+    """
+    u, s, vh = np.linalg.svd(A, full_matrices=False)
+    kept = s > EPS * max(A.shape[1:]) * s[:, :1]
+    c = np.divide(np.matmul(b[:, None, :], u)[:, 0], s, out=np.zeros_like(s), where=kept)
+    return np.matmul(c[:, None, :], vh)[:, 0], kept.sum(axis=1)
+
+
+def _rank_error(rank, required, where=""):
+    """The :class:`RankDeficiencyError` of a matrix of numerical rank
+    ``rank`` below ``required`` columns, its message prefixed by ``where``."""
+    return RankDeficiencyError(
+        f"{where}matrix has numerical rank {rank}, expected full column rank {required}",
+        rank=rank,
+        required=required,
+    )

@@ -159,7 +159,7 @@ class PartiallyLinearModel:
     the (n, N, 1) array ``x_stack.T[:, :, None]``, so ``x[i]`` is a column
     of N values, and must return values that broadcast to (N, T), with
     ``fn(t, x_stack.T[:, :, None])[r] == fn(t, x_stack[r])``. Problem files
-    build their terms that way.
+    build their terms that way. The offset map is called the same way.
     """
 
     basis: tuple[Callable[[float, np.ndarray], float], ...]
@@ -221,9 +221,19 @@ class PartiallyLinearModel:
         return phi
 
     def offsets(self, x) -> np.ndarray:
-        if self.offset is None:
-            return np.zeros(self.t.size)
+        """Offsets ``psi(t_k; x)``; a stack of x rows, shape (N, n), gives
+        the stack of their offsets, shape (N, T)."""
         x = np.asarray(x, dtype=float)
+        shape = x.shape[:-1] + self.t.shape
+        if self.offset is None:
+            return np.zeros(shape)
+        if x.ndim == 1:
+            return self._offsets(x)
+        if self.vectorized:
+            return np.broadcast_to(self.offset(self.t, x.T[:, :, None]), shape).astype(float)
+        return np.array([self._offsets(row) for row in x])
+
+    def _offsets(self, x) -> np.ndarray:
         if self.vectorized:
             return np.asarray(self.offset(self.t, x), dtype=float)
         return np.array([self.offset(tk, x) for tk in self.t])

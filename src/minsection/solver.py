@@ -23,6 +23,7 @@ from .subminimize import (
     _armijo,
     _backtrack,
     _damped_newton,
+    _resolution,
     probe_y_convexity,
 )
 from .subminimize import subminimize_linear  # noqa: F401 - unused; bench/tracing.py rebinds it here
@@ -373,13 +374,18 @@ def minimize_by_coordinates(merit, section, grids, outer_tol=None):
     taken by central differences with no further slice solve. The line
     search is the backtracking of the Newton solves
     (:func:`~minsection.subminimize._backtrack`) under the Armijo test,
-    every trial clipped to the hull of the grids. BFGS stops once the full
-    gradient norm at the slice minimum, ``hypot(|grad|, sub.grad_y_norm)``,
-    is at most ``outer_tol`` (default :func:`_outer_tol` of the current
-    value); needing more than ``MAX_CYCLES`` steps, or a line search that
-    cannot move, raises :class:`SolveError` carrying the best point as a
-    full parameter vector. Returns ``(x, value, brackets, iterations)``
-    with the brackets of the cycle.
+    every trial clipped to the hull of the grids; a trial whose predicted
+    decrease is within the test's float-resolution slack, where the section
+    value's rounding can hide it, is taken instead when its full gradient
+    norm is smaller, and that gradient serves the next step. BFGS stops
+    once the full gradient norm at the slice minimum, ``hypot(|grad|,
+    sub.grad_y_norm)``, is at most ``outer_tol`` (default
+    :func:`_outer_tol` of the current value); needing more than
+    ``MAX_CYCLES`` steps, or a line search that cannot move, raises
+    :class:`SolveError` carrying the best point as a full parameter vector,
+    whose message names the boundary only when x is on a face of the
+    retained box. Returns ``(x, value, brackets, iterations)`` with the
+    brackets of the cycle.
     """
     x = np.array([0.5 * (g[0] + g[-1]) for g in grids])
     brackets = []
@@ -402,9 +408,18 @@ def minimize_by_coordinates(merit, section, grids, outer_tol=None):
     g = numerics.fd_gradient(lambda v: merit(point(v)), x, box=box)
     inv_hess = h0
 
-    def sufficient(trial, _t):  # against the current x, f and g
+    def sufficient(trial, _t):  # against the current x, f, g and grad_norm
         solved = section(trial)
-        return solved if _armijo(solved[0].value, f, float(g @ (trial - x))) else None
+        decrease = float(g @ (trial - x))
+        if _armijo(solved[0].value, f, decrease):
+            return solved, None
+        if -decrease <= _resolution(f):
+            # the section value's rounding hides the predicted decrease: take
+            # a smaller full gradient norm instead, as the census does
+            g_trial = numerics.fd_gradient(lambda v: merit(solved[1](v)), trial, box=box)
+            if math.hypot(float(np.linalg.norm(g_trial)), solved[0].grad_y_norm) < grad_norm:
+                return solved, g_trial
+        return None
 
     for iteration in range(MAX_CYCLES + 1):
         f = sub.value
@@ -419,16 +434,19 @@ def minimize_by_coordinates(merit, section, grids, outer_tol=None):
             step = -h0 @ g
         found = _backtrack(x, step, box, sufficient)
         if found is None or not np.any(found[0] - x):
+            on_face = np.any((x == box[:, 0]) | (x == box[:, 1]))
             raise SolveError(
-                f"quasi-Newton line search stalled at x = {x.tolist()}; the section minimum "
-                "may lie on the boundary of the retained box",
+                f"quasi-Newton line search stalled at x = {x.tolist()}"
+                + ("; the section minimum may lie on the boundary of the retained box"
+                   if on_face else ""),
                 best_point=point(x),
                 best_value=f,
                 grad_norm=grad_norm,
             )
-        trial, (trial_sub, point) = found
+        trial, ((trial_sub, point), g_new) = found
         s = trial - x
-        g_new = numerics.fd_gradient(lambda v: merit(point(v)), trial, box=box)
+        if g_new is None:
+            g_new = numerics.fd_gradient(lambda v: merit(point(v)), trial, box=box)
         yv = g_new - g
         sy = float(s @ yv)
         if sy > EPS * float(np.linalg.norm(s) * np.linalg.norm(yv)):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import EPS, NonFiniteValueError, linear_lsq_solve
+from .numerics import EPS, NonFiniteValueError
+from .numerics import linear_lsq_solve  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .numerics import fd_hessian  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .numerics import _second_diff_block  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .numerics import fd_y_block  # noqa: F401 - unused; bench/tracing.py rebinds it here
@@ -297,10 +298,11 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
     )
 
 
-def _rows_per_stack(model) -> int:
-    """Most x rows in one stacked design matrix of ``model``: the rows of
+def _rows_per_stack(model, per_sample=None) -> int:
+    """Most x rows in one stack of ``model`` whose rows hold ``per_sample``
+    values per sample (default ``J``, the design matrix alone): the rows of
     at most ``STACK_VALUES`` values, and at least one."""
-    return max(1, STACK_VALUES // (model.t.size * model.linear_dim))
+    return max(1, STACK_VALUES // (model.t.size * (per_sample or model.linear_dim)))
 
 
 def _closed_form_blocks(model, points, x_indices) -> np.ndarray:
@@ -383,35 +385,36 @@ def _linear_rows(model, xs):
     """Yield the linear-elimination :class:`SubMinimum` of each row of the
     valid (N, n) stack ``xs`` of the partially linear ``model``, in order.
 
-    The stack takes one stacked design matrix, one stacked matmul for the
-    blocks ``2 Phi^T Phi`` and one stacked ``eigvalsh``. Each row then
-    takes its own least-squares solve and its gradient, so every result is
-    bitwise the one-row result. A row's value comes from its residual
-    ``Phi y* + psi - d`` by the operations of
-    :meth:`PartiallyLinearModel.value`, with no merit evaluation: it is
-    bitwise the merit at ``(x, y*)``, which is the model's value. A basis
-    map that raises does so before any row is solved.
+    The stack takes one stacked design matrix and offset, one stacked
+    matmul for the blocks ``2 Phi^T Phi``, one stacked ``eigvalsh`` and
+    one stacked least-squares solve (:func:`numerics._lsq_rows`). The
+    residual ``Phi y* + psi - d``, the gradient ``2 Phi^T (Phi y* - b)``
+    and their squared norms are stacked matmuls too, each row's bitwise
+    the one-row operation, so every result is bitwise the one-row result
+    and a row's value is bitwise the merit at ``(x, y*)``, the model's
+    value, with no merit evaluation. A basis map that raises does so
+    before any row is solved; a collinear basis raises
+    :class:`~minsection.numerics.RankDeficiencyError` at its row, after the
+    rows before it are yielded.
     """
     phis = model.design_matrix(xs)
     spectra = np.linalg.eigvalsh(_gram_blocks(phis))
-    for x, phi, w in zip(xs, phis, spectra):
-        off = model.offsets(x)
-        b = model.d - off
-        try:
-            y_star = linear_lsq_solve(phi, b)
-        except numerics.RankDeficiencyError as err:
-            raise numerics.RankDeficiencyError(
-                f"basis collinearity at x = {x.tolist()}: {err}",
-                rank=err.rank,
-                required=err.required,
-            ) from err
-        grad = 2.0 * phi.T @ (phi @ y_star - b)
-        r = phi @ y_star + off - model.d
-        value = float(r @ r)
-        yield _sub_minimum(
-            y_star, value, float(np.linalg.norm(grad)), w, "linear_elimination", 0,
-            default_inner_tol(value),
-        )
+    off = model.offsets(xs)
+    b = model.d - off
+    ys, ranks = numerics._lsq_rows(phis, b)
+    fitted = np.matmul(phis, ys[:, :, None])[:, :, 0]
+    r = fitted + off - model.d
+    g = 2.0 * np.matmul(phis.transpose(0, 2, 1), (fitted - b)[:, :, None])[:, :, 0]
+    values = _row_dots(r, r).tolist()
+    subs = _sub_minima(
+        ys, values, np.sqrt(_row_dots(g, g)).tolist(), spectra, "linear_elimination",
+        itertools.repeat(0), map(default_inner_tol, values),
+    )
+    for x, sub, rank in zip(xs, subs, ranks.tolist()):
+        if rank < model.linear_dim:
+            where = f"basis collinearity at x = {x.tolist()}: "
+            raise numerics._rank_error(rank, model.linear_dim, where)
+        yield sub
 
 
 def _indefinite(w):
@@ -420,16 +423,27 @@ def _indefinite(w):
     return w[..., 0] <= PD_TOL * np.maximum(1.0, np.abs(w).max(axis=-1))
 
 
-def _sub_minimum(y, value, grad_norm, w, method, iterations, inner_tol) -> SubMinimum:
-    """The :class:`SubMinimum` at ``y``, its block Hessian's spectrum ``w``."""
-    y_index = int(np.count_nonzero(w < -PD_TOL * max(1.0, abs(w[-1]))))
-    return SubMinimum(y, value, grad_norm, float(w[0]), method, iterations, inner_tol, y_index)
+def _sub_minima(ys, values, grad_norms, spectra, method, iterations, inner_tols):
+    """The :class:`SubMinimum` of each row: at ``ys[r]``, its block
+    Hessian's ascending spectrum ``spectra[r]``, whose eigenvalues below
+    ``-PD_TOL`` times max(1, |its largest|) are counted as its y-index."""
+    scale = -PD_TOL * np.maximum(1.0, np.abs(spectra[:, -1:]))
+    y_index = (spectra < scale).sum(axis=1).tolist()
+    return list(map(
+        SubMinimum, ys, values, grad_norms, spectra[:, 0].tolist(), itertools.repeat(method),
+        iterations, inner_tols, y_index,
+    ))
 
 
 def _armijo(value, fval, decrease) -> bool:
     """Armijo's test of ``value`` against ``fval`` for a predicted change
-    ``decrease``, with a one-ulp slack for a decrease below float resolution."""
-    return value <= fval + ARMIJO_C1 * decrease + 4.0 * EPS * max(1.0, abs(fval))
+    ``decrease``, with a slack for a decrease below float resolution."""
+    return value <= fval + ARMIJO_C1 * decrease + _resolution(fval)
+
+
+def _resolution(fval) -> float:
+    """The slack of :func:`_armijo` at ``fval``: a few ulps of ``max(1, |fval|)``."""
+    return 4.0 * EPS * max(1.0, abs(fval))
 
 
 def _backtrack(x, step, box, accept, tries=MAX_HALVINGS, t=1.0):
@@ -637,13 +651,17 @@ def _newton_stack(merit, split, xs, starts, inner_tol, max_iter):
     ]
     if converged:
         spectra = np.linalg.eigvalsh(np.stack([outcomes[r][1] for r in converged]))
-        spectra = dict(zip(converged, zip(spectra, _indefinite(spectra).tolist())))
+        subs = _sub_minima(
+            *zip(*(outcomes[r][0] for r in converged)), spectra, "newton",
+            [outcomes[r][2] for r in converged], [tols[r] for r in converged],
+        )
+        finals = dict(zip(converged, zip(spectra, _indefinite(spectra).tolist(), subs)))
     results = []
     for r, outcome in enumerate(outcomes):
         if isinstance(outcome, Exception):
             results.append(outcome)
             continue
-        (y, fv, gn), _, iteration, stop = outcome
+        (y, _, gn), _, iteration, stop = outcome
         if stop != "converged":
             results.append(SubMinimizeError(
                 {
@@ -658,10 +676,10 @@ def _newton_stack(merit, split, xs, starts, inner_tol, max_iter):
                 grad_norm=gn,
                 iterations=iteration,
             ))
-        elif spectra[r][1]:
-            results.append(convexity_error(r, y, spectra[r][0], "the sub-minimum"))
+        elif finals[r][1]:
+            results.append(convexity_error(r, y, finals[r][0], "the sub-minimum"))
         else:
-            results.append(_sub_minimum(y, fv, gn, spectra[r][0], "newton", iteration, tols[r]))
+            results.append(finals[r][2])
     return results
 
 
@@ -750,9 +768,9 @@ class SliceSolver:
     elimination is used when the split matches a partially linear model:
     the rows not yet solved are validated once and solved as one stack
     (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973),
-    one stacked design matrix and ``eigvalsh`` per ``STACK_VALUES`` values,
-    then a least-squares solve per row, whose residual gives the row's
-    value with no merit evaluation.
+    one stacked design matrix, ``eigvalsh`` and SVD least-squares solve
+    per ``STACK_VALUES`` values (:func:`_linear_rows`), whose stacked
+    residual gives each row's value with no merit evaluation.
 
     Otherwise the distinct rows not yet solved are validated once and
     solved by damped Newton in levels, each level one stack, a lone row
@@ -855,8 +873,11 @@ class SliceSolver:
 
     def _solve_linear(self, rows, keys) -> None:
         """Solve and keep the valid distinct rows ``rows``, in stacks of at
-        most ``STACK_VALUES`` design-matrix values."""
-        per_stack = _rows_per_stack(self.merit.model)
+        most ``STACK_VALUES`` values of the solve's working arrays."""
+        # a row holds its design matrix and the SVD's U, J values per sample
+        # each, and five (N, T) arrays: the offset, the right-hand side, the
+        # fit, the residual and the fit minus the right-hand side
+        per_stack = _rows_per_stack(self.merit.model, 2 * self.merit.model.linear_dim + 5)
         for start in range(0, len(rows), per_stack):
             part = slice(start, start + per_stack)
             for key, sub in zip(keys[part], _linear_rows(self.merit.model, rows[part])):

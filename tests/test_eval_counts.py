@@ -221,14 +221,16 @@ def test_bfgs_resolution_stall_count(entries, split01, merit_calls):
     # An outer tolerance below float resolution: BFGS reaches the section
     # minimum and its line search can no longer move. An even grid has no
     # node at the minimum x = 0, whose slice the middle-first grid solve
-    # would hit exactly.
-    with pytest.raises(ms.SolveError, match="^quasi-Newton line search stalled at x = "):
+    # would hit exactly. The stall is interior, so its message names no
+    # boundary.
+    with pytest.raises(ms.SolveError, match="^quasi-Newton line search stalled at x = ") as info:
         ms.solve_hierarchical(
             entries["SINE_VALLEY"].merit,
             split01,
             grid=20,
             tolerances=ms.Tolerances(outer_tol=1e-300),
         )
+    assert "boundary" not in str(info.value)
     assert merit_calls["n"] == 1603
 
 
@@ -417,6 +419,20 @@ def test_biexponential_file_counts(tmp_path, merit_calls):
     assert merit_calls["n"] == 40
     assert report.inner_solves == 48
     assert report.iterations == 7
+
+
+def test_audit_refuses_a_seed_grid_over_budget(tmp_path, merit_calls, capsys):
+    # 9^4 = 6,561 census seeds at M = 4; 5^4 = 625 is the densest grid under 9^3
+    t = np.arange(20.0)
+    biexp_file(tmp_path, t, np.exp(-0.3 * t) + 2.0 * np.exp(-4.0 * t), ([-1.5, 0.0], [-6.0, -1.8]))
+    argv = ["--problem", str(tmp_path / "biexp.json"), "--command", "audit"]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "input error: audit would run 6561 census seeds (9 per axis in 4 dimensions), more "
+        "than 729; the largest --grid-density that fits is 5\n"
+    )
+    assert merit_calls["n"] == 0
+    assert not (tmp_path / "out").exists()
 
 
 def test_grid_stack_stays_under_the_cap(tmp_path):

@@ -191,3 +191,38 @@ def test_lsq_normal_equation_residual(cols, seed):
         return
     lhs = np.linalg.norm(a.T @ (a @ y - b))
     assert lhs <= 1e-8 * max(1.0, np.linalg.norm(a.T @ b))
+
+
+def _orthonormal(rng, rows, cols):
+    return np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 10_000))
+def test_lsq_agrees_with_numpy_lstsq(cols, extra, seed):
+    # singular values in [1, 2]: a well-conditioned full-rank system
+    rng = np.random.default_rng(seed)
+    rows = cols + extra
+    s = rng.uniform(1.0, 2.0, cols)
+    a = _orthonormal(rng, rows, cols) * s @ _orthonormal(rng, cols, cols).T
+    b = rng.standard_normal(rows)
+    y = ms.linear_lsq_solve(a, b)
+    want = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert np.linalg.norm(y - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 6), st.integers(0, 10_000), st.data())
+def test_lsq_rank_matches_numpy_lstsq(cols, extra, seed, data):
+    # some columns are exact power-of-two multiples of others
+    rng = np.random.default_rng(seed)
+    rows = cols + extra
+    a = rng.standard_normal((rows, cols))
+    copies = data.draw(st.integers(1, cols - 1))
+    for j in range(cols - copies, cols):
+        a[:, j] = 2.0 ** int(rng.integers(-3, 4)) * a[:, int(rng.integers(0, cols - copies))]
+    rank = np.linalg.lstsq(a, np.ones(rows), rcond=None)[2]
+    assert rank == cols - copies
+    with pytest.raises(ms.RankDeficiencyError) as excinfo:
+        ms.linear_lsq_solve(a, np.ones(rows))
+    assert (excinfo.value.rank, excinfo.value.required) == (rank, cols)

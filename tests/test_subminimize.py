@@ -87,6 +87,31 @@ def test_linear_elimination_collinear_basis_at_x():
     assert sub.y_hessian_min_eig > 0.0
 
 
+def test_linear_stack_refuses_at_its_collinear_row():
+    # the model above, stacked: the middle row x = 0 is collinear
+    model = ms.PartiallyLinearModel(
+        basis=(
+            lambda t, x: math.exp(x[0] * t),
+            lambda t, x: math.exp(2.0 * x[0] * t),
+        ),
+        t=np.arange(6.0),
+        d=np.ones(6),
+        nonlinear_dim=1,
+    )
+    merit = ms.build_partially_linear(model)
+    split = ms.ParameterSplit((0,), (1, 2))
+    stack = np.array([[-0.4], [-0.2], [0.0], [0.2], [0.4]])
+    slices = SliceSolver(merit, split)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ms.RankDeficiencyError, match=r"x = \[0\.0\]: ") as excinfo:
+            slices.solve(stack)
+    assert (excinfo.value.rank, excinfo.value.required) == (1, 2)
+    assert list(slices.solved) == [(-0.4,), (-0.2,)]
+    for x in (-0.4, -0.2):
+        assert_same_sub(slices.solved[(x,)], ms.subminimize_linear(SliceProblem(merit, split, [x])))
+
+
 def test_newton_sine_valley(entries, split01):
     sub = ms.subminimize_newton(
         SliceProblem(entries["SINE_VALLEY"].merit, split01, [1.0]), y0=[0.0]
@@ -775,8 +800,9 @@ def test_stacked_linear_solve_is_cut_at_the_stack_cap(tmp_path, entries, monkeyp
         return design_matrix(model, x)
 
     monkeypatch.setattr(ms.PartiallyLinearModel, "design_matrix", recorded)
-    # four x rows per stacked design matrix: 20 samples x 2 columns each
-    monkeypatch.setattr(ms.subminimize, "STACK_VALUES", 4 * 20 * 2 + 7)
+    # four x rows per stack: 20 samples x (2 + 2 + 5) values each, the
+    # design matrix, the SVD's U and five (N, T) arrays
+    monkeypatch.setattr(ms.subminimize, "STACK_VALUES", 4 * 20 * (2 + 2 + 5) + 7)
     cut = SliceSolver(merit, split).solve(stack)
     assert sizes == [4, 4, 4, 4, 4, 1]
     for got, want in zip(cut, whole):
