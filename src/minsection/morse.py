@@ -57,11 +57,17 @@ MAX_SEED_ITERATIONS = 60
 
 
 class DegenerateCriticalPointError(ValueError):
-    """Degenerate stationary points make index counting undefined."""
+    """Degenerate stationary points make index counting undefined.
+
+    ``points`` holds the degenerate critical points in the order they were
+    listed (:func:`find_critical_points` lists them by value); ``point``,
+    the witness, is the location of the first of them.
+    """
 
     def __init__(self, message, points):
         super().__init__(message)
         self.points = tuple(points)
+        self.point = np.array(self.points[0].location, dtype=float) if self.points else None
 
 
 @dataclass(frozen=True)

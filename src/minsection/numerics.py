@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -134,7 +135,7 @@ def fd_gradient(f, p, box=AUTO) -> np.ndarray:
     clamped = False
     work = p.copy()
     for i, (value, (lo, hi)) in enumerate(zip(p.tolist(), bounds)):
-        h = _gradient_step(value)
+        h = (value + GRADIENT_STEP * max(1.0, abs(value))) - value  # _gradient_step, inline
         if value + h <= hi and value - h >= lo:
             work[i] = value + h
             f_plus = f(work)
@@ -152,10 +153,10 @@ def fd_gradient(f, p, box=AUTO) -> np.ndarray:
             BoundaryStepWarning,
             stacklevel=2,
         )
-    grad = np.array(grad, dtype=float)
-    if not np.all(np.isfinite(grad)):
-        raise _non_finite_gradient_error(int(np.flatnonzero(~np.isfinite(grad))[0]), p)
-    return grad
+    if not all(map(math.isfinite, grad)):
+        bad = next(i for i, entry in enumerate(grad) if not math.isfinite(entry))
+        raise _non_finite_gradient_error(bad, p)
+    return np.array(grad, dtype=float)
 
 
 def _gradient_step(value: float) -> float:
@@ -192,8 +193,9 @@ def _second_diff_block(f, p, indices, box, f0=None):
     estimate is reported with a ``boundary_clamped`` flag rather than a
     lower-order formula); a shifted stencil evaluates its own center.
     The steps, shifts and stencil coordinates are Python floats, bitwise
-    the numpy scalars, and every stencil point is written into one
-    ``work`` array.
+    the numpy scalars, every stencil point is written into one ``work``
+    array, and the block's entries are tested for finiteness as the
+    Python floats they are computed as.
     """
     p = np.asarray(p, dtype=float)
     center = p.tolist()
@@ -241,10 +243,9 @@ def _second_diff_block(f, p, indices, box, f0=None):
             work[i] = center[i]
             work[j] = center[j]
             block[a][b] = block[b][a] = (fpp - fpm - fmp + fmm) / (4.0 * ha * hb)
-    block = np.array(block)
-    if not np.all(np.isfinite(block)):
-        raise _non_finite_block_error(block, indices, center)
-    return block, np.array(steps), shifted
+    if not all(map(math.isfinite, itertools.chain.from_iterable(block))):
+        raise _non_finite_block_error(np.array(block), indices, center)
+    return np.array(block), np.array(steps), shifted
 
 
 #: Fewest rows whose finite-difference stencils :func:`_fd_hessians` builds
@@ -340,30 +341,38 @@ def _second_diff_blocks(f, points, indices, box):
     (N, k, k) array.
 
     The steps, the inward shifts and every stencil coordinate are computed
-    with numpy (:func:`_second_diff_stencil`); ``f`` is then called row by
-    row in the scalar order (point by point: the center, the +- pairs, then
-    pp, pm, mm, mp per pair), and the blocks are assembled with the scalar
-    formulas, so each block is bitwise the scalar one and costs the same
-    ``1 + 2 k^2`` evaluations. A thin box or a non-finite block raises the
-    scalar error at the first point that has one, after evaluating exactly
-    the points before it.
+    with numpy (:func:`_second_diff_stencil`). ``f`` is then called in one
+    flat walk over the (nodes x points, M) stencil, node after node in the
+    scalar order (the center, the +- pairs, then pp, pm, mm, mp per pair),
+    and the blocks are assembled with the scalar formulas, so each block is
+    bitwise the scalar one and costs the same ``1 + 2 k^2`` evaluations.
+    The walk tests each node as it ends: a node whose values sum in
+    absolute value to at most its bound has a finite block, and any other
+    node has its block assembled and checked. So a thin box or a
+    non-finite block raises the scalar error at the first node that has
+    one, after evaluating exactly the points before it (a non-finite block
+    after its own points).
     """
     steps, q, thin, stencil = _second_diff_stencil(points, indices, box)
     thin_rows = thin.any(axis=1)
     count = int(np.argmax(thin_rows)) if thin_rows.any() else len(q)
     bounds = (_FINITE_BLOCK_BOUND * np.minimum(1.0, steps.min(axis=1) ** 2)).tolist()
+    size = stencil.shape[1]
+    # zip takes each node's points in turn from the one lazy walk, so no
+    # point is evaluated before the nodes ahead of it are tested
+    nodes = zip(*[map(f, stencil[:count].reshape(-1, stencil.shape[2]))] * size)
     values = []
-    for n in range(count):
-        row = [f(point) for point in stencil[n]]
-        values.append(row)
-        if not sum(map(abs, row)) <= bounds[n]:
+    for row, bound in zip(nodes, bounds):
+        values += row
+        if not sum(map(abs, row)) <= bound:
+            n = len(values) // size - 1
             with np.errstate(over="ignore", invalid="ignore"):
                 block = _assemble_blocks(np.array([row], dtype=float), steps[n : n + 1])[0]
             if not np.all(np.isfinite(block)):
                 raise _non_finite_block_error(block, indices, q[n])
     if count < len(q):
         raise _thin_box_error(indices[int(np.argmax(thin[count]))])
-    return _assemble_blocks(np.array(values, dtype=float), steps)
+    return _assemble_blocks(np.reshape(values, (count, size)), steps)
 
 
 def _assemble_blocks(values, steps):
@@ -437,12 +446,14 @@ def _fd_hessians(fs, points, box, f0):
     second-difference stencil would be shifted off a face of the box, take
     :func:`fd_hessian` row by row. The other rows take one stacked central
     gradient stencil and then the stacked second-difference stencil of the
-    probe's plan (:func:`_second_diff_stencil`), evaluated point by point
-    in the scalar order, with the scalar formulas: each row's gradient and
-    Hessian are bitwise those of :func:`fd_hessian` and cost the same
-    evaluations. ``errors`` maps a row to the error :func:`fd_hessian`
-    raises there, a thin box or a non-finite entry, after the evaluations
-    it makes before raising.
+    probe's plan (:func:`_second_diff_stencil`), each walked flat by
+    :func:`_evaluate`, row after row and each row's points in the scalar
+    order, with the scalar formulas: each row's gradient and Hessian are
+    bitwise those of :func:`fd_hessian`, and its points are those
+    :func:`fd_hessian` evaluates, in its order. ``errors`` maps a row to
+    the error :func:`fd_hessian` raises there, a thin box or a non-finite
+    entry, after the evaluations it makes before raising (a row whose
+    gradient is not finite has no second-difference points).
     """
     n, k = points.shape
     grads, hessians, errors = np.zeros((n, k)), np.zeros((n, k, k)), {}
@@ -484,8 +495,12 @@ def _fd_hessians(fs, points, box, f0):
 def _evaluate(fs, at, stencil):
     """The values ``fs[j](point)`` at the points of each row ``j`` of ``at``
     (its row of the (len(at), S, k) ``stencil``), in order, as an
-    (len(at), S) array."""
-    values = [fs[j](point) for j, points in zip(at.tolist(), stencil) for point in points]
+    (len(at), S) array: one flat walk over the (len(at) x S, k) points,
+    each row's S points taken by its own objective."""
+    size = stencil.shape[1]
+    walk = iter(stencil.reshape(-1, stencil.shape[2]))
+    rows = [fs[j] for j in at.tolist()]
+    values = [f(point) for f in rows for point in itertools.islice(walk, size)]
     return np.reshape(values, stencil.shape[:2])
 
 

@@ -230,12 +230,12 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
 
     The nodes are taken in chunks of at most ``PROBE_BUDGET``. A chunk's
     finite-difference blocks come from one batched stencil
-    (:func:`numerics._second_diff_blocks`, which evaluates the merit node
-    by node in the scalar order), its closed-form blocks ``2 Phi^T Phi``
-    from stacked design matrices (:func:`_closed_form_blocks`), and its
-    spectra from one stacked ``eigvalsh``. The evaluations, their order,
-    the blocks and the certificate are those of a node-by-node scan with
-    :func:`fd_y_block`.
+    (:func:`numerics._second_diff_blocks`, which evaluates the merit in
+    one flat walk over the chunk's stencil, in the scalar order), its
+    closed-form blocks ``2 Phi^T Phi`` from stacked design matrices
+    (:func:`_closed_form_blocks`), and its spectra from one stacked
+    ``eigvalsh``. The evaluations, their order, the blocks and the
+    certificate are those of a node-by-node scan with :func:`fd_y_block`.
     """
     box = merit.domain_box
     axes = list(axes_indices)

@@ -84,6 +84,8 @@ def test_degenerate_audit_refused(tmp_path, capsys):
     points = ms.find_critical_points(ms.get_problem("DEGEN_LINE").merit, seed_density=9)
     census = [[float(v) for v in p.location] for p in points if p.degenerate]
     assert printed == census
+    # the witness is the first listed, lowest-value degenerate point
+    assert f"witness point: {census[0]}" in err.splitlines()
 
 
 def test_malformed_problem_file_exit_2(tmp_path, capsys):

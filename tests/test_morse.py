@@ -146,6 +146,9 @@ def test_audit_rejects_degenerate(entries):
     with pytest.raises(ms.DegenerateCriticalPointError) as excinfo:
         ms.morse_equality_audit(points, True)
     assert excinfo.value.points
+    first = excinfo.value.points[0]
+    assert first.value == min(p.value for p in excinfo.value.points)
+    assert excinfo.value.point.tolist() == first.location.tolist()
 
 
 def test_audit_not_outward_fails(entries):

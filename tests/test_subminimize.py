@@ -446,12 +446,12 @@ def reference_probe(merit, split, grid_density=None, full_density=7):
 
 @pytest.fixture
 def merit_calls(monkeypatch):
-    """A list that grows by one on every merit evaluation."""
+    """A list that grows by a copy of the point on every merit evaluation."""
     calls = []
     evaluate = ms.MeritFunction.__call__
 
     def counted(merit, p):
-        calls.append(None)
+        calls.append(np.array(p, dtype=float))
         return evaluate(merit, p)
 
     monkeypatch.setattr(ms.MeritFunction, "__call__", counted)
@@ -459,14 +459,15 @@ def merit_calls(monkeypatch):
 
 
 def outcome(calls, probe, *args):
-    """(certificate or (error type, message, point), merit evaluations)."""
+    """(certificate or (error type, message, point), the points evaluated,
+    in order, as one array)."""
     before = len(calls)
     try:
         result = probe(*args)
     except ValueError as err:
         point = getattr(err, "point", None)
         result = (type(err), str(err), None if point is None else point.tolist())
-    return result, len(calls) - before
+    return result, np.array(calls[before:])
 
 
 def assert_same_probe(calls, merit, split, grid_density=None):
@@ -475,8 +476,10 @@ def assert_same_probe(calls, merit, split, grid_density=None):
     else:
         batched = outcome(calls, ms.probe_y_convexity, merit, split, grid_density)
     reference = outcome(calls, reference_probe, merit, split, grid_density)
-    (got, got_evals), (want, want_evals) = batched, reference
-    assert got_evals == want_evals
+    (got, got_points), (want, want_points) = batched, reference
+    # the same points, bit for bit, in the same order
+    assert got_points.shape == want_points.shape
+    assert got_points.tobytes() == want_points.tobytes()
     if isinstance(want, tuple):
         assert got == want
         return want
