@@ -137,7 +137,6 @@ def _cmd_solve(args, definition, out):
     _atomic_write(out / "solve.txt", solver.format_solve_report(report))
     _write_json(out / "solve.json", solver.solve_report_dict(report))
     print(f"minimizer: {[float(v) for v in report.minimizer]} value: {_fmt(report.value)}")
-    return 0
 
 
 def _cmd_trace(args, definition, out):
@@ -164,7 +163,6 @@ def _cmd_trace(args, definition, out):
         lines.append(",".join(cells))
     _atomic_write(out / "trace.csv", "\n".join(lines) + "\n")
     print(f"traced {grid.size} points; max residual {_fmt(trace.residual_norms.max())}")
-    return 0
 
 
 def _cmd_sections(args, definition, out):
@@ -183,7 +181,6 @@ def _cmd_sections(args, definition, out):
         f"section for parameter {index}: {len(section.minima_x)} polished minim"
         f"{'um' if len(section.minima_x) == 1 else 'a'} at {list(section.minima_x)}"
     )
-    return 0
 
 
 @contextlib.contextmanager
@@ -244,7 +241,6 @@ def _cmd_audit(args, definition, out):
         f"census: {census.counts} alternating sum {census.alternating_sum} "
         f"{'PASS' if census.passes else 'FAIL'}"
     )
-    return 0
 
 
 def _cmd_recover(args, definition, out):
@@ -280,7 +276,6 @@ def _cmd_recover(args, definition, out):
         },
     )
     print(f"recovered: {[float(v) for v in recovery.recovered]}")
-    return 0
 
 
 def _cmd_equivalence(args, definition, out):
@@ -327,7 +322,6 @@ def _cmd_equivalence(args, definition, out):
         f"max distance {_fmt(report.max_distance)}; max value gap "
         f"{_fmt(report.max_value_gap)}"
     )
-    return 0
 
 
 _DISPATCH = {
@@ -345,7 +339,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, list[str]]:
     try:
         _validate(args)
         definition = _load(args)
-        return _DISPATCH[args.command](args, definition, Path(args.out)), []
+        _DISPATCH[args.command](args, definition, Path(args.out))
+        return 0, []
     except REFUSALS as err:
         lines = [f"refused: {err}"]
         witness = getattr(err, "point", None)

@@ -75,13 +75,10 @@ class DerivativeReport:
 
     ``hessian`` is symmetric by construction: each mixed partial is computed
     once, from the four-point stencil, and stored in both entries.
-    ``y_block`` is the exact sub-matrix of ``hessian`` on the
-    eliminated-coordinate block when a split was supplied.
     """
 
     gradient: np.ndarray
     hessian: np.ndarray
-    y_block: np.ndarray | None
     fd_step: np.ndarray
     boundary_clamped: bool
 
@@ -395,7 +392,7 @@ def _assemble_blocks(values, steps):
     return blocks
 
 
-def fd_hessian(f, p, split=None, box=AUTO, f0=None) -> DerivativeReport:
+def fd_hessian(f, p, box=AUTO, f0=None) -> DerivativeReport:
     """Central-difference Hessian (with gradient) at ``p``.
 
     Costs ``2 M`` evaluations for the gradient plus ``1 + 2 M^2`` for the
@@ -408,9 +405,6 @@ def fd_hessian(f, p, split=None, box=AUTO, f0=None) -> DerivativeReport:
         Scalar objective.
     p : array_like
         Evaluation point.
-    split : ParameterSplit, optional
-        When given, the report carries the (y_indices x y_indices) sub-block
-        of the Hessian.
     box : array_like or None
         Domain box; ``AUTO`` reads ``f.domain_box`` when present.
     f0 : float, optional
@@ -422,14 +416,9 @@ def fd_hessian(f, p, split=None, box=AUTO, f0=None) -> DerivativeReport:
     grad = fd_gradient(f, p, box=box)
     indices = tuple(range(p.size))
     hessian, steps, shifted = _second_diff_block(f, p, indices, box, f0)
-    y_block = None
-    if split is not None:
-        yi = np.asarray(split.y_indices, dtype=int)
-        y_block = hessian[np.ix_(yi, yi)]
     return DerivativeReport(
         gradient=grad,
         hessian=hessian,
-        y_block=y_block,
         fd_step=steps,
         boundary_clamped=shifted,
     )

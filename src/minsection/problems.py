@@ -66,10 +66,7 @@ def as_parameter_vector(values, dimension: int | None = None) -> np.ndarray:
 def default_box(dimension: int) -> np.ndarray:
     """Per-coordinate closed interval bounds, ``[-DEFAULT_BOX_HALF_WIDTH,
     DEFAULT_BOX_HALF_WIDTH]`` each."""
-    box = np.empty((dimension, 2))
-    box[:, 0] = -DEFAULT_BOX_HALF_WIDTH
-    box[:, 1] = DEFAULT_BOX_HALF_WIDTH
-    return box
+    return np.tile([-DEFAULT_BOX_HALF_WIDTH, DEFAULT_BOX_HALF_WIDTH], (dimension, 1))
 
 
 @dataclass(frozen=True)
@@ -412,7 +409,6 @@ class ProblemCatalogEntry:
     convexity_class: str
     known_minima: tuple[np.ndarray, ...] = ()
     known_implicit: Callable[[float], float] | None = None
-    implicit_note: str = ""
 
     def __post_init__(self):
         if self.convexity_class not in CONVEXITY_CLASSES:
@@ -453,7 +449,6 @@ def _quad_entry():
         convexity_class="strictly_convex",
         known_minima=(np.zeros(2),),
         known_implicit=lambda x: 0.0,
-        implicit_note="g(x) = 0",
     )
 
 
@@ -484,7 +479,6 @@ def _sine_valley_entry():
         convexity_class="convex_in_y",
         known_minima=(np.zeros(2),),
         known_implicit=math.sin,
-        implicit_note="g(x) = sin(x)",
     )
 
 
@@ -510,7 +504,6 @@ def _two_wells_entry():
         convexity_class="two_minima",
         known_minima=(np.array([1.0, 1.0]), np.array([-1.0, -1.0])),
         known_implicit=lambda x: x,
-        implicit_note="g(x) = x",
     )
 
 
@@ -530,7 +523,6 @@ def _degen_line_entry():
         convexity_class="degenerate_valley",
         known_minima=(),
         known_implicit=lambda x: 2.0 - x,
-        implicit_note="g(x) = 2 - x (whole valley line x + y = 2)",
     )
 
 
@@ -576,7 +568,6 @@ def _exp_fit_entry():
         convexity_class="convex_in_y",
         known_minima=(np.array([EXP_FIT_RATE, EXP_FIT_AMPLITUDE]),),
         known_implicit=implicit,
-        implicit_note="g(x) = (d . e^{xt}) / (e^{xt} . e^{xt})",
     )
 
 
@@ -596,7 +587,6 @@ def _neg_y_entry():
         convexity_class="nonconvex_in_y",
         known_minima=(),
         known_implicit=None,
-        implicit_note="no conditional minima in y (concave direction)",
     )
 
 

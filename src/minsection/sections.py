@@ -66,11 +66,21 @@ POLISH_X_TOL = 1e-10
 
 
 class TraceError(RuntimeError):
-    """A slice solve failed while tracing; carries the failing x."""
+    """A slice solve failed while tracing; carries the failing x, and the
+    witness ``point`` and ``min_eig`` of the refusal it wraps, where that
+    has them."""
 
     def __init__(self, message, x_failed=None):
         super().__init__(message)
         self.x_failed = x_failed
+
+    @property
+    def point(self):
+        return getattr(self.__cause__, "point", None)
+
+    @property
+    def min_eig(self):
+        return getattr(self.__cause__, "min_eig", None)
 
 
 class TraceIndexWarning(UserWarning):
@@ -202,7 +212,9 @@ def trace_implicit(
     derivative residual against its inner tolerance. Requires a positive
     convexity certificate for the split (caller responsibility): a slice
     failure raises :class:`TraceError` naming the failing x, the lowest
-    failing grid point of the first level that has one.
+    failing grid point of the first level that has one. ``inner_tol``
+    reaches the Newton slices only: linear elimination solves exactly and
+    records the default tolerance of each slice.
     """
     grid = _normalize_x_grid(x_grid, split.n)
     slices = SliceSolver(merit, split, inner_tol)
@@ -259,7 +271,6 @@ def minimal_section_1d(
     parameter_index: int,
     grid,
     inner_tol: float | None = None,
-    probe_density: int | None = None,
 ) -> MinimalSection1D:
     """One-dimensional minimal section for a single parameter.
 
@@ -269,7 +280,8 @@ def minimal_section_1d(
     with a single eliminated coordinate, each slice falls back to a grid
     scan plus Newton polish so deep sections of nonconvex slices are still
     reachable. Several eliminated coordinates without a certificate are
-    refused.
+    refused. The certificate is :func:`probe_y_convexity` at its default
+    sample.
 
     The grid must be 1-D and strictly increasing, with at least 3 points;
     any other grid raises ``ValueError`` before the convexity probe. Grid
@@ -287,7 +299,7 @@ def minimal_section_1d(
         raise ValueError("section grid must be 1-D with at least 3 points")
     _increasing_grid(grid)
     split = ParameterSplit.single(parameter_index, merit.dimension)
-    certificate = probe_y_convexity(merit, split, probe_density)
+    certificate = probe_y_convexity(merit, split)
     certified = certificate.positive or linear_elimination_applies(merit, split)
     if not certified and split.m > 1:
         raise ConvexityError.refusal(
@@ -400,20 +412,14 @@ def sublevel_interval(section: MinimalSection1D, level_z: float) -> SubLevelInte
                 b = mid
         return 0.5 * (a + b)
 
-    left_edge = float(section.grid[0])
-    right_edge = float(section.grid[-1])
-    if section.section_fn(left_edge).value < level_z:
-        raise ValueError(
-            f"section stays below level {level_z!r} at the left grid edge; "
-            "enlarge the grid to bracket the crossing"
-        )
-    if section.section_fn(right_edge).value < level_z:
-        raise ValueError(
-            f"section stays below level {level_z!r} at the right grid edge; "
-            "enlarge the grid to bracket the crossing"
-        )
-    lo = crossing(left_edge, x_star)
-    hi = crossing(right_edge, x_star)
+    edges = float(section.grid[0]), float(section.grid[-1])
+    for side, edge in zip(("left", "right"), edges):
+        if section.section_fn(edge).value < level_z:
+            raise ValueError(
+                f"section stays below level {level_z!r} at the {side} grid edge; "
+                "enlarge the grid to bracket the crossing"
+            )
+    lo, hi = (crossing(edge, x_star) for edge in edges)
     return SubLevelInterval(section.parameter_index, level_z, float(lo), float(hi))
 
 

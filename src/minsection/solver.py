@@ -8,7 +8,7 @@ a bracketed 1-D minimum for the section tools.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,6 +58,9 @@ TIE_TOL = 1e-12
 #: Most quasi-Newton steps the outer stage may take.
 MAX_CYCLES = 60
 
+#: Most damped-Newton iterations of :func:`solve_direct`.
+MAX_DIRECT_ITERATIONS = 200
+
 
 class BracketError(RuntimeError):
     """No valid bracketing triplet exists on the grid.
@@ -105,16 +108,17 @@ class BracketTriplet:
 class Tolerances:
     """Solver tolerances; ``None`` selects the scaled defaults.
 
-    ``inner_tol``: zero-derivative certificate for slice solves (default
-    ``INNER_TOL_FACTOR * max(1, F(x, y0))`` per slice). ``outer_tol``:
-    gradient-norm bound at the reported minimizer, on which the
-    quasi-Newton outer stage stops; the default is the finite-difference
-    noise bound ``max(1e-8, 100 eps^(2/3) max(1, |F|))`` for every number
-    of retained coordinates; the outer stage takes at most ``MAX_CYCLES``
-    quasi-Newton steps. ``probe_density``: grid points per axis of
-    the convexity probe. An explicit value samples that full grid; the
-    default samples at most ``PROBE_BUDGET`` (441) nodes, as described in
-    :func:`~minsection.subminimize.probe_y_convexity`.
+    ``inner_tol``: zero-derivative certificate for Newton slice solves
+    (default ``INNER_TOL_FACTOR * max(1, F(x, y0))`` per slice); linear
+    elimination solves exactly and records that default whatever
+    ``inner_tol`` says. ``outer_tol``: gradient-norm bound at the reported
+    minimizer, on which the quasi-Newton outer stage stops; the default is
+    the finite-difference noise bound ``max(1e-8, 100 eps^(2/3) max(1,
+    |F|))`` for every number of retained coordinates; the outer stage
+    takes at most ``MAX_CYCLES`` quasi-Newton steps. ``probe_density``:
+    grid points per axis of the convexity probe. An explicit value samples
+    that full grid; the default samples at most ``PROBE_BUDGET`` (441)
+    nodes, as described in :func:`~minsection.subminimize.probe_y_convexity`.
     """
 
     inner_tol: float | None = None
@@ -137,7 +141,9 @@ class SolveReport:
     method it equals the number of section evaluations performed.
     ``iterations`` counts Newton steps for the direct method and
     quasi-Newton steps after the grid-bracket cycle for the hierarchical
-    one, whatever the number of retained coordinates.
+    one, whatever the number of retained coordinates. The hierarchical
+    method's outer stage moves only ``split.x_indices``; ``split`` is
+    ``None`` for the direct method.
     """
 
     minimizer: np.ndarray
@@ -147,7 +153,6 @@ class SolveReport:
     outer_evaluations: int
     certificates: SolveCertificates
     split: ParameterSplit | None = None
-    outer_coordinates: tuple[int, ...] = ()
     inner_method: str = ""
     iterations: int = 0
     outer_tol: float = float("nan")
@@ -551,7 +556,6 @@ def _solve_hierarchical(merit, split, grid, tolerances):
             convexity=certificate, brackets=tuple(brackets), gradient_norm=grad_norm
         ),
         split=split,
-        outer_coordinates=split.x_indices,
         inner_method=final.method,
         iterations=iterations,
         outer_tol=outer_tol,
@@ -563,7 +567,6 @@ def solve_direct(
     merit: MeritFunction,
     p0,
     tolerances: Tolerances | None = None,
-    max_iter: int = 200,
 ) -> SolveReport:
     """Damped Newton on the full gradient with Armijo backtracking.
 
@@ -574,8 +577,8 @@ def solve_direct(
     descent; iterates are kept inside the domain box. A step that leaves the
     box where no step length can move the iterate or where the iterate is
     stationary on its faces, a line search that no halving satisfies, or
-    exceeding ``max_iter`` raises :class:`SolveError` carrying the point of
-    smallest gradient norm.
+    exceeding ``MAX_DIRECT_ITERATIONS`` (200) iterations raises
+    :class:`SolveError` carrying the point of smallest gradient norm.
     """
     tol = tolerances or Tolerances()
     box = merit.domain_box
@@ -605,7 +608,9 @@ def solve_direct(
             steps[j] = -gj if gj @ step >= 0.0 else step
         return steps, {}
 
-    (outcome,) = _damped_newton([feval], p[None], [fval], box, [outer_tol], max_iter, direction)
+    (outcome,) = _damped_newton(
+        [feval], p[None], [fval], box, [outer_tol], MAX_DIRECT_ITERATIONS, direction
+    )
     if isinstance(outcome, Exception):
         raise outcome
     (p, fval, grad_norm), _, iteration, stop = outcome
@@ -615,7 +620,7 @@ def solve_direct(
                 "boundary": "direct Newton step leaves the domain box at the iterate; "
                 "the minimum may lie outside the box",
                 "stalled": "direct line search stalled",
-                "max_iter": f"direct solve did not converge within {max_iter} "
+                "max_iter": f"direct solve did not converge within {MAX_DIRECT_ITERATIONS} "
                 f"iterations (best gradient norm {grad_norm:.3e})",
             }[stop],
             best_point=p,
@@ -773,15 +778,5 @@ def solve_report_dict(report: SolveReport) -> dict:
             "min_eigenvalue": float(cert.min_eig_over_samples),
             "sampled_points": cert.sampled_points,
         },
-        "brackets": [
-            {
-                "a": tri.a,
-                "b": tri.b,
-                "c": tri.c,
-                "fa": tri.fa,
-                "fb": tri.fb,
-                "fc": tri.fc,
-            }
-            for tri in report.certificates.brackets
-        ],
+        "brackets": [asdict(tri) for tri in report.certificates.brackets],
     }

@@ -49,6 +49,9 @@ PD_TOL = 1e-8
 ARMIJO_C1 = 1e-4
 MAX_HALVINGS = 40
 
+#: Most damped-Newton iterations of one slice solve.
+MAX_NEWTON_ITERATIONS = 50
+
 #: Most nodes a defaulted convexity probe samples: the 21 x 21 grid of a
 #: two-axis probe. A defaulted grid with more nodes is replaced by the box
 #: center, the box corners and Halton points, truncated to this budget.
@@ -82,11 +85,13 @@ class ConvexityError(RuntimeError):
 
 
 class SubMinimizeError(RuntimeError):
-    """Inner minimization failed; carries the best iterate found."""
+    """Inner minimization failed; carries the best iterate found, as
+    ``best_y`` and as ``point``, the full parameter vector there."""
 
-    def __init__(self, message, best_y=None, grad_norm=None, iterations=0):
+    def __init__(self, message, best_y=None, grad_norm=None, iterations=0, point=None):
         super().__init__(message)
         self.best_y = None if best_y is None else np.asarray(best_y, dtype=float)
+        self.point = None if point is None else np.asarray(point, dtype=float)
         self.grad_norm = grad_norm
         self.iterations = iterations
 
@@ -595,7 +600,7 @@ def _rows(a, rows):
     return a if len(rows) == len(a) else a[rows]
 
 
-def _newton_rows(merit, split, xs, starts, inner_tol=None, max_iter=50):
+def _newton_rows(merit, split, xs, starts, inner_tol=None):
     """Damped Newton on the slices at the rows of the valid (N, n) stack
     ``xs``, from the (N, m) ``starts`` clipped to the eliminated-coordinate
     box: per row its :class:`SubMinimum`, or the error its solve raises.
@@ -608,11 +613,11 @@ def _newton_rows(merit, split, xs, starts, inner_tol=None, max_iter=50):
     results = []
     for start in range(0, len(xs), per_stack):
         part = slice(start, start + per_stack)
-        results += _newton_stack(merit, split, xs[part], starts[part], inner_tol, max_iter)
+        results += _newton_stack(merit, split, xs[part], starts[part], inner_tol)
     return results
 
 
-def _newton_stack(merit, split, xs, starts, inner_tol, max_iter):
+def _newton_stack(merit, split, xs, starts, inner_tol):
     """:func:`_newton_rows` on one stack (:func:`_damped_newton`). An
     iteration takes one stacked ``eigvalsh`` and one stacked ``solve``, and
     a row's result is bitwise that of the row solved alone."""
@@ -645,7 +650,7 @@ def _newton_stack(merit, split, xs, starts, inner_tol, max_iter):
 
     fval = [value(y) for value, y in zip(values, ys)]
     tols = [default_inner_tol(v) if inner_tol is None else float(inner_tol) for v in fval]
-    outcomes = _damped_newton(values, ys, fval, ybox, tols, max_iter, newton_step)
+    outcomes = _damped_newton(values, ys, fval, ybox, tols, MAX_NEWTON_ITERATIONS, newton_step)
     converged = [
         r for r, o in enumerate(outcomes) if not isinstance(o, Exception) and o[3] == "converged"
     ]
@@ -669,12 +674,13 @@ def _newton_stack(merit, split, xs, starts, inner_tol, max_iter):
                     "the iterate; the slice minimum may lie outside the box",
                     "stalled": "backtracking line search failed on the slice; the objective "
                     "may not be convex in the eliminated block here",
-                    "max_iter": f"no convergence within {max_iter} Newton iterations "
-                    f"(best gradient norm {gn:.3e}, tolerance {tols[r]:.3e})",
+                    "max_iter": f"no convergence within {MAX_NEWTON_ITERATIONS} Newton "
+                    f"iterations (best gradient norm {gn:.3e}, tolerance {tols[r]:.3e})",
                 }[stop],
                 best_y=y,
                 grad_norm=gn,
                 iterations=iteration,
+                point=split.embed(xs[r], y),
             ))
         elif finals[r][1]:
             results.append(convexity_error(r, y, finals[r][0], "the sub-minimum"))
@@ -701,7 +707,6 @@ def subminimize_newton(
     problem: SliceProblem,
     y0=None,
     inner_tol: float | None = None,
-    max_iter: int = 50,
 ) -> SubMinimum:
     """Damped Newton on the slice with Armijo backtracking.
 
@@ -715,15 +720,16 @@ def subminimize_newton(
     coordinates held against a face steps on the free coordinates only. A
     Newton step that leaves the box where no step length can move the
     iterate or where the iterate is stationary on its faces, a stalled line
-    search, or exceeding ``max_iter`` raises :class:`SubMinimizeError`
-    carrying the best iterate and gradient norm.
+    search, or exceeding ``MAX_NEWTON_ITERATIONS`` (50) iterations raises
+    :class:`SubMinimizeError` carrying the best iterate, as ``best_y`` and
+    as the full parameter vector ``point``, and its gradient norm.
     """
     if y0 is None:
         start = problem.y_box().mean(axis=1)
     else:
         start = np.atleast_1d(np.asarray(y0, dtype=float))
     (result,) = _newton_rows(
-        problem.merit, problem.split, problem.x_fixed[None], start[None], inner_tol, max_iter
+        problem.merit, problem.split, problem.x_fixed[None], start[None], inner_tol
     )
     if isinstance(result, Exception):
         raise result
@@ -770,7 +776,9 @@ class SliceSolver:
     (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973),
     one stacked design matrix, ``eigvalsh`` and SVD least-squares solve
     per ``STACK_VALUES`` values (:func:`_linear_rows`), whose stacked
-    residual gives each row's value with no merit evaluation.
+    residual gives each row's value with no merit evaluation. Such a
+    solve is exact, so ``inner_tol`` does not reach it: each linear
+    result records :func:`default_inner_tol` of its value.
 
     Otherwise the distinct rows not yet solved are validated once and
     solved by damped Newton in levels, each level one stack, a lone row

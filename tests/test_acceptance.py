@@ -73,8 +73,8 @@ def test_criterion_3_linear_elimination(entries):
         report = ms.solve_hierarchical(merit, split)
         assert np.max(np.abs(report.minimizer - np.array([-0.5, 2.0]))) <= 1e-6
         # the outer stage only ever touches the nonlinear coordinate
-        assert report.outer_coordinates == (0,)
-        assert 1 not in report.outer_coordinates
+        assert report.split.x_indices == (0,)
+        assert 1 not in report.split.x_indices
         assert report.inner_method == "linear_elimination"
         # Newton inner solves from random starts agree with elimination
         rng = np.random.default_rng(7)

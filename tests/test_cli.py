@@ -70,6 +70,23 @@ def test_refusal_exit_code_and_witness(tmp_path, capsys):
     assert "refused" in err
 
 
+@pytest.mark.parametrize(
+    "problem, command, witness",
+    [
+        ("DEGEN_LINE", "solve", ["witness point: [-10.0, 10.0]"]),
+        ("NEG_Y", "trace", ["witness point: [0.0, 0.0]", "witness min eigenvalue: -2.0"]),
+    ],
+)
+def test_slice_refusals_print_their_witness(tmp_path, capsys, problem, command, witness):
+    # DEGEN_LINE's slice at x = -10 stops on the face y = 10; NEG_Y's trace
+    # refuses its middle slice, x = 0, where the merit is concave in y
+    argv = ["--problem", problem, "--command", command, "--out", str(tmp_path)]
+    assert run_cli(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1 - len(witness)].startswith("refused: ")
+    assert lines[-len(witness):] == witness
+
+
 def test_degenerate_audit_refused(tmp_path, capsys):
     code = run_cli(
         ["--problem", "DEGEN_LINE", "--command", "audit", "--out", str(tmp_path)]

@@ -261,7 +261,10 @@ def test_newton_step_out_of_box_stops_at_once(tmp_path, capsys, merit_calls, com
     argv = ["--problem", "DEGEN_LINE", "--command", command, "--out", str(tmp_path)]
     assert cli.main(argv) == 1
     assert merit_calls["n"] == evaluations
-    assert capsys.readouterr().err.endswith(BOUNDARY_STOP + "\n")
+    # the refusal names the best iterate of the slice at x = -10, on the face
+    assert capsys.readouterr().err.endswith(
+        BOUNDARY_STOP + "\nwitness point: [-10.0, 10.0]\n"
+    )
 
 
 @pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")

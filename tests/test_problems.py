@@ -163,6 +163,12 @@ def test_split_validation():
     assert split.n == 2 and split.m == 1 and split.dimension == 3
 
 
+def test_split_refuses_duplicate_indices():
+    # disjoint and covering {0, 1}, but index 0 is listed twice
+    with pytest.raises(ValueError, match="must not contain duplicates"):
+        ms.ParameterSplit((0, 0), (1,))
+
+
 def test_split_embed_roundtrip():
     split = ms.ParameterSplit((0, 2), (1, 3))
     p = np.array([1.0, 2.0, 3.0, 4.0])

@@ -1,8 +1,13 @@
-"""The public names of the package.
+"""The public names of the package, and the values a caller can set.
 
 Removing a field or helper must not drop a name from ``minsection.__all__``
-unnoticed; a deliberate change edits this list and says why in CHANGES.md.
+unnoticed, and adding an option must not grow the settable values
+unnoticed; a deliberate change edits the list or the count and says why in
+CHANGES.md.
 """
+
+import importlib
+import inspect
 
 import minsection as ms
 
@@ -83,3 +88,42 @@ def test_all_names_are_pinned():
     assert sorted(ms.__all__) == sorted(PUBLIC_NAMES)
     assert len(set(ms.__all__)) == len(ms.__all__)
     assert all(hasattr(ms, name) for name in PUBLIC_NAMES)
+
+
+#: The modules whose ``__all__`` makes up the public surface.
+MODULES = ("", ".morse", ".numerics", ".problem_io", ".problems", ".sections", ".solver",
+           ".subminimize")
+
+
+def _defaulted(fn):
+    parameters = inspect.signature(fn).parameters.values()
+    return [p.name for p in parameters if p.default is not inspect.Parameter.empty]
+
+
+def settable_values():
+    """Every defaulted parameter of the public surface: of each function in
+    an ``__all__``, and of each class's constructor (a dataclass's fields)
+    and public methods. Exception classes are not counted."""
+    values, seen = [], set()
+    for suffix in MODULES:
+        module = importlib.import_module("minsection" + suffix)
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if id(obj) in seen or not callable(obj):
+                continue
+            seen.add(id(obj))
+            if not inspect.isclass(obj):
+                values += [f"{name}({p})" for p in _defaulted(obj)]
+            elif not issubclass(obj, BaseException):
+                values += [f"{name}({p})" for p in _defaulted(obj.__init__)]
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        values += [f"{name}.{attr}({p})" for p in _defaulted(member)]
+    return values
+
+
+def test_settable_values_are_pinned():
+    # a new knob is a deliberate edit of this count, said why in CHANGES.md
+    values = settable_values()
+    assert len(values) == len(set(values)) == 55, values

@@ -94,7 +94,15 @@ def test_section_refuses_nonconvex_multidimensional_elimination():
         3, lambda p: float(p[0] ** 2 - p[1] ** 2 - p[2] ** 2), structure="general"
     )
     with pytest.raises(ms.ConvexityError):
-        ms.minimal_section_1d(merit, 0, np.linspace(-1, 1, 5), probe_density=3)
+        ms.minimal_section_1d(merit, 0, np.linspace(-1, 1, 5))
+
+
+def test_section_fallback_refusal_is_a_trace_error(entries):
+    # NEG_Y is concave in y: no certificate, and the one-coordinate fallback
+    # slice refuses at its first grid point
+    message = "^fallback slice solve failed while sampling the section"
+    with pytest.raises(ms.TraceError, match=message):
+        ms.minimal_section_1d(entries["NEG_Y"].merit, 0, np.linspace(-1.0, 1.0, 5))
 
 
 def test_section_values_match_merit_bookkeeping(entries):

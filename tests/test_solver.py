@@ -217,7 +217,7 @@ def test_solve_hierarchical_exp_fit(entries, split01):
     assert np.allclose(report.minimizer, [-0.5, 2.0], atol=1e-6)
     assert report.method == "hierarchical"
     assert report.inner_method == "linear_elimination"
-    assert report.outer_coordinates == (0,)
+    assert report.split.x_indices == (0,)
     assert report.certificates.gradient_norm <= report.outer_tol
 
 
@@ -264,6 +264,16 @@ def test_solve_never_evaluates_outside_box(entries, split01):
     pad = 1e-9
     assert np.all(seen >= box[:, 0] - pad)
     assert np.all(seen <= box[:, 1] + pad)
+
+
+def test_one_grid_serves_every_retained_coordinate():
+    merit = ms.random_quadratic_problem(4, 2, np.random.default_rng(5)).merit
+    split = ms.model_split(merit)
+    g = np.linspace(-10.0, 10.0, 15)
+    shared = ms.solve_hierarchical(merit, split, grid=g)
+    each = ms.solve_hierarchical(merit, split, grid=[g, g])
+    assert ms.solver.solve_report_dict(shared) == ms.solver.solve_report_dict(each)
+    assert len(shared.certificates.brackets) == 2
 
 
 def test_bracket_certificates_stored_exactly(entries, split01):
@@ -325,13 +335,13 @@ def test_solve_direct_refuses_a_non_finite_derivative_at_the_start():
     assert excinfo.value.point.tolist() == start.tolist()
 
 
-def test_solve_direct_iteration_cap_carries_best(entries):
+def test_solve_direct_iteration_cap_carries_best(entries, monkeypatch):
+    monkeypatch.setattr(ms.solver, "MAX_DIRECT_ITERATIONS", 2)
     with pytest.raises(ms.SolveError) as excinfo:
         ms.solve_direct(
             entries["SINE_VALLEY"].merit,
             np.array([4.0, -3.0]),
             tolerances=ms.Tolerances(outer_tol=1e-300),
-            max_iter=2,
         )
     assert excinfo.value.best_point is not None
     assert excinfo.value.grad_norm is not None
@@ -577,7 +587,7 @@ def test_default_outer_tol_is_the_noise_bound_for_every_n(entries, split01):
         ms.solve_hierarchical(entries["QUAD"].merit, split01),
         ms.solve_hierarchical(quadratic, ms.model_split(quadratic)),
     ]
-    assert [len(r.outer_coordinates) for r in reports] == [1, 2]
+    assert [len(r.split.x_indices) for r in reports] == [1, 2]
     for report in reports:
         noise = 100.0 * EPS ** (2.0 / 3.0) * max(1.0, abs(report.value))
         assert report.outer_tol == max(1e-8, noise)

@@ -140,15 +140,24 @@ def test_newton_refuses_concave_block(entries, split01):
         ms.subminimize_newton(SliceProblem(entries["NEG_Y"].merit, split01, [1.0]), y0=[1.0])
 
 
-def test_newton_max_iter_carries_best(entries, split01):
+def test_newton_max_iter_carries_best(entries, split01, monkeypatch):
+    monkeypatch.setattr(ms.subminimize, "MAX_NEWTON_ITERATIONS", 0)
     with pytest.raises(ms.SubMinimizeError) as excinfo:
         ms.subminimize_newton(
             SliceProblem(entries["SINE_VALLEY"].merit, split01, [1.0]),
             y0=[8.0],
-            max_iter=0,
         )
     assert excinfo.value.best_y is not None
     assert excinfo.value.grad_norm is not None
+
+
+@pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
+def test_slice_refusal_carries_its_full_point(entries, split01):
+    problem = SliceProblem(entries["DEGEN_LINE"].merit, split01, [-10.0])
+    with pytest.raises(ms.SubMinimizeError) as excinfo:
+        ms.subminimize_newton(problem)
+    best = excinfo.value.best_y
+    assert excinfo.value.point.tolist() == problem.point(best).tolist() == [-10.0, 10.0]
 
 
 def test_slice_problem_validates_x(entries, split01):
@@ -707,6 +716,18 @@ def stacked_cases(tmp_path, entries):
         ],
     )
     cases.append((*frequency, np.linspace(0.7, 1.3, 21)[:, None]))
+    # offset terms: the stacked vectorized branch of PartiallyLinearModel.offsets
+    offset_fit = load_fit_file(
+        tmp_path,
+        np.linspace(0.0, 3.0, 30),
+        [(-1.0, 0.5)],
+        [{"type": "exponential", "rate_index": 0}, {"type": "constant"}],
+        offset=[
+            {"type": "polynomial", "degree": 2, "scale": 0.3},
+            {"type": "sinusoid", "fn": "sin", "frequency_index": 0},
+        ],
+    )
+    cases.append((*offset_fit, np.linspace(-1.0, 0.5, 21)[:, None]))
     rows = np.linalg.cholesky(np.eye(6) + 0.3).T
     model = ms.PartiallyLinearModel(
         basis=tuple(lambda tk, x, j=j: float(rows[int(tk), j]) for j in range(3, 6)),
