@@ -246,8 +246,9 @@ def _second_diff_block(f, p, indices, box, f0=None):
 
 
 #: Fewest rows whose finite-difference stencils :func:`_fd_hessians` builds
-#: as one stack; fewer rows take :func:`fd_hessian` one by one, which costs
-#: less numpy overhead than one stacked stencil below about eight rows.
+#: as one stack; fewer rows take the scalar stencils of :func:`fd_hessian`
+#: one row at a time, which cost less numpy overhead than one stacked
+#: stencil below about eight rows.
 MIN_STACKED_ROWS = 8
 
 #: Bound on the sum of a stencil's absolute values, per unit of
@@ -433,7 +434,9 @@ def _fd_hessians(fs, points, box, f0):
     lone row included. A stack of fewer than ``MIN_STACKED_ROWS`` rows,
     and a row whose gradient stencil would be clamped or whose
     second-difference stencil would be shifted off a face of the box, take
-    :func:`fd_hessian` row by row. The other rows take one stacked central
+    the two stencils of :func:`fd_hessian` row by row, called directly
+    (:func:`fd_gradient`, then :func:`_second_diff_block` given the row's
+    value), with none of its set-up. The other rows take one stacked central
     gradient stencil and then the stacked second-difference stencil of the
     probe's plan (:func:`_second_diff_stencil`), each walked flat by
     :func:`_evaluate`, row after row and each row's points in the scalar
@@ -446,22 +449,23 @@ def _fd_hessians(fs, points, box, f0):
     """
     n, k = points.shape
     grads, hessians, errors = np.zeros((n, k)), np.zeros((n, k, k)), {}
-    inside = np.zeros(n, dtype=bool)
+    alone = range(n)
     if n >= MIN_STACKED_ROWS:
         s, q, thin, stencil = _second_diff_stencil(points, range(k), box)
         h = (points + GRADIENT_STEP * np.maximum(1.0, np.abs(points))) - points
         inside = (points + h <= box[:, 1]) & (points - h >= box[:, 0]) & ~thin & (q == points)
         inside = inside.all(axis=1)
-    for j in np.flatnonzero(~inside).tolist():
+        alone = np.flatnonzero(~inside).tolist()
+    indices = tuple(range(k))
+    for j in alone:  # the two stencils of fd_hessian
         try:
-            report = fd_hessian(fs[j], points[j], box=box, f0=f0[j])
+            grads[j] = fd_gradient(fs[j], points[j], box)
+            hessians[j] = _second_diff_block(fs[j], points[j], indices, box, f0[j])[0]
         except ValueError as err:  # NonFiniteValueError is a ValueError
             errors[j] = err
-        else:
-            grads[j], hessians[j] = report.gradient, report.hessian
-    at = np.flatnonzero(inside)
-    if not at.size:
+    if n < MIN_STACKED_ROWS or not inside.any():
         return grads, hessians, errors
+    at = np.flatnonzero(inside)
     pairs = _evaluate(fs, at, _stencil(points[at], h[at], 1 + 2 * k)[:, 1:]).reshape(-1, k, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         g = (pairs[..., 0] - pairs[..., 1]) / (2.0 * h[at])

@@ -279,7 +279,9 @@ def minimal_section_1d(
     linear elimination), the section is the continuation trace; otherwise,
     with a single eliminated coordinate, each slice falls back to a grid
     scan plus Newton polish so deep sections of nonconvex slices are still
-    reachable. Several eliminated coordinates without a certificate are
+    reachable; a fallback slice that fails raises :class:`TraceError` with
+    its grid abscissa in ``x_failed``, as a failing trace does. Several
+    eliminated coordinates without a certificate are
     refused. The certificate is :func:`probe_y_convexity` at its default
     sample.
 
@@ -320,12 +322,17 @@ def minimal_section_1d(
         def section_fn(u: float) -> SubMinimum:
             return _fallback_slice(merit, split, u, inner_tol)
 
-        try:
-            solutions = [section_fn(u) for u in grid]
-        except (ConvexityError, SubMinimizeError) as err:
-            raise TraceError(
-                f"fallback slice solve failed while sampling the section: {err}"
-            ) from err
+        solutions = []
+        for u in grid:
+            try:
+                solutions.append(section_fn(u))
+            except (ConvexityError, SubMinimizeError) as err:
+                x = np.array([u])
+                raise TraceError(
+                    "fallback slice solve failed while sampling the section at "
+                    f"x = {x.tolist()}: {err}",
+                    x_failed=x,
+                ) from err
         values = np.array([s.value for s in solutions])
         companions = np.array([s.y_star for s in solutions])
         residuals = np.array([s.grad_y_norm for s in solutions])

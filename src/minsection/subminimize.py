@@ -428,6 +428,17 @@ def _indefinite(w):
     return w[..., 0] <= PD_TOL * np.maximum(1.0, np.abs(w).max(axis=-1))
 
 
+def _spectra(hess):
+    """The ascending spectrum of each block of the (N, m, m) stack ``hess``
+    and the list of which are indefinite (:func:`_indefinite`). For m = 1
+    the spectrum is the element, bitwise LAPACK's, tested as a Python float."""
+    if hess.shape[1] == 1:
+        w = hess[:, 0]
+        return w, [v <= PD_TOL * max(1.0, abs(v)) for v in w[:, 0].tolist()]
+    w = np.linalg.eigvalsh(hess)
+    return w, _indefinite(w).tolist()
+
+
 def _sub_minima(ys, values, grad_norms, spectra, method, iterations, inner_tols):
     """The :class:`SubMinimum` of each row: at ``ys[r]``, its block
     Hessian's ascending spectrum ``spectra[r]``, whose eigenvalues below
@@ -456,7 +467,7 @@ def _backtrack(x, step, box, accept, tries=MAX_HALVINGS, t=1.0):
     ``(trial, accept(trial, t))`` for the first result not None, else None.
     ``x`` may be a stack of rows, each with its row of ``step``."""
     for _ in range(tries):
-        trial = np.clip(x + t * step, box[:, 0], box[:, 1])
+        trial = np.minimum(np.maximum(x + t * step, box[:, 0]), box[:, 1])
         verdict = accept(trial, t)
         if verdict is not None:
             return trial, verdict
@@ -492,7 +503,9 @@ def _damped_newton(fs, x, fval, box, tol, max_iter, direction):
     on its free block only, along ``direction`` of the system with the
     held coordinates pinned: the projected Newton step (Bertsekas, SIAM J.
     Control Optim. 20(2), 1982). A row whose clipped step does not move it
-    stops at the boundary too.
+    stops at the boundary too. The rows' iterates stay in one array updated
+    in place, and a row still running records its ``"max_iter"`` outcome at
+    each iteration, which stands if it runs past the last.
 
     Returns, per row, the error that ended it (a refusal of ``direction``
     or a derivative error) or ``(best, hess, iteration, stop)``: ``best =
@@ -504,13 +517,12 @@ def _damped_newton(fs, x, fval, box, tol, max_iter, direction):
     x = np.array(x, dtype=float)
     fval = [float(v) for v in fval]
     lo, hi = box[:, 0], box[:, 1]
-    best = [(row.copy(), value, np.inf) for row, value in zip(x, fval)]
-    last = [None] * len(x)
+    best = [(row, value, np.inf) for row, value in zip(x.copy(), fval)]
     out = [None] * len(x)
     live = list(range(len(x)))
     for iteration in range(max_iter + 1):
         if not live:
-            return out
+            break
         g, hess, errors = numerics._fd_hessians(
             [fs[r] for r in live], _rows(x, live), box, [fval[r] for r in live]
         )
@@ -522,22 +534,22 @@ def _damped_newton(fs, x, fval, box, tol, max_iter, direction):
                 continue
             if norms[j] < best[r][2]:
                 best[r] = (x[r].copy(), fval[r], norms[j])
-            last[r] = hess[j]
             if norms[j] <= tol[r]:
                 out[r] = (best[r], hess[j], iteration, "converged")
-            else:
+            else:  # the outcome if the row is still running after the last iteration
+                out[r] = (best[r], hess[j], max_iter, "max_iter")
                 going.append(j)
-        rows = [live[j] for j in going]
-        live = []
-        if not rows:
-            continue
-        g, hess, xr = _rows(g, going), _rows(hess, going), _rows(x, rows)
-        steps, ended = direction(g, hess, xr, rows)
+        live = [live[j] for j in going]
+        if not live:
+            break
+        g, hess, xr = _rows(g, going), _rows(hess, going), _rows(x, live)
+        steps, ended = direction(g, hess, xr, live)
         unclipped = xr + steps
         full = np.minimum(np.maximum(unclipped, lo), hi)
-        moves, leaves = (full != xr).any(axis=1).tolist(), (full != unclipped).any(axis=1).tolist()
+        moves = list(map(any, (full != xr).tolist()))
+        leaves = list(map(any, (full != unclipped).tolist()))
         pinned, held = [], []
-        for j, r in enumerate(rows):
+        for j, r in enumerate(live):
             if j in ended or not leaves[j]:
                 continue
             on_face = ((xr[j] <= lo) & (g[j] > 0.0)) | ((xr[j] >= hi) & (g[j] < 0.0))
@@ -552,30 +564,29 @@ def _damped_newton(fs, x, fval, box, tol, max_iter, direction):
             system = hess[pinned] * (free[:, :, None] & free[:, None, :])
             system[~free[:, :, None] & np.eye(x.shape[1], dtype=bool)] = 1.0
             steps[pinned], refused = direction(
-                g[pinned] * free, system, xr[pinned], [rows[j] for j in pinned]
+                g[pinned] * free, system, xr[pinned], [live[j] for j in pinned]
             )
             ended.update((pinned[i], err) for i, err in refused.items())
             full = np.minimum(np.maximum(xr[pinned] + steps[pinned], lo), hi)
-            moved = (full != xr[pinned]).any(axis=1)
-            for j, move in zip(pinned, moved.tolist()):
+            for j, move in zip(pinned, (full != xr[pinned]).any(axis=1).tolist()):
                 moves[j] = move
         search = []
-        for j, r in enumerate(rows):
+        for j, r in enumerate(live):
             if j in ended:
                 out[r] = ended[j]
             elif not moves[j]:
                 out[r] = (best[r], hess[j], iteration, "boundary")
             else:
                 search.append(j)
-        if not search:
-            continue
+        live = [live[j] for j in search]
+        if not live:
+            break
         g, steps, xr = _rows(g, search), _rows(steps, search), _rows(xr, search)
-        rows = [rows[j] for j in search]
         slopes = _row_dots(g, steps).tolist()
-        found = [None] * len(rows)
+        found = [None] * len(live)
 
         def sufficient(trials, t):  # each row against its own fval and slope
-            for i, (r, trial) in enumerate(zip(rows, trials)):
+            for i, (r, trial) in enumerate(zip(live, trials)):
                 if found[i] is None:
                     value = fs[r](trial)
                     if _armijo(value, fval[r], t * slopes[i]):
@@ -583,14 +594,12 @@ def _damped_newton(fs, x, fval, box, tol, max_iter, direction):
             return None if None in found else found
 
         _backtrack(xr, steps, box, sufficient)
-        for j, r in enumerate(rows):
+        for j, r in enumerate(live):
             if found[j] is None:
                 out[r] = (best[r], hess[search[j]], iteration, "stalled")
             else:
                 x[r], fval[r] = found[j]
-                live.append(r)
-    for r in live:
-        out[r] = (best[r], last[r], max_iter, "max_iter")
+        live = [r for r, step in zip(live, found) if step is not None]
     return out
 
 
@@ -619,10 +628,15 @@ def _newton_rows(merit, split, xs, starts, inner_tol=None):
 
 def _newton_stack(merit, split, xs, starts, inner_tol):
     """:func:`_newton_rows` on one stack (:func:`_damped_newton`). An
-    iteration takes one stacked ``eigvalsh`` and one stacked ``solve``, and
-    a row's result is bitwise that of the row solved alone."""
+    iteration takes the rows' spectra and steps at once: for m = 1 each
+    1 x 1 block's element and the division ``-g / h`` in Python floats,
+    bitwise LAPACK's ``eigvalsh`` and ``solve``; for m >= 2 one stacked
+    ``eigvalsh`` and one stacked ``solve``. A row's result is bitwise that
+    of the row solved alone; a sub-minimum whose block is not refused is
+    positive definite, so its y-index is 0."""
+    m = split.m
     ybox = split.y_box(merit.domain_box)
-    ys = np.clip(starts, ybox[:, 0], ybox[:, 1])
+    ys = np.minimum(np.maximum(starts, ybox[:, 0]), ybox[:, 1])
 
     values = [_slice_objective(merit, split, x, y) for x, y in zip(xs, ys)]
 
@@ -635,38 +649,37 @@ def _newton_stack(merit, split, xs, starts, inner_tol):
         )
 
     def newton_step(g, hess, y, rows):
-        w = np.linalg.eigvalsh(hess)
-        refused = _indefinite(w)
-        if not refused.any():
-            return np.linalg.solve(hess, -g[..., None])[..., 0], {}
-        steps = np.zeros_like(g)
-        if not refused.all():
-            steps[~refused] = np.linalg.solve(hess[~refused], -g[~refused][..., None])[..., 0]
+        w, refused = _spectra(hess)
+        if m == 1:  # a 1 x 1 solve is a division, bitwise LAPACK's
+            steps = np.array([
+                [0.0 if no else -gj / hj]
+                for gj, hj, no in zip(g[:, 0].tolist(), w[:, 0].tolist(), refused)
+            ])
+        elif not any(refused):
+            steps = np.linalg.solve(hess, -g[..., None])[..., 0]
+        else:
+            steps = np.zeros_like(g)
+            ok = ~np.array(refused)
+            if ok.any():
+                steps[ok] = np.linalg.solve(hess[ok], -g[ok][..., None])[..., 0]
         note = "; the convexity assumption is violated for this split"
         return steps, {
             j: convexity_error(rows[j], y[j], w[j], "an iterate", note)
-            for j in np.flatnonzero(refused)
+            for j, no in enumerate(refused) if no
         }
 
     fval = [value(y) for value, y in zip(values, ys)]
     tols = [default_inner_tol(v) if inner_tol is None else float(inner_tol) for v in fval]
     outcomes = _damped_newton(values, ys, fval, ybox, tols, MAX_NEWTON_ITERATIONS, newton_step)
-    converged = [
-        r for r, o in enumerate(outcomes) if not isinstance(o, Exception) and o[3] == "converged"
-    ]
-    if converged:
-        spectra = np.linalg.eigvalsh(np.stack([outcomes[r][1] for r in converged]))
-        subs = _sub_minima(
-            *zip(*(outcomes[r][0] for r in converged)), spectra, "newton",
-            [outcomes[r][2] for r in converged], [tols[r] for r in converged],
-        )
-        finals = dict(zip(converged, zip(spectra, _indefinite(spectra).tolist(), subs)))
+    done = [r for r, o in enumerate(outcomes) if type(o) is tuple and o[3] == "converged"]
+    if done:
+        finals = dict(zip(done, zip(*_spectra(np.array([outcomes[r][1] for r in done])))))
     results = []
     for r, outcome in enumerate(outcomes):
         if isinstance(outcome, Exception):
             results.append(outcome)
             continue
-        (y, _, gn), _, iteration, stop = outcome
+        (y, fy, gn), _, iteration, stop = outcome
         if stop != "converged":
             results.append(SubMinimizeError(
                 {
@@ -684,8 +697,9 @@ def _newton_stack(merit, split, xs, starts, inner_tol):
             ))
         elif finals[r][1]:
             results.append(convexity_error(r, y, finals[r][0], "the sub-minimum"))
-        else:
-            results.append(finals[r][2])
+        else:  # a positive definite block: y-index 0
+            w0 = float(finals[r][0][0])
+            results.append(SubMinimum(y, fy, gn, w0, "newton", iteration, tols[r]))
     return results
 
 

@@ -100,9 +100,10 @@ def test_section_refuses_nonconvex_multidimensional_elimination():
 def test_section_fallback_refusal_is_a_trace_error(entries):
     # NEG_Y is concave in y: no certificate, and the one-coordinate fallback
     # slice refuses at its first grid point
-    message = "^fallback slice solve failed while sampling the section"
-    with pytest.raises(ms.TraceError, match=message):
+    message = r"^fallback slice solve failed while sampling the section at x = \[-1.0\]: "
+    with pytest.raises(ms.TraceError, match=message) as info:
         ms.minimal_section_1d(entries["NEG_Y"].merit, 0, np.linspace(-1.0, 1.0, 5))
+    assert info.value.x_failed.tolist() == [-1.0]
 
 
 def test_section_values_match_merit_bookkeeping(entries):

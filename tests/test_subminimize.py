@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minsection as ms
 from minsection.subminimize import SliceProblem, SliceSolver
@@ -927,6 +929,136 @@ def test_newton_stack_rows_are_one_row_solves(entries, merit_calls, monkeypatch,
     assert stacked_warnings == clamps
     assert set(clamps) <= {ms.BoundaryStepWarning}
     assert len(clamps) == {2: 5, 4: 1}.get(case, 0)
+
+
+def reference_newton(merit, split, x, y0):
+    """Damped Newton on the slice at ``x`` from ``y0``, one iteration at a
+    time: ``fd_hessian`` of the slice objective, the block's spectrum from
+    ``eigvalsh``, the step from ``solve`` on the k x k block and halvings
+    of the clipped step under ``_armijo``. A step that leaves the box ends
+    the row where it is stationary on its faces; the projected step is
+    not covered. A refusal is returned as ``(type, where, point, min
+    eigenvalue or iterations)``."""
+    from minsection.subminimize import (
+        MAX_HALVINGS, MAX_NEWTON_ITERATIONS, PD_TOL, _armijo, default_inner_tol,
+    )
+
+    box = split.y_box(merit.domain_box)
+    lo, hi = box[:, 0], box[:, 1]
+
+    def f(y):
+        return merit(split.embed(x, y))
+
+    def indefinite(w):
+        return w[0] <= PD_TOL * max(1.0, float(np.max(np.abs(w))))
+
+    y = np.clip(y0, lo, hi)
+    fy = f(y)
+    tol = default_inner_tol(fy)
+    best = (y, fy, math.inf)
+    for iteration in range(MAX_NEWTON_ITERATIONS + 1):
+        report = ms.fd_hessian(f, y, box=box, f0=fy)
+        g, hess = report.gradient, report.hessian
+        norm = float(np.sqrt(g @ g))
+        if norm < best[2]:
+            best = (y, fy, norm)
+        w = np.linalg.eigvalsh(hess)
+        if norm <= tol:
+            if indefinite(w):
+                return ms.ConvexityError, "sub-minimum", split.embed(x, y), float(w[0])
+            return ms.SubMinimum(y, fy, norm, float(w[0]), "newton", iteration, tol, 0)
+        if indefinite(w):
+            return ms.ConvexityError, "iterate", split.embed(x, y), float(w[0])
+        step = np.linalg.solve(hess, -g)
+        full = np.clip(y + step, lo, hi)
+        if np.any(full != y + step):
+            on_face = ((y <= lo) & (g > 0.0)) | ((y >= hi) & (g < 0.0))
+            if np.linalg.norm(g[~on_face]) <= tol:
+                return ms.SubMinimizeError, "boundary", split.embed(x, best[0]), iteration
+            assert not on_face.any(), "a projected step, which the reference does not take"
+        if np.all(full == y):
+            return ms.SubMinimizeError, "boundary", split.embed(x, best[0]), iteration
+        slope = g @ step
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            trial = np.clip(y + t * step, lo, hi)
+            value = f(trial)
+            if _armijo(value, fy, t * slope):
+                break
+            t *= 0.5
+        else:
+            return ms.SubMinimizeError, "stalled", split.embed(x, best[0]), iteration
+        y, fy = trial, value
+    return ms.SubMinimizeError, "max_iter", split.embed(x, best[0]), MAX_NEWTON_ITERATIONS
+
+
+def refusal(err):
+    """A stacked row's refusal in the form of :func:`reference_newton`'s."""
+    where = {
+        "at an iterate": "iterate",
+        "at the sub-minimum": "sub-minimum",
+        "leaves the eliminated-coordinate box": "boundary",
+        "backtracking line search failed": "stalled",
+        "no convergence within": "max_iter",
+    }
+    (kind,) = [kind for text, kind in where.items() if text in str(err)]
+    last = err.min_eig if isinstance(err, ms.ConvexityError) else err.iterations
+    return type(err), kind, err.point, last
+
+
+@pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
+@pytest.mark.parametrize("min_rows", [2, 8], ids=["stacked", "default"])
+@pytest.mark.parametrize(
+    "case", [0, 1, 4, 5, 6], ids=["SINE_VALLEY", "chain3", "lone", "refused", "SINE_VALLEY_21"]
+)
+def test_newton_stack_rows_match_a_per_row_reference(
+    entries, merit_calls, monkeypatch, case, min_rows
+):
+    from minsection.subminimize import _newton_rows
+
+    monkeypatch.setattr(ms.numerics, "MIN_STACKED_ROWS", min_rows)
+    rng = np.random.default_rng(5)
+    level = (entries["SINE_VALLEY"].merit, ms.ParameterSplit((0,), (1,)),
+             np.linspace(-3.0, 3.0, 21)[:, None], rng.uniform(-10.0, 10.0, (21, 1)))
+    merit, split, xs, starts = (newton_stack_cases(entries) + [level])[case]
+    stacked = _newton_rows(merit, split, xs, starts)
+    # each row's points, told apart by their x
+    own = [[p.tobytes() for p in merit_calls if np.array_equal(split.x_part(p), x)] for x in xs]
+    assert sum(map(len, own)) == len(merit_calls)
+    for x, y0, got, points in zip(xs, starts, stacked, own):
+        merit_calls.clear()
+        want = reference_newton(merit, split, x, y0)
+        assert points == [p.tobytes() for p in merit_calls]
+        if isinstance(want, tuple):
+            kind, where, point, last = refusal(got)
+            assert (kind, where, last) == want[:2] + want[3:]
+            assert point.tobytes() == want[2].tobytes()
+        else:
+            assert_same_sub(got, want)
+    assert [isinstance(r, Exception) for r in stacked] == {
+        4: [True], 5: [False, True, False]
+    }.get(case, [False] * len(xs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    h=st.one_of(
+        st.floats(5e-324, 2.2250738585072014e-308),
+        st.floats(1e-300, 1e-8),
+        st.floats(1e-8, 1e8),
+        st.floats(1e8, 1.7976931348623157e308),
+    ),
+    g=st.floats(-1e300, 1e300),
+)
+def test_one_by_one_newton_step_is_lapack_bitwise(h, g):
+    # The m = 1 Newton step is -g / h in Python floats, and its spectrum the
+    # element h: both must be bitwise LAPACK's solve and eigenvalue.
+    block = np.array([[[h]]])
+    solved = np.linalg.solve(block, np.array([[[-g]]]))[0, 0, 0]
+    assert np.float64(solved).tobytes() == np.float64(-g / h).tobytes()
+    for element in (h, -h):
+        w = np.linalg.eigvalsh(np.array([[[element]]]))[0, 0]
+        assert np.float64(w).tobytes() == np.float64(element).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
