@@ -508,16 +508,36 @@ def fd_y_block(f, p, split, box=AUTO) -> np.ndarray:
     linear coordinates. A non-finite block raises
     :class:`NonFiniteValueError` carrying ``p``.
     """
+    p = np.asarray(p, dtype=float)
     if linear_elimination_applies(f, split):
-        phi = f.model.design_matrix(split.x_part(p))
-        with np.errstate(over="ignore"):
-            block = 2.0 * phi.T @ phi
-        if not np.all(np.isfinite(block)):
-            raise NonFiniteValueError("non-finite closed-form eliminated-block Hessian", p)
-        return block
+        return _closed_form_blocks(f.model, p[None], split.x_indices)[0]
     box = _resolve_box(f, box)
     block, _, _ = _second_diff_block(f, p, tuple(split.y_indices), box)
     return block
+
+
+def _closed_form_blocks(model, points, x_indices) -> np.ndarray:
+    """The closed-form eliminated blocks ``2 Phi^T Phi`` at every row of
+    ``points``, from one stacked design matrix and one stacked matmul
+    (:func:`_gram_blocks`); :func:`fd_y_block` is the one-row call. The
+    first row whose block is not finite raises :class:`NonFiniteValueError`
+    carrying it; a basis map that raises does so before any block is
+    checked.
+    """
+    blocks = _gram_blocks(model.design_matrix(points[:, x_indices]))
+    finite = np.isfinite(blocks).all(axis=(1, 2))
+    if not finite.all():
+        raise NonFiniteValueError(
+            "non-finite closed-form eliminated-block Hessian", points[np.argmin(finite)]
+        )
+    return blocks
+
+
+def _gram_blocks(phi) -> np.ndarray:
+    """The blocks ``2 Phi^T Phi`` of a stack of design matrices, from one
+    stacked matmul; an overflow leaves an infinite entry and no warning."""
+    with np.errstate(over="ignore"):
+        return np.matmul(2.0 * phi.transpose(0, 2, 1), phi)
 
 
 SYMMETRY_TOL = 1e-8

@@ -109,7 +109,8 @@ class Tolerances:
     """Solver tolerances; ``None`` selects the scaled defaults.
 
     ``inner_tol``: zero-derivative certificate for Newton slice solves
-    (default ``INNER_TOL_FACTOR * max(1, F(x, y0))`` per slice); linear
+    (default ``INNER_TOL_FACTOR * max(1, F(x, y))`` at the certified
+    iterate, :func:`~minsection.subminimize.default_inner_tol`); linear
     elimination solves exactly and records that default whatever
     ``inner_tol`` says. ``outer_tol``: gradient-norm bound at the reported
     minimizer, on which the quasi-Newton outer stage stops; the default is
@@ -578,7 +579,10 @@ def solve_direct(
     box where no step length can move the iterate or where the iterate is
     stationary on its faces, a line search that no halving satisfies, or
     exceeding ``MAX_DIRECT_ITERATIONS`` (200) iterations raises
-    :class:`SolveError` carrying the point of smallest gradient norm.
+    :class:`SolveError` carrying the point of smallest gradient norm. The
+    iteration stops once the gradient norm is at most ``outer_tol``, by
+    default ``max(1e-8, 10 eps^(2/3) max(1, |F|))`` at the certified
+    iterate; the report records the tolerance it stopped at.
     """
     tol = tolerances or Tolerances()
     box = merit.domain_box
@@ -592,11 +596,11 @@ def solve_direct(
         return merit(q)
 
     fval = feval(p)
-    outer_tol = (
-        tol.outer_tol
-        if tol.outer_tol is not None
-        else max(1e-8, 10.0 * EPS ** (2.0 / 3.0) * max(1.0, abs(fval)))
-    )
+
+    def outer_tol(value):
+        if tol.outer_tol is not None:
+            return tol.outer_tol
+        return max(1e-8, 10.0 * EPS ** (2.0 / 3.0) * max(1.0, abs(value)))
 
     def direction(g, hess, _x, _rows):
         steps = np.empty_like(g)
@@ -609,7 +613,7 @@ def solve_direct(
         return steps, {}
 
     (outcome,) = _damped_newton(
-        [feval], p[None], [fval], box, [outer_tol], MAX_DIRECT_ITERATIONS, direction
+        [feval], p[None], [fval], box, outer_tol, MAX_DIRECT_ITERATIONS, direction
     )
     if isinstance(outcome, Exception):
         raise outcome
@@ -635,7 +639,7 @@ def solve_direct(
         outer_evaluations=evals["count"],
         certificates=SolveCertificates(convexity=None, brackets=(), gradient_norm=grad_norm),
         iterations=iteration,
-        outer_tol=outer_tol,
+        outer_tol=outer_tol(fval),
     )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import EPS, NonFiniteValueError
+from .numerics import EPS
 from .numerics import linear_lsq_solve  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .numerics import fd_hessian  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .numerics import _second_diff_block  # noqa: F401 - unused; bench/tracing.py rebinds it here
@@ -36,10 +36,10 @@ __all__ = [
     "subminimize_newton",
 ]
 
-#: Default inner tolerance is INNER_TOL_FACTOR * max(1, F(x, y0)). The factor
-#: sits above the central-difference noise floor eps^(2/3) * |F| (with
-#: headroom for evaluation rounding) so the zero-derivative certificate is
-#: achievable even when warm starts make F(x, y0) equal the slice optimum.
+#: Default inner tolerance is INNER_TOL_FACTOR * max(1, F(x, y)), F taken at
+#: the certified iterate. The factor sits above the central-difference noise
+#: floor eps^(2/3) * |F| (with headroom for evaluation rounding) so the
+#: zero-derivative certificate is achievable at the slice optimum.
 INNER_TOL_FACTOR = max(1e-10, 32.0 * EPS ** (2.0 / 3.0))
 
 #: Relative threshold below which a smallest eigenvalue counts as a
@@ -238,7 +238,7 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
     (:func:`numerics._second_diff_blocks`, which evaluates the merit in
     one flat walk over the chunk's stencil, in the scalar order), its
     closed-form blocks ``2 Phi^T Phi`` from stacked design matrices
-    (:func:`_closed_form_blocks`), and its spectra from one stacked
+    (:func:`numerics._closed_form_blocks`), and its spectra from one stacked
     ``eigvalsh``. The evaluations, their order, the blocks and the
     certificate are those of a node-by-node scan with :func:`fd_y_block`.
     """
@@ -264,8 +264,7 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
         nodes = itertools.product(*(np.linspace(lo, hi, density) for lo, hi in axes_box))
     closed_form = split is not None and linear_elimination_applies(merit, split)
     if closed_form:
-        x_indices = list(split.x_indices)
-        rows_per_stack = _rows_per_stack(merit.model)
+        model, x_indices = merit.model, list(split.x_indices)
     indices = tuple(range(merit.dimension)) if split is None else tuple(split.y_indices)
     center = box.mean(axis=1)
     worst = np.inf
@@ -275,12 +274,11 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
     while chunk := list(itertools.islice(nodes, PROBE_BUDGET)):
         points = np.tile(center, (len(chunk), 1))
         points[:, axes] = chunk
-        if closed_form:
-            # one stacked design matrix per slice of at most STACK_VALUES values
-            slices = np.array_split(points, -(-len(points) // rows_per_stack))
-            blocks = np.concatenate(
-                [_closed_form_blocks(merit.model, part, x_indices) for part in slices]
-            )
+        if closed_form:  # one stacked design matrix per stack
+            blocks = np.concatenate([
+                numerics._closed_form_blocks(model, points[part], x_indices)
+                for part in _stacks(len(points), model.t.size * model.linear_dim)
+            ])
         else:
             blocks = numerics._second_diff_blocks(merit, points, indices, box)
         w = np.linalg.eigvalsh(blocks)
@@ -303,34 +301,12 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
     )
 
 
-def _rows_per_stack(model, per_sample=None) -> int:
-    """Most x rows in one stack of ``model`` whose rows hold ``per_sample``
-    values per sample (default ``J``, the design matrix alone): the rows of
-    at most ``STACK_VALUES`` values, and at least one."""
-    return max(1, STACK_VALUES // (model.t.size * (per_sample or model.linear_dim)))
-
-
-def _closed_form_blocks(model, points, x_indices) -> np.ndarray:
-    """The closed-form eliminated blocks ``2 Phi^T Phi`` at every row of
-    ``points``, from one stacked design matrix and one stacked matmul;
-    bitwise those of :func:`fd_y_block` node by node. The first row whose
-    block is not finite raises :class:`NonFiniteValueError` carrying it; a
-    basis map that raises does so before any block is checked.
-    """
-    blocks = _gram_blocks(model.design_matrix(points[:, x_indices]))
-    finite = np.isfinite(blocks).all(axis=(1, 2))
-    if not finite.all():
-        raise NonFiniteValueError(
-            "non-finite closed-form eliminated-block Hessian", points[np.argmin(finite)]
-        )
-    return blocks
-
-
-def _gram_blocks(phi) -> np.ndarray:
-    """The blocks ``2 Phi^T Phi`` of a stack of design matrices, from one
-    stacked matmul; an overflow leaves an infinite entry and no warning."""
-    with np.errstate(over="ignore"):
-        return np.matmul(2.0 * phi.transpose(0, 2, 1), phi)
+def _stacks(count, values_per_row):
+    """The slices of ``count`` rows, in order, taken as stacks of at most
+    ``STACK_VALUES`` values at ``values_per_row`` values a row (at least one
+    row each); every stack but the last has the same number of rows."""
+    rows = max(1, STACK_VALUES // values_per_row)
+    return [slice(start, start + rows) for start in range(0, count, rows)]
 
 
 def probe_y_convexity(
@@ -348,7 +324,7 @@ def probe_y_convexity(
     ``PROBE_BUDGET`` (441) nodes, and otherwise the box center, the box
     corners and Halton points, 441 nodes in all (``plan == "halton"``).
     Violations are a verdict, never an error; a non-finite block raises
-    :class:`NonFiniteValueError` carrying its node.
+    :class:`~minsection.numerics.NonFiniteValueError` carrying its node.
     """
     if linear_elimination_applies(merit, split):
         axes_indices = split.x_indices
@@ -403,23 +379,23 @@ def _linear_rows(model, xs):
     rows before it are yielded.
     """
     phis = model.design_matrix(xs)
-    spectra = np.linalg.eigvalsh(_gram_blocks(phis))
+    spectra = np.linalg.eigvalsh(numerics._gram_blocks(phis))
     off = model.offsets(xs)
     b = model.d - off
     ys, ranks = numerics._lsq_rows(phis, b)
     fitted = np.matmul(phis, ys[:, :, None])[:, :, 0]
     r = fitted + off - model.d
     g = 2.0 * np.matmul(phis.transpose(0, 2, 1), (fitted - b)[:, :, None])[:, :, 0]
-    values = _row_dots(r, r).tolist()
-    subs = _sub_minima(
-        ys, values, np.sqrt(_row_dots(g, g)).tolist(), spectra, "linear_elimination",
-        itertools.repeat(0), map(default_inner_tol, values),
+    rows = zip(
+        xs, ys, _row_dots(r, r).tolist(), np.sqrt(_row_dots(g, g)).tolist(),
+        spectra[:, 0].tolist(), ranks.tolist(),
     )
-    for x, sub, rank in zip(xs, subs, ranks.tolist()):
+    for x, y, value, grad_norm, w0, rank in rows:
         if rank < model.linear_dim:
             where = f"basis collinearity at x = {x.tolist()}: "
             raise numerics._rank_error(rank, model.linear_dim, where)
-        yield sub
+        # a full-rank block 2 Phi^T Phi is positive definite: y-index 0
+        yield SubMinimum(y, value, grad_norm, w0, "linear_elimination", 0, default_inner_tol(value))
 
 
 def _indefinite(w):
@@ -437,18 +413,6 @@ def _spectra(hess):
         return w, [v <= PD_TOL * max(1.0, abs(v)) for v in w[:, 0].tolist()]
     w = np.linalg.eigvalsh(hess)
     return w, _indefinite(w).tolist()
-
-
-def _sub_minima(ys, values, grad_norms, spectra, method, iterations, inner_tols):
-    """The :class:`SubMinimum` of each row: at ``ys[r]``, its block
-    Hessian's ascending spectrum ``spectra[r]``, whose eigenvalues below
-    ``-PD_TOL`` times max(1, |its largest|) are counted as its y-index."""
-    scale = -PD_TOL * np.maximum(1.0, np.abs(spectra[:, -1:]))
-    y_index = (spectra < scale).sum(axis=1).tolist()
-    return list(map(
-        SubMinimum, ys, values, grad_norms, spectra[:, 0].tolist(), itertools.repeat(method),
-        iterations, inner_tols, y_index,
-    ))
 
 
 def _armijo(value, fval, decrease) -> bool:
@@ -488,24 +452,26 @@ def _damped_newton(fs, x, fval, box, tol, max_iter, direction):
     :func:`_backtrack` under the :func:`_armijo` test; the outer BFGS stage
     and the critical-point census run the same line search.
 
-    ``fs[r]`` is row r's objective, ``fval`` holds the rows' values
-    at ``x`` and ``tol`` their gradient tolerances. An iteration takes the
-    derivatives of the rows still running from one stacked stencil
-    (:func:`numerics._fd_hessians`, given ``fval``), their steps from one
-    call ``direction(g, hess, x, rows)``, which returns the steps and a
-    dict of refusals by position, and backtracks them together, each row
-    halving its own step until its own Armijo test holds. A row stops once
-    its gradient norm is at most its ``tol``. Where the full step leaves
-    the box at an iterate stationary on its faces (the gradient components
-    not held against a face, at lo with g > 0 or at hi with g < 0, have a
-    norm of at most ``tol``), the row stops at the boundary; where it
-    leaves the box at another iterate with coordinates held, the row steps
-    on its free block only, along ``direction`` of the system with the
-    held coordinates pinned: the projected Newton step (Bertsekas, SIAM J.
-    Control Optim. 20(2), 1982). A row whose clipped step does not move it
-    stops at the boundary too. The rows' iterates stay in one array updated
-    in place, and a row still running records its ``"max_iter"`` outcome at
-    each iteration, which stands if it runs past the last.
+    ``fs[r]`` is row r's objective, ``fval`` holds the rows' values at
+    ``x`` and ``tol(value)`` is the gradient tolerance of an iterate of
+    that value. An iteration takes the derivatives of the rows still
+    running from one stacked stencil (:func:`numerics._fd_hessians`, given
+    ``fval``), their steps from one call ``direction(g, hess, x, rows)``,
+    which returns the steps and a dict of refusals by position, and
+    backtracks them together, each row halving its own step until its own
+    Armijo test holds. A row stops once its gradient norm, inf if it
+    overflows, is at most the tolerance of its iterate. Where the full
+    step leaves the box at an iterate stationary on its faces (the
+    gradient components not held against a face, at lo with g > 0 or at hi
+    with g < 0, have a norm of at most that tolerance), the row stops at
+    the boundary; where it leaves the box at another iterate with
+    coordinates held, the row steps on its free block only, along
+    ``direction`` of the system with the held coordinates pinned: the
+    projected Newton step (Bertsekas, SIAM J. Control Optim. 20(2), 1982).
+    A row whose clipped step does not move it stops at the boundary too.
+    The rows' iterates stay in one array updated in place, and a row still
+    running records its ``"max_iter"`` outcome at each iteration, which
+    stands if it runs past the last.
 
     Returns, per row, the error that ended it (a refusal of ``direction``
     or a derivative error) or ``(best, hess, iteration, stop)``: ``best =
@@ -526,7 +492,8 @@ def _damped_newton(fs, x, fval, box, tol, max_iter, direction):
         g, hess, errors = numerics._fd_hessians(
             [fs[r] for r in live], _rows(x, live), box, [fval[r] for r in live]
         )
-        norms = np.sqrt(_row_dots(g, g)).tolist()
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(_row_dots(g, g)).tolist()
         going = []
         for j, r in enumerate(live):
             if j in errors:
@@ -534,7 +501,7 @@ def _damped_newton(fs, x, fval, box, tol, max_iter, direction):
                 continue
             if norms[j] < best[r][2]:
                 best[r] = (x[r].copy(), fval[r], norms[j])
-            if norms[j] <= tol[r]:
+            if norms[j] <= tol(fval[r]):
                 out[r] = (best[r], hess[j], iteration, "converged")
             else:  # the outcome if the row is still running after the last iteration
                 out[r] = (best[r], hess[j], max_iter, "max_iter")
@@ -553,7 +520,7 @@ def _damped_newton(fs, x, fval, box, tol, max_iter, direction):
             if j in ended or not leaves[j]:
                 continue
             on_face = ((xr[j] <= lo) & (g[j] > 0.0)) | ((xr[j] >= hi) & (g[j] < 0.0))
-            if np.linalg.norm(g[j][~on_face]) <= tol[r]:
+            if np.linalg.norm(g[j][~on_face]) <= tol(fval[r]):
                 ended[j] = (best[r], hess[j], iteration, "boundary")
             elif on_face.any():
                 pinned.append(j)
@@ -617,11 +584,9 @@ def _newton_rows(merit, split, xs, starts, inner_tol=None):
     second-difference stencils hold at most ``STACK_VALUES`` values.
     """
     m = split.m
-    per_stack = max(1, STACK_VALUES // ((1 + 2 * m * m) * m))
     starts = np.asarray(starts, dtype=float)
     results = []
-    for start in range(0, len(xs), per_stack):
-        part = slice(start, start + per_stack)
+    for part in _stacks(len(xs), (1 + 2 * m * m) * m):
         results += _newton_stack(merit, split, xs[part], starts[part], inner_tol)
     return results
 
@@ -669,8 +634,8 @@ def _newton_stack(merit, split, xs, starts, inner_tol):
         }
 
     fval = [value(y) for value, y in zip(values, ys)]
-    tols = [default_inner_tol(v) if inner_tol is None else float(inner_tol) for v in fval]
-    outcomes = _damped_newton(values, ys, fval, ybox, tols, MAX_NEWTON_ITERATIONS, newton_step)
+    tol = default_inner_tol if inner_tol is None else lambda _: float(inner_tol)
+    outcomes = _damped_newton(values, ys, fval, ybox, tol, MAX_NEWTON_ITERATIONS, newton_step)
     done = [r for r, o in enumerate(outcomes) if type(o) is tuple and o[3] == "converged"]
     if done:
         finals = dict(zip(done, zip(*_spectra(np.array([outcomes[r][1] for r in done])))))
@@ -688,7 +653,7 @@ def _newton_stack(merit, split, xs, starts, inner_tol):
                     "stalled": "backtracking line search failed on the slice; the objective "
                     "may not be convex in the eliminated block here",
                     "max_iter": f"no convergence within {MAX_NEWTON_ITERATIONS} Newton "
-                    f"iterations (best gradient norm {gn:.3e}, tolerance {tols[r]:.3e})",
+                    f"iterations (best gradient norm {gn:.3e}, tolerance {tol(fy):.3e})",
                 }[stop],
                 best_y=y,
                 grad_norm=gn,
@@ -699,7 +664,7 @@ def _newton_stack(merit, split, xs, starts, inner_tol):
             results.append(convexity_error(r, y, finals[r][0], "the sub-minimum"))
         else:  # a positive definite block: y-index 0
             w0 = float(finals[r][0][0])
-            results.append(SubMinimum(y, fy, gn, w0, "newton", iteration, tols[r]))
+            results.append(SubMinimum(y, fy, gn, w0, "newton", iteration, tol(fy)))
     return results
 
 
@@ -899,10 +864,9 @@ class SliceSolver:
         # a row holds its design matrix and the SVD's U, J values per sample
         # each, and five (N, T) arrays: the offset, the right-hand side, the
         # fit, the residual and the fit minus the right-hand side
-        per_stack = _rows_per_stack(self.merit.model, 2 * self.merit.model.linear_dim + 5)
-        for start in range(0, len(rows), per_stack):
-            part = slice(start, start + per_stack)
-            for key, sub in zip(keys[part], _linear_rows(self.merit.model, rows[part])):
+        model = self.merit.model
+        for part in _stacks(len(rows), model.t.size * (2 * model.linear_dim + 5)):
+            for key, sub in zip(keys[part], _linear_rows(model, rows[part])):
                 self.solves += 1
                 self.solved[key] = sub
 

@@ -347,6 +347,21 @@ def test_solve_direct_iteration_cap_carries_best(entries, monkeypatch):
     assert excinfo.value.grad_norm is not None
 
 
+def test_solve_direct_certifies_the_stop_at_its_own_value():
+    # From (40, 10), F is about 2.3e9 and the tolerance there about 0.84;
+    # at the minimum (1, 1), F = 0 and the tolerance is 1e-8. A tolerance
+    # taken from the start stops near (1.01, 1.02) with a gradient norm of 0.21.
+    merit = ms.build_residual_merit(
+        (lambda p: p[0] ** 2 - 1.0, lambda p: 30.0 * (p[1] - p[0] ** 2)),
+        2,
+        box=np.array([[-50.0, 50.0], [-50.0, 2600.0]]),
+    )
+    report = ms.solve_direct(merit, np.array([40.0, 10.0]))
+    assert np.allclose(report.minimizer, [1.0, 1.0], atol=1e-6)
+    assert report.outer_tol == 1e-8
+    assert report.certificates.gradient_norm <= report.outer_tol
+
+
 def test_equivalence_sine_valley(entries, split01):
     rng = np.random.default_rng(21)
     starts = [rng.uniform(-3.0, 3.0, size=2) for _ in range(5)]
@@ -591,3 +606,13 @@ def test_default_outer_tol_is_the_noise_bound_for_every_n(entries, split01):
     for report in reports:
         noise = 100.0 * EPS ** (2.0 / 3.0) * max(1.0, abs(report.value))
         assert report.outer_tol == max(1e-8, noise)
+
+
+def test_outer_stage_refuses_past_its_cycle_cap(monkeypatch):
+    monkeypatch.setattr(ms.solver, "MAX_CYCLES", 1)
+    merit = ms.random_quadratic_problem(4, 2, np.random.default_rng(0)).merit
+    with pytest.raises(ms.SolveError, match="did not converge within 1 iterations") as excinfo:
+        ms.solve_hierarchical(merit, ms.model_split(merit))
+    best = excinfo.value.best_point
+    assert merit.contains(best)
+    assert excinfo.value.best_value == merit(best)

@@ -153,6 +153,23 @@ def test_newton_max_iter_carries_best(entries, split01, monkeypatch):
     assert excinfo.value.grad_norm is not None
 
 
+def test_newton_certifies_each_stop_at_its_own_value():
+    # F = x^2 + exp(y): from y0 = 400 each Newton step lowers y by about 1,
+    # so 50 iterations end far from the face y = -800 where the slice
+    # minimum lies. A tolerance taken from F(x, y0) = exp(400) would
+    # certify y = 354. The squared gradient norm at y0 overflows: it must
+    # read inf, not warn.
+    merit = ms.build_residual_merit(
+        (lambda p: p[0], lambda p: math.exp(0.5 * p[1])),
+        2,
+        box=np.array([[-1.0, 1.0], [-800.0, 800.0]]),
+    )
+    problem = SliceProblem(merit, ms.ParameterSplit((0,), (1,)), [0.0])
+    with pytest.raises(ms.SubMinimizeError, match="no convergence within 50") as excinfo:
+        ms.subminimize_newton(problem, y0=[400.0])
+    assert excinfo.value.best_y[0] > 300.0
+
+
 @pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
 def test_slice_refusal_carries_its_full_point(entries, split01):
     problem = SliceProblem(entries["DEGEN_LINE"].merit, split01, [-10.0])
@@ -885,6 +902,13 @@ def newton_stack_cases(entries):
                                  box=np.array([[-2.0, 2.0], [-2.0, 2.0]])),
          ms.ParameterSplit((0,), (1,)), np.array([[-1.0], [0.5], [-0.5]]),
          np.array([[0.1], [0.1], [0.3]])),
+        # the same with a second eliminated coordinate, p0^2 + (p1^2 - p0)^2
+        # + p2^2: the stacked m = 2 step refuses the row x = 0.5 and solves
+        # the other two
+        (ms.build_residual_merit((lambda p: p[0], lambda p: p[1] ** 2 - p[0], lambda p: p[2]), 3,
+                                 box=np.array([[-2.0, 2.0]] * 3)),
+         ms.ParameterSplit((0,), (1, 2)), np.array([[-1.0], [0.5], [-0.5]]),
+         np.array([[0.1, 0.3], [0.1, 0.3], [0.3, -0.2]])),
     ]
 
 
@@ -902,7 +926,9 @@ def newton_outcome(calls, solve):
 
 @pytest.mark.parametrize("min_rows", [2, 8], ids=["stacked", "default"])
 @pytest.mark.parametrize(
-    "case", [0, 1, 2, 3, 4, 5], ids=["SINE_VALLEY", "chain3", "faces", "wall", "lone", "refused"]
+    "case",
+    [0, 1, 2, 3, 4, 5, 6],
+    ids=["SINE_VALLEY", "chain3", "faces", "wall", "lone", "refused", "refused_m2"],
 )
 def test_newton_stack_rows_are_one_row_solves(entries, merit_calls, monkeypatch, case, min_rows):
     from minsection.subminimize import _newton_rows
@@ -935,10 +961,11 @@ def reference_newton(merit, split, x, y0):
     """Damped Newton on the slice at ``x`` from ``y0``, one iteration at a
     time: ``fd_hessian`` of the slice objective, the block's spectrum from
     ``eigvalsh``, the step from ``solve`` on the k x k block and halvings
-    of the clipped step under ``_armijo``. A step that leaves the box ends
-    the row where it is stationary on its faces; the projected step is
-    not covered. A refusal is returned as ``(type, where, point, min
-    eigenvalue or iterations)``."""
+    of the clipped step under ``_armijo``; the gradient tolerance is
+    ``default_inner_tol`` of the current iterate's value. A step that
+    leaves the box ends the row where it is stationary on its faces; the
+    projected step is not covered. A refusal is returned as ``(type,
+    where, point, min eigenvalue or iterations)``."""
     from minsection.subminimize import (
         MAX_HALVINGS, MAX_NEWTON_ITERATIONS, PD_TOL, _armijo, default_inner_tol,
     )
@@ -954,9 +981,9 @@ def reference_newton(merit, split, x, y0):
 
     y = np.clip(y0, lo, hi)
     fy = f(y)
-    tol = default_inner_tol(fy)
     best = (y, fy, math.inf)
     for iteration in range(MAX_NEWTON_ITERATIONS + 1):
+        tol = default_inner_tol(fy)
         report = ms.fd_hessian(f, y, box=box, f0=fy)
         g, hess = report.gradient, report.hessian
         norm = float(np.sqrt(g @ g))
@@ -1009,7 +1036,9 @@ def refusal(err):
 @pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
 @pytest.mark.parametrize("min_rows", [2, 8], ids=["stacked", "default"])
 @pytest.mark.parametrize(
-    "case", [0, 1, 4, 5, 6], ids=["SINE_VALLEY", "chain3", "lone", "refused", "SINE_VALLEY_21"]
+    "case",
+    [0, 1, 4, 5, 6, 7],
+    ids=["SINE_VALLEY", "chain3", "lone", "refused", "refused_m2", "SINE_VALLEY_21"],
 )
 def test_newton_stack_rows_match_a_per_row_reference(
     entries, merit_calls, monkeypatch, case, min_rows
@@ -1036,7 +1065,7 @@ def test_newton_stack_rows_match_a_per_row_reference(
         else:
             assert_same_sub(got, want)
     assert [isinstance(r, Exception) for r in stacked] == {
-        4: [True], 5: [False, True, False]
+        4: [True], 5: [False, True, False], 6: [False, True, False]
     }.get(case, [False] * len(xs))
 
 
