@@ -248,7 +248,9 @@ def _second_diff_block(f, p, indices, box, f0=None):
 #: Fewest rows whose finite-difference stencils :func:`_fd_hessians` builds
 #: as one stack; fewer rows take the scalar stencils of :func:`fd_hessian`
 #: one row at a time, which cost less numpy overhead than one stacked
-#: stencil below about eight rows.
+#: stencil below about eight rows. Only Newton stacks of m >= 2 eliminated
+#: coordinates and ``solve_direct`` reach it: m = 1 slices run the scalar
+#: kernel ``subminimize._newton_1d``.
 MIN_STACKED_ROWS = 8
 
 #: Bound on the sum of a stencil's absolute values, per unit of
@@ -430,13 +432,16 @@ def _fd_hessians(fs, points, box, f0):
     ``box``, given the values ``f0`` there: ``(gradients, hessians,
     errors)``, the errors keyed by position in the stack.
 
-    ``fs[j]`` is the objective of row j. One path serves every stack, a
-    lone row included. A stack of fewer than ``MIN_STACKED_ROWS`` rows,
-    and a row whose gradient stencil would be clamped or whose
-    second-difference stencil would be shifted off a face of the box, take
-    the two stencils of :func:`fd_hessian` row by row, called directly
-    (:func:`fd_gradient`, then :func:`_second_diff_block` given the row's
-    value), with none of its set-up. The other rows take one stacked central
+    ``fs[j]`` is the objective of row j. It serves the Newton stacks of
+    m >= 2 eliminated coordinates and ``solve_direct``'s one-row stack;
+    m = 1 slices take the same stencils inside ``subminimize._newton_1d``.
+    One path serves every stack, a lone row included. A stack of fewer
+    than ``MIN_STACKED_ROWS`` rows, and a row whose gradient stencil would
+    be clamped or whose second-difference stencil would be shifted off a
+    face of the box, take the two stencils of :func:`fd_hessian` row by
+    row, called directly (:func:`fd_gradient`, then
+    :func:`_second_diff_block` given the row's value), with none of its
+    set-up. The other rows take one stacked central
     gradient stencil and then the stacked second-difference stencil of the
     probe's plan (:func:`_second_diff_stencil`), each walked flat by
     :func:`_evaluate`, row after row and each row's points in the scalar

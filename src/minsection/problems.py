@@ -590,23 +590,28 @@ def _neg_y_entry():
     )
 
 
+#: The catalog's entry builders by entry name, in catalog order.
+_BUILDERS = {
+    "QUAD": _quad_entry,
+    "SINE_VALLEY": _sine_valley_entry,
+    "TWO_WELLS": _two_wells_entry,
+    "DEGEN_LINE": _degen_line_entry,
+    "EXP_FIT": _exp_fit_entry,
+    "NEG_Y": _neg_y_entry,
+}
+
+
 def catalog() -> tuple[ProblemCatalogEntry, ...]:
     """Built-in problem fixtures. Immutable; entries are rebuilt per call."""
-    return (
-        _quad_entry(),
-        _sine_valley_entry(),
-        _two_wells_entry(),
-        _degen_line_entry(),
-        _exp_fit_entry(),
-        _neg_y_entry(),
-    )
+    return tuple(build() for build in _BUILDERS.values())
 
 
 def get_problem(name: str) -> ProblemCatalogEntry:
-    for entry in catalog():
-        if entry.name == name:
-            return entry
-    known = ", ".join(e.name for e in catalog())
+    """The catalog entry ``name``, built anew; only that entry is built."""
+    for key, build in _BUILDERS.items():
+        if key == name:
+            return build()
+    known = ", ".join(_BUILDERS)
     raise KeyError(f"unknown catalog problem {name!r}; known: {known}")
 
 

@@ -7,6 +7,7 @@ and sampled convexity certificates that guard both.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -448,9 +449,11 @@ def _row_dots(a, b):
 def _damped_newton(fs, x, fval, box, tol, max_iter, direction):
     """Damped Newton with Armijo backtracking (Nocedal & Wright, ch. 3) on
     finite-difference derivatives, trials clipped to ``box``, on every row
-    of the (N, k) stack ``x`` at once. The line search is
-    :func:`_backtrack` under the :func:`_armijo` test; the outer BFGS stage
-    and the critical-point census run the same line search.
+    of the (N, k) stack ``x`` at once: the Newton slices of m >= 2
+    eliminated coordinates and :func:`~minsection.solver.solve_direct`
+    (m = 1 slices run its scalar form, :func:`_newton_1d`). The line
+    search is :func:`_backtrack` under the :func:`_armijo` test; the outer
+    BFGS stage and the critical-point census run the same line search.
 
     ``fs[r]`` is row r's objective, ``fval`` holds the rows' values at
     ``x`` and ``tol(value)`` is the gradient tolerance of an iterate of
@@ -576,12 +579,89 @@ def _rows(a, rows):
     return a if len(rows) == len(a) else a[rows]
 
 
+def _newton_1d(value, y, fval, lo, hi, tol, max_iter, refuse):
+    """:func:`_damped_newton` on one row of one coordinate, in Python
+    floats: ``value`` is the row's objective, ``fval`` its value at the
+    start ``y`` in ``[lo, hi]``, and ``refuse(y, h)`` the error of an
+    iterate ``y`` whose second difference ``h`` is refused. Returns the
+    outcome :func:`_damped_newton` gives the row, bitwise, after the same
+    evaluations in the same order.
+
+    An iteration takes the two stencils of :func:`numerics.fd_hessian`
+    with their scalar formulas: the central gradient ``(f(y + d) - f(y -
+    d)) / (2 d)``, or where that stencil would leave the box
+    :func:`numerics.fd_gradient` itself, with its one-sided formula and
+    its one :class:`~minsection.numerics.BoundaryStepWarning`; then the
+    second difference ``(f(c + s) - 2 f0 + f(c - s)) / (s s)`` about the
+    iterate shifted inward off a face, in a box at least ``4 s`` wide. A
+    thin box or a non-finite entry ends the row with the error
+    :func:`numerics._fd_hessians` gives it. The norm is ``sqrt(g g)``, inf
+    if it overflows; ``h`` is refused where ``h <= PD_TOL max(1, |h|)``
+    (:func:`_spectra`), else the step is ``-g / h``, bitwise LAPACK's
+    solve. With one coordinate, every boundary stop of
+    :func:`_damped_newton` is a clipped step that does not move the
+    iterate: at an iterate on a face with the gradient pointing out of the
+    box, the step points out of it too. The line search halves the clipped
+    step under :func:`_armijo`, as :func:`_backtrack` does; a row still
+    running at the last iteration takes it, and its step's refusal,
+    boundary stop or stall is its outcome.
+    """
+    best = (y, fval, math.inf)
+
+    def outcome(h, iteration, stop):
+        y, fy, gn = best
+        return (np.array([y]), fy, gn), np.array([[h]]), iteration, stop
+
+    for iteration in range(max_iter + 1):
+        try:
+            d = (y + numerics.GRADIENT_STEP * max(1.0, abs(y))) - y
+            if y + d <= hi and y - d >= lo:
+                g = (value(y + d) - value(y - d)) / (2.0 * d)
+                if not math.isfinite(g):
+                    raise numerics._non_finite_gradient_error(0, [y])
+            else:
+                g = float(numerics.fd_gradient(value, np.array([y]), np.array([[lo, hi]]))[0])
+            s = (y + numerics.HESSIAN_STEP * max(1.0, abs(y))) - y
+            if hi - lo < 4.0 * s:
+                raise numerics._thin_box_error(0)
+            c = min(max(y, lo + s), hi - s)
+            f0 = fval if c == y else value(c)
+            h = (value(c + s) - 2.0 * f0 + value(c - s)) / (s * s)
+            if not math.isfinite(h):
+                raise numerics._non_finite_block_error(np.array([[h]]), (0,), [c])
+        except ValueError as err:  # NonFiniteValueError is a ValueError
+            return err
+        norm = math.sqrt(g * g)
+        if norm < best[2]:
+            best = (y, fval, norm)
+        if norm <= tol(fval):
+            return outcome(h, iteration, "converged")
+        if h <= PD_TOL * max(1.0, abs(h)):
+            return refuse(y, h)
+        step = -g / h
+        if min(max(y + step, lo), hi) == y:
+            return outcome(h, iteration, "boundary")
+        slope = g * step
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            trial = min(max(y + t * step, lo), hi)
+            f_trial = value(trial)
+            if _armijo(f_trial, fval, t * slope):
+                break
+            t *= 0.5
+        else:
+            return outcome(h, iteration, "stalled")
+        y, fval = trial, f_trial
+    return outcome(h, max_iter, "max_iter")
+
+
 def _newton_rows(merit, split, xs, starts, inner_tol=None):
     """Damped Newton on the slices at the rows of the valid (N, n) stack
     ``xs``, from the (N, m) ``starts`` clipped to the eliminated-coordinate
     box: per row its :class:`SubMinimum`, or the error its solve raises.
     The rows are solved as stacks (:func:`_newton_stack`) whose
-    second-difference stencils hold at most ``STACK_VALUES`` values.
+    second-difference stencils hold at most ``STACK_VALUES`` values; for
+    m = 1 each row of a stack runs :func:`_newton_1d` in turn.
     """
     m = split.m
     starts = np.asarray(starts, dtype=float)
@@ -592,18 +672,18 @@ def _newton_rows(merit, split, xs, starts, inner_tol=None):
 
 
 def _newton_stack(merit, split, xs, starts, inner_tol):
-    """:func:`_newton_rows` on one stack (:func:`_damped_newton`). An
-    iteration takes the rows' spectra and steps at once: for m = 1 each
-    1 x 1 block's element and the division ``-g / h`` in Python floats,
-    bitwise LAPACK's ``eigvalsh`` and ``solve``; for m >= 2 one stacked
-    ``eigvalsh`` and one stacked ``solve``. A row's result is bitwise that
-    of the row solved alone; a sub-minimum whose block is not refused is
-    positive definite, so its y-index is 0."""
-    m = split.m
+    """:func:`_newton_rows` on one stack. For m = 1 each row runs the
+    scalar kernel :func:`_newton_1d`, row after row; for m >= 2 the rows
+    run :func:`_damped_newton` together, an iteration taking their
+    spectra from one stacked ``eigvalsh`` and their steps from one stacked
+    ``solve``. A row's result is bitwise that of the row solved alone,
+    after the same evaluations in the same order; a sub-minimum whose
+    block is not refused is positive definite, so its y-index is 0."""
     ybox = split.y_box(merit.domain_box)
     ys = np.minimum(np.maximum(starts, ybox[:, 0]), ybox[:, 1])
 
     values = [_slice_objective(merit, split, x, y) for x, y in zip(xs, ys)]
+    note = "; the convexity assumption is violated for this split"
 
     def convexity_error(row, y, w, where, note=""):
         return ConvexityError(
@@ -615,19 +695,13 @@ def _newton_stack(merit, split, xs, starts, inner_tol):
 
     def newton_step(g, hess, y, rows):
         w, refused = _spectra(hess)
-        if m == 1:  # a 1 x 1 solve is a division, bitwise LAPACK's
-            steps = np.array([
-                [0.0 if no else -gj / hj]
-                for gj, hj, no in zip(g[:, 0].tolist(), w[:, 0].tolist(), refused)
-            ])
-        elif not any(refused):
+        if not any(refused):
             steps = np.linalg.solve(hess, -g[..., None])[..., 0]
         else:
             steps = np.zeros_like(g)
             ok = ~np.array(refused)
             if ok.any():
                 steps[ok] = np.linalg.solve(hess[ok], -g[ok][..., None])[..., 0]
-        note = "; the convexity assumption is violated for this split"
         return steps, {
             j: convexity_error(rows[j], y[j], w[j], "an iterate", note)
             for j, no in enumerate(refused) if no
@@ -635,7 +709,17 @@ def _newton_stack(merit, split, xs, starts, inner_tol):
 
     fval = [value(y) for value, y in zip(values, ys)]
     tol = default_inner_tol if inner_tol is None else lambda _: float(inner_tol)
-    outcomes = _damped_newton(values, ys, fval, ybox, tol, MAX_NEWTON_ITERATIONS, newton_step)
+    if split.m == 1:
+        lo, hi = ybox[0].tolist()
+        outcomes = [
+            _newton_1d(
+                value, y, fy, lo, hi, tol, MAX_NEWTON_ITERATIONS,
+                lambda y, h, r=r: convexity_error(r, [y], [h], "an iterate", note),
+            )
+            for r, (value, y, fy) in enumerate(zip(values, ys[:, 0].tolist(), fval))
+        ]
+    else:
+        outcomes = _damped_newton(values, ys, fval, ybox, tol, MAX_NEWTON_ITERATIONS, newton_step)
     done = [r for r, o in enumerate(outcomes) if type(o) is tuple and o[3] == "converged"]
     if done:
         finals = dict(zip(done, zip(*_spectra(np.array([outcomes[r][1] for r in done])))))
@@ -761,7 +845,9 @@ class SliceSolver:
 
     Otherwise the distinct rows not yet solved are validated once and
     solved by damped Newton in levels, each level one stack, a lone row
-    too (:func:`_newton_rows`): the middle row, then the two end rows, then
+    too (:func:`_newton_rows`; with one eliminated coordinate the scalar
+    kernel :func:`_newton_1d` row after row, with more the stacked
+    :func:`_damped_newton`): the middle row, then the two end rows, then
     level by level the midpoints between rows already solved. The middle
     row starts from a secant prediction along the implicit graph y*(x)
     (Allgower & Georg, *Introduction to Numerical Continuation Methods*,

@@ -116,6 +116,22 @@ def test_catalog_lookup_unknown():
         ms.get_problem("NOPE")
 
 
+def test_catalog_lookup_builds_only_the_named_entry(monkeypatch):
+    from minsection import problems
+
+    names = [entry.name for entry in ms.catalog()]
+    assert list(problems._BUILDERS) == names
+    built = []
+    for name, build in problems._BUILDERS.items():
+        monkeypatch.setitem(
+            problems._BUILDERS, name, lambda name=name, build=build: built.append(name) or build()
+        )
+    for name in names:
+        built.clear()
+        assert ms.get_problem(name).name == name
+        assert built == [name]
+
+
 def test_exp_fit_data_matches_generating_model():
     assert np.allclose(EXP_FIT_DATA, 2.0 * np.exp(-0.5 * EXP_FIT_T))
 

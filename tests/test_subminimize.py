@@ -1037,8 +1037,9 @@ def refusal(err):
 @pytest.mark.parametrize("min_rows", [2, 8], ids=["stacked", "default"])
 @pytest.mark.parametrize(
     "case",
-    [0, 1, 4, 5, 6, 7],
-    ids=["SINE_VALLEY", "chain3", "lone", "refused", "refused_m2", "SINE_VALLEY_21"],
+    [0, 1, 4, 5, 6, 7, 8, 9],
+    ids=["SINE_VALLEY", "chain3", "lone", "refused", "refused_m2", "SINE_VALLEY_21",
+         "last_step_0", "last_step_1"],
 )
 def test_newton_stack_rows_match_a_per_row_reference(
     entries, merit_calls, monkeypatch, case, min_rows
@@ -1049,7 +1050,13 @@ def test_newton_stack_rows_match_a_per_row_reference(
     rng = np.random.default_rng(5)
     level = (entries["SINE_VALLEY"].merit, ms.ParameterSplit((0,), (1,)),
              np.linspace(-3.0, 3.0, 21)[:, None], rng.uniform(-10.0, 10.0, (21, 1)))
-    merit, split, xs, starts = (newton_stack_cases(entries) + [level])[case]
+    # rows still running at the last of 0 or 1 iterations: each takes that
+    # iteration's step and line search before it ends on max_iter
+    last_step = (entries["SINE_VALLEY"].merit, ms.ParameterSplit((0,), (1,)),
+                 np.array([[1.0], [0.3]]), np.array([[9.0], [-4.0]]))
+    if case >= 8:
+        monkeypatch.setattr(ms.subminimize, "MAX_NEWTON_ITERATIONS", case - 8)
+    merit, split, xs, starts = (newton_stack_cases(entries) + [level, last_step, last_step])[case]
     stacked = _newton_rows(merit, split, xs, starts)
     # each row's points, told apart by their x
     own = [[p.tobytes() for p in merit_calls if np.array_equal(split.x_part(p), x)] for x in xs]
@@ -1065,8 +1072,72 @@ def test_newton_stack_rows_match_a_per_row_reference(
         else:
             assert_same_sub(got, want)
     assert [isinstance(r, Exception) for r in stacked] == {
-        4: [True], 5: [False, True, False], 6: [False, True, False]
+        4: [True], 5: [False, True, False], 6: [False, True, False], 8: [True, True], 9: [False, True]
     }.get(case, [False] * len(xs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    params=st.tuples(
+        st.floats(0.1, 3.0), st.floats(-2.0, 2.0), st.floats(0.0, 3.0),
+        st.floats(0.5, 4.0), st.floats(-2.0, 2.0),
+    ),
+    eliminated=st.sampled_from([0, 1]),
+    lo=st.floats(-4.0, 1.0),
+    width=st.one_of(st.floats(1e-4, 1e-3), st.floats(1e-3, 6.0), st.floats(1.0, 6.0)),
+    # each row's x and its start as a fraction of the y-box: 0 and 1 are
+    # its faces, and starts outside it are clipped
+    rows=st.lists(
+        st.tuples(st.floats(-3.0, 3.0), st.sampled_from([0.0, 1.0]) | st.floats(-0.5, 1.5)),
+        min_size=1, max_size=3, unique_by=lambda row: row[0],
+    ),
+)
+def test_scalar_newton_kernel_matches_the_reference(params, eliminated, lo, width, rows):
+    # (a (p0 - c))^2 + (p1 - b sin(k p0) - d)^2 with either coordinate
+    # eliminated: convex in p1, not always in p0; a box narrow enough to
+    # hold the slice minimum outside it, or too thin for the stencils
+    from hypothesis import event
+
+    from minsection.subminimize import _newton_rows
+
+    a, c, b, k, d = params
+    box = np.array([[-3.0, 3.0], [-3.0, 3.0]])
+    box[eliminated] = [lo, lo + width]
+    merit, seen = recording_merit(
+        (lambda p: a * (p[0] - c), lambda p: p[1] - b * math.sin(k * p[0]) - d), 2, box
+    )
+    split = ms.ParameterSplit((1 - eliminated,), (eliminated,))
+    xs = np.array([[x] for x, _ in rows])
+    starts = np.array([[lo + u * width] for _, u in rows])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stacked = _newton_rows(merit, split, xs, starts)
+    stacked_warnings = [(w.category, str(w.message)) for w in caught]
+    own = [[p.tobytes() for p in seen if np.array_equal(split.x_part(p), x)] for x in xs]
+    assert sum(map(len, own)) == len(seen)
+    warned = []
+    for x, y0, got, points in zip(xs, starts, stacked, own):
+        seen.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                want = reference_newton(merit, split, x, y0)
+            except ValueError as err:  # a thin box
+                want = err
+        warned += [(w.category, str(w.message)) for w in caught]
+        assert points == [p.tobytes() for p in seen]
+        if isinstance(want, ValueError):
+            event("thin box")
+            assert (type(got), str(got)) == (type(want), str(want))
+        elif isinstance(want, tuple):
+            event(want[1])
+            kind, where, point, last = refusal(got)
+            assert (kind, where, last) == want[:2] + want[3:]
+            assert point.tobytes() == want[2].tobytes()
+        else:
+            event("converged")
+            assert_same_sub(got, want)
+    assert stacked_warnings == warned
 
 
 @settings(max_examples=400, deadline=None)
