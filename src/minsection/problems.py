@@ -40,6 +40,8 @@ STRUCTURE_GENERAL = "general"
 STRUCTURE_RESIDUAL = "residual"
 STRUCTURE_PARTIALLY_LINEAR = "partially_linear"
 
+_FLOAT64 = np.dtype(float)
+
 CONVEXITY_CLASSES = (
     "strictly_convex",
     "convex_in_y",
@@ -296,7 +298,13 @@ class MeritFunction:
         self.name = name
 
     def __call__(self, p) -> float:
-        return float(self._evaluate(np.asarray(p, dtype=float)))
+        """F at ``p``, handed to ``evaluate`` as ``np.asarray(p, dtype=float)``:
+        a float64 ``ndarray`` (of that class, native byte order) as it is,
+        since that conversion would return it unchanged, and any other
+        input converted."""
+        if p.__class__ is not np.ndarray or p.dtype is not _FLOAT64:
+            p = np.asarray(p, dtype=float)
+        return float(self._evaluate(p))
 
     def contains(self, p) -> bool:
         """Whether ``p`` lies in the domain box, padded by 1e-12 of each

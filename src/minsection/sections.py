@@ -33,6 +33,7 @@ from .subminimize import (
     SliceSolver,
     SubMinimizeError,
     SubMinimum,
+    _check_tolerance,
     linear_elimination_applies,
     probe_full_convexity,
     probe_y_convexity,
@@ -214,7 +215,9 @@ def trace_implicit(
     failure raises :class:`TraceError` naming the failing x, the lowest
     failing grid point of the first level that has one. ``inner_tol``
     reaches the Newton slices only: linear elimination solves exactly and
-    records the default tolerance of each slice.
+    records the default tolerance of each slice; one that is set but not
+    positive and finite raises ``ValueError`` (from
+    :class:`~minsection.subminimize.SliceSolver`) before any slice is solved.
     """
     grid = _normalize_x_grid(x_grid, split.n)
     slices = SliceSolver(merit, split, inner_tol)
@@ -292,10 +295,13 @@ def minimal_section_1d(
     ``TIE_TOL * max(1, max |values|)`` counted as tied (see
     :class:`MinimalSection1D`). Strict ones are polished by Brent's method
     (:func:`~minsection.solver.golden_refine`) on the continuous section
-    (on-demand slice solves), tolerance 1e-10 in the abscissa.
+    (on-demand slice solves), tolerance 1e-10 in the abscissa. An
+    ``inner_tol`` that is set but not positive and finite raises
+    ``ValueError`` before the probe.
     """
     if not 0 <= parameter_index < merit.dimension:
         raise ValueError(f"parameter index {parameter_index} out of range")
+    _check_tolerance("inner_tol", inner_tol)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("section grid must be 1-D with at least 3 points")

@@ -22,6 +22,7 @@ from .subminimize import (
     SliceSolver,
     _armijo,
     _backtrack,
+    _check_tolerance,
     _damped_newton,
     _resolution,
     probe_y_convexity,
@@ -120,11 +121,17 @@ class Tolerances:
     grid points per axis of the convexity probe. An explicit value samples
     that full grid; the default samples at most ``PROBE_BUDGET`` (441)
     nodes, as described in :func:`~minsection.subminimize.probe_y_convexity`.
+    A tolerance that is set but not positive and finite raises
+    ``ValueError``.
     """
 
     inner_tol: float | None = None
     outer_tol: float | None = None
     probe_density: int | None = None
+
+    def __post_init__(self):
+        _check_tolerance("inner_tol", self.inner_tol)
+        _check_tolerance("outer_tol", self.outer_tol)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ and sampled convexity certificates that guard both.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -127,18 +128,21 @@ class SliceProblem:
 def _check_rows(merit, split, xs) -> None:
     """Refuse the first row of the (N, n) stack ``xs`` that is not a valid
     retained-coordinate vector: of the wrong length, not finite, or outside
-    the retained-coordinate box (padded by 1e-12 of its scale)."""
+    the retained-coordinate box (padded by 1e-12 of its scale). The padded
+    bounds are taken once and the rows walked as Python floats; a row that
+    is not finite is refused as such, with its numpy repr."""
     if xs.shape[1] != split.n:
         raise ValueError(f"x_fixed must have {split.n} entries, got {xs.shape[1]}")
-    xb = split.x_box(merit.domain_box)
-    pad = 1e-12 * np.maximum(1.0, np.abs(xb).max(axis=1))
-    finite = np.isfinite(xs).all(axis=1)
-    valid = finite & ((xs >= xb[:, 0] - pad) & (xs <= xb[:, 1] + pad)).all(axis=1)
-    if not valid.all():
-        k = int(np.argmin(valid))
-        if not finite[k]:
-            raise ValueError(f"x_fixed must be finite, got {xs[k]}")
-        raise ValueError("x_fixed lies outside the retained-coordinate box")
+    bounds = []
+    for lo, hi in split.x_box(merit.domain_box).tolist():
+        pad = 1e-12 * max(1.0, abs(lo), abs(hi))
+        bounds.append((lo - pad, hi + pad))
+    for k, row in enumerate(xs.tolist()):
+        for x, (low, high) in zip(row, bounds):
+            if not (low <= x <= high and math.isfinite(x)):
+                if not all(map(math.isfinite, row)):
+                    raise ValueError(f"x_fixed must be finite, got {xs[k]}")
+                raise ValueError("x_fixed lies outside the retained-coordinate box")
 
 
 @dataclass(frozen=True)
@@ -198,6 +202,12 @@ def default_inner_tol(f0: float) -> float:
     return INNER_TOL_FACTOR * max(1.0, abs(f0))
 
 
+def _check_tolerance(name, tol) -> None:
+    """Refuse a set tolerance ``tol`` that is not positive and finite."""
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
+
+
 def _first_primes(count: int) -> list[int]:
     primes: list[int] = []
     candidate = 2
@@ -249,20 +259,28 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
     if density is None and default_density ** len(axes_box) > PROBE_BUDGET:
         plan = "halton"
         lo, hi = axes_box[:, 0], axes_box[:, 1]
-        nodes = itertools.islice(
-            itertools.chain(
-                [axes_box.mean(axis=1)],
-                itertools.product(*axes_box),
-                lo + _halton(PROBE_BUDGET, len(axes_box)) * (hi - lo),
-            ),
-            PROBE_BUDGET,
+        nodes = itertools.chain(
+            [axes_box.mean(axis=1)],
+            itertools.product(*axes_box),
+            lo + _halton(PROBE_BUDGET, len(axes_box)) * (hi - lo),
         )
+        chunks = [list(itertools.islice(nodes, PROBE_BUDGET))]
     else:
         plan = "grid"
         density = default_density if density is None else density
         if density < 3:
             raise ValueError("grid density must be at least 3 points per axis")
-        nodes = itertools.product(*(np.linspace(lo, hi, density) for lo, hi in axes_box))
+        lines = [np.linspace(lo, hi, density) for lo, hi in axes_box]
+        total = density ** len(lines)
+        # the nodes in itertools.product order, PROBE_BUDGET at a time
+        chunks = (
+            np.column_stack([
+                line[i] for line, i in zip(lines, np.unravel_index(
+                    np.arange(start, min(start + PROBE_BUDGET, total)), [density] * len(lines)
+                ))
+            ])
+            for start in range(0, total, PROBE_BUDGET)
+        )
     closed_form = split is not None and linear_elimination_applies(merit, split)
     if closed_form:
         model, x_indices = merit.model, list(split.x_indices)
@@ -272,7 +290,7 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
     worst_point = None
     violated = False
     count = 0
-    while chunk := list(itertools.islice(nodes, PROBE_BUDGET)):
+    for chunk in chunks:
         points = np.tile(center, (len(chunk), 1))
         points[:, axes] = chunk
         if closed_form:  # one stacked design matrix per stack
@@ -405,13 +423,15 @@ def _indefinite(w):
     return w[..., 0] <= PD_TOL * np.maximum(1.0, np.abs(w).max(axis=-1))
 
 
+def _indefinite_1d(h) -> bool:
+    """:func:`_indefinite` of the 1 x 1 block ``h``, a Python float: its
+    spectrum is the element, bitwise LAPACK's."""
+    return h <= PD_TOL * max(1.0, abs(h))
+
+
 def _spectra(hess):
-    """The ascending spectrum of each block of the (N, m, m) stack ``hess``
-    and the list of which are indefinite (:func:`_indefinite`). For m = 1
-    the spectrum is the element, bitwise LAPACK's, tested as a Python float."""
-    if hess.shape[1] == 1:
-        w = hess[:, 0]
-        return w, [v <= PD_TOL * max(1.0, abs(v)) for v in w[:, 0].tolist()]
+    """The ascending spectrum of each block of the (N, m, m) stack ``hess``,
+    m >= 2, and the list of which are indefinite (:func:`_indefinite`)."""
     w = np.linalg.eigvalsh(hess)
     return w, _indefinite(w).tolist()
 
@@ -585,7 +605,7 @@ def _newton_1d(value, y, fval, lo, hi, tol, max_iter, refuse):
     start ``y`` in ``[lo, hi]``, and ``refuse(y, h)`` the error of an
     iterate ``y`` whose second difference ``h`` is refused. Returns the
     outcome :func:`_damped_newton` gives the row, bitwise, after the same
-    evaluations in the same order.
+    evaluations in the same order, with the last Hessian as the float ``h``.
 
     An iteration takes the two stencils of :func:`numerics.fd_hessian`
     with their scalar formulas: the central gradient ``(f(y + d) - f(y -
@@ -597,7 +617,7 @@ def _newton_1d(value, y, fval, lo, hi, tol, max_iter, refuse):
     thin box or a non-finite entry ends the row with the error
     :func:`numerics._fd_hessians` gives it. The norm is ``sqrt(g g)``, inf
     if it overflows; ``h`` is refused where ``h <= PD_TOL max(1, |h|)``
-    (:func:`_spectra`), else the step is ``-g / h``, bitwise LAPACK's
+    (:func:`_indefinite_1d`), else the step is ``-g / h``, bitwise LAPACK's
     solve. With one coordinate, every boundary stop of
     :func:`_damped_newton` is a clipped step that does not move the
     iterate: at an iterate on a face with the gradient pointing out of the
@@ -610,7 +630,7 @@ def _newton_1d(value, y, fval, lo, hi, tol, max_iter, refuse):
 
     def outcome(h, iteration, stop):
         y, fy, gn = best
-        return (np.array([y]), fy, gn), np.array([[h]]), iteration, stop
+        return (np.array([y]), fy, gn), h, iteration, stop
 
     for iteration in range(max_iter + 1):
         try:
@@ -636,7 +656,7 @@ def _newton_1d(value, y, fval, lo, hi, tol, max_iter, refuse):
             best = (y, fval, norm)
         if norm <= tol(fval):
             return outcome(h, iteration, "converged")
-        if h <= PD_TOL * max(1.0, abs(h)):
+        if _indefinite_1d(h):
             return refuse(y, h)
         step = -g / h
         if min(max(y + step, lo), hi) == y:
@@ -678,9 +698,21 @@ def _newton_stack(merit, split, xs, starts, inner_tol):
     spectra from one stacked ``eigvalsh`` and their steps from one stacked
     ``solve``. A row's result is bitwise that of the row solved alone,
     after the same evaluations in the same order; a sub-minimum whose
-    block is not refused is positive definite, so its y-index is 0."""
+    block is not refused is positive definite, so its y-index is 0. For
+    m = 1 the starts are clipped, and each converged row's spectrum and
+    refusal test taken from the kernel's ``h``, on Python floats."""
     ybox = split.y_box(merit.domain_box)
-    ys = np.minimum(np.maximum(starts, ybox[:, 0]), ybox[:, 1])
+    if split.m == 1:
+        lo, hi = ybox[0].tolist()
+        # numpy's clip off the open box: Python's max and min keep the
+        # first of two equal signed zeros, numpy's maximum and minimum the
+        # second, and both propagate NaN
+        ys = [
+            y if lo < y < hi else float(np.minimum(np.maximum(y, lo), hi))
+            for y in starts[:, 0].tolist()
+        ]
+    else:
+        ys = np.minimum(np.maximum(starts, ybox[:, 0]), ybox[:, 1])
 
     values = [_slice_objective(merit, split, x, y) for x, y in zip(xs, ys)]
     note = "; the convexity assumption is violated for this split"
@@ -710,18 +742,19 @@ def _newton_stack(merit, split, xs, starts, inner_tol):
     fval = [value(y) for value, y in zip(values, ys)]
     tol = default_inner_tol if inner_tol is None else lambda _: float(inner_tol)
     if split.m == 1:
-        lo, hi = ybox[0].tolist()
         outcomes = [
             _newton_1d(
                 value, y, fy, lo, hi, tol, MAX_NEWTON_ITERATIONS,
                 lambda y, h, r=r: convexity_error(r, [y], [h], "an iterate", note),
             )
-            for r, (value, y, fy) in enumerate(zip(values, ys[:, 0].tolist(), fval))
+            for r, (value, y, fy) in enumerate(zip(values, ys, fval))
         ]
     else:
         outcomes = _damped_newton(values, ys, fval, ybox, tol, MAX_NEWTON_ITERATIONS, newton_step)
     done = [r for r, o in enumerate(outcomes) if type(o) is tuple and o[3] == "converged"]
-    if done:
+    if split.m == 1:
+        finals = {r: ([outcomes[r][1]], _indefinite_1d(outcomes[r][1])) for r in done}
+    elif done:
         finals = dict(zip(done, zip(*_spectra(np.array([outcomes[r][1] for r in done])))))
     results = []
     for r, outcome in enumerate(outcomes):
@@ -776,7 +809,10 @@ def subminimize_newton(
     The loop is the one :func:`~minsection.solver.solve_direct` runs, here
     on the eliminated block, and this is the one-row case of the stacked
     solve that :meth:`SliceSolver.solve` runs. Starts from ``y0`` clipped to
-    the eliminated-coordinate box, else from the box center. Requires the
+    the eliminated-coordinate box (an infinite entry to its face), else
+    from the box center; a ``y0`` of the wrong length or holding a NaN, or
+    an ``inner_tol`` that is not positive and finite, raises
+    ``ValueError`` before any evaluation. Requires the
     slice to be convex along the iterates: a non-positive-definite block
     Hessian raises :class:`ConvexityError`. Iterates are kept inside the
     eliminated-coordinate box; a step that leaves it at an iterate with
@@ -787,10 +823,15 @@ def subminimize_newton(
     :class:`SubMinimizeError` carrying the best iterate, as ``best_y`` and
     as the full parameter vector ``point``, and its gradient norm.
     """
+    _check_tolerance("inner_tol", inner_tol)
     if y0 is None:
         start = problem.y_box().mean(axis=1)
     else:
         start = np.atleast_1d(np.asarray(y0, dtype=float))
+        if start.shape != (problem.split.m,):
+            raise ValueError(f"y0 must have {problem.split.m} entries, got shape {start.shape}")
+        if np.isnan(start).any():
+            raise ValueError(f"y0 must not hold NaN, got {start}")
     (result,) = _newton_rows(
         problem.merit, problem.split, problem.x_fixed[None], start[None], inner_tol
     )
@@ -814,10 +855,10 @@ def _levels(count):
     return levels
 
 
-def _interpolated_starts(taken, ys, targets):
-    """At each of the positions ``targets``, the Lagrange interpolant in the
-    stack position through the rows of ``ys`` at the up to four positions
-    of ``taken`` nearest it (ties to the lower position)."""
+def _lagrange(taken, targets):
+    """For each of the positions ``targets``, the up to four positions of
+    ``taken`` nearest it (ties to the lower position) and the weights of
+    the Lagrange interpolant in the stack position through them."""
     taken = np.asarray(taken)
     t = np.asarray(targets, dtype=float)[:, None]
     nodes = taken[np.argsort(np.abs(taken - t), axis=1, kind="stable")[:, :4]]
@@ -825,7 +866,39 @@ def _interpolated_starts(taken, ys, targets):
     same = np.eye(nodes.shape[1], dtype=bool)
     ratios = (t - nodes)[:, None, :] / np.where(same, 1, nodes[:, :, None] - nodes[:, None, :])
     ratios[:, same] = 1.0
-    return np.einsum("lq,lqm->lm", ratios.prod(axis=2), ys[nodes])
+    return nodes, ratios.prod(axis=2)
+
+
+def _interpolate(nodes, weights, ys):
+    """The interpolants of :func:`_lagrange`'s ``nodes`` and ``weights``
+    through the rows of ``ys``."""
+    return np.einsum("lq,lqm->lm", weights, ys[nodes])
+
+
+def _interpolated_starts(taken, ys, targets):
+    """At each of the positions ``targets``, the Lagrange interpolant in the
+    stack position through the rows of ``ys`` at the up to four positions
+    of ``taken`` nearest it (ties to the lower position): bitwise the
+    starts that :meth:`SliceSolver.solve` takes from its level plan."""
+    return _interpolate(*_lagrange(taken, targets), ys)
+
+
+@functools.lru_cache(maxsize=128)
+def _level_plan(count):
+    """The levels of a stack of ``count`` rows (:func:`_levels`), each as
+    ``(positions, nodes, weights)``: a tuple of its positions and the
+    read-only :func:`_lagrange` arrays of its interpolated starts through
+    the levels before it, ``None`` for the first level. They depend on the
+    row count only, so each stack size is planned once."""
+    plan, taken = [], []
+    for level in _levels(count):
+        nodes = weights = None
+        if taken:
+            nodes, weights = _lagrange(taken, level)
+            nodes.flags.writeable = weights.flags.writeable = False
+        plan.append((tuple(level), nodes, weights))
+        taken = sorted(taken + level)
+    return tuple(plan)
 
 
 class SliceSolver:
@@ -856,15 +929,19 @@ class SliceSolver:
     start is ``y1 + t (y1 - y0)``; else it is the last result returned
     (the box center on the first solve). Every later row starts from the
     Lagrange interpolant, in the row's position in the stack, through the
-    up to four nearest rows already solved: a multilevel predictor. Starts
-    are clipped to the eliminated-coordinate box. A level with a failing
+    up to four nearest rows already solved: a multilevel predictor, whose
+    levels, nearest rows and weights depend on the row count only and are
+    planned once per stack size (:func:`_level_plan`). Starts are clipped
+    to the eliminated-coordinate box. A level with a failing
     row keeps its other rows' results, records the failing row's x as
     ``failed_x`` and raises the error of its lowest failing row. A Newton
     solve from a start of the caller's choosing is
-    :func:`subminimize_newton`.
+    :func:`subminimize_newton`. An ``inner_tol`` that is set but not
+    positive and finite raises ``ValueError``.
     """
 
     def __init__(self, merit: MeritFunction, split: ParameterSplit, inner_tol: float | None = None):
+        _check_tolerance("inner_tol", inner_tol)
         self.merit = merit
         self.split = split
         self.inner_tol = inner_tol
@@ -907,42 +984,41 @@ class SliceSolver:
         x = np.atleast_1d(np.asarray(x_fixed, dtype=float))
         rows = x.reshape(1, -1) if x.ndim == 1 else x
         keys = list(map(tuple, rows.tolist()))
-        todo = {}
-        for key, row in zip(keys, rows):
-            if key not in self.solved:
-                todo.setdefault(key, row)
+        todo = [key for key in dict.fromkeys(keys) if key not in self.solved]
         if todo:
-            fresh = np.array(list(todo.values()))
+            fresh = np.array(todo)
             _check_rows(self.merit, self.split, fresh)
-            (self._solve_linear if self.linear else self._solve_levels)(fresh, list(todo))
+            (self._solve_linear if self.linear else self._solve_levels)(fresh, todo)
         subs = [self.solved[key] for key in keys]
-        self.recent = [*self.recent, *zip(rows, subs)][-2:]
+        self.recent = [*self.recent, *zip(rows[-2:], subs[-2:])][-2:]
         return subs if x.ndim == 2 else subs[0]
 
     def _solve_levels(self, rows, keys) -> None:
         """Solve and keep the valid distinct rows ``rows``, level by level,
-        each level one Newton stack; a failing row raises as :meth:`solve`
-        says."""
-        levels = _levels(len(rows))
+        each level one Newton stack started from the interpolants of the
+        stack size's :func:`_level_plan`; a failing row raises as
+        :meth:`solve` says."""
+        plan = _level_plan(len(rows))
         ys = np.empty((len(rows), self.split.m))
-        taken = []
-        for level in levels:
-            if taken:
-                starts = _interpolated_starts(taken, ys, level)
+        for level, nodes, weights in plan:
+            at = list(level)
+            if nodes is None:
+                starts = self._predict(rows[at[0]])[None]
             else:
-                starts = [self._predict(rows[level[0]])]
-            self.solves += len(level)
-            subs = _newton_rows(self.merit, self.split, _rows(rows, level), starts, self.inner_tol)
-            failed = [(j, sub) for j, sub in zip(level, subs) if isinstance(sub, Exception)]
-            self.solved.update(
-                (keys[j], sub) for j, sub in zip(level, subs) if not isinstance(sub, Exception)
-            )
+                starts = _interpolate(nodes, weights, ys)
+            self.solves += len(at)
+            subs = _newton_rows(self.merit, self.split, _rows(rows, at), starts, self.inner_tol)
+            failed = None
+            for j, sub in zip(at, subs):
+                if not isinstance(sub, Exception):
+                    self.solved[keys[j]] = sub
+                elif failed is None:
+                    failed = j, sub
             if failed:
-                self.failed_x = rows[failed[0][0]]
-                raise failed[0][1]
-            if level is not levels[-1]:
-                ys[level] = [sub.y_star for sub in subs]
-                taken = sorted(taken + level)
+                self.failed_x = rows[failed[0]]
+                raise failed[1]
+            if level is not plan[-1][0]:
+                ys[at] = [sub.y_star for sub in subs]
 
     def _solve_linear(self, rows, keys) -> None:
         """Solve and keep the valid distinct rows ``rows``, in stacks of at

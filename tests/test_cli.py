@@ -473,3 +473,21 @@ def test_unexpected_exception_is_one_internal_error_line(tmp_path, capsys, monke
     captured = capsys.readouterr()
     assert captured.err.splitlines() == ["internal error: RuntimeError: lost a row"]
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_cli_manifest_lines_repeat():
+    import importlib.util
+    from pathlib import Path
+
+    tool = Path(__file__).resolve().parent.parent / "tools" / "cli_manifest.py"
+    spec = importlib.util.spec_from_file_location("cli_manifest", tool)
+    manifest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(manifest)
+    runs = [("QUAD", "solve"), ("NEG_Y", "trace")]
+    first = [manifest.manifest_line(*run) for run in runs]
+    assert [manifest.manifest_line(*run) for run in runs] == first
+    records = [json.loads(line) for line in first]
+    assert [(r["problem"], r["command"], r["exit"]) for r in records] == [
+        ("QUAD", "solve", 0), ("NEG_Y", "trace", 1)
+    ]
+    assert sorted(records[0]["files"]) == ["solve.json", "solve.txt"]

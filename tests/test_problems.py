@@ -57,6 +57,30 @@ def test_residual_merit_overflow_is_inf_and_nan_is_nan():
     assert math.isnan(merit(np.array([1.0, math.nan])))
 
 
+def test_merit_call_hands_evaluate_a_float64_ndarray():
+    class Marked(np.ndarray):
+        pass
+
+    seen = []
+    merit = ms.MeritFunction(2, lambda p: seen.append(p) or 0.0)
+    native = np.array([0.25, -3.0])
+    inputs = [
+        [0.25, -3.0], (0.25, -3.0), [1, -3], np.array([1, -3]),
+        np.array([0.25, -3.0], dtype=np.float32), np.array([0.25, -3.0], dtype=">f8"),
+        native.view(Marked), native, native[::-1],
+    ]
+    for p in inputs:
+        merit(p)
+        got = seen.pop()
+        assert got.__class__ is np.ndarray and got.dtype == np.dtype(float)
+        assert got.dtype.isnative
+        assert got.tolist() == np.asarray(p, dtype=float).tolist()
+    # a float64 ndarray is handed over as it is, as np.asarray would
+    for p in (native, native[::-1]):
+        merit(p)
+        assert seen.pop() is p
+
+
 def test_partially_linear_zero_at_generating_parameters(entries):
     merit = entries["EXP_FIT"].merit
     assert merit([-0.5, 2.0]) == 0.0

@@ -536,6 +536,15 @@ def test_batched_probe_matches_per_node_reference(entries, merit_calls):
     assert plans[-2:] == ["grid", "halton"]
 
 
+def test_chunked_grid_probe_matches_per_node_reference(entries, merit_calls):
+    # explicit grids of more than PROBE_BUDGET nodes are probed in chunks,
+    # their nodes in itertools.product order across the chunk boundaries
+    assert_same_probe(merit_calls, m3_merit(), ms.ParameterSplit((0,), (1, 2)), grid_density=9)
+    assert_same_probe(merit_calls, m3_merit(), None, grid_density=8)
+    exp_fit = entries["EXP_FIT"].merit
+    assert assert_same_probe(merit_calls, exp_fit, ms.ParameterSplit.single(0, 2), 900).positive
+
+
 def test_batched_probe_raises_as_the_reference(merit_calls):
     def island(p):
         return p[0] ** 2 + p[1] ** 2 if p[0] + p[1] < 1.5 else math.nan
@@ -1278,3 +1287,174 @@ def test_level_order_and_starts():
     assert starts[:, 0].tolist() == [1, 27, 125, 343]
     # one row taken: its value
     assert _interpolated_starts([4], ys, [0, 8]).tolist() == [[64.0], [64.0]]
+
+
+def reference_starts(taken, ys, targets):
+    """The interpolated starts as one numpy expression per level: the
+    reference for the cached level plans."""
+    taken = np.asarray(taken)
+    t = np.asarray(targets, dtype=float)[:, None]
+    nodes = taken[np.argsort(np.abs(taken - t), axis=1, kind="stable")[:, :4]]
+    same = np.eye(nodes.shape[1], dtype=bool)
+    ratios = (t - nodes)[:, None, :] / np.where(same, 1, nodes[:, :, None] - nodes[:, None, :])
+    ratios[:, same] = 1.0
+    return np.einsum("lq,lqm->lm", ratios.prod(axis=2), ys[nodes])
+
+
+def test_level_plan_is_the_levels_and_their_starts():
+    from minsection.subminimize import _interpolate, _interpolated_starts, _level_plan, _levels
+
+    rng = np.random.default_rng(3)
+    for count in [*range(1, 102), 441]:
+        plan = _level_plan(count)
+        assert [list(level) for level, _, _ in plan] == _levels(count)
+        assert plan[0][1:] == (None, None)
+        for m in (1, 2):
+            ys = rng.standard_normal((count, m)) * 10.0 ** rng.integers(-3, 4, (count, 1))
+            taken = []
+            for level, nodes, weights in plan:
+                if taken:
+                    want = reference_starts(taken, ys, list(level))
+                    assert _interpolate(nodes, weights, ys).tobytes() == want.tobytes()
+                    assert _interpolated_starts(taken, ys, list(level)).tobytes() == want.tobytes()
+                taken = sorted(taken + list(level))
+    # a cached plan cannot be changed by its callers
+    _, nodes, weights = _level_plan(9)[1]
+    with pytest.raises(ValueError):
+        weights[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        nodes[0, 0] = 0
+
+
+def test_solvers_share_one_plan_per_stack_size(entries, monkeypatch):
+    from minsection import subminimize
+
+    plans = []
+    plan = subminimize._level_plan
+
+    def recorded(count):
+        plans.append(plan(count))
+        return plans[-1]
+
+    monkeypatch.setattr(subminimize, "_level_plan", recorded)
+    split = ms.ParameterSplit((0,), (1,))
+    for name in ("QUAD", "SINE_VALLEY"):
+        SliceSolver(entries[name].merit, split).solve(np.linspace(-2.0, 2.0, 21)[:, None])
+    assert len(plans) == 2 and plans[0] is plans[1]
+
+
+def reference_check_rows(merit, split, xs):
+    """The row check as stacked numpy tests: the reference for
+    :func:`~minsection.subminimize._check_rows`."""
+    if xs.shape[1] != split.n:
+        raise ValueError(f"x_fixed must have {split.n} entries, got {xs.shape[1]}")
+    xb = split.x_box(merit.domain_box)
+    pad = 1e-12 * np.maximum(1.0, np.abs(xb).max(axis=1))
+    finite = np.isfinite(xs).all(axis=1)
+    valid = finite & ((xs >= xb[:, 0] - pad) & (xs <= xb[:, 1] + pad)).all(axis=1)
+    if not valid.all():
+        k = int(np.argmin(valid))
+        if not finite[k]:
+            raise ValueError(f"x_fixed must be finite, got {xs[k]}")
+        raise ValueError("x_fixed lies outside the retained-coordinate box")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    box=st.lists(
+        st.tuples(st.floats(-1e3, 1e3), st.floats(1e-9, 1e3), st.sampled_from(["", "lo", "hi"])),
+        min_size=3, max_size=3,
+    ),
+    picks=st.lists(
+        st.lists(st.tuples(st.integers(0, 8), st.floats(0.0, 1.0)), min_size=4, max_size=4),
+        min_size=1, max_size=4,
+    ),
+    width=st.sampled_from([0, -1, 1]),
+)
+def test_row_check_matches_the_numpy_reference(n, box, picks, width):
+    from minsection.subminimize import _check_rows
+
+    # a face may be infinite: then only the finiteness test refuses an inf
+    domain = np.array(
+        [[-np.inf if face == "lo" else lo, np.inf if face == "hi" else lo + w]
+         for lo, w, face in box[:n]] + [[-1.0, 1.0]]
+    )
+    merit = ms.build_residual_merit(tuple(lambda p, k=k: p[k] for k in range(n + 1)), n + 1,
+                                    box=domain)
+    split = ms.ParameterSplit(tuple(range(n)), (n,))
+    xb = domain[:n]
+    pad = 1e-12 * np.maximum(1.0, np.abs(xb).max(axis=1))
+    lo, hi = xb[:, 0] - pad, xb[:, 1] + pad
+
+    def value(j, kind, u):
+        # the padded faces, the floats just beyond them, non-finite values,
+        # and points of the padded and of the unpadded box
+        return [
+            lo[j], hi[j], np.nextafter(lo[j], -np.inf), np.nextafter(hi[j], np.inf),
+            np.nan, np.inf, -np.inf,
+            lo[j] + u * (hi[j] - lo[j]), xb[j, 0] + u * (xb[j, 1] - xb[j, 0]),
+        ][kind]
+
+    columns = max(1, n + width)
+    with np.errstate(invalid="ignore"):  # inf - inf at an infinite face
+        xs = np.array([[value(j % n, *pick) for j, pick in enumerate(row[:columns])]
+                       for row in picks])
+    outcomes = []
+    for check in (reference_check_rows, _check_rows):
+        try:
+            check(merit, split, xs)
+            outcomes.append(None)
+        except ValueError as err:
+            outcomes.append((type(err), str(err)))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
+def test_newton_start_clip_is_numpys_signed_zeros_included():
+    from minsection.subminimize import _newton_rows
+
+    split = ms.ParameterSplit((0,), (1,))
+    for box, start in (([0.0, 1.0], -0.0), ([-1.0, -0.0], 0.0)):
+        merit, seen = recording_merit(
+            (lambda p: p[0], lambda p: p[1] + 0.5), 2, np.array([[-1.0, 1.0], box])
+        )
+        starts = np.array([[start]])
+        _newton_rows(merit, split, np.array([[0.0]]), starts)
+        want = np.minimum(np.maximum(starts, box[0]), box[1])
+        assert seen[0][1:].tobytes() == want[0].tobytes()
+
+
+def test_bad_newton_start_is_refused_before_any_evaluation(entries, split01, merit_calls):
+    problem = SliceProblem(entries["SINE_VALLEY"].merit, split01, [0.5])
+    with pytest.raises(ValueError, match="y0 must not hold NaN"):
+        ms.subminimize_newton(problem, y0=[np.nan])
+    with pytest.raises(ValueError, match="y0 must have 1 entries"):
+        ms.subminimize_newton(problem, y0=[0.1, 0.2])
+    assert merit_calls == []
+    # an infinite start is clipped to the face of the eliminated-coordinate box
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ms.BoundaryStepWarning)
+        far = ms.subminimize_newton(problem, y0=[np.inf])
+        face = ms.subminimize_newton(problem, y0=[problem.y_box()[0, 1]])
+    assert_same_sub(far, face)
+    assert merit_calls[0][1] == problem.y_box()[0, 1]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_tolerances_are_refused_before_any_evaluation(entries, split01, merit_calls, tol):
+    merit = entries["SINE_VALLEY"].merit
+    problem = SliceProblem(merit, split01, [0.5])
+    calls = [
+        lambda: ms.Tolerances(inner_tol=tol),
+        lambda: SliceSolver(merit, split01, inner_tol=tol),
+        lambda: ms.subminimize_newton(problem, inner_tol=tol),
+        lambda: ms.trace_implicit(merit, split01, [0.0, 0.5, 1.0], inner_tol=tol),
+        lambda: ms.minimal_section_1d(merit, 0, [0.0, 0.5, 1.0], inner_tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^inner_tol must be positive and finite"):
+            call()
+    with pytest.raises(ValueError, match="^outer_tol must be positive and finite"):
+        ms.Tolerances(outer_tol=tol)
+    assert merit_calls == []
