@@ -245,14 +245,6 @@ def _second_diff_block(f, p, indices, box, f0=None):
     return np.array(block), np.array(steps), shifted
 
 
-#: Fewest rows whose finite-difference stencils :func:`_fd_hessians` builds
-#: as one stack; fewer rows take the scalar stencils of :func:`fd_hessian`
-#: one row at a time, which cost less numpy overhead than one stacked
-#: stencil below about eight rows. Only Newton stacks of m >= 2 eliminated
-#: coordinates and ``solve_direct`` reach it: m = 1 slices run the scalar
-#: kernel ``subminimize._newton_1d``.
-MIN_STACKED_ROWS = 8
-
 #: Bound on the sum of a stencil's absolute values, per unit of
 #: ``min(1, h_min^2)``, below which its block cannot overflow: every entry
 #: is then at most 3e307 in magnitude.
@@ -260,13 +252,12 @@ _FINITE_BLOCK_BOUND = 1e307
 
 
 @functools.lru_cache(maxsize=None)
-def _stencil_entries(k, count):
-    """Where the first ``count`` of the ``1 + 2 k^2`` points of a
-    second-difference stencil, in the order :func:`_second_diff_block`
-    evaluates them (the center, the +- pair of each coordinate, then pp,
-    pm, mm, mp for each pair a < b), leave the center: ``(point,
-    coordinate, sign)`` arrays, one entry per coordinate moved by its step.
-    The +- pairs are the points 1 to 2k."""
+def _stencil_entries(k):
+    """Where the ``1 + 2 k^2`` points of a second-difference stencil, in
+    the order :func:`_second_diff_block` evaluates them (the center, the
+    +- pair of each coordinate, then pp, pm, mm, mp for each pair a < b),
+    leave the center: ``(point, coordinate, sign)`` arrays, one entry per
+    coordinate moved by its step."""
     point, coordinate, sign = [], [], []
     for a in range(k):
         point += [1 + 2 * a, 2 + 2 * a]
@@ -280,20 +271,7 @@ def _stencil_entries(k, count):
                 coordinate += [a, b]
                 sign += [sa, sb]
                 row += 1
-    taken = np.array(point) < count
-    return np.array(point)[taken], np.array(coordinate)[taken], np.array(sign)[taken]
-
-
-def _stencil(centers, steps, count, indices=None):
-    """The first ``count`` points of the second-difference stencil around
-    each row of ``centers``, shape (N, count, M): the coordinates
-    ``indices`` (all by default) are moved by ``+- steps``, as ``center +
-    step`` and ``center - step``."""
-    point, coordinate, sign = _stencil_entries(steps.shape[1], count)
-    moved = coordinate if indices is None else indices[coordinate]
-    stencil = np.repeat(centers[:, None, :], count, axis=1)
-    stencil[:, point, moved] = centers[:, moved] + sign * steps[:, coordinate]
-    return stencil
+    return np.array(point), np.array(coordinate), np.array(sign)
 
 
 @functools.lru_cache(maxsize=None)
@@ -318,7 +296,12 @@ def _second_diff_stencil(points, indices, box):
         lo, hi = box[idx, 0], box[idx, 1]
         thin = hi - lo < 4.0 * steps
         q[:, idx] = np.minimum(np.maximum(x, lo + steps), hi - steps)
-    return steps, q, thin, _stencil(q, steps, 1 + 2 * k * k, idx)
+    # each point moves its coordinates by +- their steps off the center
+    point, coordinate, sign = _stencil_entries(k)
+    moved = idx[coordinate]
+    stencil = np.repeat(q[:, None, :], 1 + 2 * k * k, axis=1)
+    stencil[:, point, moved] = q[:, moved] + sign * steps[:, coordinate]
+    return steps, q, thin, stencil
 
 
 def _thin_box_error(coordinate):
@@ -425,81 +408,6 @@ def fd_hessian(f, p, box=AUTO, f0=None) -> DerivativeReport:
         fd_step=steps,
         boundary_clamped=shifted,
     )
-
-
-def _fd_hessians(fs, points, box, f0):
-    """:func:`fd_hessian` at each row of the (N, k) stack ``points`` in
-    ``box``, given the values ``f0`` there: ``(gradients, hessians,
-    errors)``, the errors keyed by position in the stack.
-
-    ``fs[j]`` is the objective of row j. It serves the Newton stacks of
-    m >= 2 eliminated coordinates and ``solve_direct``'s one-row stack;
-    m = 1 slices take the same stencils inside ``subminimize._newton_1d``.
-    One path serves every stack, a lone row included. A stack of fewer
-    than ``MIN_STACKED_ROWS`` rows, and a row whose gradient stencil would
-    be clamped or whose second-difference stencil would be shifted off a
-    face of the box, take the two stencils of :func:`fd_hessian` row by
-    row, called directly (:func:`fd_gradient`, then
-    :func:`_second_diff_block` given the row's value), with none of its
-    set-up. The other rows take one stacked central
-    gradient stencil and then the stacked second-difference stencil of the
-    probe's plan (:func:`_second_diff_stencil`), each walked flat by
-    :func:`_evaluate`, row after row and each row's points in the scalar
-    order, with the scalar formulas: each row's gradient and Hessian are
-    bitwise those of :func:`fd_hessian`, and its points are those
-    :func:`fd_hessian` evaluates, in its order. ``errors`` maps a row to
-    the error :func:`fd_hessian` raises there, a thin box or a non-finite
-    entry, after the evaluations it makes before raising (a row whose
-    gradient is not finite has no second-difference points).
-    """
-    n, k = points.shape
-    grads, hessians, errors = np.zeros((n, k)), np.zeros((n, k, k)), {}
-    alone = range(n)
-    if n >= MIN_STACKED_ROWS:
-        s, q, thin, stencil = _second_diff_stencil(points, range(k), box)
-        h = (points + GRADIENT_STEP * np.maximum(1.0, np.abs(points))) - points
-        inside = (points + h <= box[:, 1]) & (points - h >= box[:, 0]) & ~thin & (q == points)
-        inside = inside.all(axis=1)
-        alone = np.flatnonzero(~inside).tolist()
-    indices = tuple(range(k))
-    for j in alone:  # the two stencils of fd_hessian
-        try:
-            grads[j] = fd_gradient(fs[j], points[j], box)
-            hessians[j] = _second_diff_block(fs[j], points[j], indices, box, f0[j])[0]
-        except ValueError as err:  # NonFiniteValueError is a ValueError
-            errors[j] = err
-    if n < MIN_STACKED_ROWS or not inside.any():
-        return grads, hessians, errors
-    at = np.flatnonzero(inside)
-    pairs = _evaluate(fs, at, _stencil(points[at], h[at], 1 + 2 * k)[:, 1:]).reshape(-1, k, 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = (pairs[..., 0] - pairs[..., 1]) / (2.0 * h[at])
-    grads[at] = g
-    finite = np.isfinite(g).all(axis=1)
-    for j, row in zip(at[~finite].tolist(), g[~finite]):
-        bad = int(np.flatnonzero(~np.isfinite(row))[0])
-        errors[j] = _non_finite_gradient_error(bad, points[j])
-    at = at[finite]
-    values = np.empty((at.size, 1 + 2 * k * k))
-    values[:, 0] = np.asarray(f0)[at]
-    values[:, 1:] = _evaluate(fs, at, stencil[at, 1:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        hessians[at] = blocks = _assemble_blocks(values, s[at])
-    for i in np.flatnonzero(~np.isfinite(blocks).all(axis=(1, 2))).tolist():
-        errors[int(at[i])] = _non_finite_block_error(blocks[i], range(k), points[at[i]])
-    return grads, hessians, errors
-
-
-def _evaluate(fs, at, stencil):
-    """The values ``fs[j](point)`` at the points of each row ``j`` of ``at``
-    (its row of the (len(at), S, k) ``stencil``), in order, as an
-    (len(at), S) array: one flat walk over the (len(at) x S, k) points,
-    each row's S points taken by its own objective."""
-    size = stencil.shape[1]
-    walk = iter(stencil.reshape(-1, stencil.shape[2]))
-    rows = [fs[j] for j in at.tolist()]
-    values = [f(point) for f in rows for point in itertools.islice(walk, size)]
-    return np.reshape(values, stencil.shape[:2])
 
 
 def fd_y_block(f, p, split, box=AUTO) -> np.ndarray:

@@ -579,9 +579,10 @@ def solve_direct(
     """Damped Newton on the full gradient with Armijo backtracking.
 
     Baseline for comparing against the hierarchical route; it runs the
-    damped-Newton loop of :func:`~minsection.subminimize.subminimize_newton`
-    as a one-row stack, over every coordinate. A singular Hessian takes its least-squares step,
-    and a step that is not a descent direction is replaced by steepest
+    damped-Newton loop of the Newton slices with several eliminated
+    coordinates (:func:`~minsection.subminimize._damped_newton`) over every
+    coordinate. A singular Hessian takes its least-squares step, and a
+    step that is not a descent direction is replaced by steepest
     descent; iterates are kept inside the domain box. A step that leaves the
     box where no step length can move the iterate or where the iterate is
     stationary on its faces, a line search that no halving satisfies, or
@@ -609,19 +610,14 @@ def solve_direct(
             return tol.outer_tol
         return max(1e-8, 10.0 * EPS ** (2.0 / 3.0) * max(1.0, abs(value)))
 
-    def direction(g, hess, _x, _rows):
-        steps = np.empty_like(g)
-        for j, (gj, hj) in enumerate(zip(g, hess)):
-            try:
-                step = np.linalg.solve(hj, -gj)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(hj, -gj, rcond=None)[0]
-            steps[j] = -gj if gj @ step >= 0.0 else step
-        return steps, {}
+    def direction(g, hess, _x):
+        try:
+            step = np.linalg.solve(hess, -g)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, -g, rcond=None)[0]
+        return -g if g @ step >= 0.0 else step
 
-    (outcome,) = _damped_newton(
-        [feval], p[None], [fval], box, outer_tol, MAX_DIRECT_ITERATIONS, direction
-    )
+    outcome = _damped_newton(feval, p, fval, box, outer_tol, MAX_DIRECT_ITERATIONS, direction)
     if isinstance(outcome, Exception):
         raise outcome
     (p, fval, grad_norm), _, iteration, stop = outcome

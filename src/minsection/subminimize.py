@@ -429,13 +429,6 @@ def _indefinite_1d(h) -> bool:
     return h <= PD_TOL * max(1.0, abs(h))
 
 
-def _spectra(hess):
-    """The ascending spectrum of each block of the (N, m, m) stack ``hess``,
-    m >= 2, and the list of which are indefinite (:func:`_indefinite`)."""
-    w = np.linalg.eigvalsh(hess)
-    return w, _indefinite(w).tolist()
-
-
 def _armijo(value, fval, decrease) -> bool:
     """Armijo's test of ``value`` against ``fval`` for a predicted change
     ``decrease``, with a slack for a decrease below float resolution."""
@@ -449,8 +442,7 @@ def _resolution(fval) -> float:
 
 def _backtrack(x, step, box, accept, tries=MAX_HALVINGS, t=1.0):
     """Try ``clip(x + t * step)`` to ``box``, halving ``t``, ``tries`` times:
-    ``(trial, accept(trial, t))`` for the first result not None, else None.
-    ``x`` may be a stack of rows, each with its row of ``step``."""
+    ``(trial, accept(trial, t))`` for the first result not None, else None."""
     for _ in range(tries):
         trial = np.minimum(np.maximum(x + t * step, box[:, 0]), box[:, 1])
         verdict = accept(trial, t)
@@ -466,131 +458,86 @@ def _row_dots(a, b):
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _damped_newton(fs, x, fval, box, tol, max_iter, direction):
+def _damped_newton(f, x, fval, box, tol, max_iter, direction):
     """Damped Newton with Armijo backtracking (Nocedal & Wright, ch. 3) on
-    finite-difference derivatives, trials clipped to ``box``, on every row
-    of the (N, k) stack ``x`` at once: the Newton slices of m >= 2
-    eliminated coordinates and :func:`~minsection.solver.solve_direct`
-    (m = 1 slices run its scalar form, :func:`_newton_1d`). The line
-    search is :func:`_backtrack` under the :func:`_armijo` test; the outer
-    BFGS stage and the critical-point census run the same line search.
+    finite-difference derivatives, trials clipped to ``box``, on one row:
+    the Newton slices of m >= 2 eliminated coordinates and
+    :func:`~minsection.solver.solve_direct` (m = 1 slices run its scalar
+    form, :func:`_newton_1d`). The line search is :func:`_backtrack` under
+    the :func:`_armijo` test; the outer BFGS stage and the critical-point
+    census run the same line search.
 
-    ``fs[r]`` is row r's objective, ``fval`` holds the rows' values at
-    ``x`` and ``tol(value)`` is the gradient tolerance of an iterate of
-    that value. An iteration takes the derivatives of the rows still
-    running from one stacked stencil (:func:`numerics._fd_hessians`, given
-    ``fval``), their steps from one call ``direction(g, hess, x, rows)``,
-    which returns the steps and a dict of refusals by position, and
-    backtracks them together, each row halving its own step until its own
-    Armijo test holds. A row stops once its gradient norm, inf if it
-    overflows, is at most the tolerance of its iterate. Where the full
-    step leaves the box at an iterate stationary on its faces (the
-    gradient components not held against a face, at lo with g > 0 or at hi
-    with g < 0, have a norm of at most that tolerance), the row stops at
-    the boundary; where it leaves the box at another iterate with
+    ``f`` is the objective, ``fval`` its value at the start ``x`` and
+    ``tol(value)`` the gradient tolerance of an iterate of that value. An
+    iteration takes the two stencils of :func:`numerics.fd_hessian`,
+    called directly (:func:`numerics.fd_gradient`, then
+    :func:`numerics._second_diff_block` given the iterate's value), and
+    its step from ``direction(g, hess, x)``, which returns the step or the
+    exception that refuses it. The row stops once its gradient norm, inf
+    if it overflows, is at most the tolerance of its iterate. Where the
+    full step leaves the box at an iterate stationary on its faces (the
+    gradient components not held against a face, at lo with g > 0 or at
+    hi with g < 0, have a norm of at most that tolerance), the row stops
+    at the boundary; where it leaves the box at another iterate with
     coordinates held, the row steps on its free block only, along
     ``direction`` of the system with the held coordinates pinned: the
     projected Newton step (Bertsekas, SIAM J. Control Optim. 20(2), 1982).
-    A row whose clipped step does not move it stops at the boundary too.
-    The rows' iterates stay in one array updated in place, and a row still
-    running records its ``"max_iter"`` outcome at each iteration, which
-    stands if it runs past the last.
+    A clipped step that does not move the iterate stops at the boundary
+    too. A row still running at the last iteration takes its step and line
+    search, and their refusal, boundary stop or stall is its outcome.
 
-    Returns, per row, the error that ended it (a refusal of ``direction``
-    or a derivative error) or ``(best, hess, iteration, stop)``: ``best =
-    (x, fval, gradient norm)`` of the smallest norm seen (the stopping
-    iterate on convergence), the last Hessian, and ``stop`` in
-    ``"converged"``, ``"boundary"``, ``"stalled"`` or ``"max_iter"``. A
-    row's outcome and evaluations are those of the row run alone.
+    Returns the error that ended the row (a refusal of ``direction`` or a
+    derivative error) or ``(best, hess, iteration, stop)``: ``best = (x,
+    fval, gradient norm)`` of the smallest norm seen (the stopping iterate
+    on convergence), the last Hessian, and ``stop`` in ``"converged"``,
+    ``"boundary"``, ``"stalled"`` or ``"max_iter"``.
     """
     x = np.array(x, dtype=float)
-    fval = [float(v) for v in fval]
     lo, hi = box[:, 0], box[:, 1]
-    best = [(row, value, np.inf) for row, value in zip(x.copy(), fval)]
-    out = [None] * len(x)
-    live = list(range(len(x)))
+    indices = range(len(x))
+    best = (x, fval, math.inf)
     for iteration in range(max_iter + 1):
-        if not live:
-            break
-        g, hess, errors = numerics._fd_hessians(
-            [fs[r] for r in live], _rows(x, live), box, [fval[r] for r in live]
-        )
+        try:
+            g = numerics.fd_gradient(f, x, box)
+            hess = numerics._second_diff_block(f, x, indices, box, fval)[0]
+        except ValueError as err:  # NonFiniteValueError is a ValueError
+            return err
         with np.errstate(over="ignore"):
-            norms = np.sqrt(_row_dots(g, g)).tolist()
-        going = []
-        for j, r in enumerate(live):
-            if j in errors:
-                out[r] = errors[j]
-                continue
-            if norms[j] < best[r][2]:
-                best[r] = (x[r].copy(), fval[r], norms[j])
-            if norms[j] <= tol(fval[r]):
-                out[r] = (best[r], hess[j], iteration, "converged")
-            else:  # the outcome if the row is still running after the last iteration
-                out[r] = (best[r], hess[j], max_iter, "max_iter")
-                going.append(j)
-        live = [live[j] for j in going]
-        if not live:
-            break
-        g, hess, xr = _rows(g, going), _rows(hess, going), _rows(x, live)
-        steps, ended = direction(g, hess, xr, live)
-        unclipped = xr + steps
-        full = np.minimum(np.maximum(unclipped, lo), hi)
-        moves = list(map(any, (full != xr).tolist()))
-        leaves = list(map(any, (full != unclipped).tolist()))
-        pinned, held = [], []
-        for j, r in enumerate(live):
-            if j in ended or not leaves[j]:
-                continue
-            on_face = ((xr[j] <= lo) & (g[j] > 0.0)) | ((xr[j] >= hi) & (g[j] < 0.0))
-            if np.linalg.norm(g[j][~on_face]) <= tol(fval[r]):
-                ended[j] = (best[r], hess[j], iteration, "boundary")
-            elif on_face.any():
-                pinned.append(j)
-                held.append(on_face)
-        if pinned:
-            # the held coordinates' rows and columns become those of the identity
-            free = ~np.array(held)
-            system = hess[pinned] * (free[:, :, None] & free[:, None, :])
-            system[~free[:, :, None] & np.eye(x.shape[1], dtype=bool)] = 1.0
-            steps[pinned], refused = direction(
-                g[pinned] * free, system, xr[pinned], [live[j] for j in pinned]
-            )
-            ended.update((pinned[i], err) for i, err in refused.items())
-            full = np.minimum(np.maximum(xr[pinned] + steps[pinned], lo), hi)
-            for j, move in zip(pinned, (full != xr[pinned]).any(axis=1).tolist()):
-                moves[j] = move
-        search = []
-        for j, r in enumerate(live):
-            if j in ended:
-                out[r] = ended[j]
-            elif not moves[j]:
-                out[r] = (best[r], hess[j], iteration, "boundary")
-            else:
-                search.append(j)
-        live = [live[j] for j in search]
-        if not live:
-            break
-        g, steps, xr = _rows(g, search), _rows(steps, search), _rows(xr, search)
-        slopes = _row_dots(g, steps).tolist()
-        found = [None] * len(live)
+            norm = float(np.sqrt(g @ g))
+        if norm < best[2]:
+            best = (x, fval, norm)
+        if norm <= tol(fval):
+            return best, hess, iteration, "converged"
+        step = direction(g, hess, x)
+        if isinstance(step, Exception):
+            return step
+        full = np.minimum(np.maximum(x + step, lo), hi)
+        if (full != x + step).any():
+            held = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
+            if np.linalg.norm(g[~held]) <= tol(fval):
+                return best, hess, iteration, "boundary"
+            if held.any():
+                # the held coordinates' rows and columns become those of the identity
+                free = ~held
+                system = hess * (free[:, None] & free)
+                system[held, held] = 1.0
+                step = direction(g * free, system, x)
+                if isinstance(step, Exception):
+                    return step
+                full = np.minimum(np.maximum(x + step, lo), hi)
+        if (full == x).all():
+            return best, hess, iteration, "boundary"
+        slope = float(g @ step)
 
-        def sufficient(trials, t):  # each row against its own fval and slope
-            for i, (r, trial) in enumerate(zip(live, trials)):
-                if found[i] is None:
-                    value = fs[r](trial)
-                    if _armijo(value, fval[r], t * slopes[i]):
-                        found[i] = (trial, value)
-            return None if None in found else found
+        def sufficient(trial, t):
+            value = f(trial)
+            return value if _armijo(value, fval, t * slope) else None
 
-        _backtrack(xr, steps, box, sufficient)
-        for j, r in enumerate(live):
-            if found[j] is None:
-                out[r] = (best[r], hess[search[j]], iteration, "stalled")
-            else:
-                x[r], fval[r] = found[j]
-        live = [r for r, step in zip(live, found) if step is not None]
-    return out
+        found = _backtrack(x, step, box, sufficient)
+        if found is None:
+            return best, hess, iteration, "stalled"
+        x, fval = found
+    return best, hess, max_iter, "max_iter"
 
 
 def _rows(a, rows):
@@ -614,8 +561,8 @@ def _newton_1d(value, y, fval, lo, hi, tol, max_iter, refuse):
     its one :class:`~minsection.numerics.BoundaryStepWarning`; then the
     second difference ``(f(c + s) - 2 f0 + f(c - s)) / (s s)`` about the
     iterate shifted inward off a face, in a box at least ``4 s`` wide. A
-    thin box or a non-finite entry ends the row with the error
-    :func:`numerics._fd_hessians` gives it. The norm is ``sqrt(g g)``, inf
+    thin box or a non-finite entry ends the row with the error those
+    stencils raise. The norm is ``sqrt(g g)``, inf
     if it overflows; ``h`` is refused where ``h <= PD_TOL max(1, |h|)``
     (:func:`_indefinite_1d`), else the step is ``-g / h``, bitwise LAPACK's
     solve. With one coordinate, every boundary stop of
@@ -678,90 +625,58 @@ def _newton_1d(value, y, fval, lo, hi, tol, max_iter, refuse):
 def _newton_rows(merit, split, xs, starts, inner_tol=None):
     """Damped Newton on the slices at the rows of the valid (N, n) stack
     ``xs``, from the (N, m) ``starts`` clipped to the eliminated-coordinate
-    box: per row its :class:`SubMinimum`, or the error its solve raises.
-    The rows are solved as stacks (:func:`_newton_stack`) whose
-    second-difference stencils hold at most ``STACK_VALUES`` values; for
-    m = 1 each row of a stack runs :func:`_newton_1d` in turn.
+    box, row after row: per row its :class:`SubMinimum`, or the error its
+    solve raises. With one eliminated coordinate a row runs the scalar
+    kernel :func:`_newton_1d`, its start clipped and its spectrum and
+    refusal test taken from the kernel's ``h``, on Python floats; with
+    more it runs :func:`_damped_newton`, its spectrum from ``eigvalsh`` of
+    its block and its step from ``solve``. A sub-minimum whose block is
+    not refused is positive definite, so its y-index is 0.
     """
-    m = split.m
-    starts = np.asarray(starts, dtype=float)
-    results = []
-    for part in _stacks(len(xs), (1 + 2 * m * m) * m):
-        results += _newton_stack(merit, split, xs[part], starts[part], inner_tol)
-    return results
-
-
-def _newton_stack(merit, split, xs, starts, inner_tol):
-    """:func:`_newton_rows` on one stack. For m = 1 each row runs the
-    scalar kernel :func:`_newton_1d`, row after row; for m >= 2 the rows
-    run :func:`_damped_newton` together, an iteration taking their
-    spectra from one stacked ``eigvalsh`` and their steps from one stacked
-    ``solve``. A row's result is bitwise that of the row solved alone,
-    after the same evaluations in the same order; a sub-minimum whose
-    block is not refused is positive definite, so its y-index is 0. For
-    m = 1 the starts are clipped, and each converged row's spectrum and
-    refusal test taken from the kernel's ``h``, on Python floats."""
     ybox = split.y_box(merit.domain_box)
-    if split.m == 1:
-        lo, hi = ybox[0].tolist()
-        # numpy's clip off the open box: Python's max and min keep the
-        # first of two equal signed zeros, numpy's maximum and minimum the
-        # second, and both propagate NaN
-        ys = [
-            y if lo < y < hi else float(np.minimum(np.maximum(y, lo), hi))
-            for y in starts[:, 0].tolist()
-        ]
-    else:
-        ys = np.minimum(np.maximum(starts, ybox[:, 0]), ybox[:, 1])
-
-    values = [_slice_objective(merit, split, x, y) for x, y in zip(xs, ys)]
-    note = "; the convexity assumption is violated for this split"
-
-    def convexity_error(row, y, w, where, note=""):
-        return ConvexityError(
-            f"eliminated-block Hessian is not positive definite at {where} "
-            f"(min eigenvalue {float(w[0]):.3e}){note}",
-            point=split.embed(xs[row], y),
-            min_eig=float(w[0]),
-        )
-
-    def newton_step(g, hess, y, rows):
-        w, refused = _spectra(hess)
-        if not any(refused):
-            steps = np.linalg.solve(hess, -g[..., None])[..., 0]
-        else:
-            steps = np.zeros_like(g)
-            ok = ~np.array(refused)
-            if ok.any():
-                steps[ok] = np.linalg.solve(hess[ok], -g[ok][..., None])[..., 0]
-        return steps, {
-            j: convexity_error(rows[j], y[j], w[j], "an iterate", note)
-            for j, no in enumerate(refused) if no
-        }
-
-    fval = [value(y) for value, y in zip(values, ys)]
+    lo, hi = ybox[0].tolist()  # the y-box as floats when m = 1
     tol = default_inner_tol if inner_tol is None else lambda _: float(inner_tol)
-    if split.m == 1:
-        outcomes = [
-            _newton_1d(
-                value, y, fy, lo, hi, tol, MAX_NEWTON_ITERATIONS,
-                lambda y, h, r=r: convexity_error(r, [y], [h], "an iterate", note),
-            )
-            for r, (value, y, fy) in enumerate(zip(values, ys, fval))
-        ]
-    else:
-        outcomes = _damped_newton(values, ys, fval, ybox, tol, MAX_NEWTON_ITERATIONS, newton_step)
-    done = [r for r, o in enumerate(outcomes) if type(o) is tuple and o[3] == "converged"]
-    if split.m == 1:
-        finals = {r: ([outcomes[r][1]], _indefinite_1d(outcomes[r][1])) for r in done}
-    elif done:
-        finals = dict(zip(done, zip(*_spectra(np.array([outcomes[r][1] for r in done])))))
+    note = "; the convexity assumption is violated for this split"
     results = []
-    for r, outcome in enumerate(outcomes):
+    for x, start in zip(xs, np.asarray(starts, dtype=float)):
+
+        def convexity_error(y, w, where, note=""):
+            return ConvexityError(
+                f"eliminated-block Hessian is not positive definite at {where} "
+                f"(min eigenvalue {float(w[0]):.3e}){note}",
+                point=split.embed(x, y),
+                min_eig=float(w[0]),
+            )
+
+        if split.m == 1:
+            (y,) = start.tolist()
+            # numpy's clip off the open box: Python's max and min keep the
+            # first of two equal signed zeros, numpy's maximum and minimum
+            # the second, and both propagate NaN
+            if not lo < y < hi:
+                y = float(np.minimum(np.maximum(y, lo), hi))
+            value = _slice_objective(merit, split, x, y)
+            outcome = _newton_1d(
+                value, y, value(y), lo, hi, tol, MAX_NEWTON_ITERATIONS,
+                lambda y, h: convexity_error([y], [h], "an iterate", note),
+            )
+        else:
+
+            def newton_step(g, hess, y):
+                w = np.linalg.eigvalsh(hess)
+                if _indefinite(w):
+                    return convexity_error(y, w, "an iterate", note)
+                return np.linalg.solve(hess, -g)
+
+            y = np.minimum(np.maximum(start, ybox[:, 0]), ybox[:, 1])
+            value = _slice_objective(merit, split, x, y)
+            outcome = _damped_newton(
+                value, y, value(y), ybox, tol, MAX_NEWTON_ITERATIONS, newton_step
+            )
         if isinstance(outcome, Exception):
             results.append(outcome)
             continue
-        (y, fy, gn), _, iteration, stop = outcome
+        (y, fy, gn), hess, iteration, stop = outcome
         if stop != "converged":
             results.append(SubMinimizeError(
                 {
@@ -775,13 +690,18 @@ def _newton_stack(merit, split, xs, starts, inner_tol):
                 best_y=y,
                 grad_norm=gn,
                 iterations=iteration,
-                point=split.embed(xs[r], y),
+                point=split.embed(x, y),
             ))
-        elif finals[r][1]:
-            results.append(convexity_error(r, y, finals[r][0], "the sub-minimum"))
+            continue
+        if split.m == 1:
+            w, refused = [hess], _indefinite_1d(hess)
+        else:
+            w = np.linalg.eigvalsh(hess)
+            refused = _indefinite(w)
+        if refused:
+            results.append(convexity_error(y, w, "the sub-minimum"))
         else:  # a positive definite block: y-index 0
-            w0 = float(finals[r][0][0])
-            results.append(SubMinimum(y, fy, gn, w0, "newton", iteration, tol(fy)))
+            results.append(SubMinimum(y, fy, gn, float(w[0]), "newton", iteration, tol(fy)))
     return results
 
 
@@ -807,8 +727,9 @@ def subminimize_newton(
     """Damped Newton on the slice with Armijo backtracking.
 
     The loop is the one :func:`~minsection.solver.solve_direct` runs, here
-    on the eliminated block, and this is the one-row case of the stacked
-    solve that :meth:`SliceSolver.solve` runs. Starts from ``y0`` clipped to
+    on the eliminated block (with one eliminated coordinate its scalar
+    form), and this is the one-row case of the row-after-row solve that
+    :meth:`SliceSolver.solve` runs on each level. Starts from ``y0`` clipped to
     the eliminated-coordinate box (an infinite entry to its face), else
     from the box center; a ``y0`` of the wrong length or holding a NaN, or
     an ``inner_tol`` that is not positive and finite, raises
@@ -875,14 +796,6 @@ def _interpolate(nodes, weights, ys):
     return np.einsum("lq,lqm->lm", weights, ys[nodes])
 
 
-def _interpolated_starts(taken, ys, targets):
-    """At each of the positions ``targets``, the Lagrange interpolant in the
-    stack position through the rows of ``ys`` at the up to four positions
-    of ``taken`` nearest it (ties to the lower position): bitwise the
-    starts that :meth:`SliceSolver.solve` takes from its level plan."""
-    return _interpolate(*_lagrange(taken, targets), ys)
-
-
 @functools.lru_cache(maxsize=128)
 def _level_plan(count):
     """The levels of a stack of ``count`` rows (:func:`_levels`), each as
@@ -917,11 +830,11 @@ class SliceSolver:
     result records :func:`default_inner_tol` of its value.
 
     Otherwise the distinct rows not yet solved are validated once and
-    solved by damped Newton in levels, each level one stack, a lone row
-    too (:func:`_newton_rows`; with one eliminated coordinate the scalar
-    kernel :func:`_newton_1d` row after row, with more the stacked
-    :func:`_damped_newton`): the middle row, then the two end rows, then
-    level by level the midpoints between rows already solved. The middle
+    solved by damped Newton in levels, each level's rows one after another
+    (:func:`_newton_rows`; with one eliminated coordinate the scalar kernel
+    :func:`_newton_1d`, with more :func:`_damped_newton`): the middle row,
+    then the two end rows, then level by level the midpoints between rows
+    already solved. The middle
     row starts from a secant prediction along the implicit graph y*(x)
     (Allgower & Georg, *Introduction to Numerical Continuation Methods*,
     2003, ch. 2): when x lies on the line through the x of the last two
@@ -976,12 +889,17 @@ class SliceSolver:
         """The :class:`SubMinimum` at ``x_fixed``; an (N, n) stack of x rows
         gives the list of its rows' results, in order.
 
-        The Newton rows not yet solved are solved level by level, each level
-        one stack, and a row's result is bitwise that of the row solved
-        alone from the same start. A failing row raises its refusal, the
+        The Newton rows not yet solved are solved level by level, each row
+        from its own start. A failing row raises its refusal, the
         lowest failing row of the first level that has one, with its x in
-        ``failed_x``; every row solved, in that level too, is kept."""
+        ``failed_x``; every row solved, in that level too, is kept. An
+        ``x_fixed`` of more than two dimensions raises ``ValueError``
+        naming its shape, before any evaluation."""
         x = np.atleast_1d(np.asarray(x_fixed, dtype=float))
+        if x.ndim > 2:
+            raise ValueError(
+                f"x_fixed must be one x or an (N, n) stack of x rows, got shape {x.shape}"
+            )
         rows = x.reshape(1, -1) if x.ndim == 1 else x
         keys = list(map(tuple, rows.tolist()))
         todo = [key for key in dict.fromkeys(keys) if key not in self.solved]
@@ -995,8 +913,8 @@ class SliceSolver:
 
     def _solve_levels(self, rows, keys) -> None:
         """Solve and keep the valid distinct rows ``rows``, level by level,
-        each level one Newton stack started from the interpolants of the
-        stack size's :func:`_level_plan`; a failing row raises as
+        each level's rows started from the interpolants of the stack
+        size's :func:`_level_plan`; a failing row raises as
         :meth:`solve` says."""
         plan = _level_plan(len(rows))
         ys = np.empty((len(rows), self.split.m))

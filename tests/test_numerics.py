@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,72 +84,6 @@ def test_fd_hessian_names_nonfinite_pair():
 
     with pytest.raises(ValueError, match=r"\(0, 1\)|coordinate"):
         ms.fd_hessian(bad, np.array([0.5, 0.5]), box=None)
-
-
-@pytest.mark.parametrize("min_rows", [2, None], ids=["two", "default"])
-def test_stacked_hessians_evaluate_each_row_as_fd_hessian(monkeypatch, min_rows):
-    from minsection import numerics
-
-    if min_rows is not None:
-        monkeypatch.setattr(numerics, "MIN_STACKED_ROWS", min_rows)
-    box = np.array([[-2.0, 2.0], [-2.0, 2.0]])
-
-    def value(p):
-        # not finite beyond the line p0 + p1 = 1
-        if p[0] + p[1] > 1.0:
-            return float("nan")
-        return float((p[0] ** 2 - 1.0) ** 2 + (p[1] - p[0]) ** 2 + 0.3 * p[0] * p[1])
-
-    points = np.vstack(
-        [
-            np.random.default_rng(3).uniform(-1.0, 0.4, size=(8, 2)),
-            [[2.0 - 1e-7, -1.5]],  # clamped: a one-sided gradient, a shifted stencil
-            [[0.5, 0.5 - 1.5e-4]],  # its pp point crosses the line: a non-finite Hessian
-            [[0.5, 0.5 - 3e-6]],  # its gradient stencil crosses the line
-        ]
-    )
-    f0 = [value(p) for p in points]
-    seen = []
-
-    def recorded(j):
-        def f(p):
-            seen.append((j, np.array(p, dtype=float)))
-            return value(p)
-
-        return f
-
-    def failure(err):
-        point = getattr(err, "point", None)
-        return type(err), str(err), None if point is None else point.tolist()
-
-    messages = set()
-    for rows in (list(range(len(points))), [8, 9, 10]):
-        seen.clear()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundaryStepWarning)
-            grads, hessians, errors = numerics._fd_hessians(
-                [recorded(j) for j in rows], points[rows], box, [f0[j] for j in rows]
-            )
-            stacked = {j: np.array([p for i, p in seen if i == j]) for j in rows}
-            for n, j in enumerate(rows):
-                seen.clear()
-                try:
-                    report = ms.fd_hessian(recorded(j), points[j], box=box, f0=f0[j])
-                except ValueError as err:
-                    assert failure(errors[n]) == failure(err)
-                    messages.add(str(err))
-                else:
-                    assert n not in errors
-                    assert grads[n].tobytes() == report.gradient.tobytes()
-                    assert hessians[n].tobytes() == report.hessian.tobytes()
-                # the row's own points, bit for bit, in fd_hessian's order
-                alone = np.array([p for _, p in seen])
-                assert stacked[j].shape == alone.shape
-                assert stacked[j].tobytes() == alone.tobytes()
-    assert messages == {
-        "non-finite gradient entry at coordinate 0",
-        "non-finite Hessian entry at coordinate pair (0, 1)",
-    }
 
 
 def test_fd_hessian_reports_steps(entries):

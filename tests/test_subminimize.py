@@ -900,20 +900,20 @@ def newton_stack_cases(entries):
         # first second-difference stencil or the start itself meets the wall
         (walled_merit(), ms.ParameterSplit((0,), (1,)), np.array([[0.0], [0.5], [1.0], [1.3]]),
          np.array([[4.2 - 1e-5], [4.2 - 3e-4], [0.0], [4.3]])),
-        # a lone row, as SliceSolver hands a one-row level to the stacked
-        # solve: started on the face y = 5, it clamps its first gradient
-        # stencil and ends at that face
+        # a lone row, as SliceSolver hands a one-row level to the row loop:
+        # started on the face y = 5, it clamps its first gradient stencil
+        # and ends at that face
         (steep, ms.ParameterSplit((0,), (1,)), np.array([[1.9]]), np.array([[5.0]])),
         # p0^2 + (p1^2 - p0)^2: the y-block 12 y^2 - 4 x is -1.88 at the start
-        # of the row x = 0.5, which is refused in the iteration where the
-        # other two rows step
+        # of the row x = 0.5, which is refused there; the other two rows
+        # converge
         (ms.build_residual_merit((lambda p: p[0], lambda p: p[1] ** 2 - p[0]), 2,
                                  box=np.array([[-2.0, 2.0], [-2.0, 2.0]])),
          ms.ParameterSplit((0,), (1,)), np.array([[-1.0], [0.5], [-0.5]]),
          np.array([[0.1], [0.1], [0.3]])),
         # the same with a second eliminated coordinate, p0^2 + (p1^2 - p0)^2
-        # + p2^2: the stacked m = 2 step refuses the row x = 0.5 and solves
-        # the other two
+        # + p2^2: the m = 2 step refuses the row x = 0.5 and solves the
+        # other two
         (ms.build_residual_merit((lambda p: p[0], lambda p: p[1] ** 2 - p[0], lambda p: p[2]), 3,
                                  box=np.array([[-2.0, 2.0]] * 3)),
          ms.ParameterSplit((0,), (1, 2)), np.array([[-1.0], [0.5], [-0.5]]),
@@ -933,25 +933,35 @@ def newton_outcome(calls, solve):
     return result, len(calls) - before, [w.category for w in caught]
 
 
-@pytest.mark.parametrize("min_rows", [2, 8], ids=["stacked", "default"])
+def default_starts(merit, split, rows):
+    """The default Newton start, the center of the eliminated-coordinate
+    box, for each of ``rows`` rows."""
+    return np.tile(split.y_box(merit.domain_box).mean(axis=1), (rows, 1))
+
+
+@pytest.mark.parametrize("default_start", [False, True], ids=["stacked", "default"])
 @pytest.mark.parametrize(
     "case",
     [0, 1, 2, 3, 4, 5, 6],
     ids=["SINE_VALLEY", "chain3", "faces", "wall", "lone", "refused", "refused_m2"],
 )
-def test_newton_stack_rows_are_one_row_solves(entries, merit_calls, monkeypatch, case, min_rows):
+def test_newton_stack_rows_are_one_row_solves(entries, merit_calls, case, default_start):
+    # each row is solved as subminimize_newton solves it alone, from the
+    # case's stacked starts or from the default start
     from minsection.subminimize import _newton_rows
 
-    # every stack of at least min_rows rows takes the stacked stencils
-    monkeypatch.setattr(ms.numerics, "MIN_STACKED_ROWS", min_rows)
     merit, split, xs, starts = newton_stack_cases(entries)[case]
+    if default_start:
+        starts = default_starts(merit, split, len(xs))
     stacked, stacked_evals, stacked_warnings = newton_outcome(
         merit_calls, lambda: _newton_rows(merit, split, xs, starts)
     )
     evals, clamps = 0, []
     for x, y0, got in zip(xs, starts, stacked):
+        problem = SliceProblem(merit, split, x)
         want, count, caught = newton_outcome(
-            merit_calls, lambda: ms.subminimize_newton(SliceProblem(merit, split, x), y0=y0)
+            merit_calls,
+            lambda: ms.subminimize_newton(problem, y0=None if default_start else y0),
         )
         evals += count
         clamps += caught
@@ -963,18 +973,25 @@ def test_newton_stack_rows_are_one_row_solves(entries, merit_calls, monkeypatch,
     # one BoundaryStepWarning per clamped row-gradient, as row by row
     assert stacked_warnings == clamps
     assert set(clamps) <= {ms.BoundaryStepWarning}
-    assert len(clamps) == {2: 5, 4: 1}.get(case, 0)
+    # from the center, the rows at x = +-1.9 end at a face
+    assert len(clamps) == {(2, False): 5, (2, True): 2, (4, False): 1, (4, True): 1}.get(
+        (case, default_start), 0
+    )
 
 
-def reference_newton(merit, split, x, y0):
+def reference_newton(merit, split, x, y0, projected=None):
     """Damped Newton on the slice at ``x`` from ``y0``, one iteration at a
     time: ``fd_hessian`` of the slice objective, the block's spectrum from
     ``eigvalsh``, the step from ``solve`` on the k x k block and halvings
     of the clipped step under ``_armijo``; the gradient tolerance is
     ``default_inner_tol`` of the current iterate's value. A step that
-    leaves the box ends the row where it is stationary on its faces; the
-    projected step is not covered. A refusal is returned as ``(type,
-    where, point, min eigenvalue or iterations)``."""
+    leaves the box ends the row where it is stationary on its faces, and
+    elsewhere, with coordinates held against a face, is replaced by the
+    projected step: Newton's step on the system whose held rows and
+    columns are those of the identity, for the gradient with its held
+    entries zeroed; each projected step appends its iterate to the list
+    ``projected``, when given. A refusal is returned as ``(type, where,
+    point, min eigenvalue or iterations)``."""
     from minsection.subminimize import (
         MAX_HALVINGS, MAX_NEWTON_ITERATIONS, PD_TOL, _armijo, default_inner_tol,
     )
@@ -1011,7 +1028,16 @@ def reference_newton(merit, split, x, y0):
             on_face = ((y <= lo) & (g > 0.0)) | ((y >= hi) & (g < 0.0))
             if np.linalg.norm(g[~on_face]) <= tol:
                 return ms.SubMinimizeError, "boundary", split.embed(x, best[0]), iteration
-            assert not on_face.any(), "a projected step, which the reference does not take"
+            if on_face.any():
+                if projected is not None:
+                    projected.append(y)
+                free = ~on_face
+                system = np.where(np.outer(free, free), hess, np.eye(len(y)))
+                w = np.linalg.eigvalsh(system)
+                if indefinite(w):
+                    return ms.ConvexityError, "iterate", split.embed(x, y), float(w[0])
+                step = np.linalg.solve(system, -np.where(free, g, 0.0))
+                full = np.clip(y + step, lo, hi)
         if np.all(full == y):
             return ms.SubMinimizeError, "boundary", split.embed(x, best[0]), iteration
         slope = g @ step
@@ -1042,20 +1068,37 @@ def refusal(err):
     return type(err), kind, err.point, last
 
 
+def corner_merit():
+    """(p0 / 2)^2 + 9 (p1 - p2)^2 + 0.09 (p1 + p2 - 2.4 - p0)^2 + (p3 -
+    p1)^2 on [-1, 1]^3 x [-3, 3]: the slice minimum in (p1, p2, p3) is
+    (c, c, c), c = 1.2 + p0 / 2. For p0 > -0.4 it lies beyond the corner
+    p1 = p2 = 1, which the projected Newton step reaches with p1 and p2
+    held against their faces."""
+    return ms.build_residual_merit(
+        (
+            lambda p: 0.5 * p[0],
+            lambda p: 3.0 * (p[1] - p[2]),
+            lambda p: 0.3 * (p[1] + p[2] - 2.4 - p[0]),
+            lambda p: p[3] - p[1],
+        ),
+        4,
+        box=np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], [-3.0, 3.0]]),
+    )
+
+
 @pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
-@pytest.mark.parametrize("min_rows", [2, 8], ids=["stacked", "default"])
+@pytest.mark.parametrize("default_start", [False, True], ids=["stacked", "default"])
 @pytest.mark.parametrize(
     "case",
-    [0, 1, 4, 5, 6, 7, 8, 9],
+    [0, 1, 4, 5, 6, 7, 8, 9, 10],
     ids=["SINE_VALLEY", "chain3", "lone", "refused", "refused_m2", "SINE_VALLEY_21",
-         "last_step_0", "last_step_1"],
+         "last_step_0", "last_step_1", "corner"],
 )
 def test_newton_stack_rows_match_a_per_row_reference(
-    entries, merit_calls, monkeypatch, case, min_rows
+    entries, merit_calls, monkeypatch, case, default_start
 ):
     from minsection.subminimize import _newton_rows
 
-    monkeypatch.setattr(ms.numerics, "MIN_STACKED_ROWS", min_rows)
     rng = np.random.default_rng(5)
     level = (entries["SINE_VALLEY"].merit, ms.ParameterSplit((0,), (1,)),
              np.linspace(-3.0, 3.0, 21)[:, None], rng.uniform(-10.0, 10.0, (21, 1)))
@@ -1063,16 +1106,24 @@ def test_newton_stack_rows_match_a_per_row_reference(
     # iteration's step and line search before it ends on max_iter
     last_step = (entries["SINE_VALLEY"].merit, ms.ParameterSplit((0,), (1,)),
                  np.array([[1.0], [0.3]]), np.array([[9.0], [-4.0]]))
-    if case >= 8:
+    if case in (8, 9):
         monkeypatch.setattr(ms.subminimize, "MAX_NEWTON_ITERATIONS", case - 8)
-    merit, split, xs, starts = (newton_stack_cases(entries) + [level, last_step, last_step])[case]
+    # three eliminated coordinates, two of them held against their faces
+    # on the way to the corner
+    corner = (corner_merit(), ms.ParameterSplit((0,), (1, 2, 3)), np.array([[0.0], [0.8], [-0.6]]),
+              np.array([[0.0, 0.0, 0.0], [0.5, -0.5, 1.0], [1.0, 1.0, 0.0]]))
+    cases = newton_stack_cases(entries) + [level, last_step, last_step, corner]
+    merit, split, xs, starts = cases[case]
+    if default_start:
+        starts = default_starts(merit, split, len(xs))
     stacked = _newton_rows(merit, split, xs, starts)
     # each row's points, told apart by their x
     own = [[p.tobytes() for p in merit_calls if np.array_equal(split.x_part(p), x)] for x in xs]
     assert sum(map(len, own)) == len(merit_calls)
+    projected = []
     for x, y0, got, points in zip(xs, starts, stacked, own):
         merit_calls.clear()
-        want = reference_newton(merit, split, x, y0)
+        want = reference_newton(merit, split, x, y0, projected)
         assert points == [p.tobytes() for p in merit_calls]
         if isinstance(want, tuple):
             kind, where, point, last = refusal(got)
@@ -1080,9 +1131,13 @@ def test_newton_stack_rows_match_a_per_row_reference(
             assert point.tobytes() == want[2].tobytes()
         else:
             assert_same_sub(got, want)
-    assert [isinstance(r, Exception) for r in stacked] == {
-        4: [True], 5: [False, True, False], 6: [False, True, False], 8: [True, True], 9: [False, True]
-    }.get(case, [False] * len(xs))
+    failed = {
+        4: [True], 5: [False, True, False], 6: [False, True, False], 8: [True, True],
+        9: [True, False] if default_start else [False, True], 10: [True, True, False],
+    }
+    assert [isinstance(r, Exception) for r in stacked] == failed.get(case, [False] * len(xs))
+    # only the corner rows take projected steps
+    assert bool(projected) == (case == 10)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1201,10 +1256,9 @@ def test_newton_stack_refuses_at_the_first_failing_level(merit_calls):
     assert str(info.value).startswith("slice solve failed at x = [1.0] ")
 
 
-def test_newton_stack_stays_in_the_box(monkeypatch):
+def test_newton_stack_stays_in_the_box():
     from minsection.subminimize import _newton_rows
 
-    monkeypatch.setattr(ms.numerics, "MIN_STACKED_ROWS", 2)
     box = np.array([[-2.0, 2.0], [-5.0, 5.0]])
     merit, seen = recording_merit((lambda p: p[0], lambda p: p[1] - 3.0 * p[0]), 2, box)
     xs = np.linspace(-2.0, 2.0, 17)[:, None]
@@ -1248,33 +1302,8 @@ def test_newton_stack_rows_keep_their_own_x(entries, monkeypatch):
     assert sorted(set(owners)) == grid[:, 0].tolist()
 
 
-def test_newton_stencils_stay_under_the_cap(entries, monkeypatch):
-    from minsection import numerics
-
-    merit, split = m3_merit(), ms.ParameterSplit((0,), (1, 2))
-    grid = np.linspace(-2.0, 2.0, 41)[:, None]
-    whole = SliceSolver(merit, split).solve(grid)
-    sizes = []
-    stencil = numerics._stencil
-
-    def recorded(*args):
-        points = stencil(*args)
-        sizes.append(points.size)
-        return points
-
-    monkeypatch.setattr(numerics, "_stencil", recorded)
-    # three rows per stack: 9 stencil points of 2 coordinates each
-    monkeypatch.setattr(ms.subminimize, "STACK_VALUES", 3 * 9 * 2 + 5)
-    monkeypatch.setattr(numerics, "MIN_STACKED_ROWS", 2)
-    cut = SliceSolver(merit, split).solve(grid)
-    assert sizes and max(sizes) <= 3 * 9 * 2
-    assert 3 * 9 * 2 in sizes
-    for got, want in zip(cut, whole):
-        assert_same_sub(got, want)
-
-
 def test_level_order_and_starts():
-    from minsection.subminimize import _interpolated_starts, _levels
+    from minsection.subminimize import _interpolate, _lagrange, _levels
 
     assert _levels(1) == [[0]]
     assert _levels(2) == [[1], [0]]
@@ -1283,10 +1312,10 @@ def test_level_order_and_starts():
     assert len(_levels(101)) == 8
     # a cubic through the four nearest rows is exact on a cubic
     ys = (np.arange(9.0) ** 3)[:, None]
-    starts = _interpolated_starts([0, 2, 4, 6, 8], ys, [1, 3, 5, 7])
+    starts = _interpolate(*_lagrange([0, 2, 4, 6, 8], [1, 3, 5, 7]), ys)
     assert starts[:, 0].tolist() == [1, 27, 125, 343]
     # one row taken: its value
-    assert _interpolated_starts([4], ys, [0, 8]).tolist() == [[64.0], [64.0]]
+    assert _interpolate(*_lagrange([4], [0, 8]), ys).tolist() == [[64.0], [64.0]]
 
 
 def reference_starts(taken, ys, targets):
@@ -1302,7 +1331,7 @@ def reference_starts(taken, ys, targets):
 
 
 def test_level_plan_is_the_levels_and_their_starts():
-    from minsection.subminimize import _interpolate, _interpolated_starts, _level_plan, _levels
+    from minsection.subminimize import _interpolate, _lagrange, _level_plan, _levels
 
     rng = np.random.default_rng(3)
     for count in [*range(1, 102), 441]:
@@ -1316,7 +1345,8 @@ def test_level_plan_is_the_levels_and_their_starts():
                 if taken:
                     want = reference_starts(taken, ys, list(level))
                     assert _interpolate(nodes, weights, ys).tobytes() == want.tobytes()
-                    assert _interpolated_starts(taken, ys, list(level)).tobytes() == want.tobytes()
+                    fresh = _interpolate(*_lagrange(taken, list(level)), ys)
+                    assert fresh.tobytes() == want.tobytes()
                 taken = sorted(taken + list(level))
     # a cached plan cannot be changed by its callers
     _, nodes, weights = _level_plan(9)[1]
@@ -1439,6 +1469,20 @@ def test_bad_newton_start_is_refused_before_any_evaluation(entries, split01, mer
         face = ms.subminimize_newton(problem, y0=[problem.y_box()[0, 1]])
     assert_same_sub(far, face)
     assert merit_calls[0][1] == problem.y_box()[0, 1]
+
+
+def test_malformed_x_stack_is_refused_before_any_evaluation(entries, split01, merit_calls):
+    # an x_fixed of three dimensions is an input error naming its shape
+    slices = SliceSolver(entries["QUAD"].merit, split01)
+    with pytest.raises(ValueError) as info:
+        slices.solve(np.zeros((2, 1, 1)))
+    assert str(info.value) == (
+        "x_fixed must be one x or an (N, n) stack of x rows, got shape (2, 1, 1)"
+    )
+    assert merit_calls == [] and slices.solves == 0 and not slices.solved
+    # the same solver then solves a Newton slice, with merit calls
+    slices.solve(np.zeros((2, 1)))
+    assert merit_calls and slices.solves == 1
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
