@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -427,8 +428,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one :func:`build_parser`: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    return run(build_parser().parse_args(argv))
+    return run(_parser().parse_args(argv))
+
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -22,6 +22,7 @@ from .numerics import (
     _gradient_step,
     _inward_derivative,
     _non_finite_gradient_error,
+    _norm,
     _second_diff_block,
     eigen_index,
     fd_gradient,
@@ -135,7 +136,7 @@ def _converges_to_found(p, g, hess, points, radius, min_curvature):
         q for q in points
         if not q.degenerate
         and q.eigen.min_abs >= min_curvature
-        and np.linalg.norm(p - q.location) <= radius
+        and _norm(p - q.location) <= radius
     ]
     if not near:
         return False
@@ -146,8 +147,8 @@ def _converges_to_found(p, g, hess, points, radius, min_curvature):
         if q.index_gamma != summary.negative_count:
             continue
         offset = p - q.location
-        error = np.linalg.norm(offset - np.linalg.solve(q.hessian, g))
-        if error <= CONTRACTION_LIMIT * np.linalg.norm(offset):
+        error = _norm(offset - np.linalg.solve(q.hessian, g))
+        if error <= CONTRACTION_LIMIT * _norm(offset):
             return True
     return False
 
@@ -171,17 +172,17 @@ def _newton_on_gradient(merit, seed, g, box, critical_tol, max_iter, points=()):
     no damped Newton step reduces it, a normalized gradient-descent step of
     ``1e-2 * box diagonal`` is backtracked before giving up.
     """
-    diag = float(np.linalg.norm(box[:, 1] - box[:, 0]))
+    diag = _norm(box[:, 1] - box[:, 0])
     radius = BALL_RADIUS_FACTOR * diag
     # A gradient norm of at most critical_tol puts an iterate within
     # critical_tol / curvature of the zero: a quarter of the merge radius.
     min_curvature = 4.0 * critical_tol / (MERGE_RADIUS_FACTOR * max(1.0, diag))
     p = np.asarray(seed, dtype=float)
-    gn = float(np.linalg.norm(g))
+    gn = _norm(g)
 
     def smaller(trial, _t):  # than the current gradient norm
         g_trial = fd_gradient(merit, trial, box=box)
-        gn_trial = float(np.linalg.norm(g_trial))
+        gn_trial = _norm(g_trial)
         return (g_trial, gn_trial) if gn_trial < gn else None
 
     for _ in range(max_iter):
@@ -241,10 +242,10 @@ def find_critical_points(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryStepWarning)
         grads = [fd_gradient(merit, s, box=box) for s in seeds]
-        norms = [float(np.linalg.norm(g)) for g in grads]
+        norms = [_norm(g) for g in grads]
         critical_tol = 1e-8 * max(1.0, float(np.median(norms)))
         merge_radius = MERGE_RADIUS_FACTOR * max(
-            1.0, float(np.linalg.norm(box[:, 1] - box[:, 0]))
+            1.0, _norm(box[:, 1] - box[:, 0])
         )
         for seed, g in zip(seeds, grads):
             result = _newton_on_gradient(
@@ -257,14 +258,15 @@ def find_critical_points(
                 ended_in_ball += 1
                 continue
             p, gn = result
-            if any(np.linalg.norm(p - q.location) <= merge_radius for q in points):
+            if any(_norm(p - q.location) <= merge_radius for q in points):
                 continue
-            hess = _second_diff_block(merit, p, range(p.size), box)[0]
+            value = merit(p)  # the Hessian stencil's center, unless it is shifted
+            hess = _second_diff_block(merit, p, range(p.size), box, value)[0]
             summary = eigen_index(hess)
             points.append(
                 CriticalPoint(
                     location=p,
-                    value=merit(p),
+                    value=value,
                     grad_norm=gn,
                     index_gamma=summary.negative_count,
                     degenerate=summary.near_zero_count > 0,
@@ -312,7 +314,7 @@ def check_outward_gradient(merit: MeritFunction, box=None, boundary_density: int
                 p[i] = side
                 for j, v in zip(others, combo):
                     p[j] = v
-                normal = _inward_derivative(merit, p, p.copy(), i, h, *box[i])
+                normal = _inward_derivative(merit, p, p.copy(), i, h, *box[i])[0]
                 if not np.isfinite(normal):
                     raise _non_finite_gradient_error(i, p)
                 if sign * normal <= 0.0:

@@ -130,6 +130,7 @@ def fd_gradient(f, p, box=AUTO) -> np.ndarray:
     bounds = itertools.repeat((-np.inf, np.inf)) if box is None else box.tolist()
     grad = []
     clamped = False
+    f0 = None  # f(p), evaluated by the first one-sided coordinate only
     work = p.copy()
     for i, (value, (lo, hi)) in enumerate(zip(p.tolist(), bounds)):
         h = (value + GRADIENT_STEP * max(1.0, abs(value))) - value  # _gradient_step, inline
@@ -141,7 +142,8 @@ def fd_gradient(f, p, box=AUTO) -> np.ndarray:
             grad.append((f_plus - f_minus) / (2.0 * h))
         else:
             clamped = True
-            grad.append(_inward_derivative(f, p, work, i, h, lo, hi))
+            derivative, f0 = _inward_derivative(f, p, work, i, h, lo, hi, f0)
+            grad.append(derivative)
         work[i] = value
     if clamped:
         warnings.warn(
@@ -162,20 +164,38 @@ def _gradient_step(value: float) -> float:
     return _exact_step(value, GRADIENT_STEP * max(1.0, abs(value)))
 
 
-def _inward_derivative(f, p, work, i, h, lo, hi):
+def _inward_derivative(f, p, work, i, h, lo, hi, f0=None):
     """Three-point one-sided difference of ``f`` along coordinate ``i`` at
     ``p``, with step ``h`` toward the interior of ``[lo, hi]``: upward
     unless ``p_i + 2h`` passes ``hi``. ``work`` is a copy of ``p``; its
-    coordinate ``i`` is left at the last stencil point."""
+    coordinate ``i`` is left at the last stencil point. ``f0`` is ``f(p)``,
+    evaluated here when None. Returns ``(derivative, f0)``."""
     sign = 1.0 if p[i] + 2.0 * h <= hi else -1.0
     if sign < 0 and p[i] - 2.0 * h < lo:
         raise _thin_box_error(i)
-    f0 = f(p)
+    if f0 is None:
+        f0 = f(p)
     work[i] = p[i] + sign * h
     f1 = f(work)
     work[i] = p[i] + sign * 2.0 * h
     f2 = f(work)
-    return sign * (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
+    return sign * (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h), f0
+
+
+def _central(p, box) -> bool:
+    """Whether :func:`fd_gradient`'s stencil at ``p`` is central along every
+    coordinate in ``box``, so that it makes no one-sided difference there."""
+    for value, (lo, hi) in zip(p.tolist(), box.tolist()):
+        h = _gradient_step(value)
+        if not (value + h <= hi and value - h >= lo):
+            return False
+    return True
+
+
+def _norm(v) -> float:
+    """The Euclidean norm of the 1-D float64 array ``v``: ``sqrt(v . v)``,
+    bitwise :func:`numpy.linalg.norm`, with the same overflow warning."""
+    return math.sqrt(v.dot(v))
 
 
 def _second_diff_block(f, p, indices, box, f0=None):
@@ -475,17 +495,18 @@ def eigen_index(H) -> EigenSummary:
     """
     H = _check_symmetric(H)
     w = np.linalg.eigvalsh(H)
-    degeneracy_tol = 1e-6 * max(1.0, float(np.max(np.abs(w))))
-    near_zero = int(np.count_nonzero(np.abs(w) <= degeneracy_tol))
-    negative = int(np.count_nonzero(w < -degeneracy_tol))
-    positive = int(np.count_nonzero(w > degeneracy_tol))
+    values = w.tolist()
+    magnitudes = [abs(v) for v in values]
+    # numpy's max and min of |w| propagate NaN, Python's depend on its place
+    nan = any(map(math.isnan, magnitudes))
+    degeneracy_tol = 1e-6 * max(1.0, math.nan if nan else max(magnitudes))
     return EigenSummary(
         eigenvalues=w,
-        min_abs=float(np.min(np.abs(w))),
-        negative_count=negative,
-        near_zero_count=near_zero,
-        positive_count=positive,
-        degeneracy_tol=float(degeneracy_tol),
+        min_abs=math.nan if nan else min(magnitudes),
+        negative_count=sum(v < -degeneracy_tol for v in values),
+        near_zero_count=sum(m <= degeneracy_tol for m in magnitudes),
+        positive_count=sum(v > degeneracy_tol for v in values),
+        degeneracy_tol=degeneracy_tol,
     )
 
 

@@ -490,7 +490,7 @@ def nesting_check(
             sub = outer_slices.solve(_place(rest_vec))
             return sub, lambda v: outer_split.embed(_place(v), sub.y_star)
 
-        _, iterated_values[j], _, _ = minimize_by_coordinates(merit, section, rest_grids)
+        iterated_values[j] = minimize_by_coordinates(merit, section, rest_grids)[1]
     max_gap = float(np.max(np.abs(inner_values - iterated_values)))
     return NestingReport(
         inner_indices=inner,

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import EPS, fd_gradient
+from .numerics import EPS, _central, _norm, fd_gradient
 from .numerics import fd_hessian  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .problems import MeritFunction, ParameterSplit
 from .subminimize import (
@@ -397,8 +397,10 @@ def minimize_by_coordinates(merit, section, grids, outer_tol=None):
     ``MAX_CYCLES`` steps, or a line search that cannot move, raises
     :class:`SolveError` carrying the best point as a full parameter vector,
     whose message names the boundary only when x is on a face of the
-    retained box. Returns ``(x, value, brackets, iterations)`` with the
-    brackets of the cycle.
+    retained box. Returns ``(x, value, brackets, iterations, g)`` with the
+    brackets of the cycle and the gradient ``g`` that the stopping test
+    read: :func:`~minsection.numerics.fd_gradient` of ``merit(point(v))``
+    at ``x`` in the grid hull, so the final certificate can reuse it.
     """
     x = np.array([0.5 * (g[0] + g[-1]) for g in grids])
     brackets = []
@@ -430,15 +432,15 @@ def minimize_by_coordinates(merit, section, grids, outer_tol=None):
             # the section value's rounding hides the predicted decrease: take
             # a smaller full gradient norm instead, as the census does
             g_trial = numerics.fd_gradient(lambda v: merit(solved[1](v)), trial, box=box)
-            if math.hypot(float(np.linalg.norm(g_trial)), solved[0].grad_y_norm) < grad_norm:
+            if math.hypot(_norm(g_trial), solved[0].grad_y_norm) < grad_norm:
                 return solved, g_trial
         return None
 
     for iteration in range(MAX_CYCLES + 1):
         f = sub.value
-        grad_norm = math.hypot(float(np.linalg.norm(g)), sub.grad_y_norm)
+        grad_norm = math.hypot(_norm(g), sub.grad_y_norm)
         if grad_norm <= (outer_tol if outer_tol is not None else _outer_tol(f)):
-            return x, f, brackets, iteration
+            return x, f, brackets, iteration, g
         if iteration == MAX_CYCLES:
             break
         step = -inv_hess @ g
@@ -462,7 +464,7 @@ def minimize_by_coordinates(merit, section, grids, outer_tol=None):
             g_new = numerics.fd_gradient(lambda v: merit(point(v)), trial, box=box)
         yv = g_new - g
         sy = float(s @ yv)
-        if sy > EPS * float(np.linalg.norm(s) * np.linalg.norm(yv)):
+        if sy > EPS * (_norm(s) * _norm(yv)):
             # Inverse BFGS update (Nocedal & Wright, eq. 6.17).
             rho = 1.0 / sy
             left = np.eye(x.size) - rho * np.outer(s, yv)
@@ -515,10 +517,15 @@ def solve_hierarchical(
     every number of retained coordinates: one cycle of grid brackets from
     the grid centers, then BFGS on the section, whose gradient the envelope
     theorem gives as ``dF/dx`` at the slice minimum; it stops on the
-    gradient norm (see :class:`Tolerances`). A boundary minimum along a
-    grid bracket is an error, not a silent clamp. A :class:`SolveError`
-    carries its best point as a full parameter vector. No evaluation leaves
-    the domain box.
+    gradient norm (see :class:`Tolerances`). The certificate is then the
+    norm of :func:`~minsection.numerics.fd_gradient` at the answer. Its
+    x-part is the section gradient the outer stage stopped on, which
+    evaluated the same points with the same steps and formula, and only
+    its y-part is evaluated, ``2 m`` points; where an x stencil would be
+    one-sided in the grid hull or in the domain box, the full ``2 M``
+    stencil is evaluated instead. A boundary minimum along a grid bracket
+    is an error, not a silent clamp. A :class:`SolveError` carries its best
+    point as a full parameter vector. No evaluation leaves the domain box.
     """
     return _solve_hierarchical(merit, split, grid, tolerances)[0]
 
@@ -537,14 +544,24 @@ def _solve_hierarchical(merit, split, grid, tolerances):
         sub = slices.solve(x)
         return sub, lambda v: split.embed(v, sub.y_star)
 
-    x_star, _, brackets, iterations = minimize_by_coordinates(
+    x_star, _, brackets, iterations, g = minimize_by_coordinates(
         merit, section, grids, tol.outer_tol
     )
     final = slices.solve(x_star)
     minimizer = split.embed(x_star, final.y_star)
     value = final.value
-    grad = fd_gradient(merit, minimizer)
-    grad_norm = float(np.linalg.norm(grad))
+    box = merit.domain_box
+    hull = np.array([[grid[0], grid[-1]] for grid in grids])
+    if _central(x_star, hull) and _central(x_star, split.x_box(box)):
+        # the outer stage's last gradient evaluated fd_gradient's x-stencil
+        # at the minimizer: the same points, steps and formula
+        grad_y = fd_gradient(
+            lambda y: merit(split.embed(x_star, y)), final.y_star, box=split.y_box(box)
+        )
+        grad = split.embed(g, grad_y)
+    else:
+        grad = fd_gradient(merit, minimizer)
+    grad_norm = _norm(grad)
     outer_tol = tol.outer_tol if tol.outer_tol is not None else _outer_tol(value)
     if grad_norm > outer_tol:
         raise SolveError(

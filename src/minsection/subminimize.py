@@ -480,8 +480,9 @@ def _damped_newton(f, x, fval, box, tol, max_iter, direction):
     hi with g < 0, have a norm of at most that tolerance), the row stops
     at the boundary; where it leaves the box at another iterate with
     coordinates held, the row steps on its free block only, along
-    ``direction`` of the system with the held coordinates pinned: the
-    projected Newton step (Bertsekas, SIAM J. Control Optim. 20(2), 1982).
+    ``direction`` of the free block's gradient and Hessian block, so
+    ``direction`` solves and tests that block alone: the projected Newton
+    step (Bertsekas, SIAM J. Control Optim. 20(2), 1982).
     A clipped step that does not move the iterate stops at the boundary
     too. A row still running at the last iteration takes its step and line
     search, and their refusal, boundary stop or stall is its outcome.
@@ -517,13 +518,14 @@ def _damped_newton(f, x, fval, box, tol, max_iter, direction):
             if np.linalg.norm(g[~held]) <= tol(fval):
                 return best, hess, iteration, "boundary"
             if held.any():
-                # the held coordinates' rows and columns become those of the identity
+                # the free block takes the step of its own system and is
+                # tested alone; the held coordinates stay where they are
                 free = ~held
-                system = hess * (free[:, None] & free)
-                system[held, held] = 1.0
-                step = direction(g * free, system, x)
-                if isinstance(step, Exception):
-                    return step
+                free_step = direction(g[free], hess[np.ix_(free, free)], x)
+                if isinstance(free_step, Exception):
+                    return free_step
+                step = np.zeros_like(x)
+                step[free] = free_step
                 full = np.minimum(np.maximum(x + step, lo), hi)
         if (full == x).all():
             return best, hess, iteration, "boundary"
@@ -587,7 +589,9 @@ def _newton_1d(value, y, fval, lo, hi, tol, max_iter, refuse):
                 if not math.isfinite(g):
                     raise numerics._non_finite_gradient_error(0, [y])
             else:
-                g = float(numerics.fd_gradient(value, np.array([y]), np.array([[lo, hi]]))[0])
+                g = float(numerics.fd_gradient(
+                    lambda v: value(v[0]), np.array([y]), np.array([[lo, hi]])
+                )[0])
             s = (y + numerics.HESSIAN_STEP * max(1.0, abs(y))) - y
             if hi - lo < 4.0 * s:
                 raise numerics._thin_box_error(0)
@@ -708,9 +712,10 @@ def _newton_rows(merit, split, xs, starts, inner_tol=None):
 def _slice_objective(merit, split, x, y):
     """``y -> merit(split.embed(x, y))`` on one full-length point, assembled
     once from ``(x, y)``, whose eliminated coordinates each call overwrites
-    (as :func:`numerics.fd_gradient` reuses its ``work`` array)."""
+    (as :func:`numerics.fd_gradient` reuses its ``work`` array). With one
+    eliminated coordinate ``y`` is a float, written by a scalar index."""
     point = split.embed(x, y)
-    at = np.asarray(split.y_indices, dtype=int)
+    at = split.y_indices[0] if split.m == 1 else np.asarray(split.y_indices, dtype=int)
 
     def value(y):
         point[at] = y

@@ -1,3 +1,7 @@
+import math
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,3 +230,84 @@ def test_lsq_rank_matches_numpy_lstsq(cols, extra, seed, data):
     with pytest.raises(ms.RankDeficiencyError) as excinfo:
         ms.linear_lsq_solve(a, np.ones(rows))
     assert (excinfo.value.rank, excinfo.value.required) == (rank, cols)
+
+
+def reference_eigen_index(H):
+    """:func:`minsection.eigen_index` as numpy reductions over the spectrum."""
+    H = ms.numerics._check_symmetric(H)
+    w = np.linalg.eigvalsh(H)
+    degeneracy_tol = 1e-6 * max(1.0, float(np.max(np.abs(w))))
+    return ms.EigenSummary(
+        eigenvalues=w,
+        min_abs=float(np.min(np.abs(w))),
+        negative_count=int(np.count_nonzero(w < -degeneracy_tol)),
+        near_zero_count=int(np.count_nonzero(np.abs(w) <= degeneracy_tol)),
+        positive_count=int(np.count_nonzero(w > degeneracy_tol)),
+        degeneracy_tol=float(degeneracy_tol),
+    )
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` as ``(result, warnings)``, or its error as ``(type, message)``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except Exception as err:  # compared, not hidden
+            return type(err), str(err)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+#: Floats of every scale, with infinities, NaN and the degeneracy boundary.
+wide_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e-6, -1e-6, 1e-7, 1.0, -1.0, 1e200, 1e-200]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(wide_floats, max_size=6))
+def test_norm_is_numpy_norm_bitwise(entries):
+    v = np.array(entries, dtype=float)
+    (fast, fast_warnings), (ref, ref_warnings) = outcome(ms.numerics._norm, v), outcome(
+        np.linalg.norm, v
+    )
+    assert type(fast) is float
+    assert repr(fast) == repr(float(ref))
+    assert fast_warnings == ref_warnings
+
+
+def assert_same_summary(fast, ref):
+    if isinstance(ref[0], type):  # both refuse the matrix alike
+        assert fast == ref
+        return
+    fast, ref = fast[0], ref[0]
+    assert np.array_equal(fast.eigenvalues, ref.eigenvalues, equal_nan=True)
+    for name in ("min_abs", "degeneracy_tol"):
+        assert type(getattr(fast, name)) is float
+        assert repr(getattr(fast, name)) == repr(getattr(ref, name))
+    for name in ("negative_count", "near_zero_count", "positive_count"):
+        assert type(getattr(fast, name)) is int
+        assert getattr(fast, name) == getattr(ref, name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(wide_floats, min_size=k * k, max_size=k * k)))
+def test_eigen_index_is_the_numpy_reference(entries):
+    k = math.isqrt(len(entries))
+    upper = np.triu(np.reshape(entries, (k, k)))
+    H = upper + np.triu(upper, 1).T
+    with np.errstate(all="ignore"):
+        assert_same_summary(outcome(ms.eigen_index, H), outcome(reference_eigen_index, H))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(wide_floats, min_size=1, max_size=5))
+def test_eigen_index_is_the_numpy_reference_on_any_spectrum(spectrum):
+    # LAPACK turns most non-finite matrices into all-NaN or garbage finite
+    # spectra; hand the counts spectra with NaN and inf among finite values
+    w = np.array(spectrum)
+    with mock.patch.object(np.linalg, "eigvalsh", lambda _: w.copy()):
+        fast = outcome(ms.eigen_index, np.eye(w.size))
+        ref = outcome(reference_eigen_index, np.eye(w.size))
+    assert_same_summary(fast, ref)

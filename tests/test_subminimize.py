@@ -987,9 +987,9 @@ def reference_newton(merit, split, x, y0, projected=None):
     ``default_inner_tol`` of the current iterate's value. A step that
     leaves the box ends the row where it is stationary on its faces, and
     elsewhere, with coordinates held against a face, is replaced by the
-    projected step: Newton's step on the system whose held rows and
-    columns are those of the identity, for the gradient with its held
-    entries zeroed; each projected step appends its iterate to the list
+    projected step: the held coordinates stay, and the free block takes
+    Newton's step on its own Hessian block, whose spectrum is tested
+    alone; each projected step appends its iterate to the list
     ``projected``, when given. A refusal is returned as ``(type, where,
     point, min eigenvalue or iterations)``."""
     from minsection.subminimize import (
@@ -1032,11 +1032,12 @@ def reference_newton(merit, split, x, y0, projected=None):
                 if projected is not None:
                     projected.append(y)
                 free = ~on_face
-                system = np.where(np.outer(free, free), hess, np.eye(len(y)))
-                w = np.linalg.eigvalsh(system)
+                block = hess[np.ix_(free, free)]
+                w = np.linalg.eigvalsh(block)
                 if indefinite(w):
                     return ms.ConvexityError, "iterate", split.embed(x, y), float(w[0])
-                step = np.linalg.solve(system, -np.where(free, g, 0.0))
+                step = np.zeros(len(y))
+                step[free] = np.linalg.solve(block, -g[free])
                 full = np.clip(y + step, lo, hi)
         if np.all(full == y):
             return ms.SubMinimizeError, "boundary", split.embed(x, best[0]), iteration
@@ -1502,3 +1503,26 @@ def test_tolerances_are_refused_before_any_evaluation(entries, split01, merit_ca
     with pytest.raises(ValueError, match="^outer_tol must be positive and finite"):
         ms.Tolerances(outer_tol=tol)
     assert merit_calls == []
+
+
+@pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
+def test_projected_step_tests_the_free_block_alone():
+    # From y0 = (0, 1) the coordinate p2 is held on its face p2 = 1 (the
+    # minimum p2 = 5 lies beyond it) and the free block p1 has curvature
+    # 2e8. Pinning p2 with an identity row put an eigenvalue 1.0 into the
+    # tested system, below PD_TOL * 2e8, and refused the slice as not
+    # convex. The free block alone is positive definite: the row walks to
+    # p1 = p0 and stops on the face, as it does when started there.
+    merit = ms.build_residual_merit(
+        (lambda p: 1e4 * (p[1] - p[0]), lambda p: 10.0 * (p[2] - 5.0)),
+        3,
+        box=np.array([[-1.0, 1.0], [-2.0, 2.0], [-1.0, 1.0]]),
+    )
+    problem = SliceProblem(merit, ms.ParameterSplit((0,), (1, 2)), [0.5])
+    stops = []
+    for y0 in ([0.0, 1.0], [0.5, 1.0]):
+        with pytest.raises(ms.SubMinimizeError, match="^the Newton step leaves the eliminated") as info:
+            ms.subminimize_newton(problem, y0=y0)
+        stops.append(info.value.best_y)
+    assert stops[0] == pytest.approx(stops[1], abs=1e-12)
+    assert stops[1].tolist() == [0.5, 1.0]
