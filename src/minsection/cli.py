@@ -36,6 +36,10 @@ COMMANDS = ("solve", "trace", "sections", "audit", "recover", "equivalence")
 #: ``--grid-density``-per-axis grid: the default 9 per axis at M = 3.
 AUDIT_SEEDS = 9**3
 
+#: Largest ``--grid-density``: 100 times the trace's default of 101 nodes.
+#: Every command allocates its grids and probe lines before it checks them.
+MAX_GRID_DENSITY = 10_001
+
 REFUSALS = (
     ConvexityError,
     SubMinimizeError,
@@ -53,8 +57,10 @@ def _validate(args: argparse.Namespace):
         raise ProblemFileError("command 'recover' requires --anchor-index and --anchor-value")
     if args.command == "sections" and args.x_indices is not None and len(args.x_indices) != 1:
         raise ProblemFileError("command 'sections' takes a single --x-indices entry")
-    if args.grid_density is not None and args.grid_density < 3:
-        raise ProblemFileError(f"--grid-density must be at least 3, got {args.grid_density}")
+    if args.grid_density is not None and not 3 <= args.grid_density <= MAX_GRID_DENSITY:
+        raise ProblemFileError(
+            f"--grid-density must be between 3 and {MAX_GRID_DENSITY}, got {args.grid_density}"
+        )
     if args.starts < 1:
         raise ProblemFileError(f"--starts must be at least 1, got {args.starts}")
     if args.seed < 0:

@@ -52,12 +52,15 @@ class NonFiniteValueError(ValueError):
     """A finite-difference stencil met a non-finite objective value.
 
     ``point`` is the stencil center, a point inside the domain box whose
-    neighborhood the objective is not finite on.
+    neighborhood the objective is not finite on. ``coordinates`` holds the
+    coordinate of a non-finite gradient entry, or the pair of a non-finite
+    Hessian entry, and is empty otherwise.
     """
 
-    def __init__(self, message: str, point):
+    def __init__(self, message: str, point, coordinates=()):
         super().__init__(message)
         self.point = np.array(point, dtype=float)
+        self.coordinates = tuple(coordinates)
 
 
 class RankDeficiencyError(ValueError):
@@ -328,15 +331,23 @@ def _thin_box_error(coordinate):
     return ValueError(f"domain box is thinner than the FD stencil along coordinate {coordinate}")
 
 
+def _non_finite_entry_error(coordinates, point):
+    """The :class:`NonFiniteValueError` of a non-finite gradient entry (one
+    coordinate) or Hessian entry (a pair) of the stencil at ``point``."""
+    if len(coordinates) == 1:
+        where = f"gradient entry at coordinate {coordinates[0]}"
+    else:
+        where = "Hessian entry at coordinate pair ({}, {})".format(*coordinates)
+    return NonFiniteValueError(f"non-finite {where}", point, coordinates)
+
+
 def _non_finite_gradient_error(coordinate, p):
-    return NonFiniteValueError(f"non-finite gradient entry at coordinate {coordinate}", p)
+    return _non_finite_entry_error((coordinate,), p)
 
 
 def _non_finite_block_error(block, indices, point):
     a, b = np.argwhere(~np.isfinite(block))[0]
-    return NonFiniteValueError(
-        f"non-finite Hessian entry at coordinate pair ({indices[a]}, {indices[b]})", point
-    )
+    return _non_finite_entry_error((indices[a], indices[b]), point)
 
 
 def _second_diff_blocks(f, points, indices, box):
@@ -480,6 +491,9 @@ def _check_symmetric(H) -> np.ndarray:
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("expected a square matrix")
+    if not np.isfinite(H).all():
+        i, j = np.argwhere(~np.isfinite(H))[0].tolist()
+        raise ValueError(f"matrix entry ({i}, {j}) is {float(H[i, j])}, not finite")
     scale = max(1.0, float(np.max(np.abs(H)))) if H.size else 1.0
     if float(np.max(np.abs(H - H.T))) > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
@@ -491,7 +505,10 @@ def eigen_index(H) -> EigenSummary:
 
     ``negative_count`` is the candidate Morse index; ``near_zero_count > 0``
     signals a degenerate (numerically singular) matrix. The degeneracy
-    tolerance is ``1e-6 * max(1, max |eigenvalue|)``.
+    tolerance is ``1e-6 * max(1, max |eigenvalue|)``. A matrix that is not
+    square, has a non-finite entry or is not symmetric within
+    ``SYMMETRY_TOL`` raises ``ValueError``, the first non-finite entry
+    named, before any decomposition.
     """
     H = _check_symmetric(H)
     w = np.linalg.eigvalsh(H)
@@ -511,7 +528,8 @@ def eigen_index(H) -> EigenSummary:
 
 
 def is_positive_definite(H) -> bool:
-    """True iff the smallest eigenvalue exceeds ``1e-8 * max(1, ||H||_2)``."""
+    """True iff the smallest eigenvalue exceeds ``1e-8 * max(1, ||H||_2)``;
+    refuses ``H`` as :func:`eigen_index` does."""
     H = _check_symmetric(H)
     w = np.linalg.eigvalsh(H)
     return bool(w[0] > 1e-8 * max(1.0, float(np.max(np.abs(w)))))

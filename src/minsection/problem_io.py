@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .numerics import HESSIAN_STEP, _exact_step
 from .problems import (
     MeritFunction,
     ParameterSplit,
@@ -219,6 +220,15 @@ def load_problem_file(path) -> ProblemDefinition:
             raise ProblemFileError(
                 "field domain_box must hold one nondegenerate [lo, hi] pair per coordinate"
             )
+        for i, (lo, hi) in enumerate(box.tolist()):
+            # the widest finite-difference stencil in [lo, hi]: four
+            # second-difference steps, the step taken at either bound
+            width = 4.0 * max(_exact_step(v, HESSIAN_STEP * max(1.0, abs(v))) for v in (lo, hi))
+            if hi - lo < width:
+                raise ProblemFileError(
+                    f"field domain_box is thinner along coordinate {i} than the "
+                    f"finite-difference stencil, {width!r} wide there"
+                )
 
     if kind == "catalog":
         name = _require(model, "name", str, "model")

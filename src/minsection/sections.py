@@ -224,7 +224,7 @@ def trace_implicit(
     try:
         solutions = slices.solve(grid)
     except (ConvexityError, SubMinimizeError) as err:
-        x = slices.failed_x
+        x = split.x_part(err.point)
         raise TraceError(
             f"slice solve failed at x = {x.tolist()} (the conditional-minimum "
             f"graph does not extend there): {err}",

@@ -634,10 +634,9 @@ def solve_direct(
             step = np.linalg.lstsq(hess, -g, rcond=None)[0]
         return -g if g @ step >= 0.0 else step
 
-    outcome = _damped_newton(feval, p, fval, box, outer_tol, MAX_DIRECT_ITERATIONS, direction)
-    if isinstance(outcome, Exception):
-        raise outcome
-    (p, fval, grad_norm), _, iteration, stop = outcome
+    (p, fval, grad_norm), _, iteration, stop = _damped_newton(
+        feval, p, fval, box, outer_tol, MAX_DIRECT_ITERATIONS, direction
+    )
     if stop != "converged":
         raise SolveError(
             {

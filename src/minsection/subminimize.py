@@ -472,10 +472,10 @@ def _damped_newton(f, x, fval, box, tol, max_iter, direction):
     iteration takes the two stencils of :func:`numerics.fd_hessian`,
     called directly (:func:`numerics.fd_gradient`, then
     :func:`numerics._second_diff_block` given the iterate's value), and
-    its step from ``direction(g, hess, x)``, which returns the step or the
-    exception that refuses it. The row stops once its gradient norm, inf
-    if it overflows, is at most the tolerance of its iterate. Where the
-    full step leaves the box at an iterate stationary on its faces (the
+    its step from ``direction(g, hess, x)``, which returns the step or
+    raises the error that refuses it. The row stops once its gradient
+    norm, inf if it overflows, is at most the tolerance of its iterate.
+    Where the full step leaves the box at an iterate stationary on its faces (the
     gradient components not held against a face, at lo with g > 0 or at
     hi with g < 0, have a norm of at most that tolerance), the row stops
     at the boundary; where it leaves the box at another iterate with
@@ -487,22 +487,19 @@ def _damped_newton(f, x, fval, box, tol, max_iter, direction):
     too. A row still running at the last iteration takes its step and line
     search, and their refusal, boundary stop or stall is its outcome.
 
-    Returns the error that ended the row (a refusal of ``direction`` or a
-    derivative error) or ``(best, hess, iteration, stop)``: ``best = (x,
-    fval, gradient norm)`` of the smallest norm seen (the stopping iterate
-    on convergence), the last Hessian, and ``stop`` in ``"converged"``,
-    ``"boundary"``, ``"stalled"`` or ``"max_iter"``.
+    Returns ``(best, hess, iteration, stop)``: ``best = (x, fval, gradient
+    norm)`` of the smallest norm seen (the stopping iterate on
+    convergence), the last Hessian, and ``stop`` in ``"converged"``,
+    ``"boundary"``, ``"stalled"`` or ``"max_iter"``. A stencil error or a
+    refusal of ``direction`` propagates.
     """
     x = np.array(x, dtype=float)
     lo, hi = box[:, 0], box[:, 1]
     indices = range(len(x))
     best = (x, fval, math.inf)
     for iteration in range(max_iter + 1):
-        try:
-            g = numerics.fd_gradient(f, x, box)
-            hess = numerics._second_diff_block(f, x, indices, box, fval)[0]
-        except ValueError as err:  # NonFiniteValueError is a ValueError
-            return err
+        g = numerics.fd_gradient(f, x, box)
+        hess = numerics._second_diff_block(f, x, indices, box, fval)[0]
         with np.errstate(over="ignore"):
             norm = float(np.sqrt(g @ g))
         if norm < best[2]:
@@ -510,8 +507,6 @@ def _damped_newton(f, x, fval, box, tol, max_iter, direction):
         if norm <= tol(fval):
             return best, hess, iteration, "converged"
         step = direction(g, hess, x)
-        if isinstance(step, Exception):
-            return step
         full = np.minimum(np.maximum(x + step, lo), hi)
         if (full != x + step).any():
             held = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
@@ -521,11 +516,8 @@ def _damped_newton(f, x, fval, box, tol, max_iter, direction):
                 # the free block takes the step of its own system and is
                 # tested alone; the held coordinates stay where they are
                 free = ~held
-                free_step = direction(g[free], hess[np.ix_(free, free)], x)
-                if isinstance(free_step, Exception):
-                    return free_step
                 step = np.zeros_like(x)
-                step[free] = free_step
+                step[free] = direction(g[free], hess[np.ix_(free, free)], x)
                 full = np.minimum(np.maximum(x + step, lo), hi)
         if (full == x).all():
             return best, hess, iteration, "boundary"
@@ -542,19 +534,14 @@ def _damped_newton(f, x, fval, box, tol, max_iter, direction):
     return best, hess, max_iter, "max_iter"
 
 
-def _rows(a, rows):
-    """``a[rows]`` for the ascending positions ``rows``; ``a`` itself when
-    they are all of its rows."""
-    return a if len(rows) == len(a) else a[rows]
-
-
 def _newton_1d(value, y, fval, lo, hi, tol, max_iter, refuse):
     """:func:`_damped_newton` on one row of one coordinate, in Python
     floats: ``value`` is the row's objective, ``fval`` its value at the
-    start ``y`` in ``[lo, hi]``, and ``refuse(y, h)`` the error of an
-    iterate ``y`` whose second difference ``h`` is refused. Returns the
-    outcome :func:`_damped_newton` gives the row, bitwise, after the same
-    evaluations in the same order, with the last Hessian as the float ``h``.
+    start ``y`` in ``[lo, hi]``, and ``refuse(y, h)`` raises the refusal of
+    an iterate ``y`` whose second difference ``h`` is refused. Returns or
+    raises what :func:`_damped_newton` does on the row, bitwise, after the
+    same evaluations in the same order, with the last Hessian as the float
+    ``h``.
 
     An iteration takes the two stencils of :func:`numerics.fd_hessian`
     with their scalar formulas: the central gradient ``(f(y + d) - f(y -
@@ -563,9 +550,8 @@ def _newton_1d(value, y, fval, lo, hi, tol, max_iter, refuse):
     its one :class:`~minsection.numerics.BoundaryStepWarning`; then the
     second difference ``(f(c + s) - 2 f0 + f(c - s)) / (s s)`` about the
     iterate shifted inward off a face, in a box at least ``4 s`` wide. A
-    thin box or a non-finite entry ends the row with the error those
-    stencils raise. The norm is ``sqrt(g g)``, inf
-    if it overflows; ``h`` is refused where ``h <= PD_TOL max(1, |h|)``
+    thin box or a non-finite entry raises the error those stencils raise.
+    The norm is ``sqrt(g g)``, inf if it overflows; ``h`` is refused where ``h <= PD_TOL max(1, |h|)``
     (:func:`_indefinite_1d`), else the step is ``-g / h``, bitwise LAPACK's
     solve. With one coordinate, every boundary stop of
     :func:`_damped_newton` is a clipped step that does not move the
@@ -582,33 +568,30 @@ def _newton_1d(value, y, fval, lo, hi, tol, max_iter, refuse):
         return (np.array([y]), fy, gn), h, iteration, stop
 
     for iteration in range(max_iter + 1):
-        try:
-            d = (y + numerics.GRADIENT_STEP * max(1.0, abs(y))) - y
-            if y + d <= hi and y - d >= lo:
-                g = (value(y + d) - value(y - d)) / (2.0 * d)
-                if not math.isfinite(g):
-                    raise numerics._non_finite_gradient_error(0, [y])
-            else:
-                g = float(numerics.fd_gradient(
-                    lambda v: value(v[0]), np.array([y]), np.array([[lo, hi]])
-                )[0])
-            s = (y + numerics.HESSIAN_STEP * max(1.0, abs(y))) - y
-            if hi - lo < 4.0 * s:
-                raise numerics._thin_box_error(0)
-            c = min(max(y, lo + s), hi - s)
-            f0 = fval if c == y else value(c)
-            h = (value(c + s) - 2.0 * f0 + value(c - s)) / (s * s)
-            if not math.isfinite(h):
-                raise numerics._non_finite_block_error(np.array([[h]]), (0,), [c])
-        except ValueError as err:  # NonFiniteValueError is a ValueError
-            return err
+        d = (y + numerics.GRADIENT_STEP * max(1.0, abs(y))) - y
+        if y + d <= hi and y - d >= lo:
+            g = (value(y + d) - value(y - d)) / (2.0 * d)
+            if not math.isfinite(g):
+                raise numerics._non_finite_gradient_error(0, [y])
+        else:
+            g = float(numerics.fd_gradient(
+                lambda v: value(v[0]), np.array([y]), np.array([[lo, hi]])
+            )[0])
+        s = (y + numerics.HESSIAN_STEP * max(1.0, abs(y))) - y
+        if hi - lo < 4.0 * s:
+            raise numerics._thin_box_error(0)
+        c = min(max(y, lo + s), hi - s)
+        f0 = fval if c == y else value(c)
+        h = (value(c + s) - 2.0 * f0 + value(c - s)) / (s * s)
+        if not math.isfinite(h):
+            raise numerics._non_finite_block_error(np.array([[h]]), (0,), [c])
         norm = math.sqrt(g * g)
         if norm < best[2]:
             best = (y, fval, norm)
         if norm <= tol(fval):
             return outcome(h, iteration, "converged")
         if _indefinite_1d(h):
-            return refuse(y, h)
+            refuse(y, h)
         step = -g / h
         if min(max(y + step, lo), hi) == y:
             return outcome(h, iteration, "boundary")
@@ -629,60 +612,62 @@ def _newton_1d(value, y, fval, lo, hi, tol, max_iter, refuse):
 def _newton_rows(merit, split, xs, starts, inner_tol=None):
     """Damped Newton on the slices at the rows of the valid (N, n) stack
     ``xs``, from the (N, m) ``starts`` clipped to the eliminated-coordinate
-    box, row after row: per row its :class:`SubMinimum`, or the error its
-    solve raises. With one eliminated coordinate a row runs the scalar
-    kernel :func:`_newton_1d`, its start clipped and its spectrum and
-    refusal test taken from the kernel's ``h``, on Python floats; with
-    more it runs :func:`_damped_newton`, its spectrum from ``eigvalsh`` of
-    its block and its step from ``solve``. A sub-minimum whose block is
-    not refused is positive definite, so its y-index is 0.
+    box, row after row: yields each row's :class:`SubMinimum` and raises at
+    the first row that fails, as :class:`SliceSolver` says. With one
+    eliminated coordinate a row runs the scalar kernel :func:`_newton_1d`,
+    its start clipped and its spectrum and refusal test taken from the
+    kernel's ``h``, on Python floats; with more it runs
+    :func:`_damped_newton`, its spectrum from ``eigvalsh`` of its block and
+    its step from ``solve``. A sub-minimum whose block is not refused is
+    positive definite, so its y-index is 0. A non-finite stencil entry is
+    raised at the full parameter vector, naming the parameter's index.
     """
     ybox = split.y_box(merit.domain_box)
     lo, hi = ybox[0].tolist()  # the y-box as floats when m = 1
     tol = default_inner_tol if inner_tol is None else lambda _: float(inner_tol)
     note = "; the convexity assumption is violated for this split"
-    results = []
     for x, start in zip(xs, np.asarray(starts, dtype=float)):
 
-        def convexity_error(y, w, where, note=""):
-            return ConvexityError(
+        def refuse(y, w, where, note=""):
+            raise ConvexityError(
                 f"eliminated-block Hessian is not positive definite at {where} "
                 f"(min eigenvalue {float(w[0]):.3e}){note}",
                 point=split.embed(x, y),
                 min_eig=float(w[0]),
             )
 
-        if split.m == 1:
-            (y,) = start.tolist()
-            # numpy's clip off the open box: Python's max and min keep the
-            # first of two equal signed zeros, numpy's maximum and minimum
-            # the second, and both propagate NaN
-            if not lo < y < hi:
-                y = float(np.minimum(np.maximum(y, lo), hi))
-            value = _slice_objective(merit, split, x, y)
-            outcome = _newton_1d(
-                value, y, value(y), lo, hi, tol, MAX_NEWTON_ITERATIONS,
-                lambda y, h: convexity_error([y], [h], "an iterate", note),
-            )
-        else:
+        try:
+            if split.m == 1:
+                (y,) = start.tolist()
+                # numpy's clip off the open box: Python's max and min keep
+                # the first of two equal signed zeros, numpy's maximum and
+                # minimum the second, and both propagate NaN
+                if not lo < y < hi:
+                    y = float(np.minimum(np.maximum(y, lo), hi))
+                value = _slice_objective(merit, split, x, y)
+                (y, fy, gn), hess, iteration, stop = _newton_1d(
+                    value, y, value(y), lo, hi, tol, MAX_NEWTON_ITERATIONS,
+                    lambda y, h: refuse([y], [h], "an iterate", note),
+                )
+            else:
 
-            def newton_step(g, hess, y):
-                w = np.linalg.eigvalsh(hess)
-                if _indefinite(w):
-                    return convexity_error(y, w, "an iterate", note)
-                return np.linalg.solve(hess, -g)
+                def newton_step(g, hess, y):
+                    w = np.linalg.eigvalsh(hess)
+                    if _indefinite(w):
+                        refuse(y, w, "an iterate", note)
+                    return np.linalg.solve(hess, -g)
 
-            y = np.minimum(np.maximum(start, ybox[:, 0]), ybox[:, 1])
-            value = _slice_objective(merit, split, x, y)
-            outcome = _damped_newton(
-                value, y, value(y), ybox, tol, MAX_NEWTON_ITERATIONS, newton_step
-            )
-        if isinstance(outcome, Exception):
-            results.append(outcome)
-            continue
-        (y, fy, gn), hess, iteration, stop = outcome
+                y = np.minimum(np.maximum(start, ybox[:, 0]), ybox[:, 1])
+                value = _slice_objective(merit, split, x, y)
+                (y, fy, gn), hess, iteration, stop = _damped_newton(
+                    value, y, value(y), ybox, tol, MAX_NEWTON_ITERATIONS, newton_step
+                )
+        except numerics.NonFiniteValueError as err:
+            raise numerics._non_finite_entry_error(
+                [split.y_indices[c] for c in err.coordinates], split.embed(x, err.point)
+            ) from err
         if stop != "converged":
-            results.append(SubMinimizeError(
+            raise SubMinimizeError(
                 {
                     "boundary": "the Newton step leaves the eliminated-coordinate box at "
                     "the iterate; the slice minimum may lie outside the box",
@@ -695,18 +680,16 @@ def _newton_rows(merit, split, xs, starts, inner_tol=None):
                 grad_norm=gn,
                 iterations=iteration,
                 point=split.embed(x, y),
-            ))
-            continue
+            )
         if split.m == 1:
             w, refused = [hess], _indefinite_1d(hess)
         else:
             w = np.linalg.eigvalsh(hess)
             refused = _indefinite(w)
         if refused:
-            results.append(convexity_error(y, w, "the sub-minimum"))
-        else:  # a positive definite block: y-index 0
-            results.append(SubMinimum(y, fy, gn, float(w[0]), "newton", iteration, tol(fy)))
-    return results
+            refuse(y, w, "the sub-minimum")
+        # a positive definite block: y-index 0
+        yield SubMinimum(y, fy, gn, float(w[0]), "newton", iteration, tol(fy))
 
 
 def _slice_objective(merit, split, x, y):
@@ -758,12 +741,8 @@ def subminimize_newton(
             raise ValueError(f"y0 must have {problem.split.m} entries, got shape {start.shape}")
         if np.isnan(start).any():
             raise ValueError(f"y0 must not hold NaN, got {start}")
-    (result,) = _newton_rows(
-        problem.merit, problem.split, problem.x_fixed[None], start[None], inner_tol
-    )
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return next(_newton_rows(problem.merit, problem.split, problem.x_fixed[None], start[None],
+                             inner_tol))
 
 
 def _levels(count):
@@ -850,12 +829,17 @@ class SliceSolver:
     up to four nearest rows already solved: a multilevel predictor, whose
     levels, nearest rows and weights depend on the row count only and are
     planned once per stack size (:func:`_level_plan`). Starts are clipped
-    to the eliminated-coordinate box. A level with a failing
-    row keeps its other rows' results, records the failing row's x as
-    ``failed_x`` and raises the error of its lowest failing row. A Newton
-    solve from a start of the caller's choosing is
-    :func:`subminimize_newton`. An ``inner_tol`` that is set but not
-    positive and finite raises ``ValueError``.
+    to the eliminated-coordinate box. A Newton solve from a start of the
+    caller's choosing is :func:`subminimize_newton`. An ``inner_tol`` that
+    is set but not positive and finite raises ``ValueError``.
+
+    Both row solvers, :func:`_linear_rows` and :func:`_newton_rows`, yield
+    their rows' results in order and raise at the first row that fails:
+    a collinear basis, a refused block (:class:`ConvexityError`), a Newton
+    stop that did not converge (:class:`SubMinimizeError`) or a stencil
+    error. Every row before it is kept and no row after it is solved. A
+    Newton row's error carries the full parameter vector as ``point``, so
+    its retained part is the row's x.
     """
 
     def __init__(self, merit: MeritFunction, split: ParameterSplit, inner_tol: float | None = None):
@@ -867,7 +851,6 @@ class SliceSolver:
         self.solved: dict[tuple[float, ...], SubMinimum] = {}
         self.recent: list[tuple[np.ndarray, SubMinimum]] = []
         self.solves = 0
-        self.failed_x: np.ndarray | None = None
 
     def _predict(self, x) -> np.ndarray:
         """Newton start at ``x``: the secant prediction, else the last
@@ -895,9 +878,7 @@ class SliceSolver:
         gives the list of its rows' results, in order.
 
         The Newton rows not yet solved are solved level by level, each row
-        from its own start. A failing row raises its refusal, the
-        lowest failing row of the first level that has one, with its x in
-        ``failed_x``; every row solved, in that level too, is kept. An
+        from its own start; a failing row raises as the class says. An
         ``x_fixed`` of more than two dimensions raises ``ValueError``
         naming its shape, before any evaluation."""
         x = np.atleast_1d(np.asarray(x_fixed, dtype=float))
@@ -919,8 +900,7 @@ class SliceSolver:
     def _solve_levels(self, rows, keys) -> None:
         """Solve and keep the valid distinct rows ``rows``, level by level,
         each level's rows started from the interpolants of the stack
-        size's :func:`_level_plan`; a failing row raises as
-        :meth:`solve` says."""
+        size's :func:`_level_plan`."""
         plan = _level_plan(len(rows))
         ys = np.empty((len(rows), self.split.m))
         for level, nodes, weights in plan:
@@ -929,19 +909,11 @@ class SliceSolver:
                 starts = self._predict(rows[at[0]])[None]
             else:
                 starts = _interpolate(nodes, weights, ys)
-            self.solves += len(at)
-            subs = _newton_rows(self.merit, self.split, _rows(rows, at), starts, self.inner_tol)
-            failed = None
-            for j, sub in zip(at, subs):
-                if not isinstance(sub, Exception):
-                    self.solved[keys[j]] = sub
-                elif failed is None:
-                    failed = j, sub
-            if failed:
-                self.failed_x = rows[failed[0]]
-                raise failed[1]
-            if level is not plan[-1][0]:
-                ys[at] = [sub.y_star for sub in subs]
+            subs = _newton_rows(self.merit, self.split, rows[at], starts, self.inner_tol)
+            for j in at:
+                self.solves += 1
+                sub = self.solved[keys[j]] = next(subs)
+                ys[j] = sub.y_star
 
     def _solve_linear(self, rows, keys) -> None:
         """Solve and keep the valid distinct rows ``rows``, in stacks of at

@@ -166,6 +166,14 @@ def test_missing_anchor_flags_exit_2(tmp_path, capsys):
         (["--problem", "QUAD", "--command", "solve", "--inner-tol", "-1"], "--inner-tol"),
         (["--problem", "QUAD", "--command", "trace", "--inner-tol", "inf"], "--inner-tol"),
         (["--problem", "QUAD", "--command", "equivalence", "--seed", "-1"], "--seed"),
+        # one above the bound: a density far above it could exhaust memory
+        *[
+            (["--problem", "QUAD", "--command", command, "--grid-density",
+              str(cli.MAX_GRID_DENSITY + 1)] + (
+                ["--anchor-index", "0", "--anchor-value", "0"] if command == "recover" else []),
+             f"--grid-density must be between 3 and {cli.MAX_GRID_DENSITY}")
+            for command in cli.COMMANDS
+        ],
     ],
 )
 def test_bad_flag_values_exit_2(tmp_path, capsys, argv, flag):
@@ -173,6 +181,27 @@ def test_bad_flag_values_exit_2(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert err.startswith("input error:") and flag in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_stencil_thin_box_is_input_error(tmp_path, capsys, monkeypatch, command):
+    # coordinate 1 is 1e-6 wide, narrower than four second-difference steps
+    (tmp_path / "thin.json").write_text(json.dumps({
+        "dimension": 2,
+        "model": {"kind": "catalog", "name": "SINE_VALLEY"},
+        "domain_box": [[-2.0, 2.0], [0.0, 1e-6]],
+    }))
+    calls = []
+    monkeypatch.setattr(ms.MeritFunction, "__call__", lambda merit, p: calls.append(p))
+    argv = ["--problem", str(tmp_path / "thin.json"), "--command", command,
+            "--anchor-index", "0", "--anchor-value", "0", "--out", str(tmp_path / "out")]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "input error: field domain_box is thinner along coordinate 1 than the "
+        "finite-difference stencil"
+    )
+    assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_recover_command(tmp_path):

@@ -253,7 +253,7 @@ BOUNDARY_STOP = (
     [
         pytest.param(command, evaluations, id=command)
         for command, evaluations in (
-            ("solve", 1355), ("sections", 1355), ("equivalence", 1355), ("trace", 32)
+            ("solve", 1345), ("sections", 1345), ("equivalence", 1345), ("trace", 22)
         )
     ],
 )
@@ -262,9 +262,10 @@ def test_newton_step_out_of_box_stops_at_once(tmp_path, capsys, merit_calls, com
     # face y = 10: the first Newton step reaches the face and the next one
     # points out of the box, which no step length can enter (3,579, 3,579,
     # 3,579 and 2,256 evaluations when such a slice ran out its 50 Newton
-    # iterations). The grid is solved middle first, so the slices at x = 0
-    # and at the other end x = 10 are solved before the stack refuses (10
-    # evaluations each).
+    # iterations). The grid is solved middle first, so the slice at x = 0
+    # (10 evaluations) is solved before the stack refuses; the level of
+    # the two ends stops at x = -10, its first row, and leaves x = 10
+    # unsolved (1,355, 1,355, 1,355 and 32 evaluations when it solved it).
     argv = ["--problem", "DEGEN_LINE", "--command", command, "--out", str(tmp_path)]
     assert cli.main(argv) == 1
     assert merit_calls["n"] == evaluations

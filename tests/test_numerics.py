@@ -115,6 +115,27 @@ def test_eigen_index_rejects_asymmetric():
         ms.eigen_index(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "H, entry",
+    [
+        (np.diag([np.nan, 1.0]), "(0, 0) is nan"),
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), "(0, 1) is inf"),
+        (np.diag([1.0, -np.inf]), "(1, 1) is -inf"),
+    ],
+)
+def test_non_finite_matrices_are_refused(H, entry, monkeypatch):
+    # refused before LAPACK is called, which returns a finite spectrum for
+    # some of them: diag(NaN, 1) read as degenerate
+    def no_lapack(_):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+    for fn in (ms.eigen_index, ms.is_positive_definite):
+        with pytest.raises(ValueError) as info:
+            fn(H)
+        assert str(info.value) == f"matrix entry {entry}, not finite"
+
+
 def test_is_positive_definite():
     assert ms.is_positive_definite(np.diag([2.0, 2.0]))
     assert not ms.is_positive_definite(np.array([[2.0, 2.0], [2.0, 2.0]]))
@@ -233,7 +254,12 @@ def test_lsq_rank_matches_numpy_lstsq(cols, extra, seed, data):
 
 
 def reference_eigen_index(H):
-    """:func:`minsection.eigen_index` as numpy reductions over the spectrum."""
+    """:func:`minsection.eigen_index` as numpy reductions over the spectrum,
+    a matrix with a non-finite entry refused first."""
+    bad = np.argwhere(~np.isfinite(np.asarray(H, dtype=float)))
+    if np.ndim(H) == 2 and np.shape(H)[0] == np.shape(H)[1] and bad.size:
+        i, j = bad[0]
+        raise ValueError(f"matrix entry ({i}, {j}) is {float(H[i, j])}, not finite")
     H = ms.numerics._check_symmetric(H)
     w = np.linalg.eigvalsh(H)
     degeneracy_tol = 1e-6 * max(1.0, float(np.max(np.abs(w))))

@@ -67,6 +67,36 @@ def test_load_catalog_with_box_override(tmp_path):
     assert np.allclose(definition.merit.domain_box, [[-1.0, 1.0], [-1.0, 1.0]])
 
 
+@pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
+@pytest.mark.parametrize("lo", [0.0, -0.5, 3.0, -1e4, 1e4])
+def test_a_box_that_loads_fits_every_stencil(tmp_path, lo):
+    # widths about four second-difference steps: each box is refused when
+    # it loads, or no stencil about a point of it meets the thin-box error
+    from minsection.numerics import HESSIAN_STEP, _second_diff_block
+
+    path = tmp_path / "box.json"
+    loaded = refused = 0
+    for scale in np.linspace(0.99, 1.01, 41):
+        hi = lo + 4.0 * HESSIAN_STEP * max(1.0, abs(lo)) * scale
+        path.write_text(json.dumps({
+            "dimension": 2,
+            "model": {"kind": "catalog", "name": "QUAD"},
+            "domain_box": [[-1.0, 1.0], [lo, hi]],
+        }))
+        try:
+            merit = ms.load_problem_file(path).merit
+        except ProblemFileError as err:
+            assert str(err).startswith("field domain_box is thinner along coordinate 1 ")
+            refused += 1
+            continue
+        loaded += 1
+        for y in np.linspace(lo, hi, 7):
+            p = np.array([0.0, y])
+            _second_diff_block(merit, p, (0, 1), merit.domain_box)
+            ms.fd_gradient(merit, p, box=merit.domain_box)
+    assert loaded and refused
+
+
 def test_basis_expression_set(tmp_path):
     t = np.linspace(0.0, 1.0, 8)
     d = 3.0 + 2.0 * t + 0.5 * np.sin(1.3 * t)

@@ -17,6 +17,46 @@ def test_trace_sine_valley(entries, split01):
     assert np.all(trace.y_index_along_trace == 0)
 
 
+def kepler_anomaly(x, e):
+    """The root y of Kepler's equation y - e sin y = x, by bisection on
+    [-1, 2 pi + 1] with ``math`` alone, until the bracket stops shrinking."""
+    lo, hi = -1.0, 2.0 * math.pi + 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if mid - e * math.sin(mid) - x < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("e", [0.1, 0.5, 0.9, 0.99])
+def test_trace_solves_keplers_equation(e):
+    # The paper's construction: the inner equation f = y - e sin y - x = 0
+    # is dF/dy = 0 of F = y^2 / 2 + e cos y - x y, convex in y with
+    # d2F/dy2 = 1 - e cos y >= 1 - e, so its traced minimum y*(x) is the
+    # eccentric anomaly at mean anomaly x
+    merit = ms.MeritFunction(
+        2,
+        lambda p: p[1] ** 2 / 2.0 + e * math.cos(p[1]) - p[0] * p[1],
+        domain_box=[[0.0, 2.0 * math.pi], [-1.0, 2.0 * math.pi + 1.0]],
+    )
+    split = ms.ParameterSplit((0,), (1,))
+    assert ms.probe_y_convexity(merit, split).positive
+    trace = ms.trace_implicit(merit, split, np.linspace(0.0, 2.0 * math.pi, 41))
+    assert np.all(trace.residual_norms <= trace.inner_tols)
+    for x, y, residual, tol in zip(
+        trace.x_samples[:, 0], trace.g_values[:, 0], trace.residual_norms, trace.inner_tols
+    ):
+        f = abs(y - e * math.sin(y) - x)
+        # the recorded residual is f's central difference, whose error
+        # (h^2 e / 6 plus rounding, h <= 5e-5) is below 1e-9
+        assert abs(f - residual) <= 1e-9
+        # |f'| >= 1 - e, so y lies within f / (1 - e) of the root
+        assert abs(y - kepler_anomaly(x, e)) <= (tol + 1e-9) / (1.0 - e)
+
+
 def test_trace_two_wells_crosses_both_minima(entries, split01):
     grid = np.linspace(-2.0, 2.0, 41)
     trace = ms.trace_implicit(entries["TWO_WELLS"].merit, split01, grid)

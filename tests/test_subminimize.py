@@ -179,6 +179,37 @@ def test_slice_refusal_carries_its_full_point(entries, split01):
     assert excinfo.value.point.tolist() == problem.point(best).tolist() == [-10.0, 10.0]
 
 
+@pytest.mark.parametrize(
+    "x_indices, x, y0, where, point",
+    [
+        # the central gradient stencil about p1 = 2 meets the wall
+        ((0, 2), [0.5, 0.3], [2.0], "gradient entry at coordinate 1", [0.5, 2.0, 0.3]),
+        ((0,), [0.5], [2.0, 0.3], "gradient entry at coordinate 1", [0.5, 2.0, 0.3]),
+        # the gradient stencil fits below the wall, the second difference does not
+        ((0, 2), [0.5, 0.3], [1.9999], "Hessian entry at coordinate pair (1, 1)",
+         [0.5, 1.9999, 0.3]),
+        ((0,), [0.5], [1.9999, 0.3], "Hessian entry at coordinate pair (1, 1)",
+         [0.5, 1.9999, 0.3]),
+    ],
+    ids=["gradient_m1", "gradient_m2", "hessian_m1", "hessian_m2"],
+)
+def test_slice_stencil_error_carries_its_full_point(x_indices, x, y0, where, point):
+    # p0^2 + (p1 - 1)^2 + p2^2, infinite for p1 > 2: a slice's non-finite
+    # stencil entry is named by its parameter index, at the full point
+    merit = ms.build_residual_merit(
+        (lambda p: p[0], lambda p: p[1] - 1.0, lambda p: p[2],
+         lambda p: math.inf if p[1] > 2.0 else 0.0),
+        3,
+        box=np.array([[-3.0, 3.0]] * 3),
+    )
+    split = ms.ParameterSplit(x_indices, tuple(i for i in range(3) if i not in x_indices))
+    with pytest.raises(ms.numerics.NonFiniteValueError) as info:
+        ms.subminimize_newton(SliceProblem(merit, split, x), y0=y0)
+    assert str(info.value) == f"non-finite {where}"
+    assert info.value.point.tolist() == point
+    assert info.value.coordinates == tuple(int(c) for c in where if c.isdigit())
+
+
 def test_slice_problem_validates_x(entries, split01):
     with pytest.raises(ValueError, match="outside"):
         SliceProblem(entries["QUAD"].merit, split01, [11.0])
@@ -309,9 +340,9 @@ def test_secant_start_on_a_linear_implicit_graph(aniso3, monkeypatch):
     newton = ms.subminimize._newton_rows
 
     def recording_newton(merit, split, xs, ys, inner_tol=None):
-        subs = newton(merit, split, xs, ys, inner_tol)
-        iterations.extend(sub.iterations for sub in subs)
-        return subs
+        for sub in newton(merit, split, xs, ys, inner_tol):
+            iterations.append(sub.iterations)
+            yield sub
 
     monkeypatch.setattr(ms.subminimize, "_newton_rows", recording_newton)
     merit, _ = aniso3
@@ -933,6 +964,22 @@ def newton_outcome(calls, solve):
     return result, len(calls) - before, [w.category for w in caught]
 
 
+def newton_rows(merit, split, xs, starts):
+    """Each row's result of ``_newton_rows`` on the stack, the error for a
+    failing row: the stack stops at its first failing row, so the rows
+    after it are solved as a stack of their own."""
+    from minsection.subminimize import _newton_rows
+
+    results = []
+    while len(results) < len(xs):
+        k = len(results)
+        try:
+            results.extend(_newton_rows(merit, split, xs[k:], starts[k:]))
+        except Exception as err:  # the failing row's error, compared by the caller
+            results.append(err)
+    return results
+
+
 def default_starts(merit, split, rows):
     """The default Newton start, the center of the eliminated-coordinate
     box, for each of ``rows`` rows."""
@@ -948,13 +995,11 @@ def default_starts(merit, split, rows):
 def test_newton_stack_rows_are_one_row_solves(entries, merit_calls, case, default_start):
     # each row is solved as subminimize_newton solves it alone, from the
     # case's stacked starts or from the default start
-    from minsection.subminimize import _newton_rows
-
     merit, split, xs, starts = newton_stack_cases(entries)[case]
     if default_start:
         starts = default_starts(merit, split, len(xs))
     stacked, stacked_evals, stacked_warnings = newton_outcome(
-        merit_calls, lambda: _newton_rows(merit, split, xs, starts)
+        merit_calls, lambda: newton_rows(merit, split, xs, starts)
     )
     evals, clamps = 0, []
     for x, y0, got in zip(xs, starts, stacked):
@@ -1098,8 +1143,6 @@ def corner_merit():
 def test_newton_stack_rows_match_a_per_row_reference(
     entries, merit_calls, monkeypatch, case, default_start
 ):
-    from minsection.subminimize import _newton_rows
-
     rng = np.random.default_rng(5)
     level = (entries["SINE_VALLEY"].merit, ms.ParameterSplit((0,), (1,)),
              np.linspace(-3.0, 3.0, 21)[:, None], rng.uniform(-10.0, 10.0, (21, 1)))
@@ -1117,7 +1160,7 @@ def test_newton_stack_rows_match_a_per_row_reference(
     merit, split, xs, starts = cases[case]
     if default_start:
         starts = default_starts(merit, split, len(xs))
-    stacked = _newton_rows(merit, split, xs, starts)
+    stacked = newton_rows(merit, split, xs, starts)
     # each row's points, told apart by their x
     own = [[p.tobytes() for p in merit_calls if np.array_equal(split.x_part(p), x)] for x in xs]
     assert sum(map(len, own)) == len(merit_calls)
@@ -1163,8 +1206,6 @@ def test_scalar_newton_kernel_matches_the_reference(params, eliminated, lo, widt
     # hold the slice minimum outside it, or too thin for the stencils
     from hypothesis import event
 
-    from minsection.subminimize import _newton_rows
-
     a, c, b, k, d = params
     box = np.array([[-3.0, 3.0], [-3.0, 3.0]])
     box[eliminated] = [lo, lo + width]
@@ -1176,7 +1217,7 @@ def test_scalar_newton_kernel_matches_the_reference(params, eliminated, lo, widt
     starts = np.array([[lo + u * width] for _, u in rows])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        stacked = _newton_rows(merit, split, xs, starts)
+        stacked = newton_rows(merit, split, xs, starts)
     stacked_warnings = [(w.category, str(w.message)) for w in caught]
     own = [[p.tobytes() for p in seen if np.array_equal(split.x_part(p), x)] for x in xs]
     assert sum(map(len, own)) == len(seen)
@@ -1245,9 +1286,9 @@ def test_newton_stack_refuses_at_the_first_failing_level(merit_calls):
     grid = np.arange(9.0)
     # rows 1 and 8 fail: row 8 is in the earlier level
     slices = SliceSolver(spikes(1.0, 8.0), split)
-    with pytest.raises(ms.SubMinimizeError, match="^the Newton step leaves"):
+    with pytest.raises(ms.SubMinimizeError, match="^the Newton step leaves") as info:
         slices.solve(grid[:, None])
-    assert slices.failed_x.tolist() == [8.0]
+    assert split.x_part(info.value.point).tolist() == [8.0]
     assert sorted(slices.solved) == [(0.0,), (4.0,)]
     assert slices.solves == 3
     # rows 3 and 1 fail in one level: the lower row is raised
@@ -1257,16 +1298,42 @@ def test_newton_stack_refuses_at_the_first_failing_level(merit_calls):
     assert str(info.value).startswith("slice solve failed at x = [1.0] ")
 
 
-def test_newton_stack_stays_in_the_box():
+@pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
+def test_newton_stack_evaluates_nothing_after_its_first_failing_row(merit_calls):
+    # x^2 + (y - 3x)^2 on [-2, 2] x [-5, 5]: the slice minimum y = 3x lies
+    # beyond the face y = 5 for x > 5/3, where the row stops at the face
     from minsection.subminimize import _newton_rows
 
+    merit, split = steep_line_merit(), ms.ParameterSplit((0,), (1,))
+    rows = _newton_rows(merit, split, np.array([[-1.0], [1.9], [0.5], [-0.3]]), np.zeros((4, 1)))
+    assert next(rows).y_star[0] == pytest.approx(-3.0, abs=1e-6)
+    with pytest.raises(ms.SubMinimizeError, match="^the Newton step leaves") as info:
+        next(rows)
+    assert split.x_part(info.value.point).tolist() == [1.9]
+    assert next(rows, None) is None
+    assert {float(p[0]) for p in merit_calls} == {-1.0, 1.9}
+    # a slice solver's level stops there too: after the middle row, the
+    # level of the two ends stops at its first row, x = 1.8, and the other
+    # end is never evaluated
+    merit_calls.clear()
+    slices = SliceSolver(merit, split)
+    grid = np.linspace(1.8, -1.2, 9)[:, None]
+    with pytest.raises(ms.SubMinimizeError) as info:
+        slices.solve(grid)
+    assert split.x_part(info.value.point).tolist() == [1.8]
+    assert list(slices.solved) == [tuple(grid[4])]
+    assert slices.solves == 2
+    assert {float(p[0]) for p in merit_calls} == {grid[4, 0], 1.8}
+
+
+def test_newton_stack_stays_in_the_box():
     box = np.array([[-2.0, 2.0], [-5.0, 5.0]])
     merit, seen = recording_merit((lambda p: p[0], lambda p: p[1] - 3.0 * p[0]), 2, box)
     xs = np.linspace(-2.0, 2.0, 17)[:, None]
     starts = np.resize([5.0, -5.0, 4.9999, 0.0], (17, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ms.BoundaryStepWarning)
-        _newton_rows(merit, ms.ParameterSplit((0,), (1,)), xs, starts)
+        newton_rows(merit, ms.ParameterSplit((0,), (1,)), xs, starts)
     points = np.array(seen)
     assert len(points) > 17 * 5
     assert np.all((points >= box[:, 0]) & (points <= box[:, 1]))
@@ -1443,15 +1510,13 @@ def test_row_check_matches_the_numpy_reference(n, box, picks, width):
 
 @pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
 def test_newton_start_clip_is_numpys_signed_zeros_included():
-    from minsection.subminimize import _newton_rows
-
     split = ms.ParameterSplit((0,), (1,))
     for box, start in (([0.0, 1.0], -0.0), ([-1.0, -0.0], 0.0)):
         merit, seen = recording_merit(
             (lambda p: p[0], lambda p: p[1] + 0.5), 2, np.array([[-1.0, 1.0], box])
         )
         starts = np.array([[start]])
-        _newton_rows(merit, split, np.array([[0.0]]), starts)
+        newton_rows(merit, split, np.array([[0.0]]), starts)
         want = np.minimum(np.maximum(starts, box[0]), box[1])
         assert seen[0][1:].tobytes() == want[0].tobytes()
 
