@@ -24,11 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import morse, sections, solver
-from .numerics import BoundaryStepWarning, NonFiniteValueError, RankDeficiencyError
+from .numerics import BoundaryStepWarning, Refusal
 from .problem_io import ProblemDefinition, ProblemFileError, load_problem_file
 from .problems import ParameterSplit, get_problem
 from .solver import _fmt
-from .subminimize import ConvexityError, SubMinimizeError
 
 COMMANDS = ("solve", "trace", "sections", "audit", "recover", "equivalence")
 
@@ -39,17 +38,6 @@ AUDIT_SEEDS = 9**3
 #: Largest ``--grid-density``: 100 times the trace's default of 101 nodes.
 #: Every command allocates its grids and probe lines before it checks them.
 MAX_GRID_DENSITY = 10_001
-
-REFUSALS = (
-    ConvexityError,
-    SubMinimizeError,
-    solver.BracketError,
-    solver.SolveError,
-    sections.TraceError,
-    morse.DegenerateCriticalPointError,
-    RankDeficiencyError,
-    NonFiniteValueError,
-)
 
 
 def _validate(args: argparse.Namespace):
@@ -348,18 +336,14 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, list[str]]:
         definition = _load(args)
         _DISPATCH[args.command](args, definition, Path(args.out))
         return 0, []
-    except REFUSALS as err:
+    except Refusal as err:
         lines = [f"refused: {err}"]
-        witness = getattr(err, "point", None)
-        if witness is not None:
-            lines.append(f"witness point: {[float(v) for v in witness]}")
-            if getattr(err, "min_eig", None) is not None:
-                lines.append(f"witness min eigenvalue: {err.min_eig!r}")
-        best = getattr(err, "best_point", None)
-        if best is not None:
-            lines.append(f"best point: {[float(v) for v in best]}")
-            if err.best_value is not None:
-                lines.append(f"best value: {float(err.best_value)!r}")
+        if err.point is not None:
+            lines.append(f"witness point: {err.point.tolist()}")
+        if err.min_eig is not None:
+            lines.append(f"witness min eigenvalue: {err.min_eig!r}")
+        if err.value is not None:
+            lines.append(f"witness value: {float(err.value)!r}")
         return 1, lines
     except (ProblemFileError, OSError) as err:
         return 2, [f"input error: {err}"]

@@ -19,6 +19,7 @@ import numpy as np
 from .numerics import (
     BoundaryStepWarning,
     EigenSummary,
+    Refusal,
     _gradient_step,
     _inward_derivative,
     _non_finite_gradient_error,
@@ -57,7 +58,7 @@ CONTRACTION_LIMIT = 0.25
 MAX_SEED_ITERATIONS = 60
 
 
-class DegenerateCriticalPointError(ValueError):
+class DegenerateCriticalPointError(Refusal, ValueError):
     """Degenerate stationary points make index counting undefined.
 
     ``points`` holds the degenerate critical points in the order they were
@@ -66,9 +67,9 @@ class DegenerateCriticalPointError(ValueError):
     """
 
     def __init__(self, message, points):
-        super().__init__(message)
-        self.points = tuple(points)
-        self.point = np.array(self.points[0].location, dtype=float) if self.points else None
+        points = tuple(points)
+        super().__init__(message, points[0].location if points else None)
+        self.points = points
 
 
 @dataclass(frozen=True)

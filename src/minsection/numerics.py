@@ -26,6 +26,7 @@ __all__ = [
     "EigenSummary",
     "NonFiniteValueError",
     "RankDeficiencyError",
+    "Refusal",
     "eigen_index",
     "fd_gradient",
     "fd_hessian",
@@ -48,7 +49,21 @@ class BoundaryStepWarning(UserWarning):
     """A finite-difference stencil was clamped at the domain boundary."""
 
 
-class NonFiniteValueError(ValueError):
+class Refusal(Exception):
+    """A theory precondition failed, or no answer can be certified. The
+    witness ``point`` is the full parameter vector where, as a float array,
+    or None; ``min_eig``, the refused Hessian's smallest eigenvalue there,
+    and ``value``, the objective there, are None on a refusal without them."""
+
+    min_eig = None
+    value = None
+
+    def __init__(self, message: str, point=None):
+        super().__init__(message)
+        self.point = None if point is None else np.array(point, dtype=float)
+
+
+class NonFiniteValueError(Refusal, ValueError):
     """A finite-difference stencil met a non-finite objective value.
 
     ``point`` is the stencil center, a point inside the domain box whose
@@ -58,12 +73,11 @@ class NonFiniteValueError(ValueError):
     """
 
     def __init__(self, message: str, point, coordinates=()):
-        super().__init__(message)
-        self.point = np.array(point, dtype=float)
+        super().__init__(message, point)
         self.coordinates = tuple(coordinates)
 
 
-class RankDeficiencyError(ValueError):
+class RankDeficiencyError(Refusal, ValueError):
     """A least-squares matrix is numerically rank deficient."""
 
     def __init__(self, message: str, rank: int, required: int):

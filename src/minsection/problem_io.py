@@ -221,6 +221,11 @@ def load_problem_file(path) -> ProblemDefinition:
                 "field domain_box must hold one nondegenerate [lo, hi] pair per coordinate"
             )
         for i, (lo, hi) in enumerate(box.tolist()):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ProblemFileError(
+                    f"field domain_box has a non-finite bound along coordinate {i}: "
+                    f"[{lo!r}, {hi!r}]"
+                )
             # the widest finite-difference stencil in [lo, hi]: four
             # second-difference steps, the step taken at either bound
             width = 4.0 * max(_exact_step(v, HESSIAN_STEP * max(1.0, abs(v))) for v in (lo, hi))

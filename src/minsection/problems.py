@@ -263,6 +263,10 @@ class MeritFunction:
     :func:`build_partially_linear` makes it. The solvers rely on this: the
     closed-form eliminated-block Hessian ``2 Phi^T Phi`` and the linear
     slice values are taken from the model without evaluating the merit.
+
+    A ``domain_box`` of the wrong shape, with a bound that is not finite,
+    or with an interval whose ``lo`` is not below its ``hi`` raises
+    ``ValueError``.
     """
 
     def __init__(
@@ -289,6 +293,8 @@ class MeritFunction:
         )
         if self.domain_box.shape != (dimension, 2):
             raise ValueError("domain box must have shape (M, 2)")
+        if not np.isfinite(self.domain_box).all():
+            raise ValueError(f"domain box bounds must be finite, got {self.domain_box.tolist()}")
         if np.any(self.domain_box[:, 0] >= self.domain_box[:, 1]):
             raise ValueError("domain box intervals must be nondegenerate")
         self.residuals = tuple(residuals) if residuals is not None else None

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .numerics import Refusal
 from .problems import MeritFunction, ParameterSplit
 from .solver import (
     TIE_TOL,
@@ -66,22 +67,21 @@ NESTING_TOL = 1e-6
 POLISH_X_TOL = 1e-10
 
 
-class TraceError(RuntimeError):
-    """A slice solve failed while tracing; carries the failing x, and the
-    witness ``point`` and ``min_eig`` of the refusal it wraps, where that
-    has them."""
+class TraceError(Refusal, RuntimeError):
+    """A slice solve failed while tracing; carries the failing x as
+    ``x_failed``, and the witness ``point`` and ``min_eig`` of the refusal
+    it wraps, where that has them."""
 
-    def __init__(self, message, x_failed=None):
-        super().__init__(message)
+    def __init__(self, message, x_failed=None, point=None, min_eig=None):
+        super().__init__(message, point)
         self.x_failed = x_failed
+        self.min_eig = min_eig
 
-    @property
-    def point(self):
-        return getattr(self.__cause__, "point", None)
-
-    @property
-    def min_eig(self):
-        return getattr(self.__cause__, "min_eig", None)
+    @classmethod
+    def wrapping(cls, what: str, x, err: Refusal) -> TraceError:
+        """``what`` failed at x on the slice refusal ``err``, whose message
+        and witness it takes."""
+        return cls(f"{what}: {err}", x, err.point, err.min_eig)
 
 
 class TraceIndexWarning(UserWarning):
@@ -225,10 +225,9 @@ def trace_implicit(
         solutions = slices.solve(grid)
     except (ConvexityError, SubMinimizeError) as err:
         x = split.x_part(err.point)
-        raise TraceError(
+        raise TraceError.wrapping(
             f"slice solve failed at x = {x.tolist()} (the conditional-minimum "
-            f"graph does not extend there): {err}",
-            x_failed=x,
+            "graph does not extend there)", x, err
         ) from err
 
     g_values = np.array([s.y_star for s in solutions])
@@ -334,10 +333,9 @@ def minimal_section_1d(
                 solutions.append(section_fn(u))
             except (ConvexityError, SubMinimizeError) as err:
                 x = np.array([u])
-                raise TraceError(
-                    "fallback slice solve failed while sampling the section at "
-                    f"x = {x.tolist()}: {err}",
-                    x_failed=x,
+                raise TraceError.wrapping(
+                    f"fallback slice solve failed while sampling the section at x = {x.tolist()}",
+                    x, err,
                 ) from err
         values = np.array([s.value for s in solutions])
         companions = np.array([s.y_star for s in solutions])
@@ -451,8 +449,8 @@ def nesting_check(
     Only claimed for strictly convex objectives, so the full Hessian is
     probed first and a violation is a refusal. The inner subset must be a
     single coordinate strictly contained in the outer retained set. A
-    :class:`~minsection.solver.SolveError` of the outer stage carries its
-    best point as a full parameter vector.
+    :class:`~minsection.solver.SolveError` of the outer stage carries the
+    full parameter vector it stopped at as its witness ``point``.
     """
     inner = tuple(int(i) for i in inner_x_subset)
     outer = tuple(outer_split.x_indices)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import EPS, _central, _norm, fd_gradient
+from .numerics import EPS, Refusal, _central, _norm, fd_gradient
 from .numerics import fd_hessian  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .problems import MeritFunction, ParameterSplit
 from .subminimize import (
@@ -63,7 +63,7 @@ MAX_CYCLES = 60
 MAX_DIRECT_ITERATIONS = 200
 
 
-class BracketError(RuntimeError):
+class BracketError(Refusal, RuntimeError):
     """No valid bracketing triplet exists on the grid.
 
     ``reason`` is one of ``"boundary"`` (an endpoint holds, or ties, the
@@ -77,13 +77,13 @@ class BracketError(RuntimeError):
         self.reason = reason
 
 
-class SolveError(RuntimeError):
-    """Outer minimization failed; carries the best point found."""
+class SolveError(Refusal, RuntimeError):
+    """Outer minimization failed; ``point`` is where it stopped, where
+    there is one, and ``value`` the objective there."""
 
-    def __init__(self, message, best_point=None, best_value=None, grad_norm=None):
-        super().__init__(message)
-        self.best_point = best_point
-        self.best_value = best_value
+    def __init__(self, message, point=None, value=None, grad_norm=None):
+        super().__init__(message, point)
+        self.value = value
         self.grad_norm = grad_norm
 
 
@@ -395,9 +395,9 @@ def minimize_by_coordinates(merit, section, grids, outer_tol=None):
     sub.grad_y_norm)``, is at most ``outer_tol`` (default
     :func:`_outer_tol` of the current value); needing more than
     ``MAX_CYCLES`` steps, or a line search that cannot move, raises
-    :class:`SolveError` carrying the best point as a full parameter vector,
-    whose message names the boundary only when x is on a face of the
-    retained box. Returns ``(x, value, brackets, iterations, g)`` with the
+    :class:`SolveError` with the full parameter vector at the last iterate
+    as ``point``, whose message names the boundary only when x is on a
+    face of the retained box. Returns ``(x, value, brackets, iterations, g)`` with the
     brackets of the cycle and the gradient ``g`` that the stopping test
     read: :func:`~minsection.numerics.fd_gradient` of ``merit(point(v))``
     at ``x`` in the grid hull, so the final certificate can reuse it.
@@ -454,8 +454,8 @@ def minimize_by_coordinates(merit, section, grids, outer_tol=None):
                 f"quasi-Newton line search stalled at x = {x.tolist()}"
                 + ("; the section minimum may lie on the boundary of the retained box"
                    if on_face else ""),
-                best_point=point(x),
-                best_value=f,
+                point=point(x),
+                value=f,
                 grad_norm=grad_norm,
             )
         trial, ((trial_sub, point), g_new) = found
@@ -472,8 +472,8 @@ def minimize_by_coordinates(merit, section, grids, outer_tol=None):
         x, sub, g = trial, trial_sub, g_new
     raise SolveError(
         f"quasi-Newton outer stage did not converge within {MAX_CYCLES} iterations",
-        best_point=point(x),
-        best_value=sub.value,
+        point=point(x),
+        value=sub.value,
         grad_norm=grad_norm,
     )
 
@@ -567,8 +567,8 @@ def _solve_hierarchical(merit, split, grid, tolerances):
         raise SolveError(
             f"gradient norm {grad_norm:.3e} at the refined minimizer exceeds "
             f"the outer tolerance {outer_tol:.3e}",
-            best_point=minimizer,
-            best_value=value,
+            point=minimizer,
+            value=value,
             grad_norm=grad_norm,
         )
     report = SolveReport(
@@ -646,8 +646,8 @@ def solve_direct(
                 "max_iter": f"direct solve did not converge within {MAX_DIRECT_ITERATIONS} "
                 f"iterations (best gradient norm {grad_norm:.3e})",
             }[stop],
-            best_point=p,
-            best_value=fval,
+            point=p,
+            value=fval,
             grad_norm=grad_norm,
         )
     return SolveReport(

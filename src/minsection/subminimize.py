@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import EPS
+from .numerics import EPS, Refusal
 from .numerics import linear_lsq_solve  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .numerics import fd_hessian  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .numerics import _second_diff_block  # noqa: F401 - unused; bench/tracing.py rebinds it here
@@ -64,12 +64,12 @@ PROBE_BUDGET = 441
 STACK_VALUES = 2**20
 
 
-class ConvexityError(RuntimeError):
-    """The eliminated-block Hessian is not positive definite where required."""
+class ConvexityError(Refusal, RuntimeError):
+    """The eliminated-block Hessian is not positive definite where required;
+    ``min_eig`` is its smallest eigenvalue at the witness ``point``."""
 
     def __init__(self, message, point=None, min_eig=None, certificate=None):
-        super().__init__(message)
-        self.point = None if point is None else np.asarray(point, dtype=float)
+        super().__init__(message, point)
         self.min_eig = min_eig
         self.certificate = certificate
 
@@ -86,14 +86,13 @@ class ConvexityError(RuntimeError):
         )
 
 
-class SubMinimizeError(RuntimeError):
-    """Inner minimization failed; carries the best iterate found, as
-    ``best_y`` and as ``point``, the full parameter vector there."""
+class SubMinimizeError(Refusal, RuntimeError):
+    """Inner minimization failed; ``point`` is the full parameter vector at
+    the best iterate found, whose eliminated block is
+    ``split.y_part(point)``."""
 
-    def __init__(self, message, best_y=None, grad_norm=None, iterations=0, point=None):
-        super().__init__(message)
-        self.best_y = None if best_y is None else np.asarray(best_y, dtype=float)
-        self.point = None if point is None else np.asarray(point, dtype=float)
+    def __init__(self, message, point=None, grad_norm=None, iterations=0):
+        super().__init__(message, point)
         self.grad_norm = grad_norm
         self.iterations = iterations
 
@@ -676,10 +675,9 @@ def _newton_rows(merit, split, xs, starts, inner_tol=None):
                     "max_iter": f"no convergence within {MAX_NEWTON_ITERATIONS} Newton "
                     f"iterations (best gradient norm {gn:.3e}, tolerance {tol(fy):.3e})",
                 }[stop],
-                best_y=y,
+                point=split.embed(x, y),
                 grad_norm=gn,
                 iterations=iteration,
-                point=split.embed(x, y),
             )
         if split.m == 1:
             w, refused = [hess], _indefinite_1d(hess)
@@ -729,8 +727,8 @@ def subminimize_newton(
     Newton step that leaves the box where no step length can move the
     iterate or where the iterate is stationary on its faces, a stalled line
     search, or exceeding ``MAX_NEWTON_ITERATIONS`` (50) iterations raises
-    :class:`SubMinimizeError` carrying the best iterate, as ``best_y`` and
-    as the full parameter vector ``point``, and its gradient norm.
+    :class:`SubMinimizeError` carrying the full parameter vector at the
+    best iterate as ``point``, and its gradient norm.
     """
     _check_tolerance("inner_tol", inner_tol)
     if y0 is None:

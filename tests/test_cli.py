@@ -1,7 +1,9 @@
 import ast
 import json
+import math
 import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -199,6 +201,29 @@ def test_stencil_thin_box_is_input_error(tmp_path, capsys, monkeypatch, command)
     assert capsys.readouterr().err.startswith(
         "input error: field domain_box is thinner along coordinate 1 than the "
         "finite-difference stencil"
+    )
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "trace"])
+@pytest.mark.parametrize("bounds", [[math.nan, 1.0], [-1.0, math.inf], [-math.inf, 1.0]])
+def test_non_finite_box_is_input_error(tmp_path, capsys, monkeypatch, command, bounds):
+    # json writes and reads NaN, Infinity and -Infinity; a NaN bound passes
+    # the lo < hi test, and an infinite one leaves the grids without nodes
+    (tmp_path / "box.json").write_text(json.dumps({
+        "dimension": 2,
+        "model": {"kind": "catalog", "name": "SINE_VALLEY"},
+        "domain_box": [[-2.0, 2.0], bounds],
+    }))
+    calls = []
+    monkeypatch.setattr(ms.MeritFunction, "__call__", lambda merit, p: calls.append(p))
+    argv = ["--problem", str(tmp_path / "box.json"), "--command", command,
+            "--out", str(tmp_path / "out")]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == (
+        "input error: field domain_box has a non-finite bound along coordinate 1: "
+        f"[{bounds[0]!r}, {bounds[1]!r}]\n"
     )
     assert calls == []
     assert not (tmp_path / "out").exists()
@@ -436,12 +461,45 @@ def test_solve_error_refusal_prints_best_point(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
     lines = capsys.readouterr().err.splitlines()
     assert lines[0].startswith("refused: quasi-Newton line search stalled at x = ")
-    best = ast.literal_eval(lines[1].removeprefix("best point: "))
-    assert lines[1].startswith("best point: ") and len(best) == 2
+    best = ast.literal_eval(lines[1].removeprefix("witness point: "))
+    assert lines[1].startswith("witness point: ") and len(best) == 2
     assert max(abs(v) for v in best) < 1e-6
-    value = float(lines[2].removeprefix("best value: "))
-    assert lines[2].startswith("best value: ") and 0.0 <= value < 1e-12
+    value = float(lines[2].removeprefix("witness value: "))
+    assert lines[2].startswith("witness value: ") and 0.0 <= value < 1e-12
     assert len(lines) == 3
+
+
+#: One of each refusal type, and the witness lines the CLI prints for it:
+#: ``witness point``, ``witness min eigenvalue`` and ``witness value``,
+#: each exactly when the refusal carries that field.
+REFUSAL_CASES = [
+    (ms.numerics.NonFiniteValueError("non-finite gradient entry", [1.0, -2.0], (1,)),
+     ["witness point: [1.0, -2.0]"]),
+    (ms.RankDeficiencyError("design matrix has rank 1 < 2", 1, 2), []),
+    (ms.DegenerateCriticalPointError("degenerate point", [SimpleNamespace(location=[0.5, 0.0])]),
+     ["witness point: [0.5, 0.0]"]),
+    (ms.ConvexityError("not positive definite", point=[0.0, 0.0], min_eig=-2.0),
+     ["witness point: [0.0, 0.0]", "witness min eigenvalue: -2.0"]),
+    (ms.SubMinimizeError("slice stalled", point=[-10.0, 10.0], grad_norm=3.0, iterations=1),
+     ["witness point: [-10.0, 10.0]"]),
+    (ms.BracketError("section is flat on the grid", "flat"), []),
+    (ms.SolveError("line search stalled", point=[1e-9, -0.0], value=0.25),
+     ["witness point: [1e-09, -0.0]", "witness value: 0.25"]),
+    (ms.TraceError("slice failed", x_failed=np.array([0.0]), point=[0.0, 1.0], min_eig=-1.5),
+     ["witness point: [0.0, 1.0]", "witness min eigenvalue: -1.5"]),
+]
+
+
+@pytest.mark.parametrize(
+    "error, witness", REFUSAL_CASES, ids=[type(error).__name__ for error, _ in REFUSAL_CASES]
+)
+def test_every_refusal_prints_its_witness(tmp_path, capsys, monkeypatch, error, witness):
+    def command(args, definition, out):
+        raise error
+
+    monkeypatch.setitem(cli._DISPATCH, "solve", command)
+    assert run_cli(["--problem", "QUAD", "--command", "solve", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"refused: {error}", *witness]
 
 
 def test_boundary_clamps_are_one_warning_line(tmp_path):

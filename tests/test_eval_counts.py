@@ -162,7 +162,7 @@ def test_solve_direct_stall_count(merit_calls):
         with pytest.raises(ms.SolveError, match="^direct line search stalled$") as info:
             ms.solve_direct(merit, (0.2, 0.9))
     assert merit_calls["n"] == 126
-    assert info.value.best_point is not None and merit.contains(info.value.best_point)
+    assert info.value.point is not None and merit.contains(info.value.point)
 
 
 def test_slice_newton_stall_count(merit_calls):
@@ -177,7 +177,7 @@ def test_slice_newton_stall_count(merit_calls):
         ms.subminimize_newton(problem, y0=[0.5])
     assert merit_calls["n"] == 92
     assert info.value.iterations == 3
-    assert info.value.best_y is not None
+    assert info.value.point is not None
 
 
 @pytest.mark.parametrize(
@@ -292,12 +292,14 @@ def test_slice_newton_corner_stop_count(merit_calls):
         4,
         box=np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], [-3.0, 3.0]]),
     )
+    split = ms.ParameterSplit((0,), (1, 2, 3))
     with pytest.raises(ms.SubMinimizeError) as info:
-        ms.solve_slice(merit, ms.ParameterSplit((0,), (1, 2, 3)), [0.0])
+        ms.solve_slice(merit, split, [0.0])
     assert str(info.value) == BOUNDARY_STOP
     assert merit_calls["n"] == 79
-    assert info.value.best_y.tolist()[:2] == [1.0, 1.0]
-    assert info.value.best_y[2] == pytest.approx(1.0, abs=1e-9)
+    best = split.y_part(info.value.point)
+    assert best.tolist()[:2] == [1.0, 1.0]
+    assert best[2] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
@@ -309,7 +311,7 @@ def test_newton_boundary_stop_carries_best_iterate(merit_calls):
     assert str(info.value) == BOUNDARY_STOP
     assert merit_calls["n"] == 12
     assert info.value.iterations == 1
-    assert info.value.best_y is not None and info.value.best_y[0] == 10.0
+    assert problem.split.y_part(info.value.point).tolist() == [10.0]
 
 
 @pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
@@ -322,7 +324,7 @@ def test_direct_boundary_stop_carries_best_point(merit_calls):
     with pytest.raises(ms.SolveError, match="^direct Newton step leaves the domain box at the iterate; ") as info:
         ms.solve_direct(merit, (0.0, 0.0))
     assert merit_calls["n"] == 28
-    assert info.value.best_point is not None and merit.contains(info.value.best_point)
+    assert info.value.point is not None and merit.contains(info.value.point)
 
 
 @pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
@@ -337,7 +339,7 @@ def test_direct_stops_on_projected_gradient(merit_calls):
     with pytest.raises(ms.SolveError, match="^direct Newton step leaves the domain box at the iterate; ") as info:
         ms.solve_direct(merit, (0.5, 0.0))
     assert merit_calls["n"] == 28
-    assert info.value.best_point is not None and merit.contains(info.value.best_point)
+    assert info.value.point is not None and merit.contains(info.value.point)
 
 
 @pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
@@ -355,7 +357,7 @@ def test_slice_newton_stops_on_projected_gradient(merit_calls):
     assert str(info.value) == BOUNDARY_STOP
     assert merit_calls["n"] == 28
     assert info.value.iterations == 1
-    assert info.value.best_y is not None
+    assert info.value.point is not None
 
 
 def test_section_decreasing_grid_refused_before_probe(entries, merit_calls):

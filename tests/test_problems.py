@@ -57,6 +57,12 @@ def test_residual_merit_overflow_is_inf_and_nan_is_nan():
     assert math.isnan(merit(np.array([1.0, math.nan])))
 
 
+@pytest.mark.parametrize("bounds", [[math.nan, 1.0], [-1.0, math.inf], [-math.inf, 1.0]])
+def test_merit_refuses_a_non_finite_box(bounds):
+    with pytest.raises(ValueError, match="domain box bounds must be finite"):
+        ms.MeritFunction(2, lambda p: 0.0, domain_box=[[-1.0, 1.0], bounds])
+
+
 def test_merit_call_hands_evaluate_a_float64_ndarray():
     class Marked(np.ndarray):
         pass

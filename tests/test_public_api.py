@@ -33,6 +33,7 @@ PUBLIC_NAMES = (
     "ProblemDefinition",
     "ProblemFileError",
     "RankDeficiencyError",
+    "Refusal",
     "RegularizationRecovery",
     "SliceProblem",
     "SolveError",
@@ -84,10 +85,34 @@ PUBLIC_NAMES = (
 
 
 def test_all_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 68
+    assert len(PUBLIC_NAMES) == 69
     assert sorted(ms.__all__) == sorted(PUBLIC_NAMES)
     assert len(set(ms.__all__)) == len(ms.__all__)
     assert all(hasattr(ms, name) for name in PUBLIC_NAMES)
+
+
+def test_refusal_types_are_pinned():
+    # every refusal type derives from Refusal and keeps the base it had
+    # before Refusal, so an ``except ValueError`` or ``except RuntimeError``
+    # still catches it
+    bases = {
+        ms.numerics.NonFiniteValueError: ValueError,
+        ms.RankDeficiencyError: ValueError,
+        ms.DegenerateCriticalPointError: ValueError,
+        ms.ConvexityError: RuntimeError,
+        ms.SubMinimizeError: RuntimeError,
+        ms.BracketError: RuntimeError,
+        ms.SolveError: RuntimeError,
+        ms.TraceError: RuntimeError,
+    }
+    found, stack = set(), [ms.Refusal]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            if cls.__module__.startswith("minsection.") and cls not in found:
+                found.add(cls)
+                stack.append(cls)
+    assert found == set(bases)
+    assert all(issubclass(cls, base) for cls, base in bases.items())
 
 
 #: The modules whose ``__all__`` makes up the public surface.

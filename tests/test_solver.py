@@ -343,7 +343,7 @@ def test_solve_direct_iteration_cap_carries_best(entries, monkeypatch):
             np.array([4.0, -3.0]),
             tolerances=ms.Tolerances(outer_tol=1e-300),
         )
-    assert excinfo.value.best_point is not None
+    assert excinfo.value.point is not None
     assert excinfo.value.grad_norm is not None
 
 
@@ -578,9 +578,9 @@ def test_multi_coordinate_minimum_beyond_face_is_refused():
         ms.solve_hierarchical(
             merit, ms.ParameterSplit((0, 1), (2,)), tolerances=ms.Tolerances(probe_density=5)
         )
-    best = excinfo.value.best_point
+    best = excinfo.value.point
     assert len(best) == 3 and np.array_equal(best[:2], [1.0, 1.0])
-    assert merit.contains(best) and excinfo.value.best_value == merit(best)
+    assert merit.contains(best) and excinfo.value.value == merit(best)
 
 
 def test_narrow_dip_is_solved_not_refused():
@@ -613,6 +613,6 @@ def test_outer_stage_refuses_past_its_cycle_cap(monkeypatch):
     merit = ms.random_quadratic_problem(4, 2, np.random.default_rng(0)).merit
     with pytest.raises(ms.SolveError, match="did not converge within 1 iterations") as excinfo:
         ms.solve_hierarchical(merit, ms.model_split(merit))
-    best = excinfo.value.best_point
+    best = excinfo.value.point
     assert merit.contains(best)
-    assert excinfo.value.best_value == merit(best)
+    assert excinfo.value.value == merit(best)

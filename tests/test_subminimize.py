@@ -149,7 +149,7 @@ def test_newton_max_iter_carries_best(entries, split01, monkeypatch):
             SliceProblem(entries["SINE_VALLEY"].merit, split01, [1.0]),
             y0=[8.0],
         )
-    assert excinfo.value.best_y is not None
+    assert excinfo.value.point is not None
     assert excinfo.value.grad_norm is not None
 
 
@@ -167,7 +167,7 @@ def test_newton_certifies_each_stop_at_its_own_value():
     problem = SliceProblem(merit, ms.ParameterSplit((0,), (1,)), [0.0])
     with pytest.raises(ms.SubMinimizeError, match="no convergence within 50") as excinfo:
         ms.subminimize_newton(problem, y0=[400.0])
-    assert excinfo.value.best_y[0] > 300.0
+    assert problem.split.y_part(excinfo.value.point)[0] > 300.0
 
 
 @pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
@@ -175,7 +175,7 @@ def test_slice_refusal_carries_its_full_point(entries, split01):
     problem = SliceProblem(entries["DEGEN_LINE"].merit, split01, [-10.0])
     with pytest.raises(ms.SubMinimizeError) as excinfo:
         ms.subminimize_newton(problem)
-    best = excinfo.value.best_y
+    best = problem.split.y_part(excinfo.value.point)
     assert excinfo.value.point.tolist() == problem.point(best).tolist() == [-10.0, 10.0]
 
 
@@ -1473,13 +1473,14 @@ def reference_check_rows(merit, split, xs):
 def test_row_check_matches_the_numpy_reference(n, box, picks, width):
     from minsection.subminimize import _check_rows
 
-    # a face may be infinite: then only the finiteness test refuses an inf
+    # a face may be infinite: then only the finiteness test refuses an inf.
+    # MeritFunction refuses such a box, so it is set after construction.
     domain = np.array(
         [[-np.inf if face == "lo" else lo, np.inf if face == "hi" else lo + w]
          for lo, w, face in box[:n]] + [[-1.0, 1.0]]
     )
-    merit = ms.build_residual_merit(tuple(lambda p, k=k: p[k] for k in range(n + 1)), n + 1,
-                                    box=domain)
+    merit = ms.build_residual_merit(tuple(lambda p, k=k: p[k] for k in range(n + 1)), n + 1)
+    merit.domain_box = domain
     split = ms.ParameterSplit(tuple(range(n)), (n,))
     xb = domain[:n]
     pad = 1e-12 * np.maximum(1.0, np.abs(xb).max(axis=1))
@@ -1588,6 +1589,6 @@ def test_projected_step_tests_the_free_block_alone():
     for y0 in ([0.0, 1.0], [0.5, 1.0]):
         with pytest.raises(ms.SubMinimizeError, match="^the Newton step leaves the eliminated") as info:
             ms.subminimize_newton(problem, y0=y0)
-        stops.append(info.value.best_y)
+        stops.append(problem.split.y_part(info.value.point))
     assert stops[0] == pytest.approx(stops[1], abs=1e-12)
     assert stops[1].tolist() == [0.5, 1.0]

@@ -5,10 +5,13 @@
 Run from the root of a checkout; minsection is imported from ``src/`` of
 that checkout. Each catalog problem runs each command through ``cli.main``
 in process (``recover`` with ``--anchor-index 0 --anchor-value 0.25``), its
-outputs written to a fresh temporary directory. A run's line holds its
-exit status and the sha256 of its stdout, its stderr and each output file,
-with sorted keys. Two checkouts whose manifests are identical print the
-same bytes and write the same files on every catalog run.
+outputs written to a fresh temporary directory. After the catalog runs
+come the runs of ``MORE``, whose lines also list their extra arguments:
+one ends in a ``SolveError`` refusal, which no catalog run reaches, so
+the manifest covers every witness line the refusal printer writes. A
+run's line holds its exit status and the sha256 of its stdout, its stderr
+and each output file, with sorted keys. Two checkouts whose manifests are
+identical print the same bytes and write the same files on every run.
 """
 
 from __future__ import annotations
@@ -29,17 +32,23 @@ from minsection.problems import catalog  # noqa: E402
 #: Extra arguments of a command; every other command runs with none.
 EXTRA = {"recover": ["--anchor-index", "0", "--anchor-value", "0.25"]}
 
+#: Runs after the catalog's, as ``(problem, command, arguments)``. An outer
+#: tolerance below float resolution stalls the quasi-Newton line search:
+#: a ``SolveError`` whose witness is a point and a value.
+MORE = [("SINE_VALLEY", "solve", ["--outer-tol", "1e-300", "--grid-density", "20"])]
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def manifest_line(problem: str, command: str) -> str:
-    """Run ``minsection --problem problem --command command`` in process
-    and return its manifest line."""
+def manifest_line(problem: str, command: str, args=()) -> str:
+    """Run ``minsection --problem problem --command command`` in process,
+    with the extra arguments ``args``, and return its manifest line."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as out:
-        argv = ["--problem", problem, "--command", command, "--out", out, *EXTRA.get(command, [])]
+        argv = ["--problem", problem, "--command", command, "--out", out,
+                *EXTRA.get(command, []), *args]
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             status = cli.main(argv)
         root = Path(out)
@@ -55,6 +64,8 @@ def manifest_line(problem: str, command: str) -> str:
         "stderr": _sha(stderr.getvalue().encode()),
         "files": files,
     }
+    if args:
+        record["args"] = list(args)
     return json.dumps(record, sort_keys=True)
 
 
@@ -62,6 +73,8 @@ def main() -> int:
     for entry in catalog():
         for command in cli.COMMANDS:
             print(manifest_line(entry.name, command), flush=True)
+    for run in MORE:
+        print(manifest_line(*run), flush=True)
     return 0
 
 
