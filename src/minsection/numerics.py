@@ -311,38 +311,12 @@ def _stencil_entries(k):
     return np.array(point), np.array(coordinate), np.array(sign)
 
 
-@functools.lru_cache(maxsize=None)
-def _pairs(k):
-    """The index pairs a < b of k coordinates, as two arrays."""
-    return np.triu_indices(k, 1)
-
-
-def _second_diff_stencil(points, indices, box):
-    """The steps, inward-shifted centers and thin-box mask of
-    :func:`_second_diff_block` at each row of ``points``, with numpy, and
-    its ``1 + 2 k^2`` stencil points per row, laid out as in
-    :func:`_stencil_entries`: ``(steps, q, thin, stencil)``."""
-    points = np.asarray(points, dtype=float)
-    idx = np.asarray(indices, dtype=int)
-    k = idx.size
-    x = points[:, idx]
-    steps = (x + HESSIAN_STEP * np.maximum(1.0, np.abs(x))) - x
-    q = points.copy()
-    thin = np.zeros(steps.shape, dtype=bool)
-    if box is not None:
-        lo, hi = box[idx, 0], box[idx, 1]
-        thin = hi - lo < 4.0 * steps
-        q[:, idx] = np.minimum(np.maximum(x, lo + steps), hi - steps)
-    # each point moves its coordinates by +- their steps off the center
-    point, coordinate, sign = _stencil_entries(k)
-    moved = idx[coordinate]
-    stencil = np.repeat(q[:, None, :], 1 + 2 * k * k, axis=1)
-    stencil[:, point, moved] = q[:, moved] + sign * steps[:, coordinate]
-    return steps, q, thin, stencil
-
-
 def _thin_box_error(coordinate):
-    return ValueError(f"domain box is thinner than the FD stencil along coordinate {coordinate}")
+    """The ``ValueError`` of a box thinner than an FD stencil along
+    ``coordinate``, which it also carries as ``coordinate``."""
+    err = ValueError(f"domain box is thinner than the FD stencil along coordinate {coordinate}")
+    err.coordinate = coordinate
+    return err
 
 
 def _non_finite_entry_error(coordinates, point):
@@ -365,23 +339,36 @@ def _non_finite_block_error(block, indices, point):
 
 
 def _second_diff_blocks(f, points, indices, box):
-    """:func:`_second_diff_block` at each row of ``points``, as an
-    (N, k, k) array.
+    """:func:`_second_diff_block` at each row of ``points`` in ``box``, as
+    an (N, k, k) array.
 
-    The steps, the inward shifts and every stencil coordinate are computed
-    with numpy (:func:`_second_diff_stencil`). ``f`` is then called in one
-    flat walk over the (nodes x points, M) stencil, node after node in the
-    scalar order (the center, the +- pairs, then pp, pm, mm, mp per pair),
-    and the blocks are assembled with the scalar formulas, so each block is
-    bitwise the scalar one and costs the same ``1 + 2 k^2`` evaluations.
-    The walk tests each node as it ends: a node whose values sum in
-    absolute value to at most its bound has a finite block, and any other
-    node has its block assembled and checked. So a thin box or a
-    non-finite block raises the scalar error at the first node that has
-    one, after evaluating exactly the points before it (a non-finite block
-    after its own points).
+    The steps, the inward shifts, the thin-box mask and the ``1 + 2 k^2``
+    stencil points of every row, laid out as in :func:`_stencil_entries`,
+    are computed with numpy. ``f`` is then called in one flat walk over the
+    (nodes x points, M) stencil, node after node in the scalar order (the
+    center, the +- pairs, then pp, pm, mm, mp per pair), and the blocks are
+    assembled with the scalar formulas, so each block is bitwise the scalar
+    one and costs the same ``1 + 2 k^2`` evaluations. The walk tests each
+    node as it ends: a node whose values sum in absolute value to at most
+    its bound has a finite block, and any other node has its block
+    assembled and checked. So a thin box or a non-finite block raises the
+    scalar error at the first node that has one, after evaluating exactly
+    the points before it (a non-finite block after its own points).
     """
-    steps, q, thin, stencil = _second_diff_stencil(points, indices, box)
+    points = np.asarray(points, dtype=float)
+    idx = np.asarray(indices, dtype=int)
+    k = idx.size
+    x = points[:, idx]
+    steps = (x + HESSIAN_STEP * np.maximum(1.0, np.abs(x))) - x
+    lo, hi = box[idx, 0], box[idx, 1]
+    thin = hi - lo < 4.0 * steps
+    q = points.copy()
+    q[:, idx] = np.minimum(np.maximum(x, lo + steps), hi - steps)
+    # each point moves its coordinates by +- their steps off the center
+    point, coordinate, sign = _stencil_entries(k)
+    moved = idx[coordinate]
+    stencil = np.repeat(q[:, None, :], 1 + 2 * k * k, axis=1)
+    stencil[:, point, moved] = q[:, moved] + sign * steps[:, coordinate]
     thin_rows = thin.any(axis=1)
     count = int(np.argmax(thin_rows)) if thin_rows.any() else len(q)
     bounds = (_FINITE_BLOCK_BOUND * np.minimum(1.0, steps.min(axis=1) ** 2)).tolist()
@@ -408,7 +395,7 @@ def _assemble_blocks(values, steps):
     :func:`_stencil_entries`, with the formulas of
     :func:`_second_diff_block`."""
     count, k = steps.shape
-    a, b = _pairs(k)
+    a, b = np.triu_indices(k, 1)
     blocks = np.empty((count, k, k))
     f0 = values[:, :1]
     diag = np.arange(k)
@@ -476,26 +463,21 @@ def fd_y_block(f, p, split, box=AUTO) -> np.ndarray:
 
 def _closed_form_blocks(model, points, x_indices) -> np.ndarray:
     """The closed-form eliminated blocks ``2 Phi^T Phi`` at every row of
-    ``points``, from one stacked design matrix and one stacked matmul
-    (:func:`_gram_blocks`); :func:`fd_y_block` is the one-row call. The
-    first row whose block is not finite raises :class:`NonFiniteValueError`
-    carrying it; a basis map that raises does so before any block is
-    checked.
+    ``points``, from one stacked design matrix and one stacked matmul;
+    :func:`fd_y_block` is the one-row call. An overflow leaves an infinite
+    entry and no warning, and the first row whose block is not finite
+    raises :class:`NonFiniteValueError` carrying it; a basis map that
+    raises does so before any block is checked.
     """
-    blocks = _gram_blocks(model.design_matrix(points[:, x_indices]))
+    phi = model.design_matrix(points[:, x_indices])
+    with np.errstate(over="ignore"):
+        blocks = np.matmul(2.0 * phi.transpose(0, 2, 1), phi)
     finite = np.isfinite(blocks).all(axis=(1, 2))
     if not finite.all():
         raise NonFiniteValueError(
             "non-finite closed-form eliminated-block Hessian", points[np.argmin(finite)]
         )
     return blocks
-
-
-def _gram_blocks(phi) -> np.ndarray:
-    """The blocks ``2 Phi^T Phi`` of a stack of design matrices, from one
-    stacked matmul; an overflow leaves an infinite entry and no warning."""
-    with np.errstate(over="ignore"):
-        return np.matmul(2.0 * phi.transpose(0, 2, 1), phi)
 
 
 SYMMETRY_TOL = 1e-8
@@ -564,7 +546,7 @@ def linear_lsq_solve(A, b) -> np.ndarray:
     k, j = A.shape
     if k < j:
         raise ValueError(f"underdetermined system: {k} rows for {j} unknowns")
-    y, rank = _lsq_rows(A[None], b[None])
+    y, rank, _ = _lsq_rows(A[None], b[None])
     if rank[0] < j:
         raise _rank_error(int(rank[0]), j)
     return y[0]
@@ -573,7 +555,8 @@ def linear_lsq_solve(A, b) -> np.ndarray:
 def _lsq_rows(A, b):
     """Least squares ``min ||A[r] y - b[r]||_2`` for every row r of the
     (N, T, J) stack ``A`` and the (N, T) right-hand sides ``b``, T >= J,
-    from one stacked SVD: ``(y, rank)``, shapes (N, J) and (N,).
+    from one stacked SVD: ``(y, rank, s)``, shapes (N, J), (N,) and (N, J),
+    ``s`` each row's singular values in descending order.
 
     Each rank counts the singular values above ``eps max(T, J) s_max``, the
     rule of :func:`numpy.linalg.lstsq` with ``rcond=None``, and ``y`` is
@@ -584,7 +567,7 @@ def _lsq_rows(A, b):
     u, s, vh = np.linalg.svd(A, full_matrices=False)
     kept = s > EPS * max(A.shape[1:]) * s[:, :1]
     c = np.divide(np.matmul(b[:, None, :], u)[:, 0], s, out=np.zeros_like(s), where=kept)
-    return np.matmul(c[:, None, :], vh)[:, 0], kept.sum(axis=1)
+    return np.matmul(c[:, None, :], vh)[:, 0], kept.sum(axis=1), s
 
 
 def _rank_error(rank, required, where=""):

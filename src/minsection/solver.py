@@ -676,15 +676,14 @@ def equivalence_report(
     With one retained coordinate, every polished local minimum of the
     section is listed as a candidate, so sections crossing several minima
     cover all the direct answers; the section is scanned with the
-    hierarchical solve's own slices, its grid handed over as one stack
-    first, so a slice that solve has solved is not solved again.
+    hierarchical solve's own slices on the grid its bracket cycle solved,
+    so no grid slice is solved again.
     Disagreements are findings, not errors.
     """
     hier, slices = _solve_hierarchical(merit, split, grid, tolerances)
     candidates = [(hier.minimizer, hier.value)]
     if split.n == 1:
         (axis,) = _resolve_grids(grid, merit.domain_box, split)
-        slices.solve(axis[:, None])
         for u, value in enumerate_section_minima(
             lambda v: slices.value(np.array([v])), axis, 1e-8 * (axis[-1] - axis[0])
         ):

@@ -384,9 +384,10 @@ def _linear_rows(model, xs):
     """Yield the linear-elimination :class:`SubMinimum` of each row of the
     valid (N, n) stack ``xs`` of the partially linear ``model``, in order.
 
-    The stack takes one stacked design matrix and offset, one stacked
-    matmul for the blocks ``2 Phi^T Phi``, one stacked ``eigvalsh`` and
-    one stacked least-squares solve (:func:`numerics._lsq_rows`). The
+    The stack takes one stacked design matrix and offset and one stacked
+    least-squares solve (:func:`numerics._lsq_rows`), whose smallest
+    singular value ``s`` gives each block ``2 Phi^T Phi`` its smallest
+    eigenvalue ``2 s^2`` (infinite where it overflows, with no warning). The
     residual ``Phi y* + psi - d``, the gradient ``2 Phi^T (Phi y* - b)``
     and their squared norms are stacked matmuls too, each row's bitwise
     the one-row operation, so every result is bitwise the one-row result
@@ -397,16 +398,17 @@ def _linear_rows(model, xs):
     rows before it are yielded.
     """
     phis = model.design_matrix(xs)
-    spectra = np.linalg.eigvalsh(numerics._gram_blocks(phis))
     off = model.offsets(xs)
     b = model.d - off
-    ys, ranks = numerics._lsq_rows(phis, b)
+    ys, ranks, s = numerics._lsq_rows(phis, b)
+    with np.errstate(over="ignore"):
+        lowest = 2.0 * s[:, -1] ** 2
     fitted = np.matmul(phis, ys[:, :, None])[:, :, 0]
     r = fitted + off - model.d
     g = 2.0 * np.matmul(phis.transpose(0, 2, 1), (fitted - b)[:, :, None])[:, :, 0]
     rows = zip(
         xs, ys, _row_dots(r, r).tolist(), np.sqrt(_row_dots(g, g)).tolist(),
-        spectra[:, 0].tolist(), ranks.tolist(),
+        lowest.tolist(), ranks.tolist(),
     )
     for x, y, value, grad_norm, w0, rank in rows:
         if rank < model.linear_dim:
@@ -608,86 +610,96 @@ def _newton_1d(value, y, fval, lo, hi, tol, max_iter, refuse):
     return outcome(h, max_iter, "max_iter")
 
 
-def _newton_rows(merit, split, xs, starts, inner_tol=None):
-    """Damped Newton on the slices at the rows of the valid (N, n) stack
-    ``xs``, from the (N, m) ``starts`` clipped to the eliminated-coordinate
-    box, row after row: yields each row's :class:`SubMinimum` and raises at
-    the first row that fails, as :class:`SliceSolver` says. With one
-    eliminated coordinate a row runs the scalar kernel :func:`_newton_1d`,
-    its start clipped and its spectrum and refusal test taken from the
-    kernel's ``h``, on Python floats; with more it runs
+def _tolerance(inner_tol):
+    """The gradient tolerance of a Newton slice at an iterate of a given
+    value: :func:`default_inner_tol` of that value, else the set
+    ``inner_tol``."""
+    return default_inner_tol if inner_tol is None else lambda _: float(inner_tol)
+
+
+def _newton_row(merit, split, ybox, tol, x, start):
+    """Damped Newton on the slice at the valid retained vector ``x``, from
+    ``start`` clipped to the eliminated-coordinate box ``ybox``, with the
+    gradient tolerance ``tol`` of :func:`_tolerance`: the slice's
+    :class:`SubMinimum`, or the row's error, as :class:`SliceSolver` says.
+    With one eliminated coordinate the row runs the scalar kernel
+    :func:`_newton_1d`, its start clipped and its spectrum and refusal test
+    taken from the kernel's ``h``, on Python floats; with more it runs
     :func:`_damped_newton`, its spectrum from ``eigvalsh`` of its block and
     its step from ``solve``. A sub-minimum whose block is not refused is
     positive definite, so its y-index is 0. A non-finite stencil entry is
-    raised at the full parameter vector, naming the parameter's index.
+    raised at the full parameter vector, and a thin box along an
+    eliminated coordinate as its ``ValueError``, each naming the
+    parameter's index.
     """
-    ybox = split.y_box(merit.domain_box)
-    lo, hi = ybox[0].tolist()  # the y-box as floats when m = 1
-    tol = default_inner_tol if inner_tol is None else lambda _: float(inner_tol)
     note = "; the convexity assumption is violated for this split"
-    for x, start in zip(xs, np.asarray(starts, dtype=float)):
 
-        def refuse(y, w, where, note=""):
-            raise ConvexityError(
-                f"eliminated-block Hessian is not positive definite at {where} "
-                f"(min eigenvalue {float(w[0]):.3e}){note}",
-                point=split.embed(x, y),
-                min_eig=float(w[0]),
-            )
+    def refuse(y, w, where, note=""):
+        raise ConvexityError(
+            f"eliminated-block Hessian is not positive definite at {where} "
+            f"(min eigenvalue {float(w[0]):.3e}){note}",
+            point=split.embed(x, y),
+            min_eig=float(w[0]),
+        )
 
-        try:
-            if split.m == 1:
-                (y,) = start.tolist()
-                # numpy's clip off the open box: Python's max and min keep
-                # the first of two equal signed zeros, numpy's maximum and
-                # minimum the second, and both propagate NaN
-                if not lo < y < hi:
-                    y = float(np.minimum(np.maximum(y, lo), hi))
-                value = _slice_objective(merit, split, x, y)
-                (y, fy, gn), hess, iteration, stop = _newton_1d(
-                    value, y, value(y), lo, hi, tol, MAX_NEWTON_ITERATIONS,
-                    lambda y, h: refuse([y], [h], "an iterate", note),
-                )
-            else:
-
-                def newton_step(g, hess, y):
-                    w = np.linalg.eigvalsh(hess)
-                    if _indefinite(w):
-                        refuse(y, w, "an iterate", note)
-                    return np.linalg.solve(hess, -g)
-
-                y = np.minimum(np.maximum(start, ybox[:, 0]), ybox[:, 1])
-                value = _slice_objective(merit, split, x, y)
-                (y, fy, gn), hess, iteration, stop = _damped_newton(
-                    value, y, value(y), ybox, tol, MAX_NEWTON_ITERATIONS, newton_step
-                )
-        except numerics.NonFiniteValueError as err:
-            raise numerics._non_finite_entry_error(
-                [split.y_indices[c] for c in err.coordinates], split.embed(x, err.point)
-            ) from err
-        if stop != "converged":
-            raise SubMinimizeError(
-                {
-                    "boundary": "the Newton step leaves the eliminated-coordinate box at "
-                    "the iterate; the slice minimum may lie outside the box",
-                    "stalled": "backtracking line search failed on the slice; the objective "
-                    "may not be convex in the eliminated block here",
-                    "max_iter": f"no convergence within {MAX_NEWTON_ITERATIONS} Newton "
-                    f"iterations (best gradient norm {gn:.3e}, tolerance {tol(fy):.3e})",
-                }[stop],
-                point=split.embed(x, y),
-                grad_norm=gn,
-                iterations=iteration,
-            )
+    try:
         if split.m == 1:
-            w, refused = [hess], _indefinite_1d(hess)
+            lo, hi = ybox[0].tolist()
+            (y,) = start.tolist()
+            # numpy's clip off the open box: Python's max and min keep
+            # the first of two equal signed zeros, numpy's maximum and
+            # minimum the second, and both propagate NaN
+            if not lo < y < hi:
+                y = float(np.minimum(np.maximum(y, lo), hi))
+            value = _slice_objective(merit, split, x, y)
+            (y, fy, gn), hess, iteration, stop = _newton_1d(
+                value, y, value(y), lo, hi, tol, MAX_NEWTON_ITERATIONS,
+                lambda y, h: refuse([y], [h], "an iterate", note),
+            )
         else:
-            w = np.linalg.eigvalsh(hess)
-            refused = _indefinite(w)
-        if refused:
-            refuse(y, w, "the sub-minimum")
-        # a positive definite block: y-index 0
-        yield SubMinimum(y, fy, gn, float(w[0]), "newton", iteration, tol(fy))
+
+            def newton_step(g, hess, y):
+                w = np.linalg.eigvalsh(hess)
+                if _indefinite(w):
+                    refuse(y, w, "an iterate", note)
+                return np.linalg.solve(hess, -g)
+
+            y = np.minimum(np.maximum(start, ybox[:, 0]), ybox[:, 1])
+            value = _slice_objective(merit, split, x, y)
+            (y, fy, gn), hess, iteration, stop = _damped_newton(
+                value, y, value(y), ybox, tol, MAX_NEWTON_ITERATIONS, newton_step
+            )
+    except numerics.NonFiniteValueError as err:
+        raise numerics._non_finite_entry_error(
+            [split.y_indices[c] for c in err.coordinates], split.embed(x, err.point)
+        ) from err
+    except ValueError as err:
+        if not hasattr(err, "coordinate"):
+            raise
+        raise numerics._thin_box_error(split.y_indices[err.coordinate]) from err
+    if stop != "converged":
+        raise SubMinimizeError(
+            {
+                "boundary": "the Newton step leaves the eliminated-coordinate box at "
+                "the iterate; the slice minimum may lie outside the box",
+                "stalled": "backtracking line search failed on the slice; the objective "
+                "may not be convex in the eliminated block here",
+                "max_iter": f"no convergence within {MAX_NEWTON_ITERATIONS} Newton "
+                f"iterations (best gradient norm {gn:.3e}, tolerance {tol(fy):.3e})",
+            }[stop],
+            point=split.embed(x, y),
+            grad_norm=gn,
+            iterations=iteration,
+        )
+    if split.m == 1:
+        w, refused = [hess], _indefinite_1d(hess)
+    else:
+        w = np.linalg.eigvalsh(hess)
+        refused = _indefinite(w)
+    if refused:
+        refuse(y, w, "the sub-minimum")
+    # a positive definite block: y-index 0
+    return SubMinimum(y, fy, gn, float(w[0]), "newton", iteration, tol(fy))
 
 
 def _slice_objective(merit, split, x, y):
@@ -739,60 +751,38 @@ def subminimize_newton(
             raise ValueError(f"y0 must have {problem.split.m} entries, got shape {start.shape}")
         if np.isnan(start).any():
             raise ValueError(f"y0 must not hold NaN, got {start}")
-    return next(_newton_rows(problem.merit, problem.split, problem.x_fixed[None], start[None],
-                             inner_tol))
-
-
-def _levels(count):
-    """The positions ``0, ..., count - 1`` of a stack in level order: the
-    middle, then the two ends, then level by level the midpoints between
-    neighbouring positions already taken, each level ascending."""
-    middle = count // 2
-    levels = [[middle]]
-    taken = sorted({0, middle, count - 1})
-    if len(taken) > 1:
-        levels.append([j for j in taken if j != middle])
-    while len(taken) < count:
-        levels.append([(a + b) // 2 for a, b in zip(taken, taken[1:]) if b - a > 1])
-        taken = sorted(taken + levels[-1])
-    return levels
-
-
-def _lagrange(taken, targets):
-    """For each of the positions ``targets``, the up to four positions of
-    ``taken`` nearest it (ties to the lower position) and the weights of
-    the Lagrange interpolant in the stack position through them."""
-    taken = np.asarray(taken)
-    t = np.asarray(targets, dtype=float)[:, None]
-    nodes = taken[np.argsort(np.abs(taken - t), axis=1, kind="stable")[:, :4]]
-    # weight of node a: the product over the other nodes b of (t - b) / (a - b)
-    same = np.eye(nodes.shape[1], dtype=bool)
-    ratios = (t - nodes)[:, None, :] / np.where(same, 1, nodes[:, :, None] - nodes[:, None, :])
-    ratios[:, same] = 1.0
-    return nodes, ratios.prod(axis=2)
-
-
-def _interpolate(nodes, weights, ys):
-    """The interpolants of :func:`_lagrange`'s ``nodes`` and ``weights``
-    through the rows of ``ys``."""
-    return np.einsum("lq,lqm->lm", weights, ys[nodes])
+    return _newton_row(problem.merit, problem.split, problem.y_box(), _tolerance(inner_tol),
+                       problem.x_fixed, start)
 
 
 @functools.lru_cache(maxsize=128)
 def _level_plan(count):
-    """The levels of a stack of ``count`` rows (:func:`_levels`), each as
-    ``(positions, nodes, weights)``: a tuple of its positions and the
-    read-only :func:`_lagrange` arrays of its interpolated starts through
-    the levels before it, ``None`` for the first level. They depend on the
-    row count only, so each stack size is planned once."""
-    plan, taken = [], []
-    for level in _levels(count):
+    """The positions ``0, ..., count - 1`` of a stack in levels, each level
+    as ``(positions, nodes, weights)``: the middle, then the two ends, then
+    level by level the midpoints between neighbouring positions already
+    taken, each level's positions an ascending tuple. For each position of
+    a later level, ``nodes`` holds the up to four positions already taken
+    nearest it (ties to the lower position) and ``weights`` the weights of
+    the Lagrange interpolant in the stack position through them, both
+    read-only arrays; the first level has ``None`` for both. They depend on
+    the row count only, so each stack size is planned once."""
+    plan, taken, level = [], [], [count // 2]
+    while level:
         nodes = weights = None
         if taken:
-            nodes, weights = _lagrange(taken, level)
+            at, t = np.asarray(taken), np.asarray(level, dtype=float)[:, None]
+            nodes = at[np.argsort(np.abs(at - t), axis=1, kind="stable")[:, :4]]
+            # weight of node a: the product over the other nodes b of (t - b) / (a - b)
+            same = np.eye(nodes.shape[1], dtype=bool)
+            gaps = np.where(same, 1, nodes[:, :, None] - nodes[:, None, :])
+            ratios = (t - nodes)[:, None, :] / gaps
+            ratios[:, same] = 1.0
+            weights = ratios.prod(axis=2)
             nodes.flags.writeable = weights.flags.writeable = False
         plan.append((tuple(level), nodes, weights))
         taken = sorted(taken + level)
+        ends = sorted({0, count - 1} - set(taken))
+        level = ends or [(a + b) // 2 for a, b in zip(taken, taken[1:]) if b - a > 1]
     return tuple(plan)
 
 
@@ -805,18 +795,19 @@ class SliceSolver:
     elimination is used when the split matches a partially linear model:
     the rows not yet solved are validated once and solved as one stack
     (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973),
-    one stacked design matrix, ``eigvalsh`` and SVD least-squares solve
-    per ``STACK_VALUES`` values (:func:`_linear_rows`), whose stacked
-    residual gives each row's value with no merit evaluation. Such a
-    solve is exact, so ``inner_tol`` does not reach it: each linear
-    result records :func:`default_inner_tol` of its value.
+    one stacked design matrix and SVD least-squares solve per
+    ``STACK_VALUES`` values (:func:`_linear_rows`), whose stacked residual
+    gives each row's value with no merit evaluation. Such a solve is exact,
+    so ``inner_tol`` does not reach it: each linear result records
+    :func:`default_inner_tol` of its value.
 
     Otherwise the distinct rows not yet solved are validated once and
-    solved by damped Newton in levels, each level's rows one after another
-    (:func:`_newton_rows`; with one eliminated coordinate the scalar kernel
-    :func:`_newton_1d`, with more :func:`_damped_newton`): the middle row,
-    then the two end rows, then level by level the midpoints between rows
-    already solved. The middle
+    solved by damped Newton in levels, each row by its own solve
+    (:func:`_newton_row`; with one eliminated coordinate the scalar kernel
+    :func:`_newton_1d`, with more :func:`_damped_newton`), the y-box and
+    the tolerance rule taken once per stack: the middle row, then the two
+    end rows, then level by level the midpoints between rows already
+    solved. The middle
     row starts from a secant prediction along the implicit graph y*(x)
     (Allgower & Georg, *Introduction to Numerical Continuation Methods*,
     2003, ch. 2): when x lies on the line through the x of the last two
@@ -826,18 +817,19 @@ class SliceSolver:
     Lagrange interpolant, in the row's position in the stack, through the
     up to four nearest rows already solved: a multilevel predictor, whose
     levels, nearest rows and weights depend on the row count only and are
-    planned once per stack size (:func:`_level_plan`). Starts are clipped
-    to the eliminated-coordinate box. A Newton solve from a start of the
-    caller's choosing is :func:`subminimize_newton`. An ``inner_tol`` that
-    is set but not positive and finite raises ``ValueError``.
+    planned once per stack size (:func:`_level_plan`); a level's starts are
+    one ``einsum``. Starts are clipped to the eliminated-coordinate box. A
+    Newton solve from a start of the caller's choosing is
+    :func:`subminimize_newton`. An ``inner_tol`` that is set but not
+    positive and finite raises ``ValueError``.
 
-    Both row solvers, :func:`_linear_rows` and :func:`_newton_rows`, yield
-    their rows' results in order and raise at the first row that fails:
-    a collinear basis, a refused block (:class:`ConvexityError`), a Newton
+    A stack stops at the first row that fails, linear rows in order
+    (:func:`_linear_rows` yields them) and Newton rows in level order: a
+    collinear basis, a refused block (:class:`ConvexityError`), a Newton
     stop that did not converge (:class:`SubMinimizeError`) or a stencil
-    error. Every row before it is kept and no row after it is solved. A
-    Newton row's error carries the full parameter vector as ``point``, so
-    its retained part is the row's x.
+    error is raised, every row solved before it is kept and no row after
+    it is solved. A Newton row's error carries the full parameter vector as
+    ``point``, so its retained part is the row's x.
     """
 
     def __init__(self, merit: MeritFunction, split: ParameterSplit, inner_tol: float | None = None):
@@ -898,19 +890,21 @@ class SliceSolver:
     def _solve_levels(self, rows, keys) -> None:
         """Solve and keep the valid distinct rows ``rows``, level by level,
         each level's rows started from the interpolants of the stack
-        size's :func:`_level_plan`."""
-        plan = _level_plan(len(rows))
+        size's :func:`_level_plan`; the y-box and the tolerance rule are
+        taken once for the stack."""
+        ybox = self.split.y_box(self.merit.domain_box)
+        tol = _tolerance(self.inner_tol)
         ys = np.empty((len(rows), self.split.m))
-        for level, nodes, weights in plan:
-            at = list(level)
+        for level, nodes, weights in _level_plan(len(rows)):
             if nodes is None:
-                starts = self._predict(rows[at[0]])[None]
+                starts = self._predict(rows[level[0]])[None]
             else:
-                starts = _interpolate(nodes, weights, ys)
-            subs = _newton_rows(self.merit, self.split, rows[at], starts, self.inner_tol)
-            for j in at:
+                starts = np.einsum("lq,lqm->lm", weights, ys[nodes])
+            for j, start in zip(level, starts):
                 self.solves += 1
-                sub = self.solved[keys[j]] = next(subs)
+                sub = self.solved[keys[j]] = _newton_row(
+                    self.merit, self.split, ybox, tol, rows[j], start
+                )
                 ys[j] = sub.y_star
 
     def _solve_linear(self, rows, keys) -> None:

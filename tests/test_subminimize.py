@@ -210,6 +210,27 @@ def test_slice_stencil_error_carries_its_full_point(x_indices, x, y0, where, poi
     assert info.value.coordinates == tuple(int(c) for c in where if c.isdigit())
 
 
+def test_slice_thin_box_is_named_by_its_parameter_index(entries):
+    # one eliminated coordinate: SINE_VALLEY traced on a box 1e-6 wide
+    # along its eliminated parameter 1
+    sine = entries["SINE_VALLEY"].merit
+    merit = ms.MeritFunction(2, sine, domain_box=[[-2.0, 2.0], [0.0, 1e-6]])
+    with pytest.raises(ValueError) as info:
+        ms.trace_implicit(merit, ms.ParameterSplit((0,), (1,)), np.linspace(-1.0, 1.0, 5))
+    assert type(info.value) is ValueError
+    assert str(info.value) == "domain box is thinner than the FD stencil along coordinate 1"
+    # two eliminated coordinates, parameter 2 thin
+    merit = ms.build_residual_merit(
+        (lambda p: p[0], lambda p: p[1] - p[0], lambda p: p[2]),
+        3,
+        box=np.array([[-1.0, 1.0], [-1.0, 1.0], [0.0, 1e-6]]),
+    )
+    with pytest.raises(ValueError) as info:
+        ms.solve_slice(merit, ms.ParameterSplit((0,), (1, 2)), [0.5])
+    assert type(info.value) is ValueError
+    assert str(info.value) == "domain box is thinner than the FD stencil along coordinate 2"
+
+
 def test_slice_problem_validates_x(entries, split01):
     with pytest.raises(ValueError, match="outside"):
         SliceProblem(entries["QUAD"].merit, split01, [11.0])
@@ -299,13 +320,13 @@ def test_repeated_slice_is_not_solved_again(entries, split01):
 
 def test_revisited_slice_is_not_solved_again(entries, split01, monkeypatch):
     starts = []
-    newton = ms.subminimize._newton_rows
+    newton = ms.subminimize._newton_row
 
-    def recording_newton(merit, split, xs, ys, inner_tol=None):
-        starts.append(float(np.asarray(ys)[0, 0]))
-        return newton(merit, split, xs, ys, inner_tol)
+    def recording_newton(merit, split, ybox, tol, x, start):
+        starts.append(float(start[0]))
+        return newton(merit, split, ybox, tol, x, start)
 
-    monkeypatch.setattr(ms.subminimize, "_newton_rows", recording_newton)
+    monkeypatch.setattr(ms.subminimize, "_newton_row", recording_newton)
     merit = entries["SINE_VALLEY"].merit
     solver = SliceSolver(merit, split01)
     first = solver.solve([0.3])
@@ -337,14 +358,14 @@ def test_secant_start_on_a_linear_implicit_graph(aniso3, monkeypatch):
     # of the last two x is the slice minimum itself; off that line the
     # start is the last result.
     iterations = []
-    newton = ms.subminimize._newton_rows
+    newton = ms.subminimize._newton_row
 
-    def recording_newton(merit, split, xs, ys, inner_tol=None):
-        for sub in newton(merit, split, xs, ys, inner_tol):
-            iterations.append(sub.iterations)
-            yield sub
+    def recording_newton(*args):
+        sub = newton(*args)
+        iterations.append(sub.iterations)
+        return sub
 
-    monkeypatch.setattr(ms.subminimize, "_newton_rows", recording_newton)
+    monkeypatch.setattr(ms.subminimize, "_newton_row", recording_newton)
     merit, _ = aniso3
     solver = SliceSolver(merit, ms.ParameterSplit((0, 1), (2,)))
     for x in ([1.0, 1.0], [2.0, 0.0], [3.0, -1.0], [4.0, 2.0], [5.0, 5.0]):
@@ -723,13 +744,14 @@ def test_closed_form_probe_bounds_its_design_matrix_stack(tmp_path):
 
 def reference_linear(merit, split, x):
     """The node-by-node linear elimination: one design matrix, one
-    least-squares solve, one ``2 Phi^T Phi`` and one ``eigvalsh`` per x."""
+    least-squares solve and one SVD per x, whose singular values s give
+    the spectrum ``2 s^2`` of ``2 Phi^T Phi``."""
     model = merit.model
     phi = model.design_matrix(x)
     b = model.d - model.offsets(x)
     y_star = ms.numerics.linear_lsq_solve(phi, b)
     grad = 2.0 * phi.T @ (phi @ y_star - b)
-    w = np.linalg.eigvalsh(2.0 * phi.T @ phi)
+    w = 2.0 * np.linalg.svd(phi, full_matrices=False)[1][::-1] ** 2
     value = merit(split.embed(x, y_star))
     return ms.SubMinimum(
         y_star=y_star,
@@ -965,16 +987,15 @@ def newton_outcome(calls, solve):
 
 
 def newton_rows(merit, split, xs, starts):
-    """Each row's result of ``_newton_rows`` on the stack, the error for a
-    failing row: the stack stops at its first failing row, so the rows
-    after it are solved as a stack of their own."""
-    from minsection.subminimize import _newton_rows
+    """Each row's result of ``_newton_row`` under the default tolerance,
+    the error for a failing row."""
+    from minsection.subminimize import _newton_row, _tolerance
 
+    ybox, tol = split.y_box(merit.domain_box), _tolerance(None)
     results = []
-    while len(results) < len(xs):
-        k = len(results)
+    for x, start in zip(xs, np.asarray(starts, dtype=float)):
         try:
-            results.extend(_newton_rows(merit, split, xs[k:], starts[k:]))
+            results.append(_newton_row(merit, split, ybox, tol, x, start))
         except Exception as err:  # the failing row's error, compared by the caller
             results.append(err)
     return results
@@ -1228,8 +1249,9 @@ def test_scalar_newton_kernel_matches_the_reference(params, eliminated, lo, widt
             warnings.simplefilter("always")
             try:
                 want = reference_newton(merit, split, x, y0)
-            except ValueError as err:  # a thin box
-                want = err
+            except ValueError as err:  # a thin box, named by the parameter's index
+                assert str(err).endswith("along coordinate 0")
+                want = ValueError(str(err)[:-1] + str(split.y_indices[0]))
         warned += [(w.category, str(w.message)) for w in caught]
         assert points == [p.tobytes() for p in seen]
         if isinstance(want, ValueError):
@@ -1301,21 +1323,10 @@ def test_newton_stack_refuses_at_the_first_failing_level(merit_calls):
 @pytest.mark.filterwarnings("ignore::minsection.BoundaryStepWarning")
 def test_newton_stack_evaluates_nothing_after_its_first_failing_row(merit_calls):
     # x^2 + (y - 3x)^2 on [-2, 2] x [-5, 5]: the slice minimum y = 3x lies
-    # beyond the face y = 5 for x > 5/3, where the row stops at the face
-    from minsection.subminimize import _newton_rows
-
+    # beyond the face y = 5 for x > 5/3, where the row stops at the face.
+    # After the middle row, the level of the two ends stops at its first
+    # row, x = 1.8, and the other end is never evaluated
     merit, split = steep_line_merit(), ms.ParameterSplit((0,), (1,))
-    rows = _newton_rows(merit, split, np.array([[-1.0], [1.9], [0.5], [-0.3]]), np.zeros((4, 1)))
-    assert next(rows).y_star[0] == pytest.approx(-3.0, abs=1e-6)
-    with pytest.raises(ms.SubMinimizeError, match="^the Newton step leaves") as info:
-        next(rows)
-    assert split.x_part(info.value.point).tolist() == [1.9]
-    assert next(rows, None) is None
-    assert {float(p[0]) for p in merit_calls} == {-1.0, 1.9}
-    # a slice solver's level stops there too: after the middle row, the
-    # level of the two ends stops at its first row, x = 1.8, and the other
-    # end is never evaluated
-    merit_calls.clear()
     slices = SliceSolver(merit, split)
     grid = np.linspace(1.8, -1.2, 9)[:, None]
     with pytest.raises(ms.SubMinimizeError) as info:
@@ -1370,20 +1381,33 @@ def test_newton_stack_rows_keep_their_own_x(entries, monkeypatch):
     assert sorted(set(owners)) == grid[:, 0].tolist()
 
 
-def test_level_order_and_starts():
-    from minsection.subminimize import _interpolate, _lagrange, _levels
+def levels(count):
+    """The positions of each level of the plan of ``count`` rows."""
+    from minsection.subminimize import _level_plan
 
-    assert _levels(1) == [[0]]
-    assert _levels(2) == [[1], [0]]
-    assert _levels(9) == [[4], [0, 8], [2, 6], [1, 3, 5, 7]]
-    assert sorted(sum(_levels(101), [])) == list(range(101))
-    assert len(_levels(101)) == 8
+    return [list(level) for level, _, _ in _level_plan(count)]
+
+
+def interpolated(nodes, weights, ys):
+    """A level's starts through the rows ``ys``, as the slice solver forms them."""
+    return np.einsum("lq,lqm->lm", weights, ys[nodes])
+
+
+def test_level_order_and_starts():
+    from minsection.subminimize import _level_plan
+
+    assert levels(1) == [[0]]
+    assert levels(2) == [[1], [0]]
+    assert levels(9) == [[4], [0, 8], [2, 6], [1, 3, 5, 7]]
+    assert sorted(sum(levels(101), [])) == list(range(101))
+    assert len(levels(101)) == 8
+    plan = _level_plan(9)
     # a cubic through the four nearest rows is exact on a cubic
     ys = (np.arange(9.0) ** 3)[:, None]
-    starts = _interpolate(*_lagrange([0, 2, 4, 6, 8], [1, 3, 5, 7]), ys)
+    starts = interpolated(*plan[3][1:], ys)
     assert starts[:, 0].tolist() == [1, 27, 125, 343]
     # one row taken: its value
-    assert _interpolate(*_lagrange([4], [0, 8]), ys).tolist() == [[64.0], [64.0]]
+    assert interpolated(*plan[1][1:], ys).tolist() == [[64.0], [64.0]]
 
 
 def reference_starts(taken, ys, targets):
@@ -1398,13 +1422,28 @@ def reference_starts(taken, ys, targets):
     return np.einsum("lq,lqm->lm", ratios.prod(axis=2), ys[nodes])
 
 
+def reference_levels(count):
+    """The levels of ``count`` rows built one level at a time: the middle,
+    the two ends, then the midpoints between positions already taken."""
+    middle = count // 2
+    result = [[middle]]
+    taken = sorted({0, middle, count - 1})
+    if len(taken) > 1:
+        result.append([j for j in taken if j != middle])
+    while len(taken) < count:
+        result.append([(a + b) // 2 for a, b in zip(taken, taken[1:]) if b - a > 1])
+        taken = sorted(taken + result[-1])
+    return result
+
+
 def test_level_plan_is_the_levels_and_their_starts():
-    from minsection.subminimize import _interpolate, _lagrange, _level_plan, _levels
+    from minsection.subminimize import _level_plan
 
     rng = np.random.default_rng(3)
     for count in [*range(1, 102), 441]:
         plan = _level_plan(count)
-        assert [list(level) for level, _, _ in plan] == _levels(count)
+        assert levels(count) == reference_levels(count)
+        assert all(type(level) is tuple for level, _, _ in plan)
         assert plan[0][1:] == (None, None)
         for m in (1, 2):
             ys = rng.standard_normal((count, m)) * 10.0 ** rng.integers(-3, 4, (count, 1))
@@ -1412,9 +1451,7 @@ def test_level_plan_is_the_levels_and_their_starts():
             for level, nodes, weights in plan:
                 if taken:
                     want = reference_starts(taken, ys, list(level))
-                    assert _interpolate(nodes, weights, ys).tobytes() == want.tobytes()
-                    fresh = _interpolate(*_lagrange(taken, list(level)), ys)
-                    assert fresh.tobytes() == want.tobytes()
+                    assert interpolated(nodes, weights, ys).tobytes() == want.tobytes()
                 taken = sorted(taken + list(level))
     # a cached plan cannot be changed by its callers
     _, nodes, weights = _level_plan(9)[1]

@@ -6,12 +6,15 @@ Run from the root of a checkout; minsection is imported from ``src/`` of
 that checkout. Each catalog problem runs each command through ``cli.main``
 in process (``recover`` with ``--anchor-index 0 --anchor-value 0.25``), its
 outputs written to a fresh temporary directory. After the catalog runs
-come the runs of ``MORE``, whose lines also list their extra arguments:
-one ends in a ``SolveError`` refusal, which no catalog run reaches, so
-the manifest covers every witness line the refusal printer writes. A
-run's line holds its exit status and the sha256 of its stdout, its stderr
-and each output file, with sorted keys. Two checkouts whose manifests are
-identical print the same bytes and write the same files on every run.
+come the runs of ``MORE``, whose lines also list their extra arguments,
+each reaching a path no catalog run does: one ends in a ``SolveError``
+refusal, so the manifest covers every witness line the refusal printer
+writes, and one takes the ``sections`` fallback (at each grid point a
+scan of the slice, then a Newton solve from its best point) to two
+polished minima. A run's line holds its exit status and the sha256 of
+its stdout, its stderr and each output file, with sorted keys. Two
+checkouts whose manifests are identical print the same bytes and write
+the same files on every run.
 """
 
 from __future__ import annotations
@@ -34,8 +37,13 @@ EXTRA = {"recover": ["--anchor-index", "0", "--anchor-value", "0.25"]}
 
 #: Runs after the catalog's, as ``(problem, command, arguments)``. An outer
 #: tolerance below float resolution stalls the quasi-Newton line search:
-#: a ``SolveError`` whose witness is a point and a value.
-MORE = [("SINE_VALLEY", "solve", ["--outer-tol", "1e-300", "--grid-density", "20"])]
+#: a ``SolveError`` whose witness is a point and a value. TWO_WELLS
+#: sectioned along parameter 1 has no positive convexity certificate for
+#: the trace, so its section is sampled by the fallback slice solves.
+MORE = [
+    ("SINE_VALLEY", "solve", ["--outer-tol", "1e-300", "--grid-density", "20"]),
+    ("TWO_WELLS", "sections", ["--x-indices", "1"]),
+]
 
 
 def _sha(data: bytes) -> str:
