@@ -19,7 +19,9 @@ Offset terms additionally accept a fixed ``"scale"`` coefficient
 (default 1.0). Index fields address the nonlinear sub-vector x. Each term
 is one numpy expression over the whole sample vector t, so one call fills
 one column of the design matrix; ``np.exp``, and ``t**d`` for d >= 2,
-may differ from the scalar ``math`` result by one ulp.
+may differ from the scalar ``math`` result by one ulp. The merit of a
+``partially_linear`` file carries the closed-form gradient of its model,
+which the hierarchical solve differentiates by.
 Code-supplied residual callables are available only through the library
 interface.
 """
@@ -117,6 +119,9 @@ def _require(mapping, key, kind, where):
 
 
 def _build_term(term, n, where):
+    """The term's map ``fn(t, x)`` and its x-derivative: ``(i, dfn)`` with
+    ``dfn(t, x)`` the derivative of ``fn`` in ``x[i]``, or None for a term
+    that does not depend on x."""
     if not isinstance(term, dict):
         raise ProblemFileError(f"field {where} must be an object")
     kind = _require(term, "type", str, where)
@@ -135,22 +140,58 @@ def _build_term(term, n, where):
         degree = _require(term, "degree", int, where)
         if degree < 0:
             raise ProblemFileError(f"field {where}.degree must be nonnegative")
-        return lambda t, x: scale * t**degree
+        return (lambda t, x: scale * t**degree), None
     if kind == "exponential":
         idx = check_index("rate_index")
-        return lambda t, x: scale * np.exp(x[idx] * t)
+        return (lambda t, x: scale * np.exp(x[idx] * t)), (
+            idx,
+            lambda t, x: scale * t * np.exp(x[idx] * t),
+        )
     if kind == "sinusoid":
         fn_name = _require(term, "fn", str, where)
         if fn_name not in ("sin", "cos"):
             raise ProblemFileError(f"field {where}.fn must be 'sin' or 'cos'")
         idx = check_index("frequency_index")
         fn = np.sin if fn_name == "sin" else np.cos
-        return lambda t, x: scale * fn(x[idx] * t)
+        # d sin(x t)/dx = t cos(x t) and d cos(x t)/dx = -t sin(x t)
+        slope = scale if fn_name == "sin" else -scale
+        dfn = np.cos if fn_name == "sin" else np.sin
+        return (lambda t, x: scale * fn(x[idx] * t)), (
+            idx,
+            lambda t, x: slope * t * dfn(x[idx] * t),
+        )
     if kind == "constant":
-        return lambda t, x: np.full(np.shape(t), scale)
+        return (lambda t, x: np.full(np.shape(t), scale)), None
     raise ProblemFileError(
         f"field {where}.type = {kind!r} is not in the supported expression set"
     )
+
+
+def _model_gradient(model, basis_derivatives, offset_derivatives):
+    """Closed-form gradient of the merit of a file's ``model``: with the
+    residual r = Phi y + psi - d, ``g_y = 2 Phi^T r`` and ``g_x[i] = 2 r^T
+    (sum_j y_j dphi_j/dx_i + sum_k dpsi_k/dx_i)``. ``basis_derivatives``
+    and ``offset_derivatives`` hold each term's x-derivative as
+    :func:`_build_term` returns it."""
+    n, t = model.nonlinear_dim, model.t
+
+    def gradient(p):
+        p = np.asarray(p, dtype=float)
+        x, y = p[:n], p[n:]
+        phi = model.design_matrix(x)
+        r = phi @ y + model.offsets(x) - model.d
+        jac = np.zeros((n, t.size))  # dr/dx, one row per nonlinear parameter
+        for j, derivative in enumerate(basis_derivatives):
+            if derivative is not None:
+                i, dfn = derivative
+                jac[i] += y[j] * dfn(t, x)
+        for derivative in offset_derivatives:
+            if derivative is not None:
+                i, dfn = derivative
+                jac[i] += dfn(t, x)
+        return np.concatenate([2.0 * (jac @ r), 2.0 * (phi.T @ r)])
+
+    return gradient
 
 
 def _require_finite(term, where, t, x_box):
@@ -270,17 +311,18 @@ def load_problem_file(path) -> ProblemDefinition:
                 f"{j} basis terms leave no nonlinear parameter in dimension {dimension}"
             )
         x_box = (default_box(dimension) if box is None else box)[:n]
-        basis = tuple(
-            _build_term(t, n, f"model.basis[{i}]") for i, t in enumerate(basis_specs)
+        basis, basis_derivatives = zip(
+            *(_build_term(spec, n, f"model.basis[{i}]") for i, spec in enumerate(basis_specs))
         )
         for i, term in enumerate(basis):
             _require_finite(term, f"model.basis[{i}]", t, x_box)
         offset = None
-        if model.get("offset"):
-            offset_specs = _require(model, "offset", list, "model")
-            terms = tuple(
-                _build_term(t, n, f"model.offset[{i}]")
-                for i, t in enumerate(offset_specs)
+        offset_derivatives = ()
+        # [] is no offset; any other value that is not a list is refused
+        offset_specs = _require(model, "offset", list, "model") if "offset" in model else []
+        if offset_specs:
+            terms, offset_derivatives = zip(
+                *(_build_term(spec, n, f"model.offset[{i}]") for i, spec in enumerate(offset_specs))
             )
             for i, term in enumerate(terms):
                 _require_finite(term, f"model.offset[{i}]", t, x_box)
@@ -291,7 +333,12 @@ def load_problem_file(path) -> ProblemDefinition:
             )
         except ValueError as err:
             raise ProblemFileError(f"field model: {err}") from err
-        merit = build_partially_linear(plm, box=box, name=path.stem)
+        merit = build_partially_linear(
+            plm,
+            box=box,
+            name=path.stem,
+            gradient=_model_gradient(plm, basis_derivatives, offset_derivatives),
+        )
         if split is None:
             split = ParameterSplit(tuple(range(n)), tuple(range(n, dimension)))
         return ProblemDefinition(merit=merit, split=split, name=path.stem)

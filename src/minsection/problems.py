@@ -254,9 +254,13 @@ class MeritFunction:
     the Newton slices reuse one per row), so a merit must not keep a
     reference to it. ``structure`` tags how the value is assembled:
     ``general``, ``residual`` (F = sum of squared residual maps) or
-    ``partially_linear`` (built from a :class:`PartiallyLinearModel`). Closed-form ``gradient``
-    and ``hessian`` callables, when present, serve as verification oracles;
-    the solvers themselves differentiate numerically.
+    ``partially_linear`` (built from a :class:`PartiallyLinearModel`).
+    A closed-form ``gradient``, when present, is trusted: the hierarchical
+    outer stage and its final certificate take it in place of central
+    differences (:func:`~minsection.solver.minimize_by_coordinates`). It
+    must return the gradient at ``p`` as an array of shape (M,). Every
+    other derivative, and ``hessian`` everywhere, is taken numerically;
+    ``hessian`` serves as a verification oracle.
 
     A ``partially_linear`` merit's value at ``p`` is its model's
     ``value(p[:n], p[n:])``, n the model's ``nonlinear_dim``, as

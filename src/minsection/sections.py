@@ -488,7 +488,7 @@ def nesting_check(
             sub = outer_slices.solve(_place(rest_vec))
             return sub, lambda v: outer_split.embed(_place(v), sub.y_star)
 
-        iterated_values[j] = minimize_by_coordinates(merit, section, rest_grids)[1]
+        iterated_values[j] = minimize_by_coordinates(merit, section, rest_grids, rest)[1]
     max_gap = float(np.max(np.abs(inner_values - iterated_values)))
     return NestingReport(
         inner_indices=inner,

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import EPS, Refusal, _central, _norm, fd_gradient
+from .numerics import EPS, NonFiniteValueError, Refusal, _central, _norm, fd_gradient
 from .numerics import fd_hessian  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .problems import MeritFunction, ParameterSplit
 from .subminimize import (
@@ -116,8 +116,9 @@ class Tolerances:
     ``inner_tol`` says. ``outer_tol``: gradient-norm bound at the reported
     minimizer, on which the quasi-Newton outer stage stops; the default is
     the finite-difference noise bound ``max(1e-8, 100 eps^(2/3) max(1,
-    |F|))`` for every number of retained coordinates; the outer stage
-    takes at most ``MAX_CYCLES`` quasi-Newton steps. ``probe_density``:
+    |F|))`` for every number of retained coordinates, also where the
+    gradient is the merit's closed form; the outer stage takes at most
+    ``MAX_CYCLES`` quasi-Newton steps. ``probe_density``:
     grid points per axis of the convexity probe. An explicit value samples
     that full grid; the default samples at most ``PROBE_BUDGET`` (441)
     nodes, as described in :func:`~minsection.subminimize.probe_y_convexity`.
@@ -136,9 +137,15 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class SolveCertificates:
+    """What a solve certified. ``gradient_norm`` is the norm of the full
+    gradient at the answer, and ``gradient_method`` how that gradient was
+    taken: ``"closed_form"`` from the merit's ``gradient`` or
+    ``"central_difference"`` by finite differences."""
+
     convexity: ConvexityCertificate | None
     brackets: tuple[BracketTriplet, ...]
     gradient_norm: float
+    gradient_method: str
 
 
 @dataclass(frozen=True)
@@ -368,8 +375,27 @@ def _bracket_curvature(tri: BracketTriplet) -> float:
     )
 
 
-def minimize_by_coordinates(merit, section, grids, outer_tol=None):
-    """Minimize a section of ``merit`` over the retained coordinates.
+def _closed_form_gradient(merit, p):
+    """``merit.gradient(p)`` as a float array of shape (M,). Another shape
+    raises ``ValueError``; a non-finite entry raises
+    :class:`~minsection.numerics.NonFiniteValueError` carrying ``p`` and
+    the entry's parameter index, as a finite-difference stencil's does."""
+    g = np.asarray(merit.gradient(p), dtype=float)
+    if g.shape != (merit.dimension,):
+        raise ValueError(
+            f"closed-form gradient has shape {g.shape}, expected ({merit.dimension},)"
+        )
+    if not np.isfinite(g).all():
+        bad = int(np.flatnonzero(~np.isfinite(g))[0])
+        raise NonFiniteValueError(
+            f"non-finite closed-form gradient entry at coordinate {bad}", p, (bad,)
+        )
+    return g
+
+
+def minimize_by_coordinates(merit, section, grids, indices, outer_tol=None):
+    """Minimize a section of ``merit`` over the retained coordinates, the
+    parameters ``indices``.
 
     ``section(x)`` solves the slice at the retained-coordinate vector ``x``
     and returns ``(sub, point)``: the :class:`SubMinimum` and the full
@@ -383,8 +409,11 @@ def minimize_by_coordinates(merit, section, grids, outer_tol=None):
     it, every node then a cached slice, and is set to the bracket's middle
     node. BFGS on the section (Nocedal & Wright, ch. 6) then starts there,
     its inverse Hessian seeded from the bracket curvatures. By the envelope
-    theorem the section gradient is the gradient of ``merit(point(x))``,
-    taken by central differences with no further slice solve. The line
+    theorem the section gradient is the gradient of ``merit(point(x))``
+    with no further slice solve: ``merit.gradient(point(x))[indices]`` when
+    the merit has a closed-form gradient (variable projection; Golub &
+    Pereyra, 1973), which evaluates no merit, and otherwise central
+    differences of ``merit(point(v))``. The line
     search is the backtracking of the Newton solves
     (:func:`~minsection.subminimize._backtrack`) under the Armijo test,
     every trial clipped to the hull of the grids; a trial whose predicted
@@ -397,10 +426,15 @@ def minimize_by_coordinates(merit, section, grids, outer_tol=None):
     ``MAX_CYCLES`` steps, or a line search that cannot move, raises
     :class:`SolveError` with the full parameter vector at the last iterate
     as ``point``, whose message names the boundary only when x is on a
-    face of the retained box. Returns ``(x, value, brackets, iterations, g)`` with the
-    brackets of the cycle and the gradient ``g`` that the stopping test
-    read: :func:`~minsection.numerics.fd_gradient` of ``merit(point(v))``
-    at ``x`` in the grid hull, so the final certificate can reuse it.
+    face of the retained box. A closed-form gradient of another shape than
+    (M,) raises ``ValueError``, and one with a non-finite entry
+    :class:`~minsection.numerics.NonFiniteValueError` carrying the full
+    parameter vector and the entry's parameter index. Returns ``(x, value,
+    brackets, iterations, g)`` with the brackets of the cycle and the
+    section gradient ``g`` that the stopping test read; without a closed
+    form it is :func:`~minsection.numerics.fd_gradient` of
+    ``merit(point(v))`` at ``x`` in the grid hull, so the final certificate
+    can reuse it.
     """
     x = np.array([0.5 * (g[0] + g[-1]) for g in grids])
     brackets = []
@@ -418,9 +452,18 @@ def minimize_by_coordinates(merit, section, grids, outer_tol=None):
         brackets.append(bracket_on_grid(line, grid))
         x[i] = brackets[-1].b
     box = np.array([[g[0], g[-1]] for g in grids])
+    if merit.gradient is None:
+        def gradient(point, v):
+            return numerics.fd_gradient(lambda u: merit(point(u)), v, box=box)
+    else:
+        indices = np.array(indices, dtype=int)
+
+        def gradient(point, v):
+            return _closed_form_gradient(merit, point(v))[indices]
+
     h0 = np.diag([1.0 / _bracket_curvature(tri) for tri in brackets])
     sub, point = section(x)
-    g = numerics.fd_gradient(lambda v: merit(point(v)), x, box=box)
+    g = gradient(point, x)
     inv_hess = h0
 
     def sufficient(trial, _t):  # against the current x, f, g and grad_norm
@@ -431,7 +474,7 @@ def minimize_by_coordinates(merit, section, grids, outer_tol=None):
         if -decrease <= _resolution(f):
             # the section value's rounding hides the predicted decrease: take
             # a smaller full gradient norm instead, as the census does
-            g_trial = numerics.fd_gradient(lambda v: merit(solved[1](v)), trial, box=box)
+            g_trial = gradient(solved[1], trial)
             if math.hypot(_norm(g_trial), solved[0].grad_y_norm) < grad_norm:
                 return solved, g_trial
         return None
@@ -461,7 +504,7 @@ def minimize_by_coordinates(merit, section, grids, outer_tol=None):
         trial, ((trial_sub, point), g_new) = found
         s = trial - x
         if g_new is None:
-            g_new = numerics.fd_gradient(lambda v: merit(point(v)), trial, box=box)
+            g_new = gradient(point, trial)
         yv = g_new - g
         sy = float(s @ yv)
         if sy > EPS * (_norm(s) * _norm(yv)):
@@ -518,14 +561,19 @@ def solve_hierarchical(
     the grid centers, then BFGS on the section, whose gradient the envelope
     theorem gives as ``dF/dx`` at the slice minimum; it stops on the
     gradient norm (see :class:`Tolerances`). The certificate is then the
-    norm of :func:`~minsection.numerics.fd_gradient` at the answer. Its
-    x-part is the section gradient the outer stage stopped on, which
-    evaluated the same points with the same steps and formula, and only
-    its y-part is evaluated, ``2 m`` points; where an x stencil would be
-    one-sided in the grid hull or in the domain box, the full ``2 M``
-    stencil is evaluated instead. A boundary minimum along a grid bracket
-    is an error, not a silent clamp. A :class:`SolveError` carries its best
-    point as a full parameter vector. No evaluation leaves the domain box.
+    norm of the full gradient at the answer. When the merit has a
+    closed-form ``gradient``, both the section gradient and the certificate
+    take it and evaluate no merit; ``certificates.gradient_method`` is
+    then ``"closed_form"``. Otherwise (``"central_difference"``) the
+    certificate is the norm of :func:`~minsection.numerics.fd_gradient` at
+    the answer. Its x-part is the section gradient the outer stage stopped
+    on, which evaluated the same points with the same steps and formula,
+    and only its y-part is evaluated, ``2 m`` points; where an x stencil
+    would be one-sided in the grid hull or in the domain box, the full
+    ``2 M`` stencil is evaluated instead. A boundary minimum along a grid
+    bracket is an error, not a silent clamp. A :class:`SolveError` carries
+    its best point as a full parameter vector. No evaluation leaves the
+    domain box.
     """
     return _solve_hierarchical(merit, split, grid, tolerances)[0]
 
@@ -545,22 +593,24 @@ def _solve_hierarchical(merit, split, grid, tolerances):
         return sub, lambda v: split.embed(v, sub.y_star)
 
     x_star, _, brackets, iterations, g = minimize_by_coordinates(
-        merit, section, grids, tol.outer_tol
+        merit, section, grids, split.x_indices, tol.outer_tol
     )
     final = slices.solve(x_star)
     minimizer = split.embed(x_star, final.y_star)
     value = final.value
     box = merit.domain_box
     hull = np.array([[grid[0], grid[-1]] for grid in grids])
-    if _central(x_star, hull) and _central(x_star, split.x_box(box)):
+    if merit.gradient is not None:
+        method, grad = "closed_form", _closed_form_gradient(merit, minimizer)
+    elif _central(x_star, hull) and _central(x_star, split.x_box(box)):
         # the outer stage's last gradient evaluated fd_gradient's x-stencil
         # at the minimizer: the same points, steps and formula
         grad_y = fd_gradient(
             lambda y: merit(split.embed(x_star, y)), final.y_star, box=split.y_box(box)
         )
-        grad = split.embed(g, grad_y)
+        method, grad = "central_difference", split.embed(g, grad_y)
     else:
-        grad = fd_gradient(merit, minimizer)
+        method, grad = "central_difference", fd_gradient(merit, minimizer)
     grad_norm = _norm(grad)
     outer_tol = tol.outer_tol if tol.outer_tol is not None else _outer_tol(value)
     if grad_norm > outer_tol:
@@ -578,7 +628,10 @@ def _solve_hierarchical(merit, split, grid, tolerances):
         inner_solves=slices.solves,
         outer_evaluations=slices.solves,
         certificates=SolveCertificates(
-            convexity=certificate, brackets=tuple(brackets), gradient_norm=grad_norm
+            convexity=certificate,
+            brackets=tuple(brackets),
+            gradient_norm=grad_norm,
+            gradient_method=method,
         ),
         split=split,
         inner_method=final.method,
@@ -656,7 +709,12 @@ def solve_direct(
         method="direct",
         inner_solves=0,
         outer_evaluations=evals["count"],
-        certificates=SolveCertificates(convexity=None, brackets=(), gradient_norm=grad_norm),
+        certificates=SolveCertificates(
+            convexity=None,
+            brackets=(),
+            gradient_norm=grad_norm,
+            gradient_method="central_difference",
+        ),
         iterations=iteration,
         outer_tol=outer_tol(fval),
     )

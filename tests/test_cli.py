@@ -450,6 +450,55 @@ def test_nan_island_refused_with_witness(tmp_path, capsys, monkeypatch):
     assert "non-finite" in err and "witness point" in err
 
 
+def test_non_finite_closed_form_gradient_refused_with_witness(tmp_path, capsys, monkeypatch):
+    # The merit is finite everywhere; its closed-form gradient is not.
+    merit = ms.MeritFunction(
+        2,
+        lambda p: float(p[0] ** 2 + p[1] ** 2),
+        domain_box=[[-1.0, 1.0], [-1.0, 1.0]],
+        gradient=lambda p: np.array([float("nan"), 2.0 * p[1]]),
+    )
+    entry = ms.ProblemCatalogEntry("NAN_GRADIENT", merit, "strictly_convex")
+    monkeypatch.setattr(cli, "get_problem", lambda name: entry)
+    out = tmp_path / "run"
+    assert run_cli(["--problem", "NAN_GRADIENT", "--command", "solve", "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-2] == "refused: non-finite closed-form gradient entry at coordinate 0"
+    witness = ast.literal_eval(lines[-1].removeprefix("witness point: "))
+    assert len(witness) == 2 and merit.contains(witness)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "offset", [{}, 0, False, "", None],
+    ids=["empty-object", "zero", "false", "empty-string", "null"],
+)
+def test_falsy_non_list_offset_is_input_error(tmp_path, capsys, offset):
+    t = np.arange(10.0)
+    (tmp_path / "obs.csv").write_text(
+        "t,d\n" + "\n".join(f"{float(tk)!r},{float(dk)!r}" for tk, dk in zip(t, np.exp(-t))) + "\n"
+    )
+    (tmp_path / "prob.json").write_text(
+        json.dumps(
+            {
+                "dimension": 2,
+                "domain_box": [[-2.0, 0.5], [-5.0, 5.0]],
+                "model": {
+                    "kind": "partially_linear",
+                    "basis": [{"type": "exponential", "rate_index": 0}],
+                    "offset": offset,
+                },
+                "data_file": "obs.csv",
+            }
+        )
+    )
+    out = tmp_path / "run"
+    argv = ["--problem", str(tmp_path / "prob.json"), "--command", "solve", "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == "input error: field model.offset has the wrong type\n"
+    assert not out.exists()
+
+
 def test_solve_error_refusal_prints_best_point(tmp_path, capsys):
     # An outer tolerance below float resolution stalls the quasi-Newton
     # line search at the section minimum, a SolveError refusal. An even grid
@@ -570,11 +619,13 @@ def test_cli_manifest_lines_repeat():
     spec = importlib.util.spec_from_file_location("cli_manifest", tool)
     manifest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(manifest)
-    runs = [("QUAD", "solve"), ("NEG_Y", "trace")]
+    runs = [("QUAD", "solve"), ("NEG_Y", "trace"), ("exp_offset", "solve")]
     first = [manifest.manifest_line(*run) for run in runs]
     assert [manifest.manifest_line(*run) for run in runs] == first
     records = [json.loads(line) for line in first]
     assert [(r["problem"], r["command"], r["exit"]) for r in records] == [
-        ("QUAD", "solve", 0), ("NEG_Y", "trace", 1)
+        ("QUAD", "solve", 0), ("NEG_Y", "trace", 1), ("exp_offset", "solve", 0)
     ]
     assert sorted(records[0]["files"]) == ["solve.json", "solve.txt"]
+    # a problem file's inputs are not listed among its outputs
+    assert sorted(records[2]["files"]) == ["solve.json", "solve.txt"]

@@ -6,6 +6,7 @@ work done shows up here. A deliberate change updates the pinned number and
 says why in CHANGES.md.
 """
 
+import copy
 import json
 import warnings
 
@@ -36,15 +37,17 @@ def first_axis_grid(merit, points=41):
     return np.linspace(lo, hi, points)
 
 
-# The final gradient certificate takes its x-part from the outer stage's last
-# gradient, so it evaluates 2m points, not 2M (1,434, 1,574, 1,448 and 6
-# when it evaluated all 2M).
+# Every catalog merit has a closed-form gradient, which the outer stage and
+# the final certificate take: neither evaluates the merit (1,432, 1,572,
+# 1,446 and 4 by central differences, whose certificate took its x-part
+# from the outer stage's last gradient; 1,434, 1,574, 1,448 and 6 when it
+# evaluated all 2M).
 @pytest.mark.parametrize(
     "name, evaluations",
     [
         pytest.param(name, evaluations, id=name)
         for name, evaluations in (
-            ("QUAD", 1432), ("SINE_VALLEY", 1572), ("TWO_WELLS", 1446), ("EXP_FIT", 4)
+            ("QUAD", 1428), ("SINE_VALLEY", 1568), ("TWO_WELLS", 1442), ("EXP_FIT", 0)
         )
     ],
 )
@@ -89,11 +92,13 @@ def test_minimal_section_count(entries, merit_calls):
 
 
 def test_equivalence_report_count(entries, split01, merit_calls):
-    # The three starts the CLI draws for --starts 3 --seed 4.
+    # The three starts the CLI draws for --starts 3 --seed 4. The
+    # hierarchical solve differentiates by the closed-form gradient (1,856
+    # by central differences); the direct solves keep central differences.
     rng = np.random.default_rng(4)
     starts = [rng.uniform(-0.5, 0.5, size=2) * 10.0 for _ in range(3)]
     ms.equivalence_report(entries["SINE_VALLEY"].merit, split01, starts)
-    assert merit_calls["n"] == 1856
+    assert merit_calls["n"] == 1852
 
 
 def test_recover_from_anchor_count(entries, merit_calls):
@@ -120,20 +125,24 @@ def test_m3_general_solve_count(merit_calls):
 
 
 def test_random_quadratic_cycling_counts(merit_calls):
+    # Linear slices and the closed-form gradient evaluate no merit (48, all
+    # outer-stage and certificate stencils, by central differences).
     merit = ms.random_quadratic_problem(6, 3, np.random.default_rng(0)).merit
     report = ms.solve_hierarchical(merit, ms.model_split(merit))
-    assert merit_calls["n"] == 48
+    assert merit_calls["n"] == 0
     assert report.inner_solves == 67
     assert report.iterations == 6
 
 
 def test_nesting_check_count(merit_calls):
     # The outer split matches the model, so its slices are eliminated
-    # linearly (13,803 evaluations when every nesting slice used Newton).
+    # linearly (13,803 evaluations when every nesting slice used Newton),
+    # and its outer stages take the closed-form gradient (2,918 by central
+    # differences).
     merit = ms.random_quadratic_problem(4, 2, np.random.default_rng(1)).merit
     grid = np.linspace(-1.0, 1.0, 5)
     report = ms.nesting_check(merit, ms.model_split(merit), (0,), grid, probe_density=3)
-    assert merit_calls["n"] == 2918
+    assert merit_calls["n"] == 2898
     assert report.passed
 
 
@@ -229,7 +238,8 @@ def test_bfgs_resolution_stall_count(entries, split01, merit_calls):
     # minimum and its line search can no longer move. An even grid has no
     # node at the minimum x = 0, whose slice the middle-first grid solve
     # would hit exactly. The stall is interior, so its message names no
-    # boundary.
+    # boundary. The outer stage takes the closed-form gradient (1,603 by
+    # central differences).
     with pytest.raises(ms.SolveError, match="^quasi-Newton line search stalled at x = ") as info:
         ms.solve_hierarchical(
             entries["SINE_VALLEY"].merit,
@@ -238,7 +248,7 @@ def test_bfgs_resolution_stall_count(entries, split01, merit_calls):
             tolerances=ms.Tolerances(outer_tol=1e-300),
         )
     assert "boundary" not in str(info.value)
-    assert merit_calls["n"] == 1603
+    assert merit_calls["n"] == 1583
 
 
 BOUNDARY_STOP = (
@@ -421,18 +431,27 @@ def biexp_file(tmp_path, t, d, rate_box):
 
 
 def test_biexponential_file_counts(tmp_path, merit_calls):
-    # Each outer grid's slices are solved as one stack, and a linear slice
-    # takes its value from its residual: every evaluation is an outer-stage
-    # gradient or the final certificate's y-part (88 when each of the 48
-    # slices made one, 40 when the certificate took its own x-part).
+    # Each outer grid's slices are solved as one stack, a linear slice
+    # takes its value from its residual, and the outer stage and the final
+    # certificate take the file's closed-form gradient: no evaluation at all
+    # (36 by central differences, 88 when each of the 48 slices made one,
+    # 40 when the certificate took its own x-part).
     t = np.arange(20.0)
     definition = biexp_file(
         tmp_path, t, np.exp(-0.3 * t) + 2.0 * np.exp(-4.0 * t), ([-1.5, 0.0], [-6.0, -1.8])
     )
     report = ms.solve_hierarchical(definition.merit, definition.split)
-    assert merit_calls["n"] == 36
+    assert merit_calls["n"] == 0
     assert report.inner_solves == 48
     assert report.iterations == 7
+
+
+def without_gradient(merit):
+    """A copy of ``merit`` without its closed-form gradient, so the outer
+    stage and the final certificate take central differences."""
+    merit = copy.copy(merit)
+    merit.gradient = None
+    return merit
 
 
 def certificate_case(name, entries, tmp_path):
@@ -457,11 +476,14 @@ def certificate_case(name, entries, tmp_path):
 def test_certificate_takes_its_x_part_from_the_outer_stage(
     entries, tmp_path, merit_calls, monkeypatch, name
 ):
-    # The outer stage stops on the central x-gradient at the answer, whose
-    # points, steps and formula are fd_gradient's, so the certificate is
-    # bitwise the full stencil's and evaluates 2n points fewer.
+    # Without a closed-form gradient, the outer stage stops on the central
+    # x-gradient at the answer, whose points, steps and formula are
+    # fd_gradient's, so the certificate is bitwise the full stencil's and
+    # evaluates 2n points fewer.
     merit, split = certificate_case(name, entries, tmp_path)
+    merit = without_gradient(merit)
     report = ms.solve_hierarchical(merit, split)
+    assert report.certificates.gradient_method == "central_difference"
     evaluations = merit_calls["n"]
     full = ms.fd_gradient(merit, report.minimizer)
     assert report.certificates.gradient_norm == float(np.linalg.norm(full))
@@ -486,8 +508,9 @@ def test_certificate_within_a_step_of_the_grid_hull_takes_the_full_stencil(
     # gradient step cbrt(eps) ~ 6e-6: the outer stage's gradient there is
     # one-sided, so the certificate evaluates the full central stencil in
     # the domain box, with the count (1,375) and the one clamp warning (the
-    # outer stage's) that it had when it always did.
-    merit = entries["TWO_WELLS"].merit
+    # outer stage's) that it had when it always did. The merit has no
+    # closed-form gradient here, which would take neither stencil.
+    merit = without_gradient(entries["TWO_WELLS"].merit)
     counts = []
     for central in (ms.solver._central, lambda p, box: False):
         monkeypatch.setattr(ms.solver, "_central", central)
@@ -528,7 +551,8 @@ def test_grid_stack_stays_under_the_cap(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.inner_solves == 404
+    # 404 when the outer stage took central differences
+    assert report.inner_solves == 401
     # one whole 201-node grid stack, 201 x 5,000 samples x 2 columns, is
     # 15.3 MiB, and its transposed copy for 2 Phi^T Phi as much again
     assert peak < 20 * 2**20

@@ -5,10 +5,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minsection as ms
 from minsection import cli
 from minsection.problem_io import ProblemFileError
+from minsection.problems import MeritFunction
 
 
 def write_exp_fit_inputs(tmp_path, **overrides):
@@ -140,6 +143,31 @@ def test_offset_terms(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     definition = ms.load_problem_file(path)
     assert definition.merit([0.0, 5.0]) == pytest.approx(0.0, abs=1e-20)
+
+
+NON_LIST_OFFSETS = [{}, 0, False, "", None, "x", {"type": "constant"}]
+
+
+@pytest.mark.parametrize(
+    "offset", NON_LIST_OFFSETS, ids=["empty-object", "zero", "false", "empty-string", "null",
+                                     "string", "object"]
+)
+def test_offset_that_is_not_a_list_is_refused(tmp_path, offset):
+    # a falsy value is refused like any other; only [] means no offset
+    basis = [{"type": "exponential", "rate_index": 0}]
+    path = write_exp_fit_inputs(
+        tmp_path, model={"kind": "partially_linear", "basis": basis, "offset": offset}
+    )
+    with pytest.raises(ProblemFileError, match=r"^field model\.offset has the wrong type$"):
+        ms.load_problem_file(path)
+
+
+def test_empty_offset_list_is_no_offset(tmp_path):
+    basis = [{"type": "exponential", "rate_index": 0}]
+    path = write_exp_fit_inputs(
+        tmp_path, model={"kind": "partially_linear", "basis": basis, "offset": []}
+    )
+    assert ms.load_problem_file(path).merit.model.offset is None
 
 
 def test_missing_field_reported(tmp_path):
@@ -380,3 +408,91 @@ def test_stacked_design_matrix_is_its_rows(tmp_path, vectorized):
     for x, phi in zip(xs, stack):
         assert np.array_equal(phi, model.design_matrix(x))
     assert model.design_matrix(xs[:0]).shape == (0, t.size, len(BASIS))
+
+
+# -- closed-form gradient -----------------------------------------------------
+
+#: Every term type, with and without a scale, as a basis and as an offset.
+GRADIENT_BASIS = [
+    {"type": "exponential", "rate_index": 0},
+    {"type": "sinusoid", "fn": "sin", "frequency_index": 1, "scale": 2.0},
+    {"type": "sinusoid", "fn": "cos", "frequency_index": 1},
+    {"type": "polynomial", "degree": 1},
+    {"type": "constant"},
+]
+GRADIENT_OFFSET = [
+    {"type": "exponential", "rate_index": 1, "scale": -0.5},
+    {"type": "sinusoid", "fn": "sin", "frequency_index": 0, "scale": 0.3},
+    {"type": "sinusoid", "fn": "cos", "frequency_index": 0, "scale": 1.5},
+    {"type": "polynomial", "degree": 2, "scale": 0.1},
+    {"type": "constant", "scale": 0.7},
+]
+
+
+@pytest.fixture(scope="module")
+def every_term_merit(tmp_path_factory):
+    """The merit of a 25-sample file with every term type as a basis and as
+    an offset term, on x in [-2, -0.5] x [0.5, 2] and y in [-5, 5]^5."""
+    root = tmp_path_factory.mktemp("every_term")
+    t = np.linspace(0.0, 3.0, 25)
+    d = 1.5 * np.exp(-t) - 0.4 * np.sin(1.3 * t) + 0.2 * t + 0.05 * np.cos(7.0 * t)
+    (root / "obs.csv").write_text(
+        "t,d\n" + "".join(f"{tk!r},{dk!r}\n" for tk, dk in zip(t.tolist(), d.tolist()))
+    )
+    path = root / "every_term.json"
+    path.write_text(json.dumps({
+        "dimension": 7,
+        "domain_box": [[-2.0, -0.5], [0.5, 2.0]] + [[-5.0, 5.0]] * 5,
+        "model": {"kind": "partially_linear", "basis": GRADIENT_BASIS,
+                  "offset": GRADIENT_OFFSET},
+        "data_file": "obs.csv",
+    }))
+    return ms.load_problem_file(path).merit
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.05, 0.95), min_size=7, max_size=7))
+def test_file_gradient_matches_central_differences(every_term_merit, fractions):
+    # Norm-relative error at most 1e-6 at interior points (5% to 95% of each
+    # box side); the largest seen over 2,000 such points was 4.4e-8, the
+    # central differences' own truncation and rounding error.
+    merit = every_term_merit
+    lo, hi = merit.domain_box.T
+    p = lo + np.array(fractions) * (hi - lo)
+    exact = merit.gradient(p)
+    assert exact.shape == (7,)
+    assert np.linalg.norm(ms.fd_gradient(merit, p) - exact) <= 1e-6 * max(
+        1.0, np.linalg.norm(exact)
+    )
+
+
+def test_file_solve_never_calls_the_merit_outside_the_box(tmp_path, monkeypatch):
+    # d ~ -7 exp(-t) + 1: the least-squares amplitude -6.8 lies outside the
+    # y-box [-5, 5], and linear elimination does not clip it. The outer stage
+    # and the certificate take the file's closed-form gradient, so no merit
+    # call goes there (by central differences, all 15 evaluations did).
+    t = np.linspace(0.0, 3.0, 25)
+    d = -7.0 * np.exp(-t) + 1.0 + 0.5 * np.sin(1.3 * t)
+    (tmp_path / "obs.csv").write_text(
+        "t,d\n" + "".join(f"{tk!r},{dk!r}\n" for tk, dk in zip(t.tolist(), d.tolist()))
+    )
+    path = tmp_path / "amplitude.json"
+    path.write_text(json.dumps({
+        "dimension": 3,
+        "domain_box": [[-2.0, -0.5], [-5.0, 5.0], [-5.0, 5.0]],
+        "model": {"kind": "partially_linear",
+                  "basis": [{"type": "exponential", "rate_index": 0}, {"type": "constant"}]},
+        "data_file": "obs.csv",
+    }))
+    definition = ms.load_problem_file(path)
+    seen = []
+    call = MeritFunction.__call__
+
+    def recording(self, p):
+        seen.append(np.array(p, dtype=float))
+        return call(self, p)
+
+    monkeypatch.setattr(MeritFunction, "__call__", recording)
+    report = ms.solve_hierarchical(definition.merit, definition.split)
+    assert report.certificates.gradient_method == "closed_form"
+    assert all(definition.merit.contains(p) for p in seen)

@@ -616,3 +616,55 @@ def test_outer_stage_refuses_past_its_cycle_cap(monkeypatch):
     best = excinfo.value.point
     assert merit.contains(best)
     assert excinfo.value.value == merit(best)
+
+
+# -- closed-form section gradients ---------------------------------------------
+
+
+def bowl(gradient):
+    """F = (p0 - 0.3)^2 + (p1 + 0.2)^2 on [-1, 1]^2 with the given closed-form
+    gradient."""
+    return ms.MeritFunction(
+        2,
+        lambda p: (p[0] - 0.3) ** 2 + (p[1] + 0.2) ** 2,
+        domain_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
+        gradient=gradient,
+    )
+
+
+@pytest.mark.parametrize("name", ["QUAD", "SINE_VALLEY", "TWO_WELLS", "EXP_FIT"])
+def test_closed_form_certificate_is_the_gradient_at_the_answer(entries, split01, name):
+    merit = entries[name].merit
+    report = ms.solve_hierarchical(merit, split01)
+    assert report.certificates.gradient_method == "closed_form"
+    assert report.certificates.gradient_norm == float(
+        np.linalg.norm(merit.gradient(report.minimizer))
+    )
+    assert report.certificates.gradient_norm <= report.outer_tol
+
+
+def test_closed_form_gradient_of_the_wrong_shape_is_refused():
+    merit = bowl(lambda p: np.array([2.0 * (p[0] - 0.3)]))
+    message = r"^closed-form gradient has shape \(1,\), expected \(2,\)$"
+    with pytest.raises(ValueError, match=message):
+        ms.solve_hierarchical(merit, ms.ParameterSplit((0,), (1,)))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_closed_form_gradient_names_the_parameter(bad):
+    # p1 is the retained coordinate: the refusal names its parameter index,
+    # 1, and carries the full parameter vector where the gradient was taken
+    merit = bowl(lambda p: np.array([2.0 * (p[0] - 0.3), bad]))
+    split = ms.ParameterSplit((1,), (0,))
+    with pytest.raises(NonFiniteValueError) as excinfo:
+        ms.solve_hierarchical(merit, split)
+    err = excinfo.value
+    assert str(err) == "non-finite closed-form gradient entry at coordinate 1"
+    assert err.coordinates == (1,)
+    assert err.point.shape == (2,) and merit.contains(err.point)
+    assert err.point[0] == pytest.approx(0.3, abs=1e-8)
+
+
+def test_direct_certificate_is_a_central_difference(entries):
+    report = ms.solve_direct(entries["QUAD"].merit, (0.5, 0.5))
+    assert report.certificates.gradient_method == "central_difference"

@@ -9,12 +9,15 @@ outputs written to a fresh temporary directory. After the catalog runs
 come the runs of ``MORE``, whose lines also list their extra arguments,
 each reaching a path no catalog run does: one ends in a ``SolveError``
 refusal, so the manifest covers every witness line the refusal printer
-writes, and one takes the ``sections`` fallback (at each grid point a
-scan of the slice, then a Newton solve from its best point) to two
-polished minima. A run's line holds its exit status and the sha256 of
-its stdout, its stderr and each output file, with sorted keys. Two
-checkouts whose manifests are identical print the same bytes and write
-the same files on every run.
+writes, one takes the ``sections`` fallback (at each grid point a scan
+of the slice, then a Newton solve from its best point) to two polished
+minima, and one solves a partially linear problem file with an offset,
+whose merit carries the closed-form gradient of the file's terms. A
+problem of ``FILES`` is written, with its data, into the run's temporary
+directory and named in its line by its stem. A run's line holds its exit
+status and the sha256 of its stdout, its stderr and each output file,
+with sorted keys. Two checkouts whose manifests are identical print the
+same bytes and write the same files on every run.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -40,10 +44,35 @@ EXTRA = {"recover": ["--anchor-index", "0", "--anchor-value", "0.25"]}
 #: a ``SolveError`` whose witness is a point and a value. TWO_WELLS
 #: sectioned along parameter 1 has no positive convexity certificate for
 #: the trace, so its section is sampled by the fallback slice solves.
+#: ``exp_offset`` is a problem file of ``FILES``.
 MORE = [
     ("SINE_VALLEY", "solve", ["--outer-tol", "1e-300", "--grid-density", "20"]),
     ("TWO_WELLS", "sections", ["--x-indices", "1"]),
+    ("exp_offset", "solve", []),
 ]
+
+#: Problem files by stem, as ``(document, samples)``: d = 2 exp(-0.45 t) +
+#: 0.5 t + 0.2 cos(-0.45 t), fitted by one exponential basis term and an
+#: offset whose cosine term depends on the rate.
+FILES = {
+    "exp_offset": (
+        {
+            "dimension": 2,
+            "split": {"x_indices": [0], "y_indices": [1]},
+            "domain_box": [[-2.0, 0.5], [-5.0, 5.0]],
+            "model": {
+                "kind": "partially_linear",
+                "basis": [{"type": "exponential", "rate_index": 0}],
+                "offset": [
+                    {"type": "polynomial", "degree": 1, "scale": 0.5},
+                    {"type": "sinusoid", "fn": "cos", "frequency_index": 0, "scale": 0.2},
+                ],
+            },
+        },
+        [(t, 2.0 * math.exp(-0.45 * t) + 0.5 * t + 0.2 * math.cos(-0.45 * t))
+         for t in map(float, range(12))],
+    ),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -54,15 +83,23 @@ def manifest_line(problem: str, command: str, args=()) -> str:
     """Run ``minsection --problem problem --command command`` in process,
     with the extra arguments ``args``, and return its manifest line."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as out:
-        argv = ["--problem", problem, "--command", command, "--out", out,
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        target = problem
+        if problem in FILES:
+            doc, samples = FILES[problem]
+            data = Path(tmp) / f"{problem}.csv"
+            data.write_text("t,d\n" + "".join(f"{t!r},{d!r}\n" for t, d in samples))
+            path = Path(tmp) / f"{problem}.json"
+            path.write_text(json.dumps(dict(doc, data_file=data.name)))
+            target = str(path)
+        argv = ["--problem", target, "--command", command, "--out", str(out),
                 *EXTRA.get(command, []), *args]
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             status = cli.main(argv)
-        root = Path(out)
         files = {
-            path.relative_to(root).as_posix(): _sha(path.read_bytes())
-            for path in sorted(root.rglob("*")) if path.is_file()
+            path.relative_to(out).as_posix(): _sha(path.read_bytes())
+            for path in sorted(out.rglob("*")) if path.is_file()
         }
     record = {
         "problem": problem,
