@@ -53,17 +53,18 @@ class CountingCubic:
 
 
 def test_fd_hessian_stencil_count():
-    # gradient 2M = 6, diagonal 1 + 2M = 7, one 4-point stencil per pair: 3 * 4
+    # gradient 2M = 6, diagonal 1 + 2M = 7, two new points per pair: 3 * 2
+    # (25 with the four-point stencil per pair)
     f = CountingCubic()
     report = ms.fd_hessian(f, np.array([0.3, -0.7, 1.1]), box=None)
-    assert f.calls == 25
+    assert f.calls == 19
     assert np.array_equal(report.hessian, report.hessian.T)
 
 
 def test_fd_y_block_stencil_count():
     f = CountingCubic()
     block = ms.fd_y_block(f, np.array([0.3, -0.7, 1.1]), ms.ParameterSplit((0,), (1, 2)), box=None)
-    assert f.calls == 9
+    assert f.calls == 7  # 1 + k + k^2 at k = 2 (9 with the four-point stencil)
     assert block.shape == (2, 2)
     assert np.array_equal(block, block.T)
 
@@ -337,3 +338,171 @@ def test_eigen_index_is_the_numpy_reference_on_any_spectrum(spectrum):
         fast = outcome(ms.eigen_index, np.eye(w.size))
         ref = outcome(reference_eigen_index, np.eye(w.size))
     assert_same_summary(fast, ref)
+
+
+# -- seven-point second differences ----------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def hessian_steps(p):
+    """The second-difference steps at ``p``, as :func:`_second_diff_block`
+    takes them."""
+    return np.array([(v + ms.numerics.HESSIAN_STEP * max(1.0, abs(v))) - v for v in p.tolist()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_second_diff_block_on_quadratics(k, seed):
+    # A quadratic's third differences vanish, so the block's error is
+    # rounding only. Each evaluation is within 4 (k + 3) eps Fbar of f,
+    # Fbar bounding the sum of the terms' magnitudes over the stencil; a
+    # mixed numerator weighs eight of them and rounds six sums of at most
+    # 2 Fbar, over 2 h_a h_b, and a diagonal four and four over h_a^2.
+    # Both stay within 64 (k + 3) eps Fbar / (h_a h_b).
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((k, k))
+    a = q + q.T
+    b = rng.standard_normal(k)
+    c = float(rng.standard_normal())
+    p = rng.uniform(-3.0, 3.0, k)
+
+    def f(x):
+        return float(0.5 * (x @ a @ x) + b @ x + c)
+
+    block, steps, shifted = ms.numerics._second_diff_block(f, p, tuple(range(k)), None)
+    assert not shifted and np.array_equal(steps, hessian_steps(p))
+    r = np.abs(p) + steps
+    fbar = 0.5 * (r @ np.abs(a) @ r) + np.abs(b) @ r + abs(c)
+    bound = 64 * (k + 3) * EPS * fbar / np.outer(steps, steps)
+    assert np.all(np.abs(block - a) <= bound)
+    assert np.array_equal(block, block.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_second_diff_block_on_trigonometric_merits(k, seed):
+    # f = sum_i c_i sin(w_i . p + phi_i), whose Hessian is -sum_i c_i
+    # sin(w_i . p + phi_i) w_i w_i^T. The odd Taylor terms cancel in the
+    # +- pairs; the fourth-order remainders, at most C W^4 |s|_1^4 / 24 at
+    # a point s off the center (C = sum |c_i|, W = max |w_i|), sum to at
+    # most 1.5 C W^4 h_max^4 in a mixed numerator and C W^4 h^4 / 12 in a
+    # diagonal one. Each evaluation is within 64 (k + 2) eps C of f, which
+    # weighs at most eight of them. Every entry is then within C (W^4
+    # h_max^4 + 512 (k + 2) eps) / h_min^2 of the closed form.
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-1.5, 1.5, (3, k))
+    phase = rng.uniform(-np.pi, np.pi, 3)
+    coef = rng.uniform(-2.0, 2.0, 3)
+    p = rng.uniform(-2.0, 2.0, k)
+
+    def f(x):
+        return float(coef @ np.sin(w @ x + phase))
+
+    block, steps, _ = ms.numerics._second_diff_block(f, p, tuple(range(k)), None)
+    exact = -(w.T * (coef * np.sin(w @ p + phase))) @ w
+    big_c, big_w = np.abs(coef).sum(), np.abs(w).max()
+    bound = big_c * (big_w**4 * steps.max() ** 4 + 512 * (k + 2) * EPS) / steps.min() ** 2
+    assert np.max(np.abs(block - exact)) <= bound
+
+
+class RecordingTrig:
+    """A smooth callable that records a copy of every point it is given."""
+
+    def __init__(self, rng, dimension):
+        self.w = rng.uniform(-1.5, 1.5, (3, dimension))
+        self.phase = rng.uniform(-np.pi, np.pi, 3)
+        self.seen = []
+
+    def __call__(self, x):
+        self.seen.append(np.array(x, dtype=float))
+        return float(np.sin(self.w @ x + self.phase).sum() + 0.1 * (x @ x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 1), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_stacked_second_differences_are_the_scalar_ones(k, extra, nodes, seed):
+    # Every node's block from the stacked body is bitwise the scalar body's,
+    # after the same evaluations in the same order. Node 0 lies on a face
+    # of its first coordinate and node 1, when drawn, within a step of the
+    # opposite face, so each example has shifted stencils.
+    rng = np.random.default_rng(seed)
+    dimension = k + extra
+    indices = tuple(sorted(rng.choice(dimension, size=k, replace=False).tolist()))
+    lo = rng.uniform(-3.0, 1.0, dimension)
+    box = np.column_stack([lo, lo + rng.uniform(0.01, 4.0, dimension)])
+    points = box[:, 0] + rng.uniform(0.0, 1.0, (nodes, dimension)) * (box[:, 1] - box[:, 0])
+    first = indices[0]
+    points[0, first] = box[first, 0]
+    if nodes > 1:
+        points[1, first] = box[first, 1] - 0.25 * hessian_steps(points[1])[first]
+    scalar = RecordingTrig(np.random.default_rng(seed), dimension)
+    stacked = RecordingTrig(np.random.default_rng(seed), dimension)
+    want = [ms.numerics._second_diff_block(scalar, node, indices, box) for node in points]
+    got = ms.numerics._second_diff_blocks(stacked, points, indices, box)
+    assert want[0][2]
+    assert got.tobytes() == np.array([block for block, _, _ in want]).tobytes()
+    assert np.array(stacked.seen).tobytes() == np.array(scalar.seen).tobytes()
+    assert len(scalar.seen) == nodes * (1 + k + k * k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_values_within_the_bound_assemble_a_finite_block(k, centers, seed):
+    # The guard of _second_diff_blocks: stencil values whose magnitudes sum
+    # to at most _FINITE_BLOCK_BOUND * min(1, h_min^2) give a block whose
+    # every entry is at most 3e307 in magnitude. The values put the whole
+    # sum where it weighs most: on the center, on a few axis points, or
+    # spread with random signs.
+    rng = np.random.default_rng(seed)
+    steps = hessian_steps(np.array(centers[:k]))
+    bound = ms.numerics._FINITE_BLOCK_BOUND * min(1.0, steps.min() ** 2)
+    size = 1 + k + k * k
+    for weights in (np.eye(size)[0], np.eye(size)[1], rng.standard_normal(size)):
+        values = (bound * (1.0 - 1e-12)) * weights / np.abs(weights).sum()
+        assert np.abs(values).sum() <= bound
+        block = ms.numerics._assemble_blocks(values[None], steps[None])[0]
+        assert np.all(np.abs(block) <= 3e307)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e297, 1e303), st.integers(0, 2**32 - 1))
+def test_near_bound_node_raises_or_passes_as_the_scalar_body(scale, seed):
+    # A k = 2 cliff: f is `scale` on one side of the line p0 + p1 = cut and
+    # a quadratic on the other. The nodes lie within three steps of the
+    # line, so their stencils straddle it: a stencil sum of `scale` or a
+    # few times it lies either side of the guard's bound (about 1.5e299),
+    # and a block overflows from `scale` about 3e300 on. The stacked body
+    # raises the scalar body's NonFiniteValueError at the same node, or
+    # returns the same finite block, bit for bit.
+    rng = np.random.default_rng(seed)
+    h = ms.numerics.HESSIAN_STEP
+    cut = float(rng.uniform(-0.01, 0.01))
+    p0 = rng.uniform(-0.01, 0.01, 3)
+    points = np.column_stack([p0, cut - p0 + rng.uniform(-3.0 * h, 3.0 * h, 3)])
+
+    def cliff(p):
+        return scale if p[0] + p[1] > cut else float(p @ p)
+
+    box = np.array([[-2.0, 2.0], [-2.0, 2.0]])
+
+    def scalar():
+        return np.array([ms.numerics._second_diff_block(cliff, p, (0, 1), box)[0] for p in points])
+
+    def outcome(fn):
+        try:
+            return fn()
+        except ms.numerics.NonFiniteValueError as err:
+            return str(err), err.point.tolist(), err.coordinates
+
+    want = outcome(scalar)
+    got = outcome(lambda: ms.numerics._second_diff_blocks(cliff, points, (0, 1), box))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.isfinite(want).all()
+        assert got.tobytes() == want.tobytes()

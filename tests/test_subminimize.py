@@ -418,8 +418,9 @@ def test_default_probe_at_m4_samples_the_budget():
     assert PROBE_BUDGET == 441
     assert cert.plan == "halton" and cert.grid_density is None
     assert cert.sampled_points == 441
-    # 19 evaluations per 3 x 3 block: 21^4 grid nodes cost 3,695,139
-    assert len(seen) == 441 * 19
+    # 13 evaluations per 3 x 3 block, 1 + k + k^2: 21^4 grid nodes cost
+    # 2,528,253 (441 * 19 and 3,695,139 with four corners per mixed partial)
+    assert len(seen) == 441 * 13
 
 
 def test_explicit_density_keeps_the_full_grid():
@@ -632,8 +633,9 @@ def test_explicit_density_probe_works_one_chunk_at_a_time():
     finally:
         tracemalloc.stop()
     assert cert.sampled_points == 3375
-    # the stencil of the whole grid: 3,375 nodes x 19 points x 3 coordinates
-    assert peak < 3375 * 19 * 3 * 8
+    # the stencil of the whole grid: 3,375 nodes x 13 points x 3 coordinates
+    # (x 19 points with four corners per mixed partial)
+    assert peak < 3375 * 13 * 3 * 8
 
 
 def load_fit_file(tmp_path, t, x_box, basis, offset=None):
