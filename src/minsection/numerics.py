@@ -2,9 +2,10 @@
 linear least-squares solves.
 
 Everything here is a pure function of its inputs and safe to call
-concurrently. Derivatives are obtained by finite differences only; callers
-are responsible for supplying objectives that are smooth (C^2) on their
-domain box.
+concurrently. Derivatives are obtained by finite differences, except the
+Hessian blocks of :func:`fd_y_block` and the convexity probe, which take a
+closed form where the objective carries one; callers are responsible for
+supplying objectives that are smooth (C^2) on their domain box.
 """
 
 from __future__ import annotations
@@ -64,12 +65,14 @@ class Refusal(Exception):
 
 
 class NonFiniteValueError(Refusal, ValueError):
-    """A finite-difference stencil met a non-finite objective value.
+    """A finite-difference stencil met a non-finite objective value, or a
+    closed-form derivative has a non-finite entry.
 
     ``point`` is the stencil center, a point inside the domain box whose
-    neighborhood the objective is not finite on. ``coordinates`` holds the
-    coordinate of a non-finite gradient entry, or the pair of a non-finite
-    Hessian entry, and is empty otherwise.
+    neighborhood the objective is not finite on, or the point the closed
+    form was taken at. ``coordinates`` holds the coordinate of a non-finite
+    gradient entry, or the pair of a non-finite Hessian entry, and is empty
+    otherwise.
     """
 
     def __init__(self, message: str, point, coordinates=()):
@@ -460,29 +463,55 @@ def fd_hessian(f, p, box=AUTO, f0=None) -> DerivativeReport:
 def fd_y_block(f, p, split, box=AUTO) -> np.ndarray:
     """Second-derivative block on the eliminated coordinates only.
 
-    Cheaper than :func:`fd_hessian` when only the y-block is needed
-    (``1 + m + m^2`` evaluations instead of a full stencil and gradient).
-    Objectives built from a partially linear model whose layout matches the
-    split carry an exactly constant block ``2 Phi^T Phi``; that closed form
-    is used directly, which keeps the block bitwise independent of the
-    linear coordinates. A non-finite block raises
-    :class:`NonFiniteValueError` carrying ``p``.
+    The one-row call of the convexity probe's rule
+    (:func:`_hessian_blocks`): the exact ``2 Phi^T Phi`` of a partially
+    linear model whose layout matches the split, which keeps the block
+    bitwise independent of the linear coordinates; else ``f.hessian``
+    restricted to the block, where ``f`` has a closed form; else central
+    second differences, ``1 + m + m^2`` evaluations (cheaper than
+    :func:`fd_hessian`'s full stencil and gradient). A non-finite block
+    raises :class:`NonFiniteValueError` carrying ``p``.
     """
     p = np.asarray(p, dtype=float)
-    if linear_elimination_applies(f, split):
-        return _closed_form_blocks(f.model, p[None], split.x_indices)[0]
-    box = _resolve_box(f, box)
-    block, _, _ = _second_diff_block(f, p, tuple(split.y_indices), box)
-    return block
+    blocks, _ = _hessian_blocks(f, p[None], split, _resolve_box(f, box))
+    return blocks[0]
 
 
-def _closed_form_blocks(model, points, x_indices) -> np.ndarray:
+def _hessian_blocks(f, points, split, box):
+    """``(blocks, method)``: the Hessian blocks of ``f`` at every row of the
+    (N, M) ``points``, on the eliminated coordinates of ``split`` or, when
+    ``split`` is None, on all M, and how they were taken. One rule picks
+    the source:
+
+    1. where linear elimination applies, the model's exact ``2 Phi^T Phi``
+       (:func:`_model_blocks`), ``"closed_form"``;
+    2. else, where ``f`` has a closed-form ``hessian``, that Hessian at each
+       row restricted to the block (:func:`_merit_blocks`),
+       ``"closed_form"``; like a closed-form gradient it is trusted, not
+       checked against differences;
+    3. else central second differences in ``box``, unbounded when None
+       (:func:`_second_diff_blocks`), ``"central_difference"``.
+
+    The convexity probe calls it on each stack of its nodes, and
+    :func:`fd_y_block` on one row.
+    """
+    indices = tuple(range(points.shape[1])) if split is None else tuple(split.y_indices)
+    if split is not None and linear_elimination_applies(f, split):
+        return _model_blocks(f.model, points, split.x_indices), "closed_form"
+    hessian = getattr(f, "hessian", None)
+    if hessian is not None:
+        return _merit_blocks(hessian, points, indices), "closed_form"
+    if box is None:
+        box = np.tile([-np.inf, np.inf], (points.shape[1], 1))
+    return _second_diff_blocks(f, points, indices, box), "central_difference"
+
+
+def _model_blocks(model, points, x_indices) -> np.ndarray:
     """The closed-form eliminated blocks ``2 Phi^T Phi`` at every row of
-    ``points``, from one stacked design matrix and one stacked matmul;
-    :func:`fd_y_block` is the one-row call. An overflow leaves an infinite
-    entry and no warning, and the first row whose block is not finite
-    raises :class:`NonFiniteValueError` carrying it; a basis map that
-    raises does so before any block is checked.
+    ``points``, from one stacked design matrix and one stacked matmul. An
+    overflow leaves an infinite entry and no warning, and the first row
+    whose block is not finite raises :class:`NonFiniteValueError` carrying
+    it; a basis map that raises does so before any block is checked.
     """
     phi = model.design_matrix(points[:, x_indices])
     with np.errstate(over="ignore"):
@@ -491,6 +520,40 @@ def _closed_form_blocks(model, points, x_indices) -> np.ndarray:
     if not finite.all():
         raise NonFiniteValueError(
             "non-finite closed-form eliminated-block Hessian", points[np.argmin(finite)]
+        )
+    return blocks
+
+
+def _merit_blocks(hessian, points, indices) -> np.ndarray:
+    """The closed-form Hessian ``hessian(p)`` at every row ``p`` of the
+    (N, M) ``points``, read as a float array and restricted to the block
+    on ``indices``. A Hessian of a shape other than (M, M) raises
+    ``ValueError``. The first row whose block has a non-finite entry raises
+    :class:`NonFiniteValueError` carrying that row and the entry's
+    parameter pair, as a stencil's block does. A block that is not
+    symmetric within ``SYMMETRY_TOL`` of its scale, as
+    :func:`_check_symmetric` tests it, raises ``ValueError``: ``eigvalsh``
+    would read one triangle of it only.
+    """
+    m = points.shape[1]
+    full = []
+    for p in points:
+        h = np.asarray(hessian(p), dtype=float)
+        if h.shape != (m, m):
+            raise ValueError(f"closed-form Hessian has shape {h.shape}, expected ({m}, {m})")
+        full.append(h)
+    idx = np.asarray(indices)
+    blocks = np.array(full)[:, idx[:, None], idx]
+    finite = np.isfinite(blocks).all(axis=(1, 2))
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise _non_finite_block_error(blocks[n], indices, points[n])
+    skew = np.abs(blocks - blocks.transpose(0, 2, 1)).max(axis=(1, 2))
+    asymmetric = skew > SYMMETRY_TOL * np.maximum(1.0, np.abs(blocks).max(axis=(1, 2)))
+    if asymmetric.any():
+        raise ValueError(
+            "closed-form Hessian block is not symmetric within tolerance at "
+            f"{points[np.argmax(asymmetric)]}"
         )
     return blocks
 

@@ -258,9 +258,15 @@ class MeritFunction:
     A closed-form ``gradient``, when present, is trusted: the hierarchical
     outer stage and its final certificate take it in place of central
     differences (:func:`~minsection.solver.minimize_by_coordinates`). It
-    must return the gradient at ``p`` as an array of shape (M,). Every
-    other derivative, and ``hessian`` everywhere, is taken numerically;
-    ``hessian`` serves as a verification oracle.
+    must return the gradient at ``p`` as an array of shape (M,). A
+    closed-form ``hessian`` is trusted the same way by the convexity
+    probes and :func:`~minsection.numerics.fd_y_block`, which take their
+    blocks from it, restricted to the block's coordinates, in place of
+    central second differences (a partially linear model's exact
+    ``2 Phi^T Phi`` still comes first). It must return the Hessian at
+    ``p`` as an array of shape (M, M), symmetric within ``1e-8`` of its
+    scale on each block. Every other derivative (Newton slices, the
+    census, ``solve_direct``, ``fd_hessian``) is taken numerically.
 
     A ``partially_linear`` merit's value at ``p`` is its model's
     ``value(p[:n], p[n:])``, n the model's ``nonlinear_dim``, as

@@ -171,7 +171,10 @@ class ConvexityCertificate:
     block eigenvalue. ``plan`` names the sample: ``"grid"``, a tensor grid
     of ``grid_density`` nodes per axis, or ``"halton"``, the box center,
     the box corners and Halton points, ``PROBE_BUDGET`` nodes in all, with
-    ``grid_density`` then ``None``.
+    ``grid_density`` then ``None``. ``hessian_method`` names where the
+    blocks came from: ``"closed_form"``, the merit's ``hessian`` or a
+    model's exact ``2 Phi^T Phi``, which cost no merit evaluation, or
+    ``"central_difference"``, central second differences.
     """
 
     split: ParameterSplit | None
@@ -182,6 +185,7 @@ class ConvexityCertificate:
     witness_min_eig: float | None
     grid_density: int | None
     plan: str
+    hessian_method: str
 
     @property
     def verdict(self) -> str:
@@ -244,13 +248,17 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
     ``PROBE_BUDGET`` nodes.
 
     The nodes are taken in chunks of at most ``PROBE_BUDGET``. A chunk's
-    finite-difference blocks come from one batched stencil
-    (:func:`numerics._second_diff_blocks`, which evaluates the merit in
-    one flat walk over the chunk's stencil, in the scalar order), its
-    closed-form blocks ``2 Phi^T Phi`` from stacked design matrices
-    (:func:`numerics._closed_form_blocks`), and its spectra from one stacked
-    ``eigvalsh``. The evaluations, their order, the blocks and the
-    certificate are those of a node-by-node scan with :func:`fd_y_block`.
+    blocks come from :func:`numerics._hessian_blocks`, whose one rule
+    takes, in order, the model's exact ``2 Phi^T Phi`` where linear
+    elimination applies (from stacked design matrices of at most
+    ``STACK_VALUES`` values), the merit's closed-form ``hessian`` where it
+    has one (no merit evaluation), or one batched finite-difference
+    stencil (:func:`numerics._second_diff_blocks`, which evaluates the
+    merit in one flat walk over the chunk's stencil, in the scalar order);
+    its spectra come from one stacked ``eigvalsh``. The evaluations, their
+    order, the blocks and the certificate are those of a node-by-node scan
+    with :func:`fd_y_block`, and the witness is the first sampled node of
+    least eigenvalue.
     """
     box = merit.domain_box
     axes = list(axes_indices)
@@ -280,10 +288,12 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
             ])
             for start in range(0, total, PROBE_BUDGET)
         )
-    closed_form = split is not None and linear_elimination_applies(merit, split)
-    if closed_form:
-        model, x_indices = merit.model, list(split.x_indices)
-    indices = tuple(range(merit.dimension)) if split is None else tuple(split.y_indices)
+    # 2 Phi^T Phi is taken in stacks of design matrices, any other block
+    # from the whole chunk at once
+    if split is not None and linear_elimination_applies(merit, split):
+        per_row = merit.model.t.size * merit.model.linear_dim
+    else:
+        per_row = 1
     center = box.mean(axis=1)
     worst = np.inf
     worst_point = None
@@ -292,13 +302,12 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
     for chunk in chunks:
         points = np.tile(center, (len(chunk), 1))
         points[:, axes] = chunk
-        if closed_form:  # one stacked design matrix per stack
-            blocks = np.concatenate([
-                numerics._closed_form_blocks(model, points[part], x_indices)
-                for part in _stacks(len(points), model.t.size * model.linear_dim)
-            ])
-        else:
-            blocks = numerics._second_diff_blocks(merit, points, indices, box)
+        parts = [
+            numerics._hessian_blocks(merit, points[part], split, box)
+            for part in _stacks(len(points), per_row)
+        ]
+        blocks = np.concatenate([b for b, _ in parts])
+        method = parts[0][1]
         w = np.linalg.eigvalsh(blocks)
         lowest = w[:, 0]
         violated = violated or bool(np.any(_indefinite(w)))
@@ -316,6 +325,7 @@ def _probe(merit, split, axes_indices, density, default_density) -> ConvexityCer
         witness_min_eig=worst if violated else None,
         grid_density=density,
         plan=plan,
+        hessian_method=method,
     )
 
 
@@ -336,7 +346,11 @@ def probe_y_convexity(
     independent of the linear coordinates, so only the retained
     coordinates are sampled (one block per x node). Those blocks are the
     closed form ``2 Phi^T Phi``, built without a merit evaluation from
-    stacked design matrices of at most ``STACK_VALUES`` values. An explicit
+    stacked design matrices of at most ``STACK_VALUES`` values. Any other
+    merit is sampled over all coordinates, its blocks taken from its
+    closed-form ``hessian`` where it has one (no merit evaluation) and by
+    central second differences otherwise (``hessian_method`` of the
+    certificate says which). An explicit
     ``grid_density`` samples that full grid. The default samples
     :func:`default_probe_density` nodes per axis when that grid has at most
     ``PROBE_BUDGET`` (441) nodes, and otherwise the box center, the box
@@ -357,7 +371,10 @@ def probe_full_convexity(merit: MeritFunction, grid_density: int | None = None) 
     The default is a 7-node grid per axis while that grid has at most
     ``PROBE_BUDGET`` nodes (up to three axes), else the budgeted Halton
     plan of :func:`probe_y_convexity`; an explicit ``grid_density`` always
-    samples its full grid.
+    samples its full grid. The Hessians are the merit's closed-form
+    ``hessian`` where it has one, with no merit evaluation, and central
+    second differences otherwise. Where several nodes share the least
+    eigenvalue, the witness is the first of them sampled.
     """
     return _probe(merit, None, range(merit.dimension), grid_density, 7)
 

@@ -41,13 +41,15 @@ def first_axis_grid(merit, points=41):
 # the final certificate take: neither evaluates the merit (1,432, 1,572,
 # 1,446 and 4 by central differences, whose certificate took its x-part
 # from the outer stage's last gradient; 1,434, 1,574, 1,448 and 6 when it
-# evaluated all 2M).
+# evaluated all 2M). Its closed-form Hessian gives the convexity probe's
+# blocks: the 441-node probe evaluates nothing (1,428, 1,568 and 1,442 when
+# it took 3 evaluations a node), so the rest are the Newton slices.
 @pytest.mark.parametrize(
     "name, evaluations",
     [
         pytest.param(name, evaluations, id=name)
         for name, evaluations in (
-            ("QUAD", 1428), ("SINE_VALLEY", 1568), ("TWO_WELLS", 1442), ("EXP_FIT", 0)
+            ("QUAD", 105), ("SINE_VALLEY", 245), ("TWO_WELLS", 119), ("EXP_FIT", 0)
         )
     ],
 )
@@ -80,15 +82,19 @@ def test_trace_level_order_counts(entries, split01, merit_calls, name, evaluatio
 
 
 def test_section_101_count(entries, merit_calls):
+    # the convexity probe takes the closed-form Hessian (1,942 by central
+    # differences)
     merit = entries["TWO_WELLS"].merit
     ms.minimal_section_1d(merit, 0, first_axis_grid(merit, 101))
-    assert merit_calls["n"] == 1942
+    assert merit_calls["n"] == 619
 
 
 def test_minimal_section_count(entries, merit_calls):
+    # the convexity probe takes the closed-form Hessian (1,652 by central
+    # differences)
     merit = entries["TWO_WELLS"].merit
     ms.minimal_section_1d(merit, 0, first_axis_grid(merit))
-    assert merit_calls["n"] == 1652
+    assert merit_calls["n"] == 329
 
 
 def test_equivalence_report_count(entries, split01, merit_calls):
@@ -96,16 +102,19 @@ def test_equivalence_report_count(entries, split01, merit_calls):
     # hierarchical solve differentiates by the closed-form gradient (1,856
     # by central differences); the direct solves keep central differences,
     # whose mixed partials take the seven-point formula (1,852 with four
-    # corners per pair).
+    # corners per pair). Its convexity probe takes the closed-form Hessian
+    # (1,816 by central differences).
     rng = np.random.default_rng(4)
     starts = [rng.uniform(-0.5, 0.5, size=2) * 10.0 for _ in range(3)]
     ms.equivalence_report(entries["SINE_VALLEY"].merit, split01, starts)
-    assert merit_calls["n"] == 1816
+    assert merit_calls["n"] == 493
 
 
 def test_recover_from_anchor_count(entries, merit_calls):
+    # the convexity probe takes the closed-form Hessian (1,333 by central
+    # differences), so the evaluations are the one slice's
     ms.recover_from_anchor(entries["SINE_VALLEY"].merit, 0, 0.3)
-    assert merit_calls["n"] == 1333
+    assert merit_calls["n"] == 10
 
 
 def chain3_merit():
@@ -142,12 +151,13 @@ def test_nesting_check_count(merit_calls):
     # The outer split matches the model, so its slices are eliminated
     # linearly (13,803 evaluations when every nesting slice used Newton),
     # and its outer stages take the closed-form gradient (2,918 by central
-    # differences). The inner split's Newton slices and probe take
-    # seven-point mixed partials (2,898 with four corners per pair).
+    # differences). The inner split's Newton slices take seven-point mixed
+    # partials (2,898 with four corners per pair), and its probe the
+    # closed-form Hessian (1,891 by central differences).
     merit = ms.random_quadratic_problem(4, 2, np.random.default_rng(1)).merit
     grid = np.linspace(-1.0, 1.0, 5)
     report = ms.nesting_check(merit, ms.model_split(merit), (0,), grid, probe_density=3)
-    assert merit_calls["n"] == 1891
+    assert merit_calls["n"] == 190
     assert report.passed
 
 
@@ -252,7 +262,8 @@ def test_bfgs_resolution_stall_count(entries, split01, merit_calls):
     # node at the minimum x = 0, whose slice the middle-first grid solve
     # would hit exactly. The stall is interior, so its message names no
     # boundary. The outer stage takes the closed-form gradient (1,603 by
-    # central differences).
+    # central differences), the convexity probe the closed-form Hessian
+    # (1,583 by central differences).
     with pytest.raises(ms.SolveError, match="^quasi-Newton line search stalled at x = ") as info:
         ms.solve_hierarchical(
             entries["SINE_VALLEY"].merit,
@@ -261,7 +272,7 @@ def test_bfgs_resolution_stall_count(entries, split01, merit_calls):
             tolerances=ms.Tolerances(outer_tol=1e-300),
         )
     assert "boundary" not in str(info.value)
-    assert merit_calls["n"] == 1583
+    assert merit_calls["n"] == 260
 
 
 BOUNDARY_STOP = (
@@ -276,7 +287,7 @@ BOUNDARY_STOP = (
     [
         pytest.param(command, evaluations, id=command)
         for command, evaluations in (
-            ("solve", 1345), ("sections", 1345), ("equivalence", 1345), ("trace", 22)
+            ("solve", 22), ("sections", 22), ("equivalence", 22), ("trace", 22)
         )
     ],
 )
@@ -289,6 +300,8 @@ def test_newton_step_out_of_box_stops_at_once(tmp_path, capsys, merit_calls, com
     # (10 evaluations) is solved before the stack refuses; the level of
     # the two ends stops at x = -10, its first row, and leaves x = 10
     # unsolved (1,355, 1,355, 1,355 and 32 evaluations when it solved it).
+    # The convexity probe of solve, sections and equivalence takes the
+    # closed-form Hessian (1,345 each by central differences).
     argv = ["--problem", "DEGEN_LINE", "--command", command, "--out", str(tmp_path)]
     assert cli.main(argv) == 1
     assert merit_calls["n"] == evaluations
@@ -525,9 +538,11 @@ def test_certificate_within_a_step_of_the_grid_hull_takes_the_full_stencil(
     # The answer x = 1 lies 3e-6 from a face of the grid hull, inside the
     # gradient step cbrt(eps) ~ 6e-6: the outer stage's gradient there is
     # one-sided, so the certificate evaluates the full central stencil in
-    # the domain box, with the count (1,375) and the one clamp warning (the
+    # the domain box, with the count (52) and the one clamp warning (the
     # outer stage's) that it had when it always did. The merit has no
-    # closed-form gradient here, which would take neither stencil.
+    # closed-form gradient here, which would take neither stencil; its
+    # convexity probe takes the closed-form Hessian (1,375 by central
+    # differences).
     merit = without_gradient(entries["TWO_WELLS"].merit)
     counts = []
     for central in (ms.solver._central, lambda p, box: False):
@@ -538,7 +553,7 @@ def test_certificate_within_a_step_of_the_grid_hull_takes_the_full_stencil(
             report = ms.solve_hierarchical(merit, split01, grid=np.array(grid))
         clamps = sum(issubclass(w.category, ms.BoundaryStepWarning) for w in caught)
         counts.append((merit_calls["n"], clamps, report.certificates.gradient_norm))
-    assert counts[0] == counts[1] == (1375, 1, counts[0][2])
+    assert counts[0] == counts[1] == (52, 1, counts[0][2])
     assert counts[0][2] == float(np.linalg.norm(ms.fd_gradient(merit, report.minimizer)))
 
 

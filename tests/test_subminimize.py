@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -470,22 +471,128 @@ def test_violated_certificates_carry_a_violating_witness(entries):
     assert violated == 7
 
 
+# -- closed-form Hessian blocks ---------------------------------------------
+
+
+def without_hessian(merit):
+    """A copy of ``merit`` without its closed-form Hessian, so the
+    convexity probes take central second differences."""
+    merit = copy.copy(merit)
+    merit.hessian = None
+    return merit
+
+
+def catalog_probes(merit):
+    """The full probe and both single-coordinate eliminated-block probes."""
+    return [ms.probe_full_convexity(merit)] + [
+        ms.probe_y_convexity(merit, ms.ParameterSplit.single(i, 2)) for i in (0, 1)
+    ]
+
+
+def test_probes_take_a_closed_form_hessian_without_evaluating(entries, merit_calls):
+    for entry in entries.values():
+        assert entry.merit.hessian is not None
+        certificates = catalog_probes(entry.merit)
+        assert [c.hessian_method for c in certificates] == ["closed_form"] * 3
+    assert merit_calls == []
+
+
+def test_closed_form_verdicts_match_finite_differences(entries):
+    verdicts = 0
+    for entry in entries.values():
+        exact = catalog_probes(entry.merit)
+        differenced = catalog_probes(without_hessian(entry.merit))
+        for got, want in zip(exact, differenced):
+            assert got.positive == want.positive
+            assert got.sampled_points == want.sampled_points
+            verdicts += 1
+    assert verdicts == 18
+
+
+def test_exact_tie_witness_is_the_first_node_of_least_eigenvalue(entries):
+    # TWO_WELLS has the same Hessian at every node on p0 = 0, DEGEN_LINE and
+    # NEG_Y at every node: the witness is the first of them in grid order
+    witnesses = {}
+    for entry in entries.values():
+        merit = entry.merit
+        cert = ms.probe_full_convexity(merit)
+        lines = (np.linspace(lo, hi, 7) for lo, hi in merit.domain_box)
+        nodes = list(itertools.product(*lines))
+        lowest = [float(np.linalg.eigvalsh(merit.hessian(np.array(p)))[0]) for p in nodes]
+        assert cert.min_eig_over_samples == min(lowest)
+        if not cert.positive:
+            assert cert.witness.tolist() == list(nodes[lowest.index(min(lowest))])
+            witnesses[entry.name] = (cert.witness.tolist(), lowest.count(min(lowest)))
+    assert witnesses["TWO_WELLS"] == ([0.0, -10.0], 7)
+    assert witnesses["DEGEN_LINE"] == ([-10.0, -10.0], 49)
+    assert witnesses["NEG_Y"] == ([-10.0, -10.0], 49)
+
+
+def hessian_merit(hessian):
+    return ms.MeritFunction(
+        2, lambda p: float(p @ p), domain_box=[[-1.0, 1.0]] * 2, hessian=hessian
+    )
+
+
+def test_closed_form_hessian_contract(merit_calls):
+    from minsection.numerics import fd_y_block
+
+    y1, y0 = ms.ParameterSplit((0,), (1,)), ms.ParameterSplit((1,), (0,))
+    wrong = hessian_merit(lambda p: np.eye(3))
+    shape = r"^closed-form Hessian has shape \(3, 3\), expected \(2, 2\)$"
+    for probe in (lambda: ms.probe_full_convexity(wrong), lambda: ms.probe_y_convexity(wrong, y1),
+                  lambda: fd_y_block(wrong, [0.0, 0.0], y1)):
+        with pytest.raises(ValueError, match=shape):
+            probe()
+
+    def nan_at_two_nodes(p):
+        h = [[2.0, 0.0], [0.0, 2.0]]
+        if p.tolist() in ([0.5, -0.5], [-0.5, 0.5]):
+            h[1][1] = math.nan
+        return h
+
+    holes = hessian_merit(nan_at_two_nodes)
+    for probe in (lambda: ms.probe_full_convexity(holes, 5),
+                  lambda: ms.probe_y_convexity(holes, y1, 5)):
+        with pytest.raises(ms.numerics.NonFiniteValueError) as info:
+            probe()
+        # the first such node in grid order, and the parameter pair
+        assert info.value.point.tolist() == [-0.5, 0.5]
+        assert info.value.coordinates == (1, 1)
+    # the entry lies outside the block on coordinate 0
+    assert ms.probe_y_convexity(holes, y0, 5).positive
+    with pytest.raises(ms.numerics.NonFiniteValueError) as info:
+        fd_y_block(holes, [0.5, -0.5], y1)
+    assert info.value.point.tolist() == [0.5, -0.5]
+
+    skew = hessian_merit(lambda p: np.array([[2.0, 1.0], [0.0, 2.0]]))
+    with pytest.raises(ValueError, match="^closed-form Hessian block is not symmetric within tolerance"):
+        ms.probe_full_convexity(skew)
+    # a 1 x 1 block is symmetric, whatever the rest of the Hessian
+    assert ms.probe_y_convexity(skew, y1).positive
+    assert merit_calls == []
+
+
 # -- the batched probe against a per-node reference -------------------------
 
 
 def reference_probe(merit, split, grid_density=None, full_density=7):
     """The probe one node at a time: each block from the scalar
     ``fd_y_block`` or ``_second_diff_block``, each spectrum from its own
-    ``eigvalsh``. ``split is None`` is the full-Hessian probe."""
+    ``eigvalsh``. ``split is None`` is the full-Hessian probe. A block is
+    ``2 Phi^T Phi`` where linear elimination applies, and otherwise a
+    central second difference, ``merit`` then having no closed-form
+    ``hessian``."""
     from minsection.numerics import _second_diff_block, fd_y_block
     from minsection.subminimize import PD_TOL, PROBE_BUDGET, _halton, default_probe_density
     from minsection.subminimize import linear_elimination_applies
 
     default = full_density if split is None else default_probe_density(merit.dimension)
     if split is not None and linear_elimination_applies(merit, split):
-        axes = list(split.x_indices)
+        axes, method = list(split.x_indices), "closed_form"
     else:
-        axes = list(range(merit.dimension))
+        assert merit.hessian is None
+        axes, method = list(range(merit.dimension)), "central_difference"
     box = merit.domain_box
     axes_box = box[axes]
     if grid_density is None and default ** len(axes_box) > PROBE_BUDGET:
@@ -522,6 +629,7 @@ def reference_probe(merit, split, grid_density=None, full_density=7):
         witness_min_eig=worst if violated else None,
         grid_density=density,
         plan=plan,
+        hessian_method=method,
     )
 
 
@@ -565,6 +673,7 @@ def assert_same_probe(calls, merit, split, grid_density=None):
         assert got == want
         return want
     assert got.plan == want.plan and got.grid_density == want.grid_density
+    assert got.hessian_method == want.hessian_method
     assert got.sampled_points == want.sampled_points
     assert got.min_eig_over_samples == want.min_eig_over_samples
     assert got.positive == want.positive
@@ -575,7 +684,10 @@ def assert_same_probe(calls, merit, split, grid_density=None):
 
 
 def test_batched_probe_matches_per_node_reference(entries, merit_calls):
-    catalog = [(e.merit, ms.ParameterSplit.single(i, 2)) for e in entries.values() for i in (0, 1)]
+    # the catalog merits without their closed-form Hessians, whose blocks
+    # the probe would take instead of the finite differences under test
+    merits = [without_hessian(e.merit) for e in entries.values()]
+    catalog = [(merit, ms.ParameterSplit.single(i, 2)) for merit in merits for i in (0, 1)]
     assert len(catalog) == 12
     for merit, split in catalog:
         assert_same_probe(merit_calls, merit, split)
@@ -584,7 +696,7 @@ def test_batched_probe_matches_per_node_reference(entries, merit_calls):
         assert_same_probe(merit_calls, merit, split)
     m4 = ms.build_residual_merit(chain_residuals(4), 4, box=np.array([[-2.0, 2.0]] * 4))
     assert assert_same_probe(merit_calls, m4, ms.ParameterSplit((0,), (1, 2, 3))).plan == "halton"
-    plans = [assert_same_probe(merit_calls, e.merit, None).plan for e in entries.values()]
+    plans = [assert_same_probe(merit_calls, merit, None).plan for merit in merits]
     plans += [assert_same_probe(merit_calls, m, None).plan for m in (m3_merit(), m4)]
     assert plans[-2:] == ["grid", "halton"]
 

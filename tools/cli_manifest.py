@@ -11,8 +11,11 @@ each reaching a path no catalog run does: one ends in a ``SolveError``
 refusal, so the manifest covers every witness line the refusal printer
 writes, one takes the ``sections`` fallback (at each grid point a scan
 of the slice, then a Newton solve from its best point) to two polished
-minima, and one solves a partially linear problem file with an offset,
-whose merit carries the closed-form gradient of the file's terms. A
+minima, one solves a partially linear problem file with an offset,
+whose merit carries the closed-form gradient of the file's terms, and
+one solves that file with its split swapped, whose convexity probe takes
+central second differences (every catalog merit carries a closed-form
+Hessian, which the probes take instead). A
 problem of ``FILES`` is written, with its data, into the run's temporary
 directory and named in its line by its stem. A run's line holds its exit
 status and the sha256 of its stdout, its stderr and each output file,
@@ -44,11 +47,15 @@ EXTRA = {"recover": ["--anchor-index", "0", "--anchor-value", "0.25"]}
 #: a ``SolveError`` whose witness is a point and a value. TWO_WELLS
 #: sectioned along parameter 1 has no positive convexity certificate for
 #: the trace, so its section is sampled by the fallback slice solves.
-#: ``exp_offset`` is a problem file of ``FILES``.
+#: ``exp_offset`` is a problem file of ``FILES``; with its split swapped
+#: (x = rate's coefficient, y = rate) linear elimination does not apply
+#: and its merit has no closed-form Hessian, so the probe differences the
+#: merit, and refuses: the block is negative at (0, 0).
 MORE = [
     ("SINE_VALLEY", "solve", ["--outer-tol", "1e-300", "--grid-density", "20"]),
     ("TWO_WELLS", "sections", ["--x-indices", "1"]),
     ("exp_offset", "solve", []),
+    ("exp_offset", "solve", ["--x-indices", "1"]),
 ]
 
 #: Problem files by stem, as ``(document, samples)``: d = 2 exp(-0.45 t) +
