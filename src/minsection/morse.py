@@ -4,7 +4,9 @@ Locates stationary points by Newton iteration on the gradient from a seed
 grid, classifies each by the sign counts of its Hessian spectrum, checks
 whether the gradient points outward everywhere on the box faces, and audits
 the alternating-sum count equality that holds for boxes with outward
-boundary gradient and no degenerate stationary points.
+boundary gradient and no degenerate stationary points. Every gradient and
+Hessian of the census is the merit's closed form where it has one
+(:func:`_gradient`, :func:`_hessian`), else central differences in the box.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .numerics import (
     BoundaryStepWarning,
     EigenSummary,
     Refusal,
+    _closed_form_gradient,
+    _closed_form_hessian,
     _gradient_step,
     _inward_derivative,
     _non_finite_gradient_error,
@@ -29,7 +33,7 @@ from .numerics import (
     fd_gradient,
 )
 from .numerics import fd_hessian  # noqa: F401 - unused; bench/tracing.py rebinds it here
-from .problems import MeritFunction
+from .problems import MeritFunction, _checked_box
 from .subminimize import _backtrack
 
 __all__ = [
@@ -78,7 +82,9 @@ class CriticalPoint:
 
     ``index_gamma`` counts negative Hessian eigenvalues; ``degenerate`` is
     set when any eigenvalue sits within the degeneracy tolerance of zero.
-    ``hessian`` is the FD Hessian the classification was read from.
+    ``hessian`` is the Hessian the classification was read from
+    (:func:`_hessian`): the merit's closed form where it has one, else
+    central second differences.
     """
 
     location: np.ndarray
@@ -112,8 +118,29 @@ class MorseCensus:
 DUPLICATE = "duplicate"
 
 
+def _gradient(merit, p, box):
+    """The census gradient of ``merit`` at ``p``: its closed-form
+    ``gradient`` where it has one
+    (:func:`~minsection.numerics._closed_form_gradient`, no evaluation),
+    else :func:`~minsection.numerics.fd_gradient` in ``box``."""
+    if merit.gradient is not None:
+        return _closed_form_gradient(merit, p)
+    return fd_gradient(merit, p, box=box)
+
+
+def _hessian(merit, p, box, f0=None):
+    """The census Hessian of ``merit`` at ``p``: its closed-form
+    ``hessian`` where it has one
+    (:func:`~minsection.numerics._closed_form_hessian`, no evaluation),
+    else central second differences in ``box``, whose stencil reuses
+    ``f0 = merit(p)`` as its center when given and not shifted."""
+    if merit.hessian is not None:
+        return _closed_form_hessian(merit, p)
+    return _second_diff_block(merit, p, range(p.size), box, f0)[0]
+
+
 def _converges_to_found(p, g, hess, points, radius, min_curvature):
-    """Whether Newton from the iterate ``p``, whose FD gradient is ``g``,
+    """Whether Newton from the iterate ``p``, whose census gradient is ``g``,
     converges to one of the found ``points``; ``hess`` is the Hessian of
     the step that reached ``p``.
 
@@ -155,7 +182,7 @@ def _converges_to_found(p, g, hess, points, radius, min_curvature):
 
 
 def _newton_on_gradient(merit, seed, g, box, critical_tol, max_iter, points=()):
-    """Refine one seed, whose FD gradient is ``g``, to a gradient zero.
+    """Refine one seed, whose census gradient is ``g``, to a gradient zero.
 
     Returns ``(point, gradient norm)`` on convergence, None when the seed
     fails to converge, and :data:`DUPLICATE` when the seed is ended as a
@@ -165,13 +192,17 @@ def _newton_on_gradient(merit, seed, g, box, critical_tol, max_iter, points=()):
     gradient already in hand, before the next Hessian is computed, so it
     costs no evaluation.
 
-    The linear step solves the FD Hessian system (exactly symmetric, each
-    mixed partial being computed once) in the minimum-norm least-squares
-    sense, which also handles consistent singular systems (valley floors).
-    A step backtracks to a smaller gradient norm by the line search of the
-    Newton slice solves (:func:`~minsection.subminimize._backtrack`). When
-    no damped Newton step reduces it, a normalized gradient-descent step of
-    ``1e-2 * box diagonal`` is backtracked before giving up.
+    Each gradient and Hessian is the census's (:func:`_gradient`,
+    :func:`_hessian`): the merit's closed form where it has one, which
+    evaluates no merit, else central differences. The linear step solves
+    the Hessian system (exactly symmetric by differences, each mixed
+    partial being computed once; symmetric within ``SYMMETRY_TOL`` in
+    closed form) in the minimum-norm least-squares sense, which also
+    handles consistent singular systems (valley floors). A step backtracks
+    to a smaller gradient norm by the line search of the Newton slice
+    solves (:func:`~minsection.subminimize._backtrack`). When no damped
+    Newton step reduces it, a normalized gradient-descent step of ``1e-2 *
+    box diagonal`` is backtracked before giving up.
     """
     diag = _norm(box[:, 1] - box[:, 0])
     radius = BALL_RADIUS_FACTOR * diag
@@ -182,14 +213,14 @@ def _newton_on_gradient(merit, seed, g, box, critical_tol, max_iter, points=()):
     gn = _norm(g)
 
     def smaller(trial, _t):  # than the current gradient norm
-        g_trial = fd_gradient(merit, trial, box=box)
+        g_trial = _gradient(merit, trial, box)
         gn_trial = _norm(g_trial)
         return (g_trial, gn_trial) if gn_trial < gn else None
 
     for _ in range(max_iter):
         if gn <= critical_tol:
             return p, gn
-        hess = _second_diff_block(merit, p, range(p.size), box)[0]
+        hess = _hessian(merit, p, box)
         step = np.linalg.lstsq(hess, -g, rcond=None)[0]
         found = _backtrack(p, step, box, smaller, tries=25)
         if found is None:
@@ -230,10 +261,20 @@ def find_critical_points(
     Seeds that fail to converge are dropped; every trial is clipped to the
     box, so no seed leaves it. Dropped and ball-ended seeds are counted in
     the module log. Neither is an error.
+
+    Every gradient (the seeds' and each line-search trial's) and every
+    Hessian (each Newton step's and each found point's) is the merit's
+    closed form where it has one, else central differences in the box. A
+    found point's ``value`` is one merit call, which the finite-difference
+    Hessian reuses as its center; on a merit with both closed forms it is
+    the census's only evaluation. An explicit ``box`` is refused with
+    ``ValueError`` before any evaluation unless it has shape (M, 2),
+    finite bounds and ``lo < hi`` on every row, as a merit's
+    ``domain_box`` is.
     """
     if seed_density < 3:
         raise ValueError("seed density must be at least 3 per axis")
-    box = merit.domain_box if box is None else np.asarray(box, dtype=float)
+    box = merit.domain_box if box is None else _checked_box(box, merit.dimension)
     axes = [np.linspace(lo, hi, seed_density) for lo, hi in box]
     seeds = [np.array(combo) for combo in itertools.product(*axes)]
 
@@ -242,7 +283,7 @@ def find_critical_points(
     # Seeds on the box faces trigger clamped stencils by construction.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryStepWarning)
-        grads = [fd_gradient(merit, s, box=box) for s in seeds]
+        grads = [_gradient(merit, s, box) for s in seeds]
         norms = [_norm(g) for g in grads]
         critical_tol = 1e-8 * max(1.0, float(np.median(norms)))
         merge_radius = MERGE_RADIUS_FACTOR * max(
@@ -261,8 +302,8 @@ def find_critical_points(
             p, gn = result
             if any(_norm(p - q.location) <= merge_radius for q in points):
                 continue
-            value = merit(p)  # the Hessian stencil's center, unless it is shifted
-            hess = _second_diff_block(merit, p, range(p.size), box, value)[0]
+            value = merit(p)  # an FD Hessian stencil's center, unless it is shifted
+            hess = _hessian(merit, p, box, value)
             summary = eigen_index(hess)
             points.append(
                 CriticalPoint(
@@ -293,14 +334,18 @@ def check_outward_gradient(merit: MeritFunction, box=None, boundary_density: int
 
     Each face is sampled on a grid of ``boundary_density`` points per face
     axis over its relative interior (edges and corners carry no unique
-    outward normal). Only the normal derivative is taken, by the inward
-    one-sided three-point difference of :func:`~minsection.fd_gradient`'s
-    clamped stencil (step ``cbrt(eps) * max(1, |p_i|)``): three evaluations
-    per sampled point, all inside the box.
+    outward normal). The normal component is the entry of the merit's
+    closed-form gradient where it has one
+    (:func:`~minsection.numerics._closed_form_gradient`, no evaluation),
+    else the inward one-sided three-point difference of
+    :func:`~minsection.fd_gradient`'s clamped stencil (step ``cbrt(eps) *
+    max(1, |p_i|)``): three evaluations per sampled point, all inside the
+    box. An explicit ``box`` is refused as :func:`find_critical_points`
+    refuses it.
     """
     if boundary_density < 3:
         raise ValueError("boundary density must be at least 3 per face axis")
-    box = merit.domain_box if box is None else np.asarray(box, dtype=float)
+    box = merit.domain_box if box is None else _checked_box(box, merit.dimension)
     dim = box.shape[0]
     face_axes = {
         i: np.linspace(box[i, 0], box[i, 1], boundary_density + 2)[1:-1] for i in range(dim)
@@ -315,9 +360,12 @@ def check_outward_gradient(merit: MeritFunction, box=None, boundary_density: int
                 p[i] = side
                 for j, v in zip(others, combo):
                     p[j] = v
-                normal = _inward_derivative(merit, p, p.copy(), i, h, *box[i])[0]
-                if not np.isfinite(normal):
-                    raise _non_finite_gradient_error(i, p)
+                if merit.gradient is not None:
+                    normal = _closed_form_gradient(merit, p)[i]
+                else:
+                    normal = _inward_derivative(merit, p, p.copy(), i, h, *box[i])[0]
+                    if not np.isfinite(normal):
+                        raise _non_finite_gradient_error(i, p)
                 if sign * normal <= 0.0:
                     return False
     return True

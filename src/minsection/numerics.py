@@ -2,10 +2,12 @@
 linear least-squares solves.
 
 Everything here is a pure function of its inputs and safe to call
-concurrently. Derivatives are obtained by finite differences, except the
-Hessian blocks of :func:`fd_y_block` and the convexity probe, which take a
-closed form where the objective carries one; callers are responsible for
-supplying objectives that are smooth (C^2) on their domain box.
+concurrently. Derivatives are obtained by finite differences, except where
+the objective carries a closed form: :func:`_closed_form_gradient` and
+:func:`_closed_form_hessian` read one at a point, and the Hessian blocks of
+:func:`fd_y_block` and the convexity probe take it. Callers are
+responsible for supplying objectives that are smooth (C^2) on their domain
+box.
 """
 
 from __future__ import annotations
@@ -524,6 +526,54 @@ def _model_blocks(model, points, x_indices) -> np.ndarray:
     return blocks
 
 
+def _closed_form_gradient(f, p):
+    """``f.gradient(p)`` as a float array of shape (M,), M ``f.dimension``.
+    Another shape raises ``ValueError``; a non-finite entry raises
+    :class:`NonFiniteValueError` carrying ``p`` and the entry's parameter
+    index, as a finite-difference stencil's does."""
+    g = np.asarray(f.gradient(p), dtype=float)
+    if g.shape != (f.dimension,):
+        raise ValueError(f"closed-form gradient has shape {g.shape}, expected ({f.dimension},)")
+    if not all(map(math.isfinite, g.tolist())):
+        bad = int(np.flatnonzero(~np.isfinite(g))[0])
+        raise NonFiniteValueError(
+            f"non-finite closed-form gradient entry at coordinate {bad}", p, (bad,)
+        )
+    return g
+
+
+def _closed_form_hessian(f, p):
+    """``f.hessian(p)`` as a float (M, M) array, M the size of ``p``,
+    refused as :func:`_merit_blocks` refuses a block on all M coordinates:
+    another shape raises ``ValueError``, a non-finite entry
+    :class:`NonFiniteValueError` carrying ``p`` and the entry's parameter
+    pair, and a matrix not symmetric within ``SYMMETRY_TOL`` of its scale
+    ``ValueError``. The entries are tested as Python floats, and symmetry
+    only where the two triangles differ: one row through
+    :func:`_merit_blocks`' stacked tests would cost the census more than
+    the finite differences of a cheap merit."""
+    h = np.asarray(f.hessian(p), dtype=float)
+    m = p.size
+    if h.shape != (m, m):
+        raise _hessian_shape_error(h.shape, m)
+    flat, transposed = h.ravel().tolist(), h.T.ravel().tolist()
+    if not all(map(math.isfinite, flat)):
+        raise _non_finite_block_error(h, range(m), p)
+    if flat != transposed:
+        skew = max(map(abs, map(float.__sub__, flat, transposed)))
+        if skew > SYMMETRY_TOL * max(1.0, max(map(abs, flat))):
+            raise _asymmetric_hessian_error(p)
+    return h
+
+
+def _hessian_shape_error(shape, m):
+    return ValueError(f"closed-form Hessian has shape {shape}, expected ({m}, {m})")
+
+
+def _asymmetric_hessian_error(point):
+    return ValueError(f"closed-form Hessian block is not symmetric within tolerance at {point}")
+
+
 def _merit_blocks(hessian, points, indices) -> np.ndarray:
     """The closed-form Hessian ``hessian(p)`` at every row ``p`` of the
     (N, M) ``points``, read as a float array and restricted to the block
@@ -540,7 +590,7 @@ def _merit_blocks(hessian, points, indices) -> np.ndarray:
     for p in points:
         h = np.asarray(hessian(p), dtype=float)
         if h.shape != (m, m):
-            raise ValueError(f"closed-form Hessian has shape {h.shape}, expected ({m}, {m})")
+            raise _hessian_shape_error(h.shape, m)
         full.append(h)
     idx = np.asarray(indices)
     blocks = np.array(full)[:, idx[:, None], idx]
@@ -551,10 +601,7 @@ def _merit_blocks(hessian, points, indices) -> np.ndarray:
     skew = np.abs(blocks - blocks.transpose(0, 2, 1)).max(axis=(1, 2))
     asymmetric = skew > SYMMETRY_TOL * np.maximum(1.0, np.abs(blocks).max(axis=(1, 2)))
     if asymmetric.any():
-        raise ValueError(
-            "closed-form Hessian block is not symmetric within tolerance at "
-            f"{points[np.argmax(asymmetric)]}"
-        )
+        raise _asymmetric_hessian_error(points[np.argmax(asymmetric)])
     return blocks
 
 

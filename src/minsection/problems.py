@@ -71,6 +71,19 @@ def default_box(dimension: int) -> np.ndarray:
     return np.tile([-DEFAULT_BOX_HALF_WIDTH, DEFAULT_BOX_HALF_WIDTH], (dimension, 1))
 
 
+def _checked_box(box, dimension: int) -> np.ndarray:
+    """``box`` as a float array, refused with ``ValueError`` unless it has
+    shape (``dimension``, 2), finite bounds and ``lo < hi`` on every row."""
+    box = np.asarray(box, dtype=float)
+    if box.shape != (dimension, 2):
+        raise ValueError("domain box must have shape (M, 2)")
+    if not np.isfinite(box).all():
+        raise ValueError(f"domain box bounds must be finite, got {box.tolist()}")
+    if np.any(box[:, 0] >= box[:, 1]):
+        raise ValueError("domain box intervals must be nondegenerate")
+    return box
+
+
 @dataclass(frozen=True)
 class ParameterSplit:
     """Direct-sum decomposition of the coordinates into (x, y) index sets.
@@ -256,17 +269,20 @@ class MeritFunction:
     ``general``, ``residual`` (F = sum of squared residual maps) or
     ``partially_linear`` (built from a :class:`PartiallyLinearModel`).
     A closed-form ``gradient``, when present, is trusted: the hierarchical
-    outer stage and its final certificate take it in place of central
-    differences (:func:`~minsection.solver.minimize_by_coordinates`). It
-    must return the gradient at ``p`` as an array of shape (M,). A
-    closed-form ``hessian`` is trusted the same way by the convexity
-    probes and :func:`~minsection.numerics.fd_y_block`, which take their
-    blocks from it, restricted to the block's coordinates, in place of
-    central second differences (a partially linear model's exact
-    ``2 Phi^T Phi`` still comes first). It must return the Hessian at
-    ``p`` as an array of shape (M, M), symmetric within ``1e-8`` of its
-    scale on each block. Every other derivative (Newton slices, the
-    census, ``solve_direct``, ``fd_hessian``) is taken numerically.
+    outer stage and its final certificate
+    (:func:`~minsection.solver.minimize_by_coordinates`), the
+    critical-point census and its outward check
+    (:func:`~minsection.morse.find_critical_points`) take it in place of
+    central differences. It must return the gradient at ``p`` as an array
+    of shape (M,). A closed-form ``hessian`` is trusted the same way by
+    the convexity probes and :func:`~minsection.numerics.fd_y_block`,
+    which take their blocks from it, restricted to the block's
+    coordinates, in place of central second differences (a partially
+    linear model's exact ``2 Phi^T Phi`` still comes first), and by the
+    census, for its Newton steps and its classifications. It must return
+    the Hessian at ``p`` as an array of shape (M, M), symmetric within
+    ``1e-8`` of its scale on each block. Every other derivative (Newton
+    slices, ``solve_direct``, ``fd_hessian``) is taken numerically.
 
     A ``partially_linear`` merit's value at ``p`` is its model's
     ``value(p[:n], p[n:])``, n the model's ``nonlinear_dim``, as
@@ -299,14 +315,8 @@ class MeritFunction:
         self._evaluate = evaluate
         self.structure = structure
         self.domain_box = (
-            default_box(dimension) if domain_box is None else np.asarray(domain_box, dtype=float)
+            default_box(dimension) if domain_box is None else _checked_box(domain_box, dimension)
         )
-        if self.domain_box.shape != (dimension, 2):
-            raise ValueError("domain box must have shape (M, 2)")
-        if not np.isfinite(self.domain_box).all():
-            raise ValueError(f"domain box bounds must be finite, got {self.domain_box.tolist()}")
-        if np.any(self.domain_box[:, 0] >= self.domain_box[:, 1]):
-            raise ValueError("domain box intervals must be nondegenerate")
         self.residuals = tuple(residuals) if residuals is not None else None
         self.model = model
         self.gradient = gradient

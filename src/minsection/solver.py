@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numerics
-from .numerics import EPS, NonFiniteValueError, Refusal, _central, _norm, fd_gradient
+from .numerics import EPS, Refusal, _central, _closed_form_gradient, _norm, fd_gradient
 from .numerics import fd_hessian  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .problems import MeritFunction, ParameterSplit
 from .subminimize import (
@@ -373,24 +373,6 @@ def _bracket_curvature(tri: BracketTriplet) -> float:
     return 2.0 * ((tri.fa - tri.fb) / (tri.b - tri.a) + (tri.fc - tri.fb) / (tri.c - tri.b)) / (
         tri.c - tri.a
     )
-
-
-def _closed_form_gradient(merit, p):
-    """``merit.gradient(p)`` as a float array of shape (M,). Another shape
-    raises ``ValueError``; a non-finite entry raises
-    :class:`~minsection.numerics.NonFiniteValueError` carrying ``p`` and
-    the entry's parameter index, as a finite-difference stencil's does."""
-    g = np.asarray(merit.gradient(p), dtype=float)
-    if g.shape != (merit.dimension,):
-        raise ValueError(
-            f"closed-form gradient has shape {g.shape}, expected ({merit.dimension},)"
-        )
-    if not np.isfinite(g).all():
-        bad = int(np.flatnonzero(~np.isfinite(g))[0])
-        raise NonFiniteValueError(
-            f"non-finite closed-form gradient entry at coordinate {bad}", p, (bad,)
-        )
-    return g
 
 
 def minimize_by_coordinates(merit, section, grids, indices, outer_tol=None):

@@ -1,7 +1,31 @@
+import copy
+
 import numpy as np
 import pytest
 
 import minsection as ms
+
+
+def without_gradient(merit):
+    """A copy of ``merit`` without its closed-form gradient, so the outer
+    stage, the final certificate and the census take central differences."""
+    merit = copy.copy(merit)
+    merit.gradient = None
+    return merit
+
+
+def without_hessian(merit):
+    """A copy of ``merit`` without its closed-form Hessian, so the
+    convexity probes and the census take central second differences."""
+    merit = copy.copy(merit)
+    merit.hessian = None
+    return merit
+
+
+def differenced(merit):
+    """A copy of ``merit`` without its closed-form gradient and Hessian,
+    whose census takes central differences only."""
+    return without_gradient(without_hessian(merit))
 
 
 @pytest.fixture(scope="session")

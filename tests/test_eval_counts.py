@@ -6,7 +6,6 @@ work done shows up here. A deliberate change updates the pinned number and
 says why in CHANGES.md.
 """
 
-import copy
 import json
 import warnings
 
@@ -16,6 +15,8 @@ import pytest
 import minsection as ms
 from minsection import cli
 from minsection.problems import MeritFunction
+
+from .conftest import differenced, without_gradient
 
 
 @pytest.fixture
@@ -208,8 +209,13 @@ def test_slice_newton_stall_count(merit_calls):
 
 
 @pytest.mark.parametrize(
-    "name, evaluations",
+    "name, evaluations, fd_evaluations",
     [
+        # With the closed-form gradient and Hessian every catalog merit
+        # carries, a census evaluates each found point's value and nothing
+        # else: EXP_FIT and SINE_VALLEY find one point, DEGEN_LINE 17
+        # degenerate ones (31,012, 1,635 and 4,867 before). The counts
+        # below are those of copies without either closed form.
         # EXP_FIT is the one catalog census that takes the gradient-descent
         # fallback of the census Newton loop (48 times), DEGEN_LINE twice.
         # Seeds ended in a found point's ball cut EXP_FIT from 31,611 and
@@ -223,14 +229,18 @@ def test_slice_newton_stall_count(merit_calls):
         # keeps a nonzero minimum, after walks of clipped steps whose length
         # moves with the last bits of a mixed partial; their line searches
         # now try 542 more gradients in all.
-        pytest.param("EXP_FIT", 31012, id="EXP_FIT"),
-        pytest.param("DEGEN_LINE", 1635, id="DEGEN_LINE"),
-        pytest.param("SINE_VALLEY", 4867, id="SINE_VALLEY"),
+        pytest.param("EXP_FIT", 1, 31012, id="EXP_FIT"),
+        pytest.param("DEGEN_LINE", 17, 1635, id="DEGEN_LINE"),
+        pytest.param("SINE_VALLEY", 1, 4867, id="SINE_VALLEY"),
     ],
 )
-def test_census_counts(entries, merit_calls, name, evaluations):
-    ms.find_critical_points(entries[name].merit)
+def test_census_counts(entries, merit_calls, name, evaluations, fd_evaluations):
+    merit = entries[name].merit
+    ms.find_critical_points(merit)
     assert merit_calls["n"] == evaluations
+    merit_calls["n"] = 0
+    ms.find_critical_points(differenced(merit))
+    assert merit_calls["n"] == fd_evaluations
 
 
 def beyond_face_merit():
@@ -420,26 +430,30 @@ def test_boxed_catalog_file_counts_once(tmp_path, entries, merit_calls):
     # The file's merit reuses the catalog evaluator, so one call is one
     # evaluation (the census counted 7,280 when the file wrapped the merit,
     # and 3,640 before seeds ended in a found point's ball; 2,268 with four
-    # corners per mixed partial).
+    # corners per mixed partial). It carries the catalog's closed-form
+    # gradient and Hessian, so the census evaluates only the value of each
+    # of its 3 points (1,972 by central differences).
     merit = ms.load_problem_file(boxed_two_wells_file(tmp_path)).merit
     merit([0.5, 0.5])
     assert merit_calls["n"] == 1
     merit_calls["n"] = 0
     ms.find_critical_points(merit)
-    assert merit_calls["n"] == 1972
+    assert merit_calls["n"] == 3
     merit_calls["n"] = 0
     ms.find_critical_points(entries["TWO_WELLS"].merit, box=[[-2.0, 2.0], [-2.0, 2.0]])
-    assert merit_calls["n"] == 1972
+    assert merit_calls["n"] == 3
 
 
 def test_audit_command_count(tmp_path, merit_calls):
-    # The census (1,972) plus the outward check: 4 faces x 9 points x 3
-    # one-sided evaluations (108; 144 by full central-difference gradients;
-    # 2,376 in all with four corners per mixed partial).
+    # The census evaluates the value of each of its 3 points, and the
+    # outward check reads the closed-form gradient: 2,080 by central
+    # differences (the census 1,972 and the outward check 4 faces x 9
+    # points x 3 one-sided evaluations; 2,376 in all with four corners per
+    # mixed partial).
     argv = ["--problem", str(boxed_two_wells_file(tmp_path)), "--command", "audit",
             "--out", str(tmp_path)]
     assert cli.main(argv) == 0
-    assert merit_calls["n"] == 2080
+    assert merit_calls["n"] == 3
 
 
 def biexp_file(tmp_path, t, d, rate_box):
@@ -475,14 +489,6 @@ def test_biexponential_file_counts(tmp_path, merit_calls):
     assert merit_calls["n"] == 0
     assert report.inner_solves == 48
     assert report.iterations == 7
-
-
-def without_gradient(merit):
-    """A copy of ``merit`` without its closed-form gradient, so the outer
-    stage and the final certificate take central differences."""
-    merit = copy.copy(merit)
-    merit.gradient = None
-    return merit
 
 
 def certificate_case(name, entries, tmp_path):

@@ -12,6 +12,8 @@ import minsection as ms
 from minsection import morse
 from minsection.numerics import NonFiniteValueError
 
+from .conftest import differenced
+
 
 def two_wells_oracle():
     """Hand-solved stationary points of (x^2-1)^2 + (y-x)^2.
@@ -218,9 +220,11 @@ def test_outward_check_refuses_non_finite_and_thin_boxes():
     )
     with pytest.raises(NonFiniteValueError):
         ms.check_outward_gradient(blows_up, boundary_density=3)
+    # a closed-form gradient needs no stencil, so the thin box is refused
+    # on a copy that takes central differences
     thin = np.array([[-1.0, 1.0], [0.0, 1e-6]])
     with pytest.raises(ValueError, match="thinner than the FD stencil along coordinate 1"):
-        ms.check_outward_gradient(ms.get_problem("QUAD").merit, box=thin)
+        ms.check_outward_gradient(differenced(ms.get_problem("QUAD").merit), box=thin)
 
 
 def pocket_merit(depth=0.0016):
@@ -245,14 +249,15 @@ def ripple_merit(k):
 
 
 def reference_census(merit, box=None, seed_density=9):
-    """The census seed loop with every seed run to convergence or failure."""
+    """The census seed loop with every seed run to convergence or failure,
+    its derivatives taken as the census takes them."""
     box = merit.domain_box if box is None else np.asarray(box, dtype=float)
     axes = [np.linspace(lo, hi, seed_density) for lo, hi in box]
     seeds = [np.array(combo) for combo in itertools.product(*axes)]
     points = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ms.BoundaryStepWarning)
-        grads = [ms.fd_gradient(merit, s, box=box) for s in seeds]
+        grads = [morse._gradient(merit, s, box) for s in seeds]
         critical_tol = 1e-8 * max(1.0, float(np.median([np.linalg.norm(g) for g in grads])))
         merge_radius = 1e-5 * max(1.0, float(np.linalg.norm(box[:, 1] - box[:, 0])))
         for seed, g in zip(seeds, grads):
@@ -264,7 +269,7 @@ def reference_census(merit, box=None, seed_density=9):
                 continue
             if any(np.linalg.norm(p - q.location) <= merge_radius for q in points):
                 continue
-            hess = morse._second_diff_block(merit, p, range(p.size), box)[0]
+            hess = morse._hessian(merit, p, box)
             summary = ms.eigen_index(hess)
             points.append(
                 ms.CriticalPoint(p, merit(p), gn, summary.negative_count,
@@ -292,7 +297,11 @@ CATALOG_NAMES = ("QUAD", "SINE_VALLEY", "TWO_WELLS", "DEGEN_LINE", "EXP_FIT", "N
     "name, box, density",
     [
         *[pytest.param(n, None, d, id=f"{n}-{d}") for n in CATALOG_NAMES for d in (9, 15)],
+        *[pytest.param(f"{n}-differenced", None, d, id=f"{n}-differenced-{d}")
+          for n in CATALOG_NAMES for d in (9, 15)],
         pytest.param("TWO_WELLS", [[-2.0, 2.0], [-2.0, 2.0]], 9, id="cli_audit-box"),
+        pytest.param("TWO_WELLS-differenced", [[-2.0, 2.0], [-2.0, 2.0]], 9,
+                     id="cli_audit-box-differenced"),
         pytest.param("pocket", None, 9, id="pocket-9"),
         pytest.param("pocket", None, 15, id="pocket-15"),
         pytest.param("close-pocket", None, 9, id="close-pocket-9"),
@@ -309,8 +318,12 @@ def test_census_matches_reference_loop(entries, name, box, density):
     # every seed to convergence, also where two points of the same index lie
     # closer together than a ball's radius: resolved (ripple) or not (the
     # close pocket and wells, where the gradient tolerance spans more than
-    # the merge radius and no ball is used).
-    if name.startswith("ripple-"):
+    # the merge radius and no ball is used). Catalog merits run with their
+    # closed-form gradient and Hessian, and as copies without them; the
+    # other merits have none.
+    if name.endswith("-differenced"):
+        merit = differenced(entries[name.split("-")[0]].merit)
+    elif name.startswith("ripple-"):
         merit = ripple_merit(float(name.split("-")[1]))
     elif name.startswith("close-wells-"):
         merit = two_wells_merit(float(name.rsplit("-", 1)[1]), 0.3, 1.0)
@@ -368,3 +381,123 @@ def test_census_log_counts_seeds_ended_in_a_ball(entries, caplog):
     assert message.startswith("critical point search: 81 seeds, 3 unique points, ")
     assert message.endswith(" ended in a found point's ball")
     assert int(message.split(", ")[-1].split()[0]) > 0
+
+
+# -- closed-form derivatives ------------------------------------------------
+
+
+def test_closed_form_census_evaluates_each_found_point_once(entries, monkeypatch):
+    # Every gradient and Hessian of the census and the outward check is the
+    # merit's closed form, so the only evaluations are the found points'
+    # values, one each.
+    evaluated = []
+    evaluate = ms.MeritFunction.__call__
+
+    def recording(merit, p):
+        evaluated.append(tuple(np.asarray(p, dtype=float).tolist()))
+        return evaluate(merit, p)
+
+    monkeypatch.setattr(ms.MeritFunction, "__call__", recording)
+    for name in CATALOG_NAMES:
+        merit = entries[name].merit
+        for density in (9, 15):
+            evaluated.clear()
+            points = ms.find_critical_points(merit, seed_density=density)
+            ms.check_outward_gradient(merit, boundary_density=density)
+            assert points
+            assert sorted(evaluated) == sorted(tuple(p.location.tolist()) for p in points)
+            assert [p.value for p in points] == [evaluate(merit, p.location) for p in points]
+
+
+def census_verdict(merit, density):
+    """(counts by index or the degenerate refusal, outward verdict, pass)."""
+    points = ms.find_critical_points(merit, seed_density=density)
+    outward = ms.check_outward_gradient(merit, boundary_density=density)
+    try:
+        census = ms.morse_equality_audit(points, outward)
+    except ms.DegenerateCriticalPointError:
+        return points, ("degenerate", outward, False)
+    return points, (census.counts, outward, census.passes)
+
+
+@pytest.mark.parametrize("density", [9, 15])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_closed_form_verdicts_match_finite_differences(entries, name, density):
+    merit = entries[name].merit
+    exact, verdict = census_verdict(merit, density)
+    fd, fd_verdict = census_verdict(differenced(merit), density)
+    assert verdict == fd_verdict
+    if verdict[0] != "degenerate":
+        # non-degenerate points are isolated: both censuses find the same ones
+        assert len(exact) == len(fd)
+        for a, b in zip(exact, fd):
+            assert np.allclose(a.location, b.location, rtol=0.0, atol=1e-6)
+            assert a.index_gamma == b.index_gamma
+
+
+def closed_form_merit(gradient=lambda p: 2.0 * p, hessian=lambda p: 2.0 * np.eye(2)):
+    return ms.MeritFunction(
+        2, lambda p: float(p @ p), domain_box=[[-1.0, 1.0]] * 2, gradient=gradient,
+        hessian=hessian,
+    )
+
+
+def test_non_finite_closed_form_gradient_at_a_seed_is_refused():
+    def gradient(p):
+        g = 2.0 * p
+        if p.tolist() == [0.5, -0.5]:
+            g[1] = np.nan
+        return g
+
+    with pytest.raises(NonFiniteValueError) as info:
+        ms.find_critical_points(closed_form_merit(gradient=gradient), seed_density=5)
+    assert str(info.value) == "non-finite closed-form gradient entry at coordinate 1"
+    assert info.value.point.tolist() == [0.5, -0.5]
+    assert info.value.coordinates == (1,)
+
+
+def test_census_refuses_a_closed_form_hessian_as_the_probes_do():
+    wrong = closed_form_merit(hessian=lambda p: np.eye(3))
+    with pytest.raises(ValueError, match=r"^closed-form Hessian has shape \(3, 3\), expected \(2, 2\)$"):
+        ms.find_critical_points(wrong, seed_density=5)
+    asymmetric = closed_form_merit(hessian=lambda p: np.array([[2.0, 1.0], [0.0, 2.0]]))
+    with pytest.raises(ValueError, match="^closed-form Hessian block is not symmetric"):
+        ms.find_critical_points(asymmetric, seed_density=5)
+
+    # at the first seed's Newton step, and at the found point's classification
+    for where in ([-1.0, -1.0], [0.0, 0.0]):
+        def hessian(p, where=where):
+            h = 2.0 * np.eye(2)
+            if p.tolist() == where:
+                h[0, 1] = h[1, 0] = np.nan
+            return h
+
+        with pytest.raises(NonFiniteValueError) as info:
+            ms.find_critical_points(closed_form_merit(hessian=hessian), seed_density=5)
+        assert str(info.value) == "non-finite Hessian entry at coordinate pair (0, 1)"
+        assert info.value.point.tolist() == where
+        assert info.value.coordinates == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "box, message",
+    [
+        pytest.param([[-1.0, 1.0]] * 3, r"^domain box must have shape \(M, 2\)$", id="three-rows"),
+        pytest.param([-1.0, 1.0], r"^domain box must have shape \(M, 2\)$", id="flat"),
+        pytest.param([[1.0, -1.0], [-1.0, 1.0]], "^domain box intervals must be nondegenerate$",
+                     id="inverted"),
+        pytest.param([[-1.0, 1.0], [-np.inf, 1.0]], "^domain box bounds must be finite, got ",
+                     id="infinite"),
+        pytest.param([[-1.0, 1.0], [np.nan, 1.0]], "^domain box bounds must be finite, got ",
+                     id="nan"),
+    ],
+)
+def test_explicit_box_is_refused_before_any_evaluation(box, message):
+    def evaluate(p):
+        pytest.fail(f"evaluated at {p}")
+
+    merit = ms.MeritFunction(2, evaluate)
+    with pytest.raises(ValueError, match=message):
+        ms.find_critical_points(merit, box=box)
+    with pytest.raises(ValueError, match=message):
+        ms.check_outward_gradient(merit, box=box)

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import json
 import math
@@ -12,6 +11,8 @@ from hypothesis import strategies as st
 
 import minsection as ms
 from minsection.subminimize import SliceProblem, SliceSolver
+
+from .conftest import without_hessian
 
 
 def test_probe_sine_valley_positive(entries, split01):
@@ -472,14 +473,6 @@ def test_violated_certificates_carry_a_violating_witness(entries):
 
 
 # -- closed-form Hessian blocks ---------------------------------------------
-
-
-def without_hessian(merit):
-    """A copy of ``merit`` without its closed-form Hessian, so the
-    convexity probes take central second differences."""
-    merit = copy.copy(merit)
-    merit.hessian = None
-    return merit
 
 
 def catalog_probes(merit):

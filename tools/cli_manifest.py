@@ -12,10 +12,13 @@ refusal, so the manifest covers every witness line the refusal printer
 writes, one takes the ``sections`` fallback (at each grid point a scan
 of the slice, then a Newton solve from its best point) to two polished
 minima, one solves a partially linear problem file with an offset,
-whose merit carries the closed-form gradient of the file's terms, and
-one solves that file with its split swapped, whose convexity probe takes
+whose merit carries the closed-form gradient of the file's terms, one
+solves that file with its split swapped, whose convexity probe takes
 central second differences (every catalog merit carries a closed-form
-Hessian, which the probes take instead). A
+Hessian, which the probes take instead), and one audits that file, whose
+census takes the closed-form gradient with central second differences
+(a catalog census takes both closed forms, and a file carries no
+Hessian). A
 problem of ``FILES`` is written, with its data, into the run's temporary
 directory and named in its line by its stem. A run's line holds its exit
 status and the sha256 of its stdout, its stderr and each output file,
@@ -50,12 +53,15 @@ EXTRA = {"recover": ["--anchor-index", "0", "--anchor-value", "0.25"]}
 #: ``exp_offset`` is a problem file of ``FILES``; with its split swapped
 #: (x = rate's coefficient, y = rate) linear elimination does not apply
 #: and its merit has no closed-form Hessian, so the probe differences the
-#: merit, and refuses: the block is negative at (0, 0).
+#: merit, and refuses: the block is negative at (0, 0). Its audit's census
+#: takes the file's closed-form gradient and differences its Hessians
+#: (about 0.5 s on one x86-64 server core, some 40% of the manifest's time).
 MORE = [
     ("SINE_VALLEY", "solve", ["--outer-tol", "1e-300", "--grid-density", "20"]),
     ("TWO_WELLS", "sections", ["--x-indices", "1"]),
     ("exp_offset", "solve", []),
     ("exp_offset", "solve", ["--x-indices", "1"]),
+    ("exp_offset", "audit", []),
 ]
 
 #: Problem files by stem, as ``(document, samples)``: d = 2 exp(-0.45 t) +
