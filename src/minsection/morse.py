@@ -5,8 +5,11 @@ grid, classifies each by the sign counts of its Hessian spectrum, checks
 whether the gradient points outward everywhere on the box faces, and audits
 the alternating-sum count equality that holds for boxes with outward
 boundary gradient and no degenerate stationary points. Every gradient and
-Hessian of the census is the merit's closed form where it has one
-(:func:`_gradient`, :func:`_hessian`), else central differences in the box.
+Hessian of the census and every outward normal comes from the one
+derivative rule of :mod:`~minsection.numerics`
+(:func:`~minsection.numerics._gradient`,
+:func:`~minsection.numerics._hessian`): the merit's closed form where it
+has one, else central differences in the box.
 """
 
 from __future__ import annotations
@@ -22,16 +25,12 @@ from .numerics import (
     BoundaryStepWarning,
     EigenSummary,
     Refusal,
-    _closed_form_gradient,
-    _closed_form_hessian,
-    _gradient_step,
-    _inward_derivative,
-    _non_finite_gradient_error,
+    _gradient,
+    _hessian,
     _norm,
-    _second_diff_block,
     eigen_index,
-    fd_gradient,
 )
+from .numerics import fd_gradient  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .numerics import fd_hessian  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .problems import MeritFunction, _checked_box
 from .subminimize import _backtrack
@@ -83,8 +82,8 @@ class CriticalPoint:
     ``index_gamma`` counts negative Hessian eigenvalues; ``degenerate`` is
     set when any eigenvalue sits within the degeneracy tolerance of zero.
     ``hessian`` is the Hessian the classification was read from
-    (:func:`_hessian`): the merit's closed form where it has one, else
-    central second differences.
+    (:func:`~minsection.numerics._hessian`): the merit's closed form where
+    it has one, else central second differences.
     """
 
     location: np.ndarray
@@ -116,27 +115,6 @@ class MorseCensus:
 #: Returned by :func:`_newton_on_gradient` for a seed ended as a duplicate
 #: of a found point.
 DUPLICATE = "duplicate"
-
-
-def _gradient(merit, p, box):
-    """The census gradient of ``merit`` at ``p``: its closed-form
-    ``gradient`` where it has one
-    (:func:`~minsection.numerics._closed_form_gradient`, no evaluation),
-    else :func:`~minsection.numerics.fd_gradient` in ``box``."""
-    if merit.gradient is not None:
-        return _closed_form_gradient(merit, p)
-    return fd_gradient(merit, p, box=box)
-
-
-def _hessian(merit, p, box, f0=None):
-    """The census Hessian of ``merit`` at ``p``: its closed-form
-    ``hessian`` where it has one
-    (:func:`~minsection.numerics._closed_form_hessian`, no evaluation),
-    else central second differences in ``box``, whose stencil reuses
-    ``f0 = merit(p)`` as its center when given and not shifted."""
-    if merit.hessian is not None:
-        return _closed_form_hessian(merit, p)
-    return _second_diff_block(merit, p, range(p.size), box, f0)[0]
 
 
 def _converges_to_found(p, g, hess, points, radius, min_curvature):
@@ -192,9 +170,11 @@ def _newton_on_gradient(merit, seed, g, box, critical_tol, max_iter, points=()):
     gradient already in hand, before the next Hessian is computed, so it
     costs no evaluation.
 
-    Each gradient and Hessian is the census's (:func:`_gradient`,
-    :func:`_hessian`): the merit's closed form where it has one, which
-    evaluates no merit, else central differences. The linear step solves
+    Each gradient and Hessian is the derivative rule's
+    (:func:`~minsection.numerics._gradient`,
+    :func:`~minsection.numerics._hessian`): the merit's closed form where
+    it has one, which evaluates no merit, else central differences in
+    ``box``. The linear step solves
     the Hessian system (exactly symmetric by differences, each mixed
     partial being computed once; symmetric within ``SYMMETRY_TOL`` in
     closed form) in the minimum-norm least-squares sense, which also
@@ -334,14 +314,16 @@ def check_outward_gradient(merit: MeritFunction, box=None, boundary_density: int
 
     Each face is sampled on a grid of ``boundary_density`` points per face
     axis over its relative interior (edges and corners carry no unique
-    outward normal). The normal component is the entry of the merit's
-    closed-form gradient where it has one
-    (:func:`~minsection.numerics._closed_form_gradient`, no evaluation),
-    else the inward one-sided three-point difference of
+    outward normal). The normal component is the derivative rule's
+    gradient along the face's normal parameter alone
+    (:func:`~minsection.numerics._gradient` with the face's ``[lo, hi]``
+    row): the entry of the merit's closed-form gradient where it has one,
+    no evaluation, else the inward one-sided three-point difference of
     :func:`~minsection.fd_gradient`'s clamped stencil (step ``cbrt(eps) *
     max(1, |p_i|)``): three evaluations per sampled point, all inside the
-    box. An explicit ``box`` is refused as :func:`find_critical_points`
-    refuses it.
+    box, under the census's filter of the clamp warning that every face
+    point raises. An explicit ``box`` is refused as
+    :func:`find_critical_points` refuses it.
     """
     if boundary_density < 3:
         raise ValueError("boundary density must be at least 3 per face axis")
@@ -350,24 +332,19 @@ def check_outward_gradient(merit: MeritFunction, box=None, boundary_density: int
     face_axes = {
         i: np.linspace(box[i, 0], box[i, 1], boundary_density + 2)[1:-1] for i in range(dim)
     }
-    for i in range(dim):
-        others = [j for j in range(dim) if j != i]
-        for side, sign in ((box[i, 0], -1.0), (box[i, 1], 1.0)):
-            h = _gradient_step(side)
-            grids = [face_axes[j] for j in others]
-            for combo in itertools.product(*grids) if others else [()]:
-                p = np.empty(dim)
-                p[i] = side
-                for j, v in zip(others, combo):
-                    p[j] = v
-                if merit.gradient is not None:
-                    normal = _closed_form_gradient(merit, p)[i]
-                else:
-                    normal = _inward_derivative(merit, p, p.copy(), i, h, *box[i])[0]
-                    if not np.isfinite(normal):
-                        raise _non_finite_gradient_error(i, p)
-                if sign * normal <= 0.0:
-                    return False
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryStepWarning)
+        for i in range(dim):
+            others = [j for j in range(dim) if j != i]
+            for side, sign in ((box[i, 0], -1.0), (box[i, 1], 1.0)):
+                grids = [face_axes[j] for j in others]
+                for combo in itertools.product(*grids) if others else [()]:
+                    p = np.empty(dim)
+                    p[i] = side
+                    for j, v in zip(others, combo):
+                        p[j] = v
+                    if sign * _gradient(merit, p, box[i : i + 1], (i,))[0] <= 0.0:
+                        return False
     return True
 
 

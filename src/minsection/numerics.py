@@ -2,12 +2,16 @@
 linear least-squares solves.
 
 Everything here is a pure function of its inputs and safe to call
-concurrently. Derivatives are obtained by finite differences, except where
-the objective carries a closed form: :func:`_closed_form_gradient` and
-:func:`_closed_form_hessian` read one at a point, and the Hessian blocks of
-:func:`fd_y_block` and the convexity probe take it. Callers are
-responsible for supplying objectives that are smooth (C^2) on their domain
-box.
+concurrently. One rule picks every derivative of a merit that the outer
+stage, its final certificate, the convexity probes and the critical-point
+census take: the merit's closed form where it has one, which evaluates no
+merit, else central differences in a box. :func:`_gradient` applies it to
+a gradient along any subset of the parameters, :func:`_hessian` to the
+full Hessian at a point, and :func:`_hessian_blocks` to the Hessian blocks
+at a stack of points (where linear elimination applies, a model's exact
+block comes first). :func:`fd_gradient`, :func:`fd_hessian` and the Newton
+slices always take differences. Callers are responsible for supplying
+objectives that are smooth (C^2) on their domain box.
 """
 
 from __future__ import annotations
@@ -146,16 +150,57 @@ def fd_gradient(f, p, box=AUTO) -> np.ndarray:
     Points too close to the domain box boundary fall back to one-sided
     (three-point) differences toward the interior and raise
     :class:`BoundaryStepWarning`. Pass ``box=None`` to disable clamping.
+    This is :func:`_differences` along every parameter, the stencil the
+    derivative rule (:func:`_gradient`) takes where there is no closed form.
     """
     p = np.asarray(p, dtype=float)
-    box = _resolve_box(f, box)
+    return _differences(f, p, _resolve_box(f, box), range(p.size))
+
+
+def _gradient(f, p, box, indices=None) -> np.ndarray:
+    """The derivative rule's gradient of ``f`` at the full point ``p``
+    along the parameters ``indices`` (all of them when None), ``box``
+    holding one ``[lo, hi]`` row per differentiated parameter.
+
+    Where ``f`` has a closed-form ``gradient``, it is ``f.gradient(p)``
+    restricted to ``indices``, trusted and evaluating no merit. One of
+    another shape than (M,), M ``f.dimension``, raises ``ValueError``, and
+    one with a non-finite entry anywhere :class:`NonFiniteValueError`
+    carrying ``p`` and the entry's parameter index. Otherwise it is
+    :func:`_differences`, whose errors name parameters the same way.
+    """
+    gradient = getattr(f, "gradient", None)
+    if gradient is None:
+        return _differences(f, p, box, range(p.size) if indices is None else indices)
+    g = np.asarray(gradient(p), dtype=float)
+    if g.shape != (f.dimension,):
+        raise ValueError(f"closed-form gradient has shape {g.shape}, expected ({f.dimension},)")
+    if not all(map(math.isfinite, g.tolist())):
+        bad = int(np.flatnonzero(~np.isfinite(g))[0])
+        raise NonFiniteValueError(
+            f"non-finite closed-form gradient entry at coordinate {bad}", p, (bad,)
+        )
+    return g if indices is None else g[list(indices)]
+
+
+def _differences(f, p, box, indices) -> np.ndarray:
+    """:func:`fd_gradient`'s stencil at the full point ``p`` along the
+    parameters ``indices``, ``box`` holding one ``[lo, hi]`` row per
+    parameter in ``indices`` (unbounded when None). The one-sided
+    differences share one evaluation of the center ``f(p)``. A row too thin
+    for them raises ``ValueError`` carrying the parameter as
+    ``coordinate``, and a non-finite entry :class:`NonFiniteValueError`
+    carrying ``p`` and the entry's parameter index.
+    """
     bounds = itertools.repeat((-np.inf, np.inf)) if box is None else box.tolist()
+    values = p.tolist()
     grad = []
     clamped = False
     f0 = None  # f(p), evaluated by the first one-sided coordinate only
     work = p.copy()
-    for i, (value, (lo, hi)) in enumerate(zip(p.tolist(), bounds)):
-        h = (value + GRADIENT_STEP * max(1.0, abs(value))) - value  # _gradient_step, inline
+    for i, (lo, hi) in zip(indices, bounds):
+        value = values[i]
+        h = (value + GRADIENT_STEP * max(1.0, abs(value))) - value  # _exact_step, inline
         if value + h <= hi and value - h >= lo:
             work[i] = value + h
             f_plus = f(work)
@@ -164,51 +209,35 @@ def fd_gradient(f, p, box=AUTO) -> np.ndarray:
             grad.append((f_plus - f_minus) / (2.0 * h))
         else:
             clamped = True
-            derivative, f0 = _inward_derivative(f, p, work, i, h, lo, hi, f0)
-            grad.append(derivative)
+            sign = 1.0 if value + 2.0 * h <= hi else -1.0
+            if sign < 0 and value - 2.0 * h < lo:
+                raise _thin_box_error(i)
+            if f0 is None:
+                f0 = f(p)
+            work[i] = value + sign * h
+            f1 = f(work)
+            work[i] = value + sign * 2.0 * h
+            f2 = f(work)
+            grad.append(sign * (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h))
         work[i] = value
     if clamped:
         warnings.warn(
             "gradient stencil clamped at the domain boundary; one-sided "
             "differences were used",
             BoundaryStepWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     if not all(map(math.isfinite, grad)):
-        bad = next(i for i, entry in enumerate(grad) if not math.isfinite(entry))
-        raise _non_finite_gradient_error(bad, p)
+        bad = next(k for k, entry in enumerate(grad) if not math.isfinite(entry))
+        raise _non_finite_gradient_error(indices[bad], p)
     return np.array(grad, dtype=float)
-
-
-def _gradient_step(value: float) -> float:
-    """The gradient stencil's step ``cbrt(eps) * max(1, |value|)``, rounded
-    by :func:`_exact_step`."""
-    return _exact_step(value, GRADIENT_STEP * max(1.0, abs(value)))
-
-
-def _inward_derivative(f, p, work, i, h, lo, hi, f0=None):
-    """Three-point one-sided difference of ``f`` along coordinate ``i`` at
-    ``p``, with step ``h`` toward the interior of ``[lo, hi]``: upward
-    unless ``p_i + 2h`` passes ``hi``. ``work`` is a copy of ``p``; its
-    coordinate ``i`` is left at the last stencil point. ``f0`` is ``f(p)``,
-    evaluated here when None. Returns ``(derivative, f0)``."""
-    sign = 1.0 if p[i] + 2.0 * h <= hi else -1.0
-    if sign < 0 and p[i] - 2.0 * h < lo:
-        raise _thin_box_error(i)
-    if f0 is None:
-        f0 = f(p)
-    work[i] = p[i] + sign * h
-    f1 = f(work)
-    work[i] = p[i] + sign * 2.0 * h
-    f2 = f(work)
-    return sign * (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h), f0
 
 
 def _central(p, box) -> bool:
     """Whether :func:`fd_gradient`'s stencil at ``p`` is central along every
     coordinate in ``box``, so that it makes no one-sided difference there."""
     for value, (lo, hi) in zip(p.tolist(), box.tolist()):
-        h = _gradient_step(value)
+        h = (value + GRADIENT_STEP * max(1.0, abs(value))) - value
         if not (value + h <= hi and value - h >= lo):
             return False
     return True
@@ -526,33 +555,27 @@ def _model_blocks(model, points, x_indices) -> np.ndarray:
     return blocks
 
 
-def _closed_form_gradient(f, p):
-    """``f.gradient(p)`` as a float array of shape (M,), M ``f.dimension``.
-    Another shape raises ``ValueError``; a non-finite entry raises
-    :class:`NonFiniteValueError` carrying ``p`` and the entry's parameter
-    index, as a finite-difference stencil's does."""
-    g = np.asarray(f.gradient(p), dtype=float)
-    if g.shape != (f.dimension,):
-        raise ValueError(f"closed-form gradient has shape {g.shape}, expected ({f.dimension},)")
-    if not all(map(math.isfinite, g.tolist())):
-        bad = int(np.flatnonzero(~np.isfinite(g))[0])
-        raise NonFiniteValueError(
-            f"non-finite closed-form gradient entry at coordinate {bad}", p, (bad,)
-        )
-    return g
+def _hessian(f, p, box, f0=None) -> np.ndarray:
+    """The Hessian of ``f`` at ``p`` on all M parameters: the one-row rule
+    beside :func:`_hessian_blocks`, with no model block.
 
-
-def _closed_form_hessian(f, p):
-    """``f.hessian(p)`` as a float (M, M) array, M the size of ``p``,
-    refused as :func:`_merit_blocks` refuses a block on all M coordinates:
-    another shape raises ``ValueError``, a non-finite entry
+    Where ``f`` has a closed-form ``hessian``, it is ``f.hessian(p)`` as a
+    float (M, M) array and evaluates no merit, refused as
+    :func:`_merit_blocks` refuses a block on all M coordinates: another
+    shape raises ``ValueError``, a non-finite entry
     :class:`NonFiniteValueError` carrying ``p`` and the entry's parameter
     pair, and a matrix not symmetric within ``SYMMETRY_TOL`` of its scale
     ``ValueError``. The entries are tested as Python floats, and symmetry
     only where the two triangles differ: one row through
     :func:`_merit_blocks`' stacked tests would cost the census more than
-    the finite differences of a cheap merit."""
-    h = np.asarray(f.hessian(p), dtype=float)
+    the finite differences of a cheap merit. Otherwise it is central second
+    differences in ``box`` (:func:`_second_diff_block`), whose stencil
+    reuses ``f0 = f(p)`` as its center when given and not shifted.
+    """
+    hessian = getattr(f, "hessian", None)
+    if hessian is None:
+        return _second_diff_block(f, p, range(p.size), box, f0)[0]
+    h = np.asarray(hessian(p), dtype=float)
     m = p.size
     if h.shape != (m, m):
         raise _hessian_shape_error(h.shape, m)

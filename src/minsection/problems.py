@@ -268,21 +268,22 @@ class MeritFunction:
     reference to it. ``structure`` tags how the value is assembled:
     ``general``, ``residual`` (F = sum of squared residual maps) or
     ``partially_linear`` (built from a :class:`PartiallyLinearModel`).
-    A closed-form ``gradient``, when present, is trusted: the hierarchical
-    outer stage and its final certificate
-    (:func:`~minsection.solver.minimize_by_coordinates`), the
+    A closed-form ``gradient`` or ``hessian``, when present, is trusted:
+    one derivative rule in :mod:`~minsection.numerics` takes it in place
+    of central differences wherever a merit's derivative is picked. The
+    ``gradient`` serves the hierarchical outer stage and its final
+    certificate (:func:`~minsection.solver.minimize_by_coordinates`), the
     critical-point census and its outward check
-    (:func:`~minsection.morse.find_critical_points`) take it in place of
-    central differences. It must return the gradient at ``p`` as an array
-    of shape (M,). A closed-form ``hessian`` is trusted the same way by
+    (:func:`~minsection.morse.find_critical_points`). It must return the
+    gradient at ``p`` as an array of shape (M,). The ``hessian`` serves
     the convexity probes and :func:`~minsection.numerics.fd_y_block`,
-    which take their blocks from it, restricted to the block's
-    coordinates, in place of central second differences (a partially
-    linear model's exact ``2 Phi^T Phi`` still comes first), and by the
-    census, for its Newton steps and its classifications. It must return
-    the Hessian at ``p`` as an array of shape (M, M), symmetric within
-    ``1e-8`` of its scale on each block. Every other derivative (Newton
-    slices, ``solve_direct``, ``fd_hessian``) is taken numerically.
+    restricted to the block's coordinates (a partially linear model's
+    exact ``2 Phi^T Phi`` still comes first), and the census, for its
+    Newton steps and its classifications. It must return the Hessian at
+    ``p`` as an array of shape (M, M), symmetric within ``1e-8`` of its
+    scale on each block. Every other derivative (Newton slices,
+    ``solve_direct``, ``fd_gradient``, ``fd_hessian``) is taken
+    numerically.
 
     A ``partially_linear`` merit's value at ``p`` is its model's
     ``value(p[:n], p[n:])``, n the model's ``nonlinear_dim``, as

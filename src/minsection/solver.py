@@ -12,8 +12,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import numerics
-from .numerics import EPS, Refusal, _central, _closed_form_gradient, _norm, fd_gradient
+from .numerics import EPS, Refusal, _central, _gradient, _norm
+from .numerics import fd_gradient  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .numerics import fd_hessian  # noqa: F401 - unused; bench/tracing.py rebinds it here
 from .problems import MeritFunction, ParameterSplit
 from .subminimize import (
@@ -392,10 +392,12 @@ def minimize_by_coordinates(merit, section, grids, indices, outer_tol=None):
     node. BFGS on the section (Nocedal & Wright, ch. 6) then starts there,
     its inverse Hessian seeded from the bracket curvatures. By the envelope
     theorem the section gradient is the gradient of ``merit(point(x))``
-    with no further slice solve: ``merit.gradient(point(x))[indices]`` when
-    the merit has a closed-form gradient (variable projection; Golub &
-    Pereyra, 1973), which evaluates no merit, and otherwise central
-    differences of ``merit(point(v))``. The line
+    with no further slice solve, the derivative rule's gradient along
+    ``indices`` at ``point(x)`` in the grid hull
+    (:func:`~minsection.numerics._gradient`): ``merit.gradient(point(x))
+    [indices]`` when the merit has a closed-form gradient (variable
+    projection; Golub & Pereyra, 1973), which evaluates no merit, and
+    otherwise central differences along ``indices``. The line
     search is the backtracking of the Newton solves
     (:func:`~minsection.subminimize._backtrack`) under the Armijo test,
     every trial clipped to the hull of the grids; a trial whose predicted
@@ -409,14 +411,15 @@ def minimize_by_coordinates(merit, section, grids, indices, outer_tol=None):
     :class:`SolveError` with the full parameter vector at the last iterate
     as ``point``, whose message names the boundary only when x is on a
     face of the retained box. A closed-form gradient of another shape than
-    (M,) raises ``ValueError``, and one with a non-finite entry
-    :class:`~minsection.numerics.NonFiniteValueError` carrying the full
-    parameter vector and the entry's parameter index. Returns ``(x, value,
-    brackets, iterations, g)`` with the brackets of the cycle and the
-    section gradient ``g`` that the stopping test read; without a closed
-    form it is :func:`~minsection.numerics.fd_gradient` of
-    ``merit(point(v))`` at ``x`` in the grid hull, so the final certificate
-    can reuse it.
+    (M,) raises ``ValueError``. A non-finite gradient entry, closed-form or
+    differenced, raises :class:`~minsection.numerics.NonFiniteValueError`
+    carrying the full parameter vector and the entry's parameter index, and
+    a grid hull thinner than the stencil ``ValueError`` carrying the
+    parameter index as ``coordinate``. Returns ``(x, value, brackets,
+    iterations, g)`` with the brackets of the cycle and the section
+    gradient ``g`` that the stopping test read; without a closed form it
+    is :func:`~minsection.numerics.fd_gradient` of ``merit(point(v))`` at
+    ``x`` in the grid hull, so the final certificate can reuse it.
     """
     x = np.array([0.5 * (g[0] + g[-1]) for g in grids])
     brackets = []
@@ -434,14 +437,9 @@ def minimize_by_coordinates(merit, section, grids, indices, outer_tol=None):
         brackets.append(bracket_on_grid(line, grid))
         x[i] = brackets[-1].b
     box = np.array([[g[0], g[-1]] for g in grids])
-    if merit.gradient is None:
-        def gradient(point, v):
-            return numerics.fd_gradient(lambda u: merit(point(u)), v, box=box)
-    else:
-        indices = np.array(indices, dtype=int)
 
-        def gradient(point, v):
-            return _closed_form_gradient(merit, point(v))[indices]
+    def gradient(point, v):
+        return _gradient(merit, point(v), box, indices)
 
     h0 = np.diag([1.0 / _bracket_curvature(tri) for tri in brackets])
     sub, point = section(x)
@@ -543,16 +541,17 @@ def solve_hierarchical(
     the grid centers, then BFGS on the section, whose gradient the envelope
     theorem gives as ``dF/dx`` at the slice minimum; it stops on the
     gradient norm (see :class:`Tolerances`). The certificate is then the
-    norm of the full gradient at the answer. When the merit has a
-    closed-form ``gradient``, both the section gradient and the certificate
-    take it and evaluate no merit; ``certificates.gradient_method`` is
-    then ``"closed_form"``. Otherwise (``"central_difference"``) the
-    certificate is the norm of :func:`~minsection.numerics.fd_gradient` at
-    the answer. Its x-part is the section gradient the outer stage stopped
-    on, which evaluated the same points with the same steps and formula,
-    and only its y-part is evaluated, ``2 m`` points; where an x stencil
-    would be one-sided in the grid hull or in the domain box, the full
-    ``2 M`` stencil is evaluated instead. A boundary minimum along a grid
+    norm of the full gradient at the answer. Both take the derivative rule
+    (:func:`~minsection.numerics._gradient`): the merit's closed-form
+    ``gradient`` where it has one, which evaluates no merit, and
+    ``certificates.gradient_method`` is then ``"closed_form"``. Otherwise
+    (``"central_difference"``) the certificate is the norm of
+    :func:`~minsection.numerics.fd_gradient` at the answer. Its x-part is
+    the section gradient the outer stage stopped on, which evaluated the
+    same points with the same steps and formula, and only its y-part is
+    evaluated, ``2 m`` points; where an x stencil would be one-sided in the
+    grid hull or in the domain box, the full ``2 M`` stencil is evaluated
+    instead. A boundary minimum along a grid
     bracket is an error, not a silent clamp. A :class:`SolveError` carries
     its best point as a full parameter vector. No evaluation leaves the
     domain box.
@@ -582,17 +581,13 @@ def _solve_hierarchical(merit, split, grid, tolerances):
     value = final.value
     box = merit.domain_box
     hull = np.array([[grid[0], grid[-1]] for grid in grids])
-    if merit.gradient is not None:
-        method, grad = "closed_form", _closed_form_gradient(merit, minimizer)
-    elif _central(x_star, hull) and _central(x_star, split.x_box(box)):
-        # the outer stage's last gradient evaluated fd_gradient's x-stencil
-        # at the minimizer: the same points, steps and formula
-        grad_y = fd_gradient(
-            lambda y: merit(split.embed(x_star, y)), final.y_star, box=split.y_box(box)
-        )
-        method, grad = "central_difference", split.embed(g, grad_y)
+    if _central(x_star, hull) and _central(x_star, split.x_box(box)):
+        # the outer stage's last gradient is the rule's x-part at the
+        # minimizer: the same closed form, or the same points, steps and formula
+        grad = split.embed(g, _gradient(merit, minimizer, split.y_box(box), split.y_indices))
     else:
-        method, grad = "central_difference", fd_gradient(merit, minimizer)
+        grad = _gradient(merit, minimizer, box)
+    method = "central_difference" if merit.gradient is None else "closed_form"
     grad_norm = _norm(grad)
     outer_tol = tol.outer_tol if tol.outer_tol is not None else _outer_tol(value)
     if grad_norm > outer_tol:

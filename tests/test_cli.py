@@ -469,6 +469,28 @@ def test_non_finite_closed_form_gradient_refused_with_witness(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_non_finite_section_difference_refused_with_witness(tmp_path, capsys, monkeypatch):
+    # No closed form: the outer stage's central difference along the
+    # retained parameter p1 meets NaN; the witness is the full vector.
+    def nan_gap(p):
+        y, x, z = p
+        if 0.0 < abs(x) < 1e-4:
+            return float("nan")
+        return float(x**2 + (y - x) ** 2 + (z + x) ** 2 + 1.0)
+
+    merit = ms.MeritFunction(3, nan_gap, domain_box=[[-10.0, 10.0]] * 3)
+    entry = ms.ProblemCatalogEntry("NAN_GAP", merit, "strictly_convex")
+    monkeypatch.setattr(cli, "get_problem", lambda name: entry)
+    out = tmp_path / "run"
+    argv = ["--problem", "NAN_GAP", "--command", "solve", "--x-indices", "1", "--y-indices",
+            "0,2", "--out", str(out)]
+    assert run_cli(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-2] == "refused: non-finite gradient entry at coordinate 1"
+    assert lines[-1] == "witness point: [0.0, 0.0, 0.0]"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "offset", [{}, 0, False, "", None],
     ids=["empty-object", "zero", "false", "empty-string", "null"],

@@ -179,8 +179,9 @@ def test_census_report_text(entries):
 
 
 def test_outward_check_evaluates_only_inside_the_box(entries):
-    # Only the normal derivative is taken, one-sided toward the interior:
-    # three evaluations per sampled face point, none outside the box.
+    # Without closed forms, only the normal derivative is taken, one-sided
+    # toward the interior: three evaluations per sampled face point, none
+    # outside the box, and no clamp warning, though each face point clamps.
     box = np.array([[-2.0, 2.0], [-1.5, 3.0]])
     for name in ("QUAD", "TWO_WELLS", "SINE_VALLEY"):
         merit = entries[name].merit
@@ -193,7 +194,10 @@ def test_outward_check_evaluates_only_inside_the_box(entries):
             return merit(p)
 
         recorder = ms.MeritFunction(2, recording, domain_box=box)
-        assert ms.check_outward_gradient(recorder, boundary_density=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert ms.check_outward_gradient(recorder, boundary_density=5)
+        assert not any(issubclass(w.category, ms.BoundaryStepWarning) for w in caught)
         assert len(seen) == 4 * 5 * 3
 
 

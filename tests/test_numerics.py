@@ -506,3 +506,99 @@ def test_near_bound_node_raises_or_passes_as_the_scalar_body(scale, seed):
     else:
         assert np.isfinite(want).all()
         assert got.tobytes() == want.tobytes()
+
+
+# -- the derivative rule's gradient ----------------------------------------
+
+
+def sine_merit(m, seed, seen, gradient=None):
+    """A merit with a random quadratic and sine part that records each
+    point it is evaluated at in ``seen``; ``gradient`` its closed form."""
+    rng = np.random.default_rng(seed)
+    a, b, q = rng.uniform(-2.0, 2.0, m), rng.uniform(0.5, 3.0, m), rng.normal(size=(m, m))
+
+    def evaluate(p):
+        seen.append(p.tolist())
+        return float(a @ np.sin(b * p) + p @ q @ p)
+
+    return ms.MeritFunction(m, evaluate, gradient=gradient)
+
+
+@st.composite
+def gradient_cases(draw):
+    """``(p, indices, box)``: a full point, a subset of its parameters in
+    any order and one ``[lo, hi]`` row per parameter of the subset. Each
+    parameter lies on a face of its row, within two gradient steps of one,
+    or inside it; some rows are thinner than a one-sided stencil."""
+    m = draw(st.integers(2, 5))
+    indices = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    p, rows = [], []
+    for _ in range(m):
+        lo = draw(st.floats(-3.0, 2.0))
+        hi = lo + draw(st.sampled_from([1e-5, 2e-5, 0.5, 3.0]))
+        where = draw(st.sampled_from(["face", "near", "inside"]))
+        if where == "inside":
+            value = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+        else:
+            offset = 0.0 if where == "face" else draw(st.floats(0.0, 2e-5))
+            value = min(lo + offset, hi) if draw(st.booleans()) else max(hi - offset, lo)
+        p.append(value)
+        rows.append([lo, hi])
+    return np.array(p), indices, np.array(rows)[indices]
+
+
+def gradient_outcome(call):
+    """``(gradient or ValueError, clamp warnings)`` of one gradient call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except ValueError as err:
+            result = err
+    return result, sum(issubclass(w.category, BoundaryStepWarning) for w in caught)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gradient_cases(), st.integers(0, 2**32 - 1))
+def test_gradient_along_parameters_is_the_embedded_stencil(case, seed):
+    # Without a closed form, the rule's gradient along ``indices`` at the
+    # full point is fd_gradient of the merit along the embedded parameters
+    # bit for bit: the same points in the same order, the same values and
+    # clamp warnings, and the same thin-row refusal, which names the
+    # parameter index instead of its position in ``indices``.
+    p, indices, box = case
+    seen = []
+    merit = sine_merit(p.size, seed, seen)
+
+    def embed(u):
+        q = p.copy()
+        q[indices] = u
+        return q
+
+    want, want_clamps = gradient_outcome(
+        lambda: ms.fd_gradient(lambda u: merit(embed(u)), p[indices], box=box)
+    )
+    want_seen = seen[:]
+    seen.clear()
+    got, got_clamps = gradient_outcome(lambda: ms.numerics._gradient(merit, p, box, indices))
+    assert seen == want_seen
+    assert got_clamps == want_clamps
+    if isinstance(want, ValueError):
+        assert got.coordinate == indices[want.coordinate]
+        assert str(got) == str(want).replace(
+            f"coordinate {want.coordinate}", f"coordinate {got.coordinate}"
+        )
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(gradient_cases(), st.integers(0, 2**32 - 1))
+def test_gradient_along_parameters_takes_the_closed_form(case, seed):
+    p, indices, box = case
+    seen = []
+    weights = np.arange(1.0, p.size + 1)
+    merit = sine_merit(p.size, seed, seen, gradient=lambda q: np.cos(q) * weights)
+    got = ms.numerics._gradient(merit, p, box, indices)
+    assert got.tobytes() == merit.gradient(p)[indices].tobytes()
+    assert not seen

@@ -665,6 +665,40 @@ def test_non_finite_closed_form_gradient_names_the_parameter(bad):
     assert err.point[0] == pytest.approx(0.3, abs=1e-8)
 
 
+def nan_gap_merit(center=0.0):
+    """F(y, x, z) = (x - center)^2 + (y - x)^2 + (z + x)^2 + 1 on [-10, 10]^3,
+    NaN for 0 < |x| < 1e-4: finite at the answer, not at the stencil points
+    of the retained parameter x = p1 there when ``center`` is 0."""
+
+    def evaluate(p):
+        y, x, z = p
+        if 0.0 < abs(x) < 1e-4:
+            return float("nan")
+        return float((x - center) ** 2 + (y - x) ** 2 + (z + x) ** 2 + 1.0)
+
+    return ms.MeritFunction(3, evaluate, domain_box=[[-10.0, 10.0]] * 3)
+
+
+def test_non_finite_section_gradient_names_the_parameter():
+    # p1 is the retained coordinate: the central difference's refusal, like
+    # the closed form's, names its parameter index and carries the full
+    # parameter vector, not the x-part and its position in it
+    with pytest.raises(NonFiniteValueError) as excinfo:
+        ms.solve_hierarchical(nan_gap_merit(), ms.ParameterSplit((1,), (0, 2)))
+    err = excinfo.value
+    assert str(err) == "non-finite gradient entry at coordinate 1"
+    assert err.coordinates == (1,)
+    assert np.array_equal(err.point, [0.0, 0.0, 0.0])
+
+
+def test_grid_hull_thinner_than_the_stencil_names_the_parameter():
+    grid = np.array([0.3 - 2e-6, 0.3, 0.3 + 2e-6])
+    merit, split = nan_gap_merit(0.3), ms.ParameterSplit((1,), (0, 2))
+    with pytest.raises(ValueError, match="stencil along coordinate 1$") as excinfo:
+        ms.solve_hierarchical(merit, split, grid=grid)
+    assert excinfo.value.coordinate == 1
+
+
 def test_direct_certificate_is_a_central_difference(entries):
     report = ms.solve_direct(entries["QUAD"].merit, (0.5, 0.5))
     assert report.certificates.gradient_method == "central_difference"
